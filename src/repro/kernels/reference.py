@@ -1,6 +1,6 @@
 """Frozen pure-python/numpy reference paths, kept for equivalence checks.
 
-Two families live here:
+Three families live here:
 
 * the historical per-subset loops the character kernel replaced (one
   Python-level iteration per subset, each calling ``np.prod`` over a
@@ -13,7 +13,11 @@ Two families live here:
   butterfly, written as transparent per-row loops with ``math.fsum``
   accumulation, which the :mod:`repro.conformance` differential
   harnesses drive against the optimised production paths on shared
-  seeded inputs.
+  seeded inputs;
+* the per-parameter / per-individual learner loops the fused learner
+  paths replaced (the MLP's four-array Adam step, the reliability
+  attack's one-call-per-individual ES fitness), kept so the learner
+  tests can assert the fused paths compute the same thing.
 
 Do not optimise these.  Their slowness *is* the point: a reference must
 stay simple enough to audit by eye.  Integer-valued paths (characters,
@@ -271,3 +275,112 @@ def naive_ltf_margin(
             for row in x
         ]
     )
+
+
+def naive_mlp_fit(
+    feats: np.ndarray,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    hidden: int,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+    l2: float,
+) -> Dict[str, object]:
+    """Per-parameter Adam training loop of the one-hidden-layer MLP.
+
+    The pre-fusion body of ``MLPAttack.fit``, verbatim: four separate
+    parameter arrays, four separate Adam moment pairs, the backward
+    term built twice, and the loss evaluated on every minibatch.
+    ``feats`` are the already-mapped float features.  Returns the
+    trained ``w1``, ``b1``, ``w2``, ``b2``, the last minibatch's
+    ``final_loss`` and the ``train_accuracy`` of the sign of the score.
+    """
+    feats = np.asarray(feats, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m, d = feats.shape
+    h = hidden
+
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
+    b1 = np.zeros(h)
+    w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=h)
+    b2 = 0.0
+
+    params = [w1, b1, w2, np.array([b2])]
+    m1 = [np.zeros_like(p) for p in params]
+    m2 = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
+    step = 0
+    loss = np.inf
+    for _ in range(epochs):
+        order = rng.permutation(m)
+        for start in range(0, m, batch_size):
+            idx = order[start : start + batch_size]
+            xb, yb = feats[idx], y[idx]
+            pre = xb @ params[0] + params[1]
+            hid = np.tanh(pre)
+            score = hid @ params[2] + params[3][0]
+            z = yb * score
+            loss = float(
+                np.mean(np.logaddexp(0.0, -z))
+                + 0.5 * l2 * (np.sum(params[0] ** 2) + np.sum(params[2] ** 2))
+            )
+            sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
+            dscore = -yb * sig / xb.shape[0]
+            grads = [
+                xb.T @ ((dscore[:, None] * params[2][None, :]) * (1 - hid**2))
+                + l2 * params[0],
+                np.sum((dscore[:, None] * params[2][None, :]) * (1 - hid**2), axis=0),
+                hid.T @ dscore + l2 * params[2],
+                np.array([np.sum(dscore)]),
+            ]
+            step += 1
+            for p, g, mm, vv in zip(params, grads, m1, m2):
+                mm *= beta1
+                mm += (1 - beta1) * g
+                vv *= beta2
+                vv += (1 - beta2) * g * g
+                m_hat = mm / (1 - beta1**step)
+                v_hat = vv / (1 - beta2**step)
+                p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps_adam)
+
+    b2 = float(params[3][0])
+    score = np.tanh(feats @ params[0] + params[1]) @ params[2] + b2
+    predicted = np.where(score >= 0, 1, -1).astype(np.int8)
+    return {
+        "w1": params[0],
+        "b1": params[1],
+        "w2": params[2],
+        "b2": b2,
+        "final_loss": loss,
+        "train_accuracy": float(np.mean(predicted == y.astype(np.int8))),
+    }
+
+
+def naive_cma_fitness(
+    phi: np.ndarray,
+    w: np.ndarray,
+    rel_matrix: np.ndarray,
+    rel_norms: np.ndarray,
+    profiles: Sequence[np.ndarray],
+    distinct_penalty: float,
+) -> float:
+    """One individual's reliability-correlation fitness, one call each.
+
+    The pre-batching ``CMAReliabilityAttack`` fitness, verbatim: the
+    centred, unit-norm |margin| profile of ``phi @ w`` (a zero norm
+    divides by 1), its mean |correlation| against the centred
+    reliability columns ``rel_matrix`` (each divided by its entry of
+    ``rel_norms``), minus ``distinct_penalty`` times the largest
+    |overlap| with the already-found ``profiles``.
+    """
+    h = np.abs(phi @ w)
+    hc = h - h.mean()
+    norm = float(np.sqrt(np.sum(hc**2))) or 1.0
+    hc = hc / norm
+    corr = float(np.mean(np.abs(hc @ rel_matrix) / rel_norms))
+    if profiles and distinct_penalty > 0:
+        overlap = max(abs(float(hc @ p)) for p in profiles)
+        corr -= distinct_penalty * overlap
+    return corr

@@ -42,6 +42,15 @@ class MLPResult:
         return np.where(self.score(x) >= 0, 1, -1).astype(np.int8)
 
 
+def _views(flat: np.ndarray, d: int, h: int):
+    """``(w1, b1, w2, b2)`` views into one flat ``d*h + 2h + 1`` buffer."""
+    w1 = flat[: d * h].reshape(d, h)
+    b1 = flat[d * h : d * h + h]
+    w2 = flat[d * h + h : d * h + 2 * h]
+    b2 = flat[d * h + 2 * h :]
+    return w1, b1, w2, b2
+
+
 class MLPAttack:
     """One-hidden-layer tanh MLP with logistic loss and Adam.
 
@@ -53,6 +62,14 @@ class MLPAttack:
         Full passes over the data.
     batch_size, learning_rate, l2:
         The usual knobs.
+
+    :meth:`fit` keeps all four parameter arrays as views into one flat
+    float64 buffer (``w1 | b1 | w2 | b2``), with matching flat gradient
+    and Adam-moment buffers, so each minibatch takes one fused Adam
+    step.  The update is elementwise, so the result is bit-identical to
+    the per-parameter loop frozen as
+    :func:`repro.kernels.reference.naive_mlp_fit`.  The returned
+    :class:`MLPResult` weights are views into that buffer.
     """
 
     def __init__(
@@ -96,17 +113,23 @@ class MLPAttack:
         m, d = feats.shape
         h = self.hidden
 
-        w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
-        b1 = np.zeros(h)
-        w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=h)
-        b2 = 0.0
+        # All parameters live in one flat buffer (w1 | b1 | w2 | b2) with
+        # named views into it, and so do their gradients and the Adam
+        # moments: one fused elementwise Adam step updates everything.
+        theta = np.zeros(d * h + 2 * h + 1)
+        grad = np.empty_like(theta)
+        w1, b1, w2, b2 = _views(theta, d, h)
+        g_w1, g_b1, g_w2, g_b2 = _views(grad, d, h)
+        w1[...] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
+        w2[...] = rng.normal(0.0, 1.0 / np.sqrt(h), size=h)
 
-        params = [w1, b1, w2, np.array([b2])]
-        m1 = [np.zeros_like(p) for p in params]
-        m2 = [np.zeros_like(p) for p in params]
+        mom1 = np.zeros_like(theta)
+        mom2 = np.zeros_like(theta)
         beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
+        lr, l2 = self.learning_rate, self.l2
         step = 0
         loss = np.inf
+        last_start = ((m - 1) // self.batch_size) * self.batch_size
 
         # One span for the whole optimisation, not per epoch or batch.
         with trace("mlp.fit", examples=m, features=d, epochs=self.epochs):
@@ -116,39 +139,38 @@ class MLPAttack:
                     idx = order[start : start + self.batch_size]
                     xb, yb = feats[idx], y[idx]
                     # Forward.
-                    pre = xb @ params[0] + params[1]
-                    hid = np.tanh(pre)
-                    score = hid @ params[2] + params[3][0]
-                    z = yb * score
-                    loss = float(
-                        np.mean(np.logaddexp(0.0, -z))
-                        + 0.5 * self.l2 * (np.sum(params[0] ** 2) + np.sum(params[2] ** 2))
-                    )
+                    hid = np.tanh(xb @ w1 + b1)
+                    z = yb * (hid @ w2 + b2[0])
+                    if epoch == self.epochs - 1 and start == last_start:
+                        # Only the last minibatch's loss is reported.
+                        loss = float(
+                            np.mean(np.logaddexp(0.0, -z))
+                            + 0.5 * l2 * (np.sum(w1**2) + np.sum(w2**2))
+                        )
                     # Backward.
                     sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
                     dscore = -yb * sig / xb.shape[0]
-                    grads = [
-                        xb.T @ ((dscore[:, None] * params[2][None, :]) * (1 - hid**2))
-                        + self.l2 * params[0],
-                        np.sum((dscore[:, None] * params[2][None, :]) * (1 - hid**2), axis=0),
-                        hid.T @ dscore + self.l2 * params[2],
-                        np.array([np.sum(dscore)]),
-                    ]
+                    back = (dscore[:, None] * w2[None, :]) * (1 - hid**2)
+                    g_w1[...] = xb.T @ back
+                    g_w1 += l2 * w1
+                    g_b1[...] = np.sum(back, axis=0)
+                    g_w2[...] = hid.T @ dscore
+                    g_w2 += l2 * w2
+                    g_b2[0] = np.sum(dscore)
                     step += 1
-                    for p, g, mm, vv in zip(params, grads, m1, m2):
-                        mm *= beta1
-                        mm += (1 - beta1) * g
-                        vv *= beta2
-                        vv += (1 - beta2) * g * g
-                        m_hat = mm / (1 - beta1**step)
-                        v_hat = vv / (1 - beta2**step)
-                        p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps_adam)
+                    mom1 *= beta1
+                    mom1 += (1 - beta1) * grad
+                    mom2 *= beta2
+                    mom2 += (1 - beta2) * grad * grad
+                    m_hat = mom1 / (1 - beta1**step)
+                    v_hat = mom2 / (1 - beta2**step)
+                    theta -= lr * m_hat / (np.sqrt(v_hat) + eps_adam)
 
         result = MLPResult(
-            w1=params[0],
-            b1=params[1],
-            w2=params[2],
-            b2=float(params[3][0]),
+            w1=w1,
+            b1=b1,
+            w2=w2,
+            b2=float(b2[0]),
             train_accuracy=0.0,
             epochs_run=self.epochs,
             final_loss=loss,

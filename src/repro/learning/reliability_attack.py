@@ -40,6 +40,7 @@ from repro.learning.logistic import LogisticAttack
 from repro.pufs.arbiter import parity_transform
 from repro.pufs.cdc_xor import derive_component_challenges
 from repro.pufs.xor_arbiter import XORArbiterPUF
+from repro.telemetry import trace
 
 
 @dataclasses.dataclass
@@ -201,6 +202,46 @@ class ReliabilityAttack:
         return best_w, best_fit
 
 
+def _profiles(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Centred, unit-norm |margin| profiles, one row per weight row of ``x``.
+
+    ``phi`` is ``(m, d)`` and ``x`` is ``(lam, d)``; a row whose centred
+    profile is all zero is divided by 1, so it stays zero (never NaN).
+    """
+    h = np.abs(x @ phi.T)  # (lam, m)
+    h -= h.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.sum(h**2, axis=1))
+    norms[norms == 0] = 1.0
+    h /= norms[:, None]
+    return h
+
+
+def cma_fitness(
+    phi: np.ndarray,
+    x: np.ndarray,
+    rel_matrix: np.ndarray,
+    rel_norms: np.ndarray,
+    found: np.ndarray,
+    distinct_penalty: float,
+) -> np.ndarray:
+    """Reliability-correlation fitness of a whole ES generation.
+
+    Row ``i`` of ``x`` is a hypothetical chain over the features ``phi``;
+    its fitness is the mean |correlation| of its |margin| profile
+    against the centred reliability columns ``rel_matrix`` (each divided
+    by its entry of ``rel_norms``), minus ``distinct_penalty`` times its
+    largest |overlap| with the rows of ``found`` (the profiles of the
+    chains already recovered; no rows for no penalty).  Equal
+    to :func:`repro.kernels.reference.naive_cma_fitness` per row up to
+    BLAS rounding.
+    """
+    hc = _profiles(phi, x)
+    corr = np.mean(np.abs(hc @ rel_matrix) / rel_norms, axis=1)
+    if len(found) and distinct_penalty > 0:
+        corr -= distinct_penalty * np.max(np.abs(hc @ found.T), axis=1)
+    return corr
+
+
 @dataclasses.dataclass
 class MultiReliabilityResult:
     """Recovered k-chain model from the generalised reliability attack."""
@@ -338,54 +379,46 @@ class CMAReliabilityAttack:
         phis = puf.component_features(challenges)  # (k, m, n+1)
         chains = np.zeros((k, n + 1))
         correlations = []
-        profiles: list = []  # centred, normalised |margin| of found chains
-
-        def profile(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-            h = np.abs(phi @ w)
-            hc = h - h.mean()
-            norm = float(np.sqrt(np.sum(hc**2))) or 1.0
-            return hc / norm
+        # Centred, normalised |margin| profiles of the found chains.
+        found = np.empty((0, self.crps))
 
         for slot in range(k - 1):
             phi = phis[slot]
 
-            def fitness(w: np.ndarray) -> float:
-                hc = profile(phi, w)
-                corr = float(np.mean(np.abs(hc @ rel_matrix) / rel_norms))
-                if profiles and self.distinct_penalty > 0:
-                    overlap = max(abs(float(hc @ p)) for p in profiles)
-                    corr -= self.distinct_penalty * overlap
-                return corr
+            def fitness(x: np.ndarray) -> np.ndarray:
+                return cma_fitness(
+                    phi, x, rel_matrix, rel_norms, found, self.distinct_penalty
+                )
 
             best_w, best_fit = None, -np.inf
-            for _ in range(self.restarts):
-                w, fit = self._cma_phase(fitness, n + 1, rng)
+            for restart in range(self.restarts):
+                with trace(
+                    "reliability.cma", examples=self.crps, slot=slot, restart=restart
+                ):
+                    w, fit = self._cma_phase(fitness, n + 1, rng)
                 if fit > best_fit:
                     best_w, best_fit = w, fit
             assert best_w is not None
             chains[slot] = best_w
             correlations.append(float(best_fit))
-            profiles.append(profile(phi, best_w))
+            found = np.vstack([found, _profiles(phi, best_w[None, :])])
 
         # The last slot's labels follow from the recovered signs; then
         # EM-refine every slot in turn against the others' predictions.
-        signs = np.empty((k, self.crps))
-        for j in range(k - 1):
-            signs[j] = np.where(phis[j] @ chains[j] >= 0, 1, -1)
         order = [k - 1] + [j for r in range(self.refinement_rounds) for j in range(k)]
-        for c in order:
-            others = np.ones(self.crps)
-            for j in range(k):
-                if j != c and np.any(chains[j]):
-                    others = others * np.where(phis[j] @ chains[j] >= 0, 1, -1)
-            fit = LogisticAttack().fit(
-                np.asarray(phis[c], dtype=np.float64),
-                (responses * others).astype(np.float64),
-                rng,
-            )
-            chains[c] = fit.ltf.weights.copy()
-            chains[c][-1] -= fit.ltf.threshold
-            signs[c] = np.where(phis[c] @ chains[c] >= 0, 1, -1)
+        with trace("reliability.refine", examples=self.crps, fits=len(order)):
+            for c in order:
+                others = np.ones(self.crps)
+                for j in range(k):
+                    if j != c and np.any(chains[j]):
+                        others = others * np.where(phis[j] @ chains[j] >= 0, 1, -1)
+                fit = LogisticAttack().fit(
+                    np.asarray(phis[c], dtype=np.float64),
+                    (responses * others).astype(np.float64),
+                    rng,
+                )
+                chains[c] = fit.ltf.weights.copy()
+                chains[c][-1] -= fit.ltf.threshold
 
         result = MultiReliabilityResult(
             chain_weights=chains,
@@ -402,6 +435,9 @@ class CMAReliabilityAttack:
     # ------------------------------------------------------------------
     def _cma_phase(self, fitness, dim: int, rng: np.random.Generator):
         """One CMA-style ES run; returns (best weights, best fitness).
+
+        ``fitness`` scores a whole generation at once: it maps a
+        ``(lam, dim)`` population to ``lam`` fitness values.
 
         Weighted recombination + cumulative step-size adaptation + a
         diagonal covariance update — the separable reduction of CMA-ES,
@@ -422,11 +458,11 @@ class CMAReliabilityAttack:
         sigma = 0.5
         var = np.ones(dim)
         p_sigma = np.zeros(dim)
-        best_w, best_fit = mean.copy(), float(fitness(mean))
+        best_w, best_fit = mean.copy(), float(fitness(mean[None, :])[0])
         for _ in range(self.generations):
             z = rng.normal(size=(lam, dim))
             x = mean + sigma * z * np.sqrt(var)
-            scores = np.array([fitness(xi) for xi in x])
+            scores = fitness(x)
             order = np.argsort(scores)[::-1]
             if scores[order[0]] > best_fit:
                 best_fit = float(scores[order[0]])

@@ -19,6 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import optimize
 
+from repro.telemetry import trace
+
 FeatureMap = Callable[[np.ndarray], np.ndarray]
 
 
@@ -125,17 +127,21 @@ class XorLogisticAttack:
 
         best: Optional[XorLogisticResult] = None
         for attempt in range(self.restarts):
-            theta0 = rng.normal(0.0, 1.0, size=k * d)
-            result = optimize.minimize(
-                loss_and_grad,
-                theta0,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": self.max_iter},
-            )
-            w = result.x.reshape(k, d)
-            margins = np.prod(feats @ w.T, axis=1)
-            acc = float(np.mean(np.where(margins >= 0, 1, -1) == y))
+            # One span per restart: each is a full L-BFGS run.
+            with trace(
+                "xor_logistic.fit", examples=m, features=d, k=k, restart=attempt
+            ):
+                theta0 = rng.normal(0.0, 1.0, size=k * d)
+                result = optimize.minimize(
+                    loss_and_grad,
+                    theta0,
+                    jac=True,
+                    method="L-BFGS-B",
+                    options={"maxiter": self.max_iter},
+                )
+                w = result.x.reshape(k, d)
+                margins = np.prod(feats @ w.T, axis=1)
+                acc = float(np.mean(np.where(margins >= 0, 1, -1) == y))
             candidate = XorLogisticResult(
                 chain_weights=w,
                 converged=bool(result.success),

@@ -327,12 +327,19 @@ def _fmt(value: float) -> str:
 def render_markdown(report: Dict[str, object]) -> str:
     """The human-readable face of :func:`build_report`."""
     meta = report.get("meta") or {}
+    header = (
+        f"workload `{meta.get('workload', '?')}`, {report['trials']} trials, "
+        f"workers {meta.get('workers', '?')}, master seed {meta.get('master_seed', '?')}"
+    )
+    # PAC accuracy/confidence exist only for the learning-curve workloads;
+    # atlas and fleet runs record neither.
+    for field in ("eps", "delta"):
+        if field in meta:
+            header += f", {field} {meta[field]}"
     lines = [
         f"# Query-accounting report — `{report['run_id']}`",
         "",
-        f"workload `{meta.get('workload', '?')}`, {report['trials']} trials, "
-        f"workers {meta.get('workers', '?')}, master seed {meta.get('master_seed', '?')}, "
-        f"eps {meta.get('eps', '?')}, delta {meta.get('delta', '?')}",
+        header,
         "",
         "## Measured queries vs. `pac.bounds` predictions (per trial)",
         "",

@@ -99,3 +99,37 @@ def test_cli_report_exit_codes(tmp_path, capsys):
     assert main(["report", str(ledger.run_dir), "--no-write"]) == 0
     out = capsys.readouterr().out
     assert "within their predicted budgets" in out
+
+
+def _fake_run(tmp_path, meta):
+    ledger = RunLedger(tmp_path / "run")
+    ledger.write_meta(meta)
+    ledger.append({"index": 0, "seconds": 0.1, "telemetry": {"spans": {}}})
+    return ledger
+
+
+def test_header_omits_pac_params_absent_from_meta(tmp_path):
+    """Atlas and fleet runs record no eps/delta; the header must not invent them."""
+    ledger = _fake_run(
+        tmp_path, {"workload": "atlas", "workers": 2, "master_seed": 7}
+    )
+    markdown = render_markdown(build_report(ledger.run_dir))
+    header = markdown.splitlines()[2]
+    assert header == "workload `atlas`, 1 trials, workers 2, master seed 7"
+    assert "eps" not in markdown.split("##")[0]
+    assert "?" not in header
+
+
+def test_header_renders_pac_params_present_in_meta(tmp_path):
+    ledger = _fake_run(
+        tmp_path,
+        {
+            "workload": "toy",
+            "workers": 1,
+            "master_seed": 0,
+            "eps": 0.1,
+            "delta": 0.02,
+        },
+    )
+    header = render_markdown(build_report(ledger.run_dir)).splitlines()[2]
+    assert header.endswith("master seed 0, eps 0.1, delta 0.02")
