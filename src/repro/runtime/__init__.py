@@ -1,30 +1,30 @@
 """Parallel experiment runtime: deterministic trial fan-out, chunked CRP
-evaluation, and on-disk CRP memoisation.
+evaluation, and on-disk artifact memoisation.
 
-The three pieces compose into the standard experiment loop:
+The pieces compose into the standard experiment loop:
 
 * :mod:`repro.runtime.seeding` — ``SeedSequence``-based fan-out so trial
   ``i`` owns a stream independent of worker count and scheduling order;
-* :mod:`repro.runtime.runner` — :class:`TrialRunner`, a process-pool
-  executor for independent trials with a serial fallback, per-trial
-  timing, structured :class:`TrialError` capture, infrastructure-only
-  retries (:class:`RetryPolicy`), per-trial timeouts with pool rebuild,
-  and crash-safe resume from a run ledger;
+* :mod:`repro.runtime.runner` — :class:`TrialRunner`, the executor for
+  independent trials: per-trial timing, structured :class:`TrialError`
+  capture, infrastructure-only retries (:class:`RetryPolicy`), and
+  crash-safe resume from a run ledger;
 * :mod:`repro.runtime.chunking` — blocked CRP generation/evaluation that
   keeps the working set cache-resident;
 * :mod:`repro.runtime.store` — :class:`ArtifactStore`, content-addressed
   ``.npz`` memoisation of generated artifacts (CRP sets, fleet response
   planes) keyed by :func:`artifact_digest`, with LRU eviction and
-  hit/miss/bytes stats (:mod:`repro.runtime.cache` keeps the deprecated
-  :class:`CRPCache` facade);
-* :mod:`repro.runtime.sharding` — work-stealing multi-pool execution
-  behind ``TrialRunner(shards=N)``, with per-shard mergeable ledgers.
+  hit/miss/bytes stats;
+* :mod:`repro.runtime.sharding` — the one dispatch loop behind every
+  ``TrialRunner`` run: serial, a single process pool, or work-stealing
+  shards (``TrialRunner(shards=N)``) with per-shard mergeable ledgers;
+  worker-death retry, per-trial timeouts with pool rebuild, and the
+  serial fallback live here.
 
 Picklable standard workloads live in :mod:`repro.runtime.workloads`
 (imported explicitly, not re-exported, to keep this package import-light).
 """
 
-from repro.runtime.cache import CRPCache, cache_key, fleet_cache_key
 from repro.runtime.chunking import (
     DEFAULT_BLOCK_SIZE,
     eval_blocked,
@@ -55,9 +55,6 @@ __all__ = [
     "ArtifactStore",
     "artifact_digest",
     "hash_challenges",
-    "CRPCache",
-    "cache_key",
-    "fleet_cache_key",
     "WorkStealingScheduler",
     "partition_items",
     "run_sharded",

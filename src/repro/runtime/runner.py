@@ -9,12 +9,12 @@ scaling point for the whole reproduction.
 Determinism contract
 --------------------
 ``TrialRunner.run(fn, num_trials, master_seed)`` yields *bit-identical*
-results for any ``workers`` setting: every trial's randomness comes from
-its own :class:`~numpy.random.SeedSequence` child (see
-:mod:`repro.runtime.seeding`), results are re-ordered by trial index, and
-nothing a trial computes may depend on shared mutable state.  Trial
-functions must be picklable (module-level) to run on the pool; closures
-and lambdas silently degrade to the serial path with a warning.
+results for any ``workers`` and ``shards`` setting: every trial's
+randomness comes from its own :class:`~numpy.random.SeedSequence` child
+(see :mod:`repro.runtime.seeding`), results are re-ordered by trial
+index, and nothing a trial computes may depend on shared mutable state.  Trial
+functions must be picklable (module-level) to run on a pool; closures
+and lambdas degrade to serial execution with a warning.
 
 Failure semantics
 -----------------
@@ -36,7 +36,10 @@ whose jitter derives from the trial's own seed, keeping reruns
 deterministic); pickling failures are deterministic, so the runner falls
 back to in-process serial execution instead.  A trial whose retry budget
 is exhausted is recorded as a ``category="infra"`` / ``"timeout"``
-:class:`TrialError` rather than crashing the run.
+:class:`TrialError` rather than crashing the run.  This module defines
+the trial, result and retry types; the one dispatch loop that applies
+the policy — serial, single-pool and sharded alike — is
+:mod:`repro.runtime.sharding`.
 
 With a ledger attached, each record is appended as its trial completes
 (parent-side), so a killed run can be restarted with
@@ -52,9 +55,6 @@ import threading
 import time
 import traceback as _traceback
 import warnings
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -274,7 +274,9 @@ class TrialReport:
     results: List[TrialResult]
     workers: int
     wall_seconds: float
-    executor: str  # "serial", "process-pool", "mixed" or "replay"
+    #: What ran: "serial", "process-pool", "mixed" (pool, then a serial
+    #: fallback), "sharded(SxW[, steals=N])[-mixed]" or "replay".
+    executor: str
     cancelled: bool = False
 
     def values(self) -> List[Any]:
@@ -464,96 +466,37 @@ def _execute_trial(
     )
 
 
-def _execute_chunk(
-    trial_fn: TrialFn,
-    items: List[Tuple[int, np.random.SeedSequence]],
-    kwargs: Dict[str, Any],
-    submitted_at: Optional[float],
-    attempts: int,
-) -> List[TrialResult]:
-    """Run one pool task's worth of trials (module-level for pickling)."""
-    return [
-        _execute_trial(trial_fn, index, seed, kwargs, submitted_at, attempts)
-        for index, seed in items
-    ]
-
-
-def _stop_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down hard: kill the workers, then join the machinery.
-
-    Used when a worker hung past its deadline (a cooperative shutdown
-    would block on it forever) or after the pool broke; the executor
-    object is discarded afterwards.  The workers are killed *first* so
-    the executor's manager thread — still in its normal wait, watching
-    the worker sentinels — observes their death and exits through its
-    broken-pool path; shutting down before killing can instead park the
-    manager in a wait nothing will ever wake, which then deadlocks
-    interpreter exit (concurrent.futures joins manager threads atexit).
-    """
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            process.kill()
-        except Exception:  # pragma: no cover - already-dead worker
-            pass
-    try:
-        pool.shutdown(wait=True, cancel_futures=True)
-    except Exception:  # pragma: no cover - shutdown on a broken pool
-        pass
-
-
-def _failed_results(
-    items: List[Tuple[int, np.random.SeedSequence]],
-    attempts: int,
-    category: str,
-    exc_type: str,
-    message: str,
-    seconds: float = 0.0,
-) -> List[TrialResult]:
-    """Parent-side TrialError results for trials the pool lost."""
-    return [
-        TrialResult(
-            index=index,
-            value=None,
-            seconds=seconds,
-            telemetry=None,
-            error=TrialError(
-                exc_type=exc_type,
-                message=message,
-                category=category,
-                **_seed_identity(seed),
-            ),
-            attempts=attempts,
-        )
-        for index, seed in items
-    ]
-
-
 class TrialRunner:
-    """Fan independent trials out over a process pool, deterministically.
+    """Fan independent trials out over process pools, deterministically.
+
+    Every executing run goes through one driver loop,
+    :func:`repro.runtime.sharding.run_sharded`; the constructor arguments
+    only pick its shape.
 
     Parameters
     ----------
     workers:
-        Number of worker processes (per shard, when ``shards > 1``).
-        ``1`` (the default) with ``shards=1`` runs serially in the
-        current process — no pool, no pickling requirements.
+        Worker processes per shard.  ``1`` (the default) with
+        ``shards=1`` runs serially in the current process — no pool, no
+        pickling requirements, ``on_result`` in index order.
     chunk_size:
-        Trials submitted per pool task.  Defaults to
-        ``ceil(num_trials / (4 * workers))``, which keeps every worker
-        busy while amortising inter-process overhead.  Retry and timeout
-        act at chunk granularity: a smaller ``chunk_size`` narrows the
-        blast radius of a dead or hung worker.  At most ``workers``
-        chunks are in flight at once (the rest wait in a parent-side
-        backlog), so a chunk's ``trial_timeout`` deadline starts when it
-        starts executing, not when the run was launched.
+        Trials per pool task.  Defaults to
+        :func:`~repro.runtime.sharding.default_shard_chunk`,
+        ``ceil(num_trials / (8 * shards * workers))``, so every worker
+        slot turns over several times.  Results do not depend on it.
+        Retry and timeout act at chunk granularity: a smaller
+        ``chunk_size`` narrows the blast radius of a dead or hung worker.
+        At most ``workers`` chunks per pool are in flight at once (the
+        rest wait in the scheduler), so a chunk's ``trial_timeout``
+        deadline starts when it starts executing, not when the run was
+        launched.
     shards:
-        Number of independent process pools.  ``1`` (the default) keeps
-        the single-pool path; more runs the work-stealing sharded
-        executor (:mod:`repro.runtime.sharding`): each shard drives its
-        own pool of ``workers`` processes, idle shards steal queued
-        trials from the tail of busy ones, and with a ledger attached
-        each shard appends to its own ``ledger-shardNN.jsonl``.  Results
-        stay bit-identical to the serial path for any shard count.
+        Number of independent process pools.  ``1`` (the default) is the
+        single pool (or the serial run); more splits the trials across
+        shards whose idle drivers steal queued trials from the tail of
+        busy ones, and with a ledger attached each shard appends to its
+        own ``ledger-shardNN.jsonl`` instead of ``ledger.jsonl``.
+        Results stay bit-identical to the serial run for any shard count.
     """
 
     def __init__(
@@ -603,16 +546,16 @@ class TrialRunner:
         the missing ones (infrastructure/timeout failures re-execute;
         deterministic trial errors replay).  ``retry`` (default
         :class:`RetryPolicy`) governs resubmission after worker death,
-        and ``trial_timeout`` (seconds per trial; pool path only) kills
+        and ``trial_timeout`` (seconds per trial; pooled runs only) kills
         and rebuilds the pool when a worker hangs.
 
         ``on_result`` is called in the parent process as each trial
         completes — replayed results first (in index order), then
         executed ones in completion order — which is the progress hook
-        the assessment service streams WebSocket events from.  On the
-        sharded path it fires from shard driver threads, so the callback
-        must be thread-safe (the service marshals onto its event loop
-        with ``call_soon_threadsafe``).  ``cancel`` is a cooperative
+        the assessment service streams WebSocket events from.  With
+        ``shards > 1`` it also fires from shard driver threads, so the
+        callback must be thread-safe (the service marshals onto its event
+        loop with ``call_soon_threadsafe``).  ``cancel`` is a cooperative
         stop: once the event is set no further trials start, in-flight
         pool chunks finish and are recorded, and the report comes back
         with ``cancelled=True`` holding only the completed results —
@@ -621,7 +564,6 @@ class TrialRunner:
         if trial_timeout is not None and trial_timeout <= 0:
             raise ValueError(f"trial_timeout must be positive, got {trial_timeout}")
         kwargs = dict(trial_kwargs or {})
-        retry = RetryPolicy() if retry is None else retry
         seeds = fan_out(master_seed, num_trials)
         start = time.perf_counter()
 
@@ -637,43 +579,28 @@ class TrialRunner:
             for index in sorted(replayed):
                 on_result(replayed[index])
 
-        def emit(result: TrialResult) -> None:
-            if ledger is not None:
-                ledger.append(trial_record(result))
-            if on_result is not None:
-                on_result(result)
-
-        pooled: List[TrialResult] = []
-        serial: List[TrialResult] = []
-        if not items:
-            executor = "replay"
-        elif cancel is not None and cancel.is_set():
-            executor = "replay" if replayed else "serial"
-        elif self.shards > 1:
-            pooled, executor = self._run_sharded(
-                trial_fn, items, kwargs, retry, trial_timeout, ledger,
-                on_result=on_result, cancel=cancel,
-            )
-        elif self.workers == 1:
-            serial = self._run_serial(trial_fn, items, kwargs, emit, cancel)
-            executor = "serial"
+        executed: List[TrialResult] = []
+        if not items or (cancel is not None and cancel.is_set()):
+            executor = "serial" if items and not replayed else "replay"
         else:
-            pooled, leftover, fallback = self._run_pool(
-                trial_fn, items, kwargs, retry, trial_timeout, emit, cancel
-            )
-            if fallback is None:
-                executor = "process-pool"
-            else:
-                warnings.warn(
-                    f"process pool unavailable ({fallback}); "
-                    "falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                serial = self._run_serial(trial_fn, leftover, kwargs, emit, cancel)
-                executor = "mixed" if pooled else "serial"
+            from repro.runtime.sharding import run_sharded
 
-        results = pooled + serial + list(replayed.values())
+            run = run_sharded(
+                trial_fn,
+                items,
+                kwargs,
+                shards=self.shards,
+                workers=self.workers,
+                chunk_size=self.chunk_size,
+                retry=retry,
+                trial_timeout=trial_timeout,
+                ledger=ledger,
+                on_result=on_result,
+                cancel=cancel,
+            )
+            executed, executor = run.results, run.executor
+
+        results = executed + list(replayed.values())
         results.sort(key=lambda r: r.index)
         return TrialReport(
             results=results,
@@ -686,58 +613,6 @@ class TrialRunner:
                 and len(results) < num_trials
             ),
         )
-
-    # ------------------------------------------------------------------
-    def _run_sharded(
-        self,
-        trial_fn: TrialFn,
-        items: List[Tuple[int, np.random.SeedSequence]],
-        kwargs: Dict[str, Any],
-        retry: RetryPolicy,
-        trial_timeout: Optional[float],
-        ledger: Optional["RunLedger"],
-        on_result: Optional[Callable[[TrialResult], None]] = None,
-        cancel: Optional[threading.Event] = None,
-    ) -> "tuple[List[TrialResult], str]":
-        """The work-stealing multi-pool path (``shards > 1``).
-
-        Ledger writes go to per-shard files inside :func:`run_sharded`
-        (the main handle's ``read_latest`` merges them), so the
-        single-file ``emit`` used by the other paths is bypassed.  A
-        shard that loses its pool to a pickling failure drains serially
-        and is reported with a warning, mirroring the single-pool
-        fallback.
-        """
-        from repro.runtime.sharding import run_sharded
-
-        results, scheduler, fallbacks = run_sharded(
-            trial_fn,
-            items,
-            kwargs,
-            shards=self.shards,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            retry=retry,
-            trial_timeout=trial_timeout,
-            ledger=ledger,
-            on_result=on_result,
-            cancel=cancel,
-        )
-        broken = [f for f in fallbacks if f is not None]
-        if broken:
-            warnings.warn(
-                f"{len(broken)} of {self.shards} shard pool(s) unavailable "
-                f"({broken[0]}); affected shards drained serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        executor = f"sharded({self.shards}x{self.workers}"
-        if any(scheduler.steals):
-            executor += f", steals={sum(scheduler.steals)}"
-        executor += ")"
-        if broken:
-            executor += "-mixed"
-        return results, executor
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -791,218 +666,3 @@ class TrialRunner:
                 continue  # infra/timeout failures get a fresh execution
             replayed[index] = result
         return replayed
-
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self,
-        trial_fn: TrialFn,
-        items: List[Tuple[int, np.random.SeedSequence]],
-        kwargs: Dict[str, Any],
-        emit: Callable[[TrialResult], None],
-        cancel: Optional[threading.Event] = None,
-    ) -> List[TrialResult]:
-        results = []
-        for index, seed in items:
-            if cancel is not None and cancel.is_set():
-                break
-            result = _execute_trial(trial_fn, index, seed, kwargs)
-            emit(result)
-            results.append(result)
-        return results
-
-    def _run_pool(
-        self,
-        trial_fn: TrialFn,
-        items: List[Tuple[int, np.random.SeedSequence]],
-        kwargs: Dict[str, Any],
-        retry: RetryPolicy,
-        trial_timeout: Optional[float],
-        emit: Callable[[TrialResult], None],
-        cancel: Optional[threading.Event] = None,
-    ) -> "tuple[List[TrialResult], List[Tuple[int, np.random.SeedSequence]], Optional[str]]":
-        """The fault-tolerant pool path.
-
-        Returns ``(results, leftover_items, fallback_reason)``; a non-None
-        ``fallback_reason`` means the pool is unusable for the leftover
-        items (unpicklable function, no OS semaphores, ...) and the caller
-        should finish them serially.  A set ``cancel`` event stops new
-        chunk submissions; chunks already in flight run to completion and
-        are recorded normally.
-        """
-        chunk = self.chunk_size or max(1, -(-len(items) // (4 * self.workers)))
-        chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-        results: List[TrialResult] = []
-        outstanding = set(range(len(chunks)))
-        attempts: Dict[int, int] = {}
-        pending: Dict[Future, int] = {}
-        deadlines: Dict[Future, float] = {}
-        backlog = deque(range(len(chunks)))
-
-        try:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-        except Exception as exc:  # no POSIX semaphores, fork failure, ...
-            return results, items, f"{type(exc).__name__}: {exc}"
-
-        def submit(ci: int, charge: bool = True) -> None:
-            if charge:
-                attempts[ci] = attempts.get(ci, 0) + 1
-            future = pool.submit(
-                _execute_chunk, trial_fn, chunks[ci], kwargs, time.time(), attempts[ci]
-            )
-            pending[future] = ci
-            if trial_timeout is not None:
-                deadlines[future] = (
-                    time.monotonic() + trial_timeout * len(chunks[ci])
-                )
-
-        def pump() -> None:
-            # At most `workers` chunks are in flight at once, so a
-            # submitted chunk starts executing immediately and its
-            # timeout deadline (armed at submit) measures execution, not
-            # time spent queued behind other chunks — queued chunks wait
-            # here in the backlog with no deadline running.
-            if cancel is not None and cancel.is_set():
-                backlog.clear()
-                return
-            while backlog and len(pending) < self.workers:
-                submit(backlog.popleft())
-
-        def rebuild() -> None:
-            nonlocal pool
-            _stop_pool(pool)
-            pending.clear()
-            deadlines.clear()
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-
-        def finish_chunk(ci: int, chunk_results: List[TrialResult]) -> None:
-            outstanding.discard(ci)
-            for result in chunk_results:
-                emit(result)
-            results.extend(chunk_results)
-
-        def backoff(ci: int) -> None:
-            delay = retry.delay(attempts[ci], chunks[ci][0][1])
-            if delay > 0:
-                time.sleep(delay)
-
-        fallback: Optional[str] = None
-        while (pending or backlog) and fallback is None:
-            pump()
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines.values()) - time.monotonic())
-            done, _ = wait(set(pending), timeout=timeout, return_when=FIRST_COMPLETED)
-            if not done:
-                now = time.monotonic()
-                overdue = {
-                    pending[f] for f, d in deadlines.items() if d <= now
-                }
-                if not overdue:
-                    continue
-                # A worker hung past its deadline.  Everything in flight
-                # dies with the pool; innocents are resubmitted without
-                # being charged an attempt.
-                victims = sorted(set(pending.values()))
-                rebuild()
-                for vi in victims:
-                    if vi not in overdue:
-                        submit(vi, charge=False)
-                    elif attempts[vi] >= retry.max_attempts:
-                        finish_chunk(
-                            vi,
-                            _failed_results(
-                                chunks[vi],
-                                attempts[vi],
-                                category="timeout",
-                                exc_type="TimeoutError",
-                                message=(
-                                    f"trial exceeded trial_timeout="
-                                    f"{trial_timeout}s on every one of "
-                                    f"{attempts[vi]} attempt(s); worker killed"
-                                ),
-                                seconds=float(trial_timeout),
-                            ),
-                        )
-                    else:
-                        warnings.warn(
-                            f"worker hung past {trial_timeout}s on trials "
-                            f"{[i for i, _ in chunks[vi]]}; pool rebuilt, "
-                            f"retrying (attempt {attempts[vi] + 1})",
-                            RuntimeWarning,
-                        )
-                        backoff(vi)
-                        submit(vi)
-                continue
-            for future in done:
-                ci = pending.pop(future, None)
-                if ci is None:
-                    continue  # belonged to a pool torn down this round
-                deadlines.pop(future, None)
-                try:
-                    chunk_results = future.result()
-                except BrokenProcessPool:
-                    # A worker died (SIGKILL, OOM, segfault) and the pool
-                    # is unusable.  Chunks whose futures already hold a
-                    # successful result are harvested first — only the
-                    # chunks genuinely lost with the pool are charged an
-                    # attempt and resubmitted.
-                    victims = {ci}
-                    for other, oi in list(pending.items()):
-                        harvest = None
-                        if other.done():
-                            try:
-                                harvest = other.result()
-                            except Exception:
-                                harvest = None
-                        if harvest is None:
-                            victims.add(oi)
-                        else:
-                            pending.pop(other)
-                            deadlines.pop(other, None)
-                            finish_chunk(oi, harvest)
-                    victims = sorted(victims)
-                    rebuild()
-                    for vi in victims:
-                        if attempts[vi] >= retry.max_attempts:
-                            finish_chunk(
-                                vi,
-                                _failed_results(
-                                    chunks[vi],
-                                    attempts[vi],
-                                    category="infra",
-                                    exc_type="BrokenProcessPool",
-                                    message=(
-                                        "worker process died; retry budget "
-                                        f"exhausted after {attempts[vi]} "
-                                        "attempt(s)"
-                                    ),
-                                ),
-                            )
-                        else:
-                            warnings.warn(
-                                "worker process died; pool rebuilt, retrying "
-                                f"trials {[i for i, _ in chunks[vi]]} "
-                                f"(attempt {attempts[vi] + 1})",
-                                RuntimeWarning,
-                            )
-                            backoff(vi)
-                            submit(vi)
-                    break  # remaining futures in `done` died with the pool
-                except Exception as exc:
-                    # Deterministic plumbing failure (the function, kwargs
-                    # or result can't cross the process boundary): retrying
-                    # cannot help, finish in-process instead.
-                    fallback = f"{type(exc).__name__}: {exc}"
-                    break
-                else:
-                    finish_chunk(ci, chunk_results)
-
-        if fallback is not None:
-            _stop_pool(pool)
-        else:
-            pool.shutdown()
-        if fallback is None:
-            leftover = []
-        else:
-            leftover = [item for ci in sorted(outstanding) for item in chunks[ci]]
-        return results, leftover, fallback

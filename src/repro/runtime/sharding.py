@@ -1,37 +1,50 @@
-"""Work-stealing sharded execution: several process pools, one trial set.
+"""Trial dispatch: one driver loop for serial, single-pool and sharded runs.
 
-One process pool is a single queue: a handful of slow trials at its head
-stall every worker behind them, and one hung worker's pool rebuild
-freezes *all* in-flight chunks.  Sharding splits a trial set across
-``shards`` independent pools, each driven by its own parent-side thread,
-with a :class:`WorkStealingScheduler` between them: every shard owns a
-deque of trial items, takes chunks from its *head*, and — when its own
-deque runs dry — steals a chunk from the *tail* of the longest remaining
-deque.  Skewed trial mixes therefore rebalance automatically: a shard
-that drew the slow trials keeps grinding while idle shards drain its
-tail, and a pool rebuild (timeout, dead worker) only stalls one shard.
+Every :meth:`~repro.runtime.runner.TrialRunner.run` that executes trials
+goes through :func:`run_sharded`.  The trial set is split across
+``shards`` drivers with a :class:`WorkStealingScheduler` between them:
+every shard owns a deque of trial items, takes chunks from its *head*,
+and — when its own deque runs dry — steals a chunk from the *tail* of
+the longest remaining deque.  Skewed trial mixes therefore rebalance
+automatically: a shard that drew the slow trials keeps grinding while
+idle shards drain its tail, and a pool rebuild (timeout, dead worker)
+only stalls one shard.
 
-Every guarantee of the single-pool :class:`~repro.runtime.runner.TrialRunner`
-path is preserved, because trials stay pure functions of
-``(master_seed, index)``:
+The common cases are the degenerate shapes of that one loop:
 
-* **Bit-identical replay** — which shard executes a trial is
+* ``shards=1, workers=1`` — the serial run: one driver in the calling
+  thread, no pool, trials in index order (the same serial drain that
+  serves as the pickling fallback);
+* ``shards=1, workers>1`` — the single process pool;
+* ``shards>1`` — shard 0 is driven in the calling thread and shards
+  1…N−1 in their own threads, each with a pool of ``workers`` processes.
+
+Fault policy, identical for every shape, because trials stay pure
+functions of ``(master_seed, index)``:
+
+* **Bit-identical replay** — which shard or worker executes a trial is
   unobservable in its result; the caller re-orders by index.
-* **Failure semantics** — deterministic trial errors are captured
-  in-worker and never retried; worker death and per-shard-pool timeouts
-  are retried under the same :class:`~repro.runtime.runner.RetryPolicy`
-  with seed-derived backoff; pickling failures drain the shard serially
-  in its driver thread.
-* **Crash-safe resume** — each shard appends to its own
+* **Trial errors** are captured in-worker and never retried.
+* **Worker death and hangs** — at most ``workers`` chunks are in flight
+  per pool, so a chunk's ``trial_timeout`` deadline (armed at submit)
+  measures execution, not backlog; a hang or a dead worker kills the
+  workers *then* shuts the pool down, harvests futures that already hold
+  results, and resubmits the lost chunks under the
+  :class:`~repro.runtime.runner.RetryPolicy` with seed-derived backoff.
+* **Pickling failures** are deterministic, so the shard drains its
+  leftovers and queue serially in its driver thread, checking ``cancel``
+  before every trial.
+* **Crash-safe resume** — a one-shard run appends to the main
+  ``ledger.jsonl``; with ``shards > 1`` each shard appends to its own
   ``ledger-shardNN.jsonl`` (:meth:`repro.telemetry.ledger.RunLedger.shard`),
-  so shards never contend on one file and a SIGKILL mid-run leaves every
-  finished trial on disk; ``RunLedger.read_latest`` merges shard files
-  by trial index with replayable-record preference, so ``--resume``
-  works unchanged on a partially-written sharded run.
+  so shards never contend on one file.  ``RunLedger.read_latest`` merges
+  the files by trial index, so ``--resume`` works on either layout.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import threading
 import time
 import warnings
@@ -44,12 +57,11 @@ import numpy as np
 
 from repro.runtime.runner import (
     RetryPolicy,
+    TrialError,
     TrialFn,
     TrialResult,
-    _execute_chunk,
     _execute_trial,
-    _failed_results,
-    _stop_pool,
+    _seed_identity,
     trial_record,
 )
 
@@ -135,17 +147,84 @@ class WorkStealingScheduler:
             return sum(len(d) for d in self._deques)
 
 
-class _ShardDriver:
-    """One shard: a process pool fed from the scheduler by a parent thread.
+# ----------------------------------------------------------------------
+# Pool plumbing (module-level so the pool can pickle it).
+# ----------------------------------------------------------------------
+def _execute_chunk(
+    trial_fn: TrialFn,
+    items: List[TrialItem],
+    kwargs: Dict[str, Any],
+    submitted_at: Optional[float],
+    attempts: int,
+) -> List[TrialResult]:
+    """Run one pool task's worth of trials (module-level for pickling)."""
+    return [
+        _execute_trial(trial_fn, index, seed, kwargs, submitted_at, attempts)
+        for index, seed in items
+    ]
 
-    The driver mirrors the single-pool fault machinery of
-    :meth:`TrialRunner._run_pool` — at most ``workers`` chunks in flight
-    (deadlines measure execution, not queue wait), kill-then-shutdown
-    pool rebuild on hangs, completed-future harvest before a
-    broken-pool rebuild, retry with seed-derived backoff, serial
-    fallback on pickling failures — but acquires its chunks dynamically
-    from the :class:`WorkStealingScheduler` instead of a precomputed
-    list, which is what makes stealing possible mid-run.
+
+def _stop_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down hard: kill the workers, then join the machinery.
+
+    Used when a worker hung past its deadline (a cooperative shutdown
+    would block on it forever) or after the pool broke; the executor
+    object is discarded afterwards.  The workers are killed *first* so
+    the executor's manager thread — still in its normal wait, watching
+    the worker sentinels — observes their death and exits through its
+    broken-pool path; shutting down before killing can instead park the
+    manager in a wait nothing will ever wake, which then deadlocks
+    interpreter exit (concurrent.futures joins manager threads atexit).
+    """
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.kill()
+        except Exception:  # pragma: no cover - already-dead worker
+            pass
+    try:
+        pool.shutdown(wait=True, cancel_futures=True)
+    except Exception:  # pragma: no cover - shutdown on a broken pool
+        pass
+
+
+def _failed_results(
+    items: List[TrialItem],
+    attempts: int,
+    category: str,
+    exc_type: str,
+    message: str,
+    seconds: float = 0.0,
+) -> List[TrialResult]:
+    """Parent-side TrialError results for trials the pool lost."""
+    return [
+        TrialResult(
+            index=index,
+            value=None,
+            seconds=seconds,
+            telemetry=None,
+            error=TrialError(
+                exc_type=exc_type,
+                message=message,
+                category=category,
+                **_seed_identity(seed),
+            ),
+            attempts=attempts,
+        )
+        for index, seed in items
+    ]
+
+
+class _ShardDriver:
+    """One shard: chunks from the scheduler, run on a pool or in-thread.
+
+    With ``pooled`` set the driver feeds a process pool of ``workers``
+    processes — at most ``workers`` chunks in flight, kill-then-shutdown
+    rebuild on hangs, completed-future harvest before a broken-pool
+    rebuild, retry with seed-derived backoff — and falls back to the
+    serial drain when the pool cannot be used.  Without it the serial
+    drain is the whole run.  Chunks are acquired dynamically from the
+    :class:`WorkStealingScheduler`, which is what makes stealing
+    possible mid-run.
     """
 
     def __init__(
@@ -160,6 +239,7 @@ class _ShardDriver:
         trial_timeout: Optional[float],
         emit: Callable[[TrialResult], None],
         cancel: Optional[threading.Event] = None,
+        pooled: bool = True,
     ) -> None:
         self.shard_id = shard_id
         self.scheduler = scheduler
@@ -171,8 +251,11 @@ class _ShardDriver:
         self.trial_timeout = trial_timeout
         self.emit = emit
         self.cancel = cancel
+        self.pooled = pooled
         self.results: List[TrialResult] = []
         self.fallback: Optional[str] = None
+        #: Results the pool produced before the serial drain took over.
+        self.pool_results = 0
         self.error: Optional[BaseException] = None
 
     def _cancelled(self) -> bool:
@@ -185,25 +268,69 @@ class _ShardDriver:
             self.emit(result)
         self.results.extend(chunk_results)
 
-    def _run_items_serially(self, items: List[TrialItem]) -> None:
-        for index, seed in items:
-            self._finish([_execute_trial(self.trial_fn, index, seed, self.kwargs)])
-
     def _drain_serially(self, leftovers: List[List[TrialItem]]) -> None:
-        """Finish every leftover and still-queued chunk in this thread.
+        """Run every leftover and still-queued trial in this thread.
 
-        The serial fallback still participates in stealing: after its
-        own leftovers it keeps acquiring from the scheduler, so a shard
-        that lost its pool degrades to one in-thread worker instead of
-        stranding queued trials.
+        The serial drain still participates in stealing: after its own
+        leftovers it keeps acquiring from the scheduler, so a shard that
+        lost its pool degrades to one in-thread worker instead of
+        stranding queued trials.  ``cancel`` is checked before every
+        trial, leftovers included.
         """
-        for items in leftovers:
-            self._run_items_serially(items)
-        while not self._cancelled():
-            items = self.scheduler.acquire(self.shard_id, self.chunk)
-            if not items:
-                return
-            self._run_items_serially(items)
+        self.pool_results = len(self.results)
+        queued = iter(lambda: self.scheduler.acquire(self.shard_id, self.chunk), [])
+        for items in itertools.chain(leftovers, queued):
+            for index, seed in items:
+                if self._cancelled():
+                    return
+                self._finish([_execute_trial(self.trial_fn, index, seed, self.kwargs)])
+
+    def _lose(self, items: List[TrialItem], category: str, attempts: int) -> bool:
+        """Handle a chunk lost with its pool after ``attempts`` executions.
+
+        Warns and backs off, returning True, while the retry budget
+        lasts; then records the chunk's final ``category`` failure
+        (``"infra"``: the worker died, ``"timeout"``: it hung) and
+        returns False.
+        """
+        died = category == "infra"
+        reason = (
+            "worker process died"
+            if died
+            else f"worker hung past {self.trial_timeout}s"
+        )
+        if attempts < self.retry.max_attempts:
+            warnings.warn(
+                f"shard {self.shard_id}: {reason} on trials "
+                f"{[i for i, _ in items]}; pool rebuilt, retrying "
+                f"(attempt {attempts + 1})",
+                RuntimeWarning,
+            )
+            delay = self.retry.delay(attempts, items[0][1])
+            if delay > 0:
+                time.sleep(delay)
+            return True
+        if died:
+            message = (
+                f"shard {self.shard_id}: {reason}; retry budget exhausted "
+                f"after {attempts} attempt(s)"
+            )
+        else:
+            message = (
+                f"trial exceeded trial_timeout={self.trial_timeout}s on every "
+                f"one of {attempts} attempt(s); shard {self.shard_id} worker killed"
+            )
+        self._finish(
+            _failed_results(
+                items,
+                attempts,
+                category=category,
+                exc_type="BrokenProcessPool" if died else "TimeoutError",
+                message=message,
+                seconds=0.0 if died else float(self.trial_timeout),
+            )
+        )
+        return False
 
     # -- the drive loop -------------------------------------------------
     def drive(self) -> None:
@@ -214,6 +341,9 @@ class _ShardDriver:
             self.error = exc
 
     def _drive(self) -> None:
+        if not self.pooled:
+            self._drain_serially([])
+            return
         try:
             pool = ProcessPoolExecutor(max_workers=self.workers)
         except Exception as exc:  # no POSIX semaphores, fork failure, ...
@@ -244,27 +374,31 @@ class _ShardDriver:
                 )
 
         def pump() -> None:
-            # Same in-flight cap as the single-pool path: deadlines armed
-            # at submit measure execution because nothing queues behind
-            # other chunks inside the pool.  A set cancel event stops the
-            # shard acquiring; in-flight chunks drain to completion.
+            # At most `workers` chunks are in flight, so a chunk's
+            # deadline (armed at submit) measures execution: nothing
+            # queues behind other chunks inside the pool.  A set cancel
+            # event stops acquisition; in-flight chunks drain.
             while not self._cancelled() and len(pending) < self.workers:
                 items = self.scheduler.acquire(self.shard_id, self.chunk)
                 if not items:
                     return
                 submit(items)
 
-        def rebuild() -> None:
+        def rebuild(lost: List[List[TrialItem]], category: str) -> None:
+            # Everything in flight dies with the pool.  The `lost` chunks
+            # are charged an attempt; innocents resubmit uncharged.
             nonlocal pool
+            lost_keys = {items[0][0] for items in lost}
+            victims = {items[0][0]: items for items in [*pending.values(), *lost]}
             _stop_pool(pool)
             pending.clear()
             deadlines.clear()
             pool = ProcessPoolExecutor(max_workers=self.workers)
-
-        def backoff(items: List[TrialItem]) -> None:
-            delay = self.retry.delay(attempts[items[0][0]], items[0][1])
-            if delay > 0:
-                time.sleep(delay)
+            for ckey in sorted(victims):
+                if ckey not in lost_keys:
+                    submit(victims[ckey], charge=False)
+                elif self._lose(victims[ckey], category, attempts[ckey]):
+                    submit(victims[ckey])
 
         while True:
             pump()
@@ -276,47 +410,11 @@ class _ShardDriver:
             done, _ = wait(set(pending), timeout=timeout, return_when=FIRST_COMPLETED)
             if not done:
                 now = time.monotonic()
-                overdue = [
-                    pending[f] for f, d in deadlines.items() if d <= now
-                ]
-                if not overdue:
-                    continue
-                # A worker hung past its deadline: this shard's pool dies
-                # and is rebuilt; other shards are untouched.  In-flight
-                # innocents resubmit without being charged an attempt.
-                overdue_keys = {items[0][0] for items in overdue}
-                victims = sorted(pending.values(), key=lambda c: c[0][0])
-                rebuild()
-                for items in victims:
-                    ckey = items[0][0]
-                    if ckey not in overdue_keys:
-                        submit(items, charge=False)
-                    elif attempts[ckey] >= self.retry.max_attempts:
-                        self._finish(
-                            _failed_results(
-                                items,
-                                attempts[ckey],
-                                category="timeout",
-                                exc_type="TimeoutError",
-                                message=(
-                                    f"trial exceeded trial_timeout="
-                                    f"{self.trial_timeout}s on every one of "
-                                    f"{attempts[ckey]} attempt(s); shard "
-                                    f"{self.shard_id} worker killed"
-                                ),
-                                seconds=float(self.trial_timeout),
-                            )
-                        )
-                    else:
-                        warnings.warn(
-                            f"shard {self.shard_id}: worker hung past "
-                            f"{self.trial_timeout}s on trials "
-                            f"{[i for i, _ in items]}; pool rebuilt, "
-                            f"retrying (attempt {attempts[ckey] + 1})",
-                            RuntimeWarning,
-                        )
-                        backoff(items)
-                        submit(items)
+                overdue = [pending[f] for f, d in deadlines.items() if d <= now]
+                if overdue:
+                    # A worker hung past its deadline: this shard's pool
+                    # dies and is rebuilt; other shards are untouched.
+                    rebuild(overdue, "timeout")
                 continue
             for future in done:
                 items = pending.pop(future, None)
@@ -326,9 +424,10 @@ class _ShardDriver:
                 try:
                     chunk_results = future.result()
                 except BrokenProcessPool:
-                    # This shard's pool died.  Harvest futures that hold
-                    # completed results, rebuild, retry the rest.
-                    victims = [items]
+                    # A worker died (SIGKILL, OOM, segfault).  Chunks
+                    # whose futures already hold a result are harvested
+                    # first; only the chunks genuinely lost are charged.
+                    lost = [items]
                     for other, oitems in list(pending.items()):
                         harvest = None
                         if other.done():
@@ -337,46 +436,21 @@ class _ShardDriver:
                             except Exception:
                                 harvest = None
                         if harvest is None:
-                            victims.append(oitems)
+                            lost.append(oitems)
                         else:
                             pending.pop(other)
                             deadlines.pop(other, None)
                             self._finish(harvest)
-                    victims.sort(key=lambda c: c[0][0])
-                    rebuild()
-                    for vitems in victims:
-                        ckey = vitems[0][0]
-                        if attempts[ckey] >= self.retry.max_attempts:
-                            self._finish(
-                                _failed_results(
-                                    vitems,
-                                    attempts[ckey],
-                                    category="infra",
-                                    exc_type="BrokenProcessPool",
-                                    message=(
-                                        f"shard {self.shard_id} worker died; "
-                                        "retry budget exhausted after "
-                                        f"{attempts[ckey]} attempt(s)"
-                                    ),
-                                )
-                            )
-                        else:
-                            warnings.warn(
-                                f"shard {self.shard_id}: worker died; pool "
-                                f"rebuilt, retrying trials "
-                                f"{[i for i, _ in vitems]} "
-                                f"(attempt {attempts[ckey] + 1})",
-                                RuntimeWarning,
-                            )
-                            backoff(vitems)
-                            submit(vitems)
+                    rebuild(lost, "infra")
                     break  # remaining `done` futures died with the pool
                 except Exception as exc:
-                    # Deterministic plumbing failure — drain serially.
+                    # Deterministic plumbing failure (the function, kwargs
+                    # or result cannot cross the process boundary):
+                    # retrying cannot help, drain serially instead.
                     self.fallback = f"{type(exc).__name__}: {exc}"
-                    leftovers = list(pending.values())
-                    leftovers.append(items)
-                    leftovers.sort(key=lambda c: c[0][0])
+                    leftovers = sorted(
+                        [items, *pending.values()], key=lambda c: c[0][0]
+                    )
                     _stop_pool(pool)
                     self._drain_serially(leftovers)
                     return
@@ -387,13 +461,31 @@ class _ShardDriver:
 
 
 def default_shard_chunk(remaining: int, shards: int, workers: int) -> int:
-    """The default per-acquisition chunk for a sharded run.
+    """The default per-acquisition chunk: ``ceil(remaining / (8·S·W))``.
 
     Small enough that every (shard, worker) slot turns over several
-    times — stealing needs unclaimed tail work to exist — while still
-    amortising pool submission overhead.
+    times — stealing needs unclaimed tail work to exist, and retry and
+    timeout act per chunk — while still amortising pool submission
+    overhead.
     """
     return max(1, -(-remaining // (8 * max(1, shards) * max(1, workers))))
+
+
+@dataclasses.dataclass
+class ShardedRun:
+    """What :func:`run_sharded` executed.
+
+    ``results`` are unordered (the caller sorts by index); ``scheduler``
+    holds the steal/executed accounting; ``fallbacks`` is each shard's
+    serial-fallback reason (None when its pool stayed healthy, or when
+    the run used no pool); ``executor`` is the label
+    :attr:`~repro.runtime.runner.TrialReport.executor` reports.
+    """
+
+    results: List[TrialResult]
+    scheduler: WorkStealingScheduler
+    fallbacks: List[Optional[str]]
+    executor: str
 
 
 def run_sharded(
@@ -408,23 +500,25 @@ def run_sharded(
     ledger: Optional["RunLedger"] = None,
     on_result: Optional[Callable[[TrialResult], None]] = None,
     cancel: Optional[threading.Event] = None,
-) -> Tuple[List[TrialResult], WorkStealingScheduler, List[Optional[str]]]:
-    """Execute ``items`` across ``shards`` work-stealing process pools.
+) -> ShardedRun:
+    """Execute ``items`` on ``shards`` drivers of ``workers`` processes each.
 
-    Each shard runs ``workers`` worker processes (total parallelism is
-    ``shards * workers``) and appends completed records to its own
-    ``ledger-shardNN.jsonl`` when ``ledger`` is given — the caller's
-    main ledger merges them transparently via
-    :meth:`~repro.telemetry.ledger.RunLedger.read_latest`.  Returns the
-    results (unordered; the caller sorts by index), the scheduler (for
-    steal/executed accounting), and each shard's serial-fallback reason
-    (None when its pool stayed healthy).
+    ``shards=1, workers=1`` runs serially in the calling thread with no
+    pool; any other shape gives every shard its own process pool (total
+    parallelism ``shards * workers``).  With ``ledger`` given, a
+    one-shard run appends to it directly and a sharded run appends each
+    shard's records to its own ``ledger-shardNN.jsonl``, which the main
+    handle's :meth:`~repro.telemetry.ledger.RunLedger.read_latest`
+    merges transparently.
 
-    ``on_result`` fires once per completed trial *from the shard's
-    driver thread* (after its ledger append, so an observer never sees a
-    trial the ledger could lose); callbacks must be thread-safe.  A set
-    ``cancel`` event stops every shard acquiring new chunks; in-flight
-    chunks finish and are recorded, then the drivers exit.
+    ``on_result`` fires once per completed trial, after its ledger
+    append (so an observer never sees a trial the ledger could lose):
+    from the calling thread for shard 0 — in index order on a serial
+    run — and from driver threads for the other shards, so callbacks of
+    a sharded run must be thread-safe.  A set ``cancel`` event stops
+    every shard acquiring or starting trials; in-flight pool chunks
+    finish and are recorded, then the drivers exit.  One warning names
+    the shards whose pool fell back to serial execution.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -433,7 +527,9 @@ def run_sharded(
     scheduler = WorkStealingScheduler(partition_items(items, shards))
 
     def make_emit(shard_id: int) -> Callable[[TrialResult], None]:
-        shard_ledger = None if ledger is None else ledger.shard(shard_id)
+        shard_ledger = ledger
+        if ledger is not None and shards > 1:
+            shard_ledger = ledger.shard(shard_id)
 
         def emit(result: TrialResult) -> None:
             if shard_ledger is not None:
@@ -455,22 +551,46 @@ def run_sharded(
             trial_timeout=trial_timeout,
             emit=make_emit(s),
             cancel=cancel,
+            pooled=shards > 1 or workers > 1,
         )
         for s in range(shards)
     ]
     threads = [
-        threading.Thread(
-            target=driver.drive, name=f"repro-shard-{driver.shard_id}"
-        )
-        for driver in drivers
+        threading.Thread(target=driver.drive, name=f"repro-shard-{driver.shard_id}")
+        for driver in drivers[1:]
     ]
     for thread in threads:
         thread.start()
+    drivers[0].drive()
     for thread in threads:
         thread.join()
     for driver in drivers:
         if driver.error is not None:
             raise driver.error
-    results = [result for driver in drivers for result in driver.results]
+
     fallbacks = [driver.fallback for driver in drivers]
-    return results, scheduler, fallbacks
+    broken = [(s, f) for s, f in enumerate(fallbacks) if f is not None]
+    if broken:
+        warnings.warn(
+            f"shard {', '.join(str(s) for s, _ in broken)}: process pool "
+            f"unavailable ({broken[0][1]}); falling back to serial execution",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if shards > 1:
+        executor = f"sharded({shards}x{workers}"
+        if any(scheduler.steals):
+            executor += f", steals={sum(scheduler.steals)}"
+        executor += ")" + ("-mixed" if broken else "")
+    elif workers == 1:
+        executor = "serial"
+    elif not broken:
+        executor = "process-pool"
+    else:
+        executor = "mixed" if drivers[0].pool_results else "serial"
+    return ShardedRun(
+        results=[result for driver in drivers for result in driver.results],
+        scheduler=scheduler,
+        fallbacks=fallbacks,
+        executor=executor,
+    )

@@ -1,11 +1,31 @@
-"""CRPCache: hit/miss behaviour, prefix reuse, atomicity of provenance."""
+"""ArtifactStore entries: hit/miss, prefix reuse, atomic publish, clear.
+
+The entry-level behaviour of the store's CRP-set and fleet-plane paths;
+the digest schema, LRU eviction and cross-process races are pinned in
+``test_store.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.pufs.arbiter import ArbiterPUF
 from repro.pufs.crp import CRPSet, generate_crps
-from repro.runtime.cache import CRPCache, cache_key, fleet_cache_key
+from repro.runtime.store import ArtifactStore, artifact_digest
+
+
+def cache_key(puf_spec, seed, distribution, noisy=False):
+    """The store key of a CRP-set entry (``m`` is not key material)."""
+    return artifact_digest(
+        "crps", puf_spec, seed, distribution=distribution, noisy=noisy
+    )
+
+
+def fleet_cache_key(fleet_spec, seed, distribution, tier, shape, noisy=False):
+    """The store key of a fleet-plane entry (tier and shape are)."""
+    return artifact_digest(
+        "fleet", fleet_spec, seed, distribution=distribution, tier=tier,
+        shape=shape, noisy=noisy,
+    )
 
 
 def make_crps(seed=0, m=100, n=12):
@@ -14,7 +34,7 @@ def make_crps(seed=0, m=100, n=12):
 
 
 def test_miss_generates_and_stores(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     calls = []
 
     def gen():
@@ -27,13 +47,11 @@ def test_miss_generates_and_stores(tmp_path):
     assert len(crps) == 100
     assert calls == [1]
     assert cache.misses == 1 and cache.hits == 0
-    assert cache.path_for(
-        cache_key("arbiter(n=12)", 0, "uniform", 100)
-    ).exists()
+    assert cache.path_for(cache_key("arbiter(n=12)", 0, "uniform")).exists()
 
 
 def test_hit_skips_generation(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     first = cache.get_or_generate(
         puf_spec="a", seed=1, distribution="uniform", m=50, generate=make_crps
     )
@@ -50,7 +68,7 @@ def test_hit_skips_generation(tmp_path):
 
 
 def test_prefix_served_from_larger_cached_set(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     full = cache.get_or_generate(
         puf_spec="a", seed=2, distribution="uniform", m=100, generate=make_crps
     )
@@ -65,7 +83,7 @@ def test_prefix_served_from_larger_cached_set(tmp_path):
 
 
 def test_larger_request_regenerates(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     cache.get_or_generate(
         puf_spec="a", seed=3, distribution="uniform", m=50,
         generate=lambda: make_crps(m=50),
@@ -79,20 +97,31 @@ def test_larger_request_regenerates(tmp_path):
 
 
 def test_distinct_provenance_distinct_entries(tmp_path):
-    keys = {
-        cache_key("a", 0, "uniform", 10),
-        cache_key("a", 1, "uniform", 10),
-        cache_key("b", 0, "uniform", 10),
-        cache_key("a", 0, "biased(0.3)", 10),
-        cache_key("a", 0, "uniform", 10, noisy=True),
-    }
-    assert len(keys) == 5
+    cache = ArtifactStore(tmp_path)
+    provenances = [
+        ("a", 0, "uniform", False),
+        ("a", 1, "uniform", False),
+        ("b", 0, "uniform", False),
+        ("a", 0, "biased(0.3)", False),
+        ("a", 0, "uniform", True),
+    ]
+    for spec, seed, distribution, noisy in provenances:
+        cache.get_or_generate(
+            puf_spec=spec, seed=seed, distribution=distribution, m=10,
+            generate=lambda: make_crps(m=10), noisy=noisy,
+        )
+    assert cache.misses == 5
+    assert len(cache.entries()) == 5
     # m is deliberately NOT part of the key (prefix reuse).
-    assert cache_key("a", 0, "uniform", 10) == cache_key("a", 0, "uniform", 99)
+    cache.get_or_generate(
+        puf_spec="a", seed=0, distribution="uniform", m=5,
+        generate=lambda: pytest.fail("a smaller request must hit"),
+    )
+    assert cache.hits == 1
 
 
 def test_short_generator_output_rejected(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     with pytest.raises(ValueError, match="fewer than requested"):
         cache.get_or_generate(
             puf_spec="a", seed=4, distribution="uniform", m=100,
@@ -101,30 +130,30 @@ def test_short_generator_output_rejected(tmp_path):
 
 
 def test_clear_removes_entries(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     cache.get_or_generate(
         puf_spec="a", seed=5, distribution="uniform", m=10,
         generate=lambda: make_crps(m=10),
     )
     assert cache.clear() == 1
-    assert cache.load(cache_key("a", 5, "uniform", 10)) is None
+    assert cache.load(cache_key("a", 5, "uniform")) is None
 
 
 def test_env_var_default_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-    cache = CRPCache()
+    cache = ArtifactStore()
     assert cache.cache_dir == tmp_path / "envcache"
 
 
 def test_corrupt_entry_is_a_miss_and_regenerates(tmp_path):
     """A truncated/corrupt .npz (killed writer, bad disk) must not poison
     every future read: warn, unlink, regenerate."""
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     cache.get_or_generate(
         puf_spec="a", seed=7, distribution="uniform", m=20,
         generate=lambda: make_crps(m=20),
     )
-    key = cache_key("a", 7, "uniform", 20)
+    key = cache_key("a", 7, "uniform")
     cache.path_for(key).write_bytes(b"this is not an npz archive")
     calls = []
 
@@ -144,13 +173,13 @@ def test_corrupt_entry_is_a_miss_and_regenerates(tmp_path):
 
 
 def test_store_leaves_no_staging_files(tmp_path):
-    cache = CRPCache(tmp_path)
-    cache.store(cache_key("a", 8, "uniform", 10), make_crps(m=10))
+    cache = ArtifactStore(tmp_path)
+    cache.store(cache_key("a", 8, "uniform"), make_crps(m=10))
     assert list(tmp_path.glob("*.tmp.npz")) == []
 
 
 def test_failed_store_cleans_its_staging_file(tmp_path, monkeypatch):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     crps = make_crps(m=10)
 
     def boom(self, path):
@@ -164,7 +193,7 @@ def test_failed_store_cleans_its_staging_file(tmp_path, monkeypatch):
 
 
 def test_clear_sweeps_orphaned_staging_files(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     cache.get_or_generate(
         puf_spec="a", seed=9, distribution="uniform", m=10,
         generate=lambda: make_crps(m=10),
@@ -180,8 +209,8 @@ def test_concurrent_writers_never_corrupt_the_entry(tmp_path):
     publish atomically — the surviving entry is always whole."""
     import threading
 
-    cache = CRPCache(tmp_path)
-    key = cache_key("a", 10, "uniform", 30)
+    cache = ArtifactStore(tmp_path)
+    key = cache_key("a", 10, "uniform")
     sets = [make_crps(seed=s, m=30) for s in range(4)]
     threads = [
         threading.Thread(target=cache.store, args=(key, crps))
@@ -198,7 +227,7 @@ def test_concurrent_writers_never_corrupt_the_entry(tmp_path):
 
 
 def test_roundtrip_preserves_dtypes(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     crps = cache.get_or_generate(
         puf_spec="a", seed=6, distribution="uniform", m=20,
         generate=lambda: make_crps(m=20),
@@ -237,7 +266,7 @@ def test_fleet_key_includes_tier_and_shape():
 
 
 def test_fleet_cross_tier_requests_never_share_an_entry(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     f64_plane = make_fleet_plane(seed=1)
     i8_plane = make_fleet_plane(seed=2)
     served_f64 = cache.get_or_generate_fleet(
@@ -251,7 +280,7 @@ def test_fleet_cross_tier_requests_never_share_an_entry(tmp_path):
 
 
 def test_fleet_hit_serves_row_prefix(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     challenges, responses = make_fleet_plane(m=50)
     cache.get_or_generate_fleet(
         "s", 3, "uniform", "float64", (10, 6), 50, lambda: (challenges, responses)
@@ -267,7 +296,7 @@ def test_fleet_hit_serves_row_prefix(tmp_path):
 
 
 def test_corrupt_fleet_entry_is_a_miss_and_regenerates(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     plane = make_fleet_plane(seed=7)
     cache.get_or_generate_fleet(
         "s", 7, "uniform", "float64", (10, 6), 40, lambda: plane
@@ -287,7 +316,7 @@ def test_corrupt_fleet_entry_is_a_miss_and_regenerates(tmp_path):
 def test_malformed_fleet_entry_is_discarded(tmp_path):
     """A structurally wrong archive (mismatched row counts) degrades to a
     miss too, not just an unreadable one."""
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     key = fleet_cache_key("s", 8, "uniform", "float64", (10, 6))
     cache.cache_dir.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(
@@ -301,7 +330,7 @@ def test_malformed_fleet_entry_is_discarded(tmp_path):
 
 
 def test_fleet_short_generator_output_rejected(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     with pytest.raises(ValueError, match="fewer than requested"):
         cache.get_or_generate_fleet(
             "s", 9, "uniform", "float64", (10, 6), 100,
@@ -310,7 +339,7 @@ def test_fleet_short_generator_output_rejected(tmp_path):
 
 
 def test_clear_sweeps_fleet_entries_too(tmp_path):
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     cache.get_or_generate(
         puf_spec="a", seed=1, distribution="uniform", m=10,
         generate=lambda: make_crps(m=10),
@@ -325,7 +354,7 @@ def test_clear_sweeps_fleet_entries_too(tmp_path):
 def test_fleet_hit_meters_per_instance_queries(tmp_path):
     from repro.telemetry.meter import QueryMeter, metered
 
-    cache = CRPCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
     cache.get_or_generate_fleet(
         "s", 2, "uniform", "float64", (10, 6), 40, lambda: make_fleet_plane()
     )

@@ -10,6 +10,8 @@ bits.
 
 import contextlib
 import os
+import re
+import threading
 import time
 import warnings as _warnings
 from concurrent import futures as _futures
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import RetryPolicy, TrialError, TrialFailure, TrialRunner
-from repro.runtime import runner as runner_module
+from repro.runtime import sharding as sharding_module
 from repro.runtime.workloads import FaultInjectionSpec, fault_injection_trial
 
 
@@ -28,6 +30,20 @@ def warnings_as_errors():
     with _warnings.catch_warnings():
         _warnings.simplefilter("error")
         yield
+
+
+#: Pool-path fault tests run on one shard (the single pool) and on two:
+#: a test class sets ``shards = 1`` and its ``...TwoShards`` subclass
+#: reruns it with ``shards = 2``; a lone test takes this parametrisation.
+SHARDS = pytest.mark.parametrize("shards", [1, 2])
+
+
+def assert_pooled(report, shards):
+    """The executor label of a healthy pooled run with ``workers=2``."""
+    if shards == 1:
+        assert report.executor == "process-pool"
+    else:
+        assert re.fullmatch(r"sharded\(2x2(, steals=\d+)?\)", report.executor)
 
 
 def clean_values(num_trials, master_seed, size=2):
@@ -131,6 +147,8 @@ class TestTrialErrors:
 # Infrastructure failures: retried, pool rebuilt, survivors untouched.
 # ----------------------------------------------------------------------
 class TestWorkerDeath:
+    shards = 1
+
     def test_killed_worker_is_retried_and_survivors_keep_their_bits(
         self, tmp_path
     ):
@@ -141,14 +159,14 @@ class TestWorkerDeath:
             size=2, exit_indices=(1,), once_dir=str(tmp_path)
         )
         with pytest.warns(RuntimeWarning, match="worker process died"):
-            report = TrialRunner(workers=2, chunk_size=1).run(
+            report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
                 fault_injection_trial,
                 4,
                 master_seed=17,
                 trial_kwargs={"spec": spec},
                 retry=RetryPolicy(max_attempts=3, base_delay=0.0),
             )
-        assert report.executor == "process-pool"
+        assert_pooled(report, self.shards)
         assert all(r.ok for r in report.results)
         assert report.results[1].attempts >= 2
         assert report.retried_count >= 1
@@ -160,7 +178,7 @@ class TestWorkerDeath:
         ``category="infra"`` error, not a crash of the whole run."""
         spec = FaultInjectionSpec(size=2, exit_indices=(0,))  # fires every time
         with pytest.warns(RuntimeWarning, match="worker process died"):
-            report = TrialRunner(workers=2, chunk_size=1).run(
+            report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
                 fault_injection_trial,
                 1,
                 master_seed=0,
@@ -174,6 +192,12 @@ class TestWorkerDeath:
         assert failed.attempts == 2
 
 
+class TestWorkerDeathTwoShards(TestWorkerDeath):
+    """The same worker-death contract when the pool is one of two shards."""
+
+    shards = 2
+
+
 def fast_or_exit_trial(ctx, exit_index, size=2):
     """Picklable: the chosen trial kills its worker late, others are instant."""
     if ctx.index == exit_index:
@@ -183,6 +207,8 @@ def fast_or_exit_trial(ctx, exit_index, size=2):
 
 
 class TestBrokenPoolHarvest:
+    shards = 1
+
     def test_completed_chunks_survive_a_broken_pool(self, monkeypatch):
         """A chunk whose future already completed when another chunk broke
         the pool keeps its result: it must never be discarded, re-executed,
@@ -197,32 +223,45 @@ class TestBrokenPoolHarvest:
             ordered = sorted(done, key=lambda f: f.exception() is None)
             return ordered, not_done
 
-        monkeypatch.setattr(runner_module, "wait", wait_broken_first)
-        report = TrialRunner(workers=2, chunk_size=1).run(
+        monkeypatch.setattr(sharding_module, "wait", wait_broken_first)
+        # Four trials, so that with two shards the first shard's pool
+        # still holds both trial 0 and the dying trial 1.
+        report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
             fast_or_exit_trial,
-            2,
+            4,
             master_seed=29,
             trial_kwargs={"exit_index": 1},
             retry=RetryPolicy(max_attempts=1),
         )
-        survivor, dead = report.results
+        survivor, dead, *rest = report.results
         assert survivor.ok
         assert survivor.attempts == 1
         reference = TrialRunner(workers=1).run(
-            fast_or_exit_trial, 2, master_seed=29, trial_kwargs={"exit_index": -1}
+            fast_or_exit_trial, 4, master_seed=29, trial_kwargs={"exit_index": -1}
         )
         np.testing.assert_array_equal(survivor.value, reference.values()[0])
         assert not dead.ok
         assert dead.error.category == "infra"
+        for result, value in zip(rest, reference.values()[2:]):
+            assert result.ok
+            np.testing.assert_array_equal(result.value, value)
+
+
+class TestBrokenPoolHarvestTwoShards(TestBrokenPoolHarvest):
+    """The harvest contract when the pool is one of two shards."""
+
+    shards = 2
 
 
 class TestHungWorkers:
+    shards = 1
+
     def test_hung_worker_is_killed_and_retried(self, tmp_path):
         spec = FaultInjectionSpec(
             size=2, hang_indices=(0,), hang_seconds=60.0, once_dir=str(tmp_path)
         )
         with pytest.warns(RuntimeWarning, match="worker hung past"):
-            report = TrialRunner(workers=2, chunk_size=1).run(
+            report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
                 fault_injection_trial,
                 3,
                 master_seed=23,
@@ -237,7 +276,7 @@ class TestHungWorkers:
 
     def test_persistent_hang_records_timeout_error(self):
         spec = FaultInjectionSpec(size=2, hang_indices=(0,), hang_seconds=60.0)
-        report = TrialRunner(workers=2, chunk_size=1).run(
+        report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
             fault_injection_trial,
             2,
             master_seed=0,
@@ -263,7 +302,7 @@ class TestHungWorkers:
         submit-everything-upfront time)."""
         spec = FaultInjectionSpec(size=2, sleep_seconds=0.4)
         with warnings_as_errors():
-            report = TrialRunner(workers=2, chunk_size=1).run(
+            report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
                 fault_injection_trial,
                 8,
                 master_seed=1,
@@ -284,6 +323,60 @@ class TestHungWorkers:
                 trial_kwargs={"spec": FaultInjectionSpec()},
                 trial_timeout=0.0,
             )
+
+
+class TestHungWorkersTwoShards(TestHungWorkers):
+    """The timeout contract when the pool is one of two shards."""
+
+    shards = 2
+
+
+# ----------------------------------------------------------------------
+# Pickling failures: deterministic, so the shard drains serially.
+# ----------------------------------------------------------------------
+def unpicklable(fn):
+    """``fn`` as a closure, which the pool cannot pickle."""
+    return lambda ctx, **kwargs: fn(ctx, **kwargs)
+
+
+class TestPicklingFallback:
+    @SHARDS
+    def test_unpicklable_trial_falls_back_to_serial(self, shards):
+        spec = FaultInjectionSpec(size=2)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            report = TrialRunner(workers=2, shards=shards).run(
+                unpicklable(fault_injection_trial),
+                6,
+                master_seed=8,
+                trial_kwargs={"spec": spec},
+            )
+        if shards == 1:
+            assert report.executor == "serial"
+        else:
+            assert re.fullmatch(
+                r"sharded\(2x2(, steals=\d+)?\)-mixed", report.executor
+            )
+        assert [r.index for r in report.results] == list(range(6))
+        for value, reference in zip(report.values(), clean_values(6, 8)):
+            np.testing.assert_array_equal(value, reference)
+
+    @SHARDS
+    def test_serial_drain_honours_cancel_before_every_trial(self, shards):
+        """Cancel set on the first result stops every shard's serial
+        drain, leftover chunks from the dead pool included: each shard
+        may finish at most the one trial it had already started."""
+        cancel = threading.Event()
+        with pytest.warns(RuntimeWarning):
+            report = TrialRunner(workers=2, shards=shards).run(
+                unpicklable(fault_injection_trial),
+                64,
+                master_seed=3,
+                trial_kwargs={"spec": FaultInjectionSpec(size=2)},
+                on_result=lambda result: cancel.set(),
+                cancel=cancel,
+            )
+        assert report.cancelled
+        assert len(report.results) <= shards
 
 
 # ----------------------------------------------------------------------

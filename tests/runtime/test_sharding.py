@@ -144,7 +144,7 @@ class TestStealing:
         shard must steal from its tail rather than finish early and idle."""
         spec = SkewedSleepSpec(slow_count=4, slow_seconds=0.3, fast_seconds=0.0)
         items = items_for(8, master_seed=33)
-        results, scheduler, fallbacks = run_sharded(
+        run = run_sharded(
             skewed_sleep_trial,
             items,
             {"spec": spec},
@@ -152,10 +152,10 @@ class TestStealing:
             workers=1,
             chunk_size=1,
         )
-        assert fallbacks == [None, None]
-        assert sum(scheduler.steals) >= 1
-        assert sum(scheduler.executed) == 8
-        values = {r.index: r.value for r in results}
+        assert run.fallbacks == [None, None]
+        assert sum(run.scheduler.steals) >= 1
+        assert sum(run.scheduler.executed) == 8
+        values = {r.index: r.value for r in run.results}
         reference = serial_values(
             skewed_sleep_trial, 8, 33, {"spec": spec}
         )
@@ -250,7 +250,7 @@ class TestShardFaults:
         spec = FaultInjectionSpec(
             size=2, exit_indices=(1,), once_dir=str(tmp_path)
         )
-        with pytest.warns(RuntimeWarning, match="worker died"):
+        with pytest.warns(RuntimeWarning, match="worker process died"):
             report = TrialRunner(workers=1, shards=2, chunk_size=1).run(
                 fault_injection_trial, 4, master_seed=17,
                 trial_kwargs={"spec": spec},

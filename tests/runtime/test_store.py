@@ -11,7 +11,6 @@ with exactly one complete archive surviving (winner-take-one).
 
 import multiprocessing
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -317,17 +316,6 @@ class TestSameKeyRace:
         reference = make_crps(seed=0, m=120)
         np.testing.assert_array_equal(cached.challenges, reference.challenges)
         np.testing.assert_array_equal(cached.responses, reference.responses)
-
-
-def test_direct_crpcache_construction_is_deprecated(tmp_path):
-    from repro.runtime.cache import CRPCache
-
-    with pytest.warns(DeprecationWarning, match="ArtifactStore"):
-        cache = CRPCache(tmp_path)
-    assert isinstance(cache, ArtifactStore)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ArtifactStore(tmp_path)  # the replacement constructs silently
 
 
 # ----------------------------------------------------------------------
