@@ -12,7 +12,17 @@ store instead of regenerating.
 
 Store layout and guarantees
 ---------------------------
-* One compressed ``.npz`` per entry, named ``<kind>-<digest>.npz``.
+* One ``.npz`` per entry, named ``<kind>-<digest>.npz``: an
+  *uncompressed* zip archive holding the challenges and responses
+  bit-packed (``np.packbits`` along the last axis, ``+1 -> 1``) next to
+  their logical shape.  Entries hold only +/-1 values — every artifact
+  kind is a +/-1 CRP pool or response plane — and the writer refuses
+  anything else with ``ValueError`` before staging a file.  A packed
+  plane is smaller than a zlib-compressed int8 one and costs no deflate
+  on publish or inflate on load; the zip's CRC-32 still catches a
+  flipped bit.  An entry the reader cannot decode — including one
+  written in the pre-bit-packing zlib format — is discarded once and
+  regenerated (see corrupt-entry-as-miss below).
 * **Atomic publication, winner-take-one.**  Writers stage into a private
   ``tempfile.mkstemp`` file and publish with ``os.replace``; two
   processes storing the same digest concurrently both succeed, and
@@ -36,6 +46,9 @@ Store layout and guarantees
   ``artifact_store.*`` (plus the legacy ``crp_cache.*`` /
   ``fleet_cache.*`` names), so per-trial ledger records carry the
   store's behaviour and ``repro trials --cache-stats`` can aggregate it.
+  Lookups and publishes run in ``artifact_store.load`` /
+  ``artifact_store.publish`` spans (attributes ``kind`` and ``bytes``),
+  so ``python -m repro report`` attributes store time.
 """
 
 from __future__ import annotations
@@ -53,9 +66,13 @@ import numpy as np
 from repro.pufs.crp import CRPSet
 from repro.telemetry.meter import incr as _incr
 from repro.telemetry.meter import record as _record
+from repro.telemetry.spans import trace
 
 #: The artifact kinds the store recognises (the filename prefixes).
 ARTIFACT_KINDS = ("crps", "fleet")
+
+#: Per kind, the warning label and legacy counter prefix of a discard.
+_LEGACY_NAMES = {"crps": ("CRP", "crp_cache"), "fleet": ("fleet", "fleet_cache")}
 
 #: Environment variable supplying the default store directory.
 STORE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -74,6 +91,80 @@ def _entry_mtime(path: Path) -> float:
         return path.stat().st_mtime
     except OSError:
         return 0.0
+
+
+def _pack_pm1(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` (+/-1) bit-packed along the last axis, ``+1 -> 1``."""
+    values = np.asarray(values)
+    if np.count_nonzero(values == 1) + np.count_nonzero(values == -1) != values.size:
+        raise ValueError(f"artifact {name} must hold only +/-1 values")
+    return np.packbits(values > 0, axis=-1)
+
+
+def _unpack_pm1(packed: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """The int8 +/-1 array of logical ``shape`` that ``packed`` encodes."""
+    expected = shape[:-1] + ((shape[-1] + 7) // 8,)
+    if packed.dtype != np.uint8 or packed.shape != expected:
+        raise ValueError(
+            f"packed array {packed.shape} {packed.dtype} does not encode "
+            f"logical shape {shape}"
+        )
+    bits = np.unpackbits(packed, axis=-1, count=shape[-1])
+    return bits.view(np.int8) * np.int8(2) - np.int8(1)
+
+
+def _pack_entry(
+    challenges: np.ndarray, responses: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """The arrays of one entry: bit-packed planes and their logical shape.
+
+    ``shape`` is ``(m, n, width)``, with ``width = -1`` marking a CRP
+    response vector.  Raises ``ValueError`` on any value other than
+    +/-1 or on inconsistent shapes, before anything touches the disk.
+    """
+    challenges, responses = np.asarray(challenges), np.asarray(responses)
+    if (
+        challenges.ndim != 2
+        or responses.ndim not in (1, 2)
+        or responses.shape[0] != challenges.shape[0]
+    ):
+        raise ValueError(
+            f"artifact challenges {challenges.shape} and responses "
+            f"{responses.shape} are not one (m, n) / (m[, width]) entry"
+        )
+    width = responses.shape[1] if responses.ndim == 2 else -1
+    return {
+        "shape": np.array(challenges.shape + (width,), dtype=np.int64),
+        "challenges": _pack_pm1(challenges, "challenges"),
+        "responses": _pack_pm1(responses, "responses"),
+    }
+
+
+def _write_entry(path: Path, arrays: Dict[str, np.ndarray]) -> None:
+    """Write packed entry ``arrays`` to ``path`` as an uncompressed ``.npz``."""
+    np.savez(path, **arrays)
+
+
+def _read_entry(path: Path, vector: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The int8 (challenges, responses) of the entry at ``path``.
+
+    ``vector`` says whether the responses must be a CRP response vector
+    (else a response plane).  Raises on anything that is not a whole,
+    self-consistent packed entry — a truncated or bit-flipped archive
+    (``BadZipFile`` from the CRC-32), a missing member, a shape that
+    does not match the packed arrays, or the wrong response layout.
+    """
+    with np.load(path) as data:
+        shape = data["shape"]
+        if shape.shape != (3,) or shape.dtype != np.int64:
+            raise ValueError(f"malformed entry shape {shape!r}")
+        m, n, width = (int(v) for v in shape)
+        if m < 1 or n < 0 or width < -1 or (width == -1) != vector:
+            expected = "CRP set" if vector else "response plane"
+            raise ValueError(f"entry shape {(m, n, width)} is not a {expected}")
+        challenges = _unpack_pm1(data["challenges"], (m, n))
+        responses = _unpack_pm1(data["responses"], (m,) if vector else (m, width))
+    return challenges, responses
 
 
 def _canonical_seed_material(seed: object) -> str:
@@ -143,6 +234,12 @@ def artifact_digest(
 
 class ArtifactStore:
     """A directory of content-addressed, memoised experiment artifacts.
+
+    Each entry is an uncompressed ``.npz`` of bit-packed +/-1 challenges
+    and responses plus their logical shape (see the module docstring).
+    Publishing anything but +/-1 values raises ``ValueError``; an entry
+    written before the bit-packed format is discarded once with a
+    warning and regenerated, like any other unreadable entry.
 
     Parameters
     ----------
@@ -218,41 +315,77 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Publication and loading primitives.
     # ------------------------------------------------------------------
-    def _publish(self, path: Path, write: Callable[[Path], None]) -> Path:
-        """Stage with ``write(tmp)`` and publish ``tmp`` -> ``path`` atomically.
+    def _publish(
+        self, kind: str, key: str, challenges: np.ndarray, responses: np.ndarray
+    ) -> Path:
+        """Pack, stage and publish entry ``key`` of ``kind`` atomically.
 
-        The staging file comes from ``tempfile.mkstemp`` in the store
-        directory, so concurrent writers of the same key never interleave
-        into one tmp path — each publishes its own complete archive via
+        The arrays are validated and bit-packed first, so a non-+/-1
+        value raises ``ValueError`` before any file exists.  The staging
+        file comes from ``tempfile.mkstemp`` in the store directory, so
+        concurrent writers of the same key never interleave into one tmp
+        path — each publishes its own complete archive via
         ``os.replace`` and the last one wins whole (winner-take-one;
         entries for one digest are byte-equivalent, so the winner is
         unobservable).  Orphaned staging files from killed writers are
         swept by :meth:`clear`.
         """
-        self.store_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f"{path.name[: -len('.npz')]}-", suffix=".tmp.npz",
-            dir=self.store_dir,
-        )
-        os.close(fd)
-        tmp = Path(tmp_name)
-        try:
-            write(tmp)
-            size = tmp.stat().st_size
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # only on a failed write/replace
-                tmp.unlink()
-        # The published file inherits the staging file's mtime, which on a
-        # coarse-granularity (1s) filesystem can predate entries touched
-        # during the write — making the *newest* entry look LRU-oldest.
-        # Stamp it now, before any size accounting, so recency is honest.
-        self._touch(path)
-        self.bytes_stored += size
-        _incr("artifact_store.stores")
-        _incr("artifact_store.bytes_stored", size)
-        self._evict_over_cap(protect=path)
+        path = self.entry_path(kind, key)
+        arrays = _pack_entry(challenges, responses)
+        packed = sum(a.nbytes for a in arrays.values())
+        with trace("artifact_store.publish", kind=kind, bytes=packed):
+            self.store_dir.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=f"{path.name[: -len('.npz')]}-", suffix=".tmp.npz",
+                dir=self.store_dir,
+            )
+            os.close(fd)
+            tmp = Path(tmp_name)
+            try:
+                _write_entry(tmp, arrays)
+                size = tmp.stat().st_size
+                os.replace(tmp, path)
+            finally:
+                if tmp.exists():  # only on a failed write/replace
+                    tmp.unlink()
+            # The published file inherits the staging file's mtime, which
+            # on a coarse-granularity (1s) filesystem can predate entries
+            # touched during the write — making the *newest* entry look
+            # LRU-oldest.  Stamp it now, before any size accounting, so
+            # recency is honest.
+            self._touch(path)
+            self.bytes_stored += size
+            _incr("artifact_store.stores")
+            _incr("artifact_store.bytes_stored", size)
+            self._evict_over_cap(protect=path)
         return path
+
+    def _load_entry(
+        self, kind: str, key: str
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The (challenges, responses) of entry ``key`` of ``kind``, or None.
+
+        An entry the reader rejects — a truncated or corrupt archive left
+        by a killed writer, or one in a pre-bit-packing format — is warned
+        about, unlinked, and reported as a miss, so the caller
+        regenerates.  Every *read* after a crash would otherwise fail
+        forever on the same poisoned file.
+        """
+        path = self.entry_path(kind, key)
+        try:
+            size = path.stat().st_size
+        except OSError:
+            return None
+        with trace("artifact_store.load", kind=kind, bytes=size):
+            try:
+                entry = _read_entry(path, vector=(kind == "crps"))
+            except Exception as exc:
+                label, legacy = _LEGACY_NAMES[kind]
+                self._discard_corrupt(path, label, exc)
+                _incr(f"{legacy}.corrupt")
+                return None
+            self._touch(path)
+        return entry
 
     def _discard_corrupt(self, path: Path, label: str, exc: Exception) -> None:
         """Warn about, count, and unlink an unreadable entry (miss path)."""
@@ -260,7 +393,7 @@ class ArtifactStore:
             f"discarding unreadable {label} cache entry {path.name} "
             f"({type(exc).__name__}: {exc}); regenerating",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         self.corrupt += 1
         _incr("artifact_store.corrupt")
@@ -314,24 +447,10 @@ class ArtifactStore:
     # CRP-set entries.
     # ------------------------------------------------------------------
     def load(self, key: str) -> Optional[CRPSet]:
-        """The cached CRP set for ``key``, or None.
-
-        An unreadable entry — a truncated or corrupt ``.npz`` left behind
-        by a killed writer — is treated as a miss: the file is warned
-        about, unlinked, and the caller regenerates.  Every *read* after
-        a crash would otherwise fail forever on the same poisoned file.
-        """
-        path = self.path_for(key)
-        if not path.exists():
-            return None
-        try:
-            crps = CRPSet.load(path)
-        except Exception as exc:
-            self._discard_corrupt(path, "CRP", exc)
-            _incr("crp_cache.corrupt")
-            return None
-        self._touch(path)
-        return crps
+        """The cached CRP set for ``key``, or None (an unreadable entry is
+        discarded as a miss; see :meth:`_load_entry`)."""
+        entry = self._load_entry("crps", key)
+        return None if entry is None else CRPSet(*entry)
 
     def store(self, key: str, crps: CRPSet) -> Path:
         """Persist ``crps`` under ``key`` (atomic replace, winner-take-one).
@@ -339,7 +458,7 @@ class ArtifactStore:
         Concurrent writers of the same key both succeed; exactly one
         complete archive survives — see :meth:`_publish`.
         """
-        return self._publish(self.path_for(key), crps.save)
+        return self._publish("crps", key, crps.challenges, crps.responses)
 
     def get_or_generate(
         self,
@@ -413,42 +532,13 @@ class ArtifactStore:
         malformed archive is warned about, unlinked, and reported as a
         miss, so one killed writer cannot poison every later run.
         """
-        path = self.fleet_path_for(key)
-        if not path.exists():
-            return None
-        try:
-            data = np.load(path)
-            challenges = np.asarray(data["challenges"], dtype=np.int8)
-            responses = np.asarray(data["responses"], dtype=np.int8)
-            if (
-                challenges.ndim != 2
-                or responses.ndim != 2
-                or challenges.shape[0] != responses.shape[0]
-            ):
-                raise ValueError(
-                    f"malformed fleet entry: challenges {challenges.shape} "
-                    f"vs responses {responses.shape}"
-                )
-        except Exception as exc:
-            self._discard_corrupt(path, "fleet", exc)
-            _incr("fleet_cache.corrupt")
-            return None
-        self._touch(path)
-        return challenges, responses
+        return self._load_entry("fleet", key)
 
     def store_fleet(
         self, key: str, challenges: np.ndarray, responses: np.ndarray
     ) -> Path:
         """Persist a fleet response plane under ``key`` (atomic replace)."""
-
-        def write(tmp: Path) -> None:
-            np.savez_compressed(
-                tmp,
-                challenges=np.asarray(challenges, dtype=np.int8),
-                responses=np.asarray(responses, dtype=np.int8),
-            )
-
-        return self._publish(self.fleet_path_for(key), write)
+        return self._publish("fleet", key, challenges, responses)
 
     def get_or_generate_fleet(
         self,

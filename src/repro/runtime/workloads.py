@@ -462,20 +462,32 @@ def fleet_eval_trial(
     drives challenge draws and measurement noise.  The ideal response
     plane is memoised by (fleet spec, seed, tier, shape) when
     ``cache_dir`` is set; reliability needs fresh noisy measurements and
-    is always computed live.
+    is always computed live.  The fleet is built lazily, at most once:
+    only when the plane is generated (no store, or a store miss) or the
+    noisy reliability branch runs — a noiseless store hit never builds
+    it.  The build consumes only the fleet seed, so when it happens does
+    not change any value.
     """
     fleet_seed, crp_seed = ctx.seed.spawn(2)
-    fleet = Fleet.build(spec.fleet_spec(), fleet_seed)
+    fleet_spec = spec.fleet_spec()
+    fleet: Optional[Fleet] = None
+
+    def built_fleet() -> Fleet:
+        nonlocal fleet
+        if fleet is None:
+            fleet = Fleet.build(fleet_spec, fleet_seed)
+        return fleet
+
     rng = np.random.default_rng(crp_seed)
     challenges = uniform_challenges(spec.m, spec.n, rng)
 
     def generate():
-        return challenges, fleet.eval(challenges)
+        return challenges, built_fleet().eval(challenges)
 
     if cache_dir is not None:
         store = ArtifactStore(cache_dir, max_bytes=cache_max_bytes)
         challenges, plane = store.get_or_generate_fleet(
-            fleet_spec=fleet.spec.describe(),
+            fleet_spec=fleet_spec.describe(),
             seed=(ctx.seed.entropy, tuple(ctx.seed.spawn_key), ctx.index),
             distribution="uniform",
             tier=spec.tier,
@@ -491,8 +503,8 @@ def fleet_eval_trial(
     )
     uniformity = float(np.mean(plane == -1))
     if spec.noise_sigma > 0 and spec.repetitions > 1:
-        voted = fleet.majority_vote(challenges, spec.repetitions, rng)
-        meas = fleet.eval_noisy(challenges, rng)
+        voted = built_fleet().majority_vote(challenges, spec.repetitions, rng)
+        meas = built_fleet().eval_noisy(challenges, rng)
         reliability = float(np.mean(meas == voted))
     else:
         reliability = 1.0

@@ -10,6 +10,7 @@ import pytest
 
 from repro.pufs.arbiter import ArbiterPUF
 from repro.pufs.crp import CRPSet, generate_crps
+from repro.runtime import store as store_module
 from repro.runtime.store import ArtifactStore, artifact_digest
 
 
@@ -182,10 +183,10 @@ def test_failed_store_cleans_its_staging_file(tmp_path, monkeypatch):
     cache = ArtifactStore(tmp_path)
     crps = make_crps(m=10)
 
-    def boom(self, path):
+    def boom(path, arrays):
         raise OSError("disk full")
 
-    monkeypatch.setattr(CRPSet, "save", boom)
+    monkeypatch.setattr(store_module, "_write_entry", boom)
     with pytest.raises(OSError, match="disk full"):
         cache.store("deadbeef", crps)
     assert list(tmp_path.glob("*.tmp.npz")) == []

@@ -5,18 +5,27 @@ generation provenance (kind, spec, seed identity, challenge-set identity,
 dtype tier, shape, noisy) and nothing else; eviction is size-capped LRU
 with the just-published entry protected; an int8-tier request is never
 served a float64 entry; warm-start reruns are bit-identical to cold ones;
-and two processes publishing the same digest concurrently both succeed
-with exactly one complete archive surviving (winner-take-one).
+two processes publishing the same digest concurrently both succeed
+with exactly one complete archive surviving (winner-take-one); entries
+round-trip exactly through the bit-packed +/-1 codec, which rejects
+other values and discards a bit-flipped or pre-bit-packing entry once;
+and a fleet trial builds its fleet only when a miss or the noisy
+reliability branch needs it.
 """
 
 import multiprocessing
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.pufs.arbiter import ArbiterPUF
-from repro.pufs.crp import generate_crps
+from repro.pufs.crp import CRPSet, generate_crps
 from repro.runtime import TrialRunner
 from repro.runtime.store import (
     ARTIFACT_KINDS,
@@ -388,3 +397,187 @@ class TestCoarseMtimeEviction:
         from repro.runtime.store import _entry_mtime
 
         assert _entry_mtime(new) > _entry_mtime(old)
+
+
+# ----------------------------------------------------------------------
+# Entry codec: bit-packed +/-1 planes in an uncompressed archive.
+# ----------------------------------------------------------------------
+def pm1_arrays(shape):
+    """A Hypothesis strategy for int8 +/-1 arrays of ``shape``."""
+    return hnp.arrays(np.int8, shape, elements=st.sampled_from([-1, 1]))
+
+
+class TestEntryCodec:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 24),
+        n=st.integers(1, 21),
+        width=st.one_of(st.none(), st.integers(1, 19)),
+    )
+    def test_round_trip_both_kinds(self, data, m, n, width):
+        """CRP vectors and response planes of any width (multiple of 8 or
+        not) survive a store/load round trip exactly, prefix take too."""
+        challenges = data.draw(pm1_arrays((m, n)))
+        responses = data.draw(pm1_arrays((m,) if width is None else (m, width)))
+        keep = data.draw(st.integers(1, m))
+        with tempfile.TemporaryDirectory() as root:
+            if width is None:
+                ArtifactStore(root).store("k", CRPSet(challenges, responses))
+                loaded = ArtifactStore(root).load("k")
+                assert loaded is not None
+                taken = loaded.take(keep)
+                np.testing.assert_array_equal(taken.challenges, challenges[:keep])
+                np.testing.assert_array_equal(taken.responses, responses[:keep])
+                got_c, got_r = loaded.challenges, loaded.responses
+            else:
+                ArtifactStore(root).store_fleet("k", challenges, responses)
+                loaded = ArtifactStore(root).load_fleet("k")
+                assert loaded is not None
+                got_c, got_r = loaded
+        assert got_c.dtype == np.int8 and got_r.dtype == np.int8
+        np.testing.assert_array_equal(got_c, challenges)
+        np.testing.assert_array_equal(got_r, responses)
+
+    @pytest.mark.parametrize("kind", ["crps", "fleet"])
+    @pytest.mark.parametrize("bad", ["challenges", "responses"])
+    def test_non_pm1_plane_is_rejected_before_staging(self, tmp_path, kind, bad):
+        challenges, responses = make_plane(seed=1)
+        if kind == "crps":
+            responses = responses[:, 0]
+        planes = {"challenges": challenges.copy(), "responses": responses.copy()}
+        planes[bad][3] = 0
+        store = ArtifactStore(tmp_path)
+        with pytest.raises(ValueError, match=r"\+/-1"):
+            if kind == "crps":
+                store.store("k", CRPSet(**planes))
+            else:
+                store.store_fleet("k", **planes)
+        assert store.entries() == {}
+        assert list(tmp_path.glob("*.tmp.npz")) == []
+        assert store.bytes_stored == 0
+
+    def test_flipped_bit_is_a_warned_miss_and_regenerates(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        args = dict(
+            fleet_spec="f", seed=0, distribution="uniform",
+            tier="int8", shape=(8, 3), m=40,
+        )
+        plane = make_plane(seed=4)
+        store.get_or_generate_fleet(**args, generate=lambda: plane)
+        (entry,) = store.entries()
+        raw = bytearray(entry.read_bytes())
+        at = raw.find(np.packbits(plane[0] > 0, axis=-1).tobytes())
+        assert at > 0  # uncompressed: the packed challenges sit verbatim
+        raw[at + 5] ^= 0x10
+        entry.write_bytes(bytes(raw))
+        calls = []
+
+        def regenerate():
+            calls.append(1)
+            return plane
+
+        fresh = ArtifactStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="unreadable fleet.*BadZipFile"):
+            challenges, _ = fresh.get_or_generate_fleet(**args, generate=regenerate)
+        assert calls == [1] and fresh.corrupt == 1
+        np.testing.assert_array_equal(challenges, plane[0])
+        assert fresh.load_fleet(
+            artifact_digest("fleet", "f", 0, tier="int8", shape=(8, 3))
+        ) is not None
+
+    def test_pre_bit_packing_entry_is_discarded_once(self, tmp_path):
+        """An entry in the old zlib int8 format warns once, is regenerated
+        and is replaced by a packed entry that later runs hit."""
+        crps = make_crps(m=30)
+        store = ArtifactStore(tmp_path)
+        key = artifact_digest("crps", "a", 3)
+        np.savez_compressed(
+            store.path_for(key),
+            challenges=crps.challenges.astype(np.int8),
+            responses=crps.responses.astype(np.int8),
+        )
+        request = dict(puf_spec="a", seed=3, distribution="uniform", m=30)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = store.get_or_generate(**request, generate=lambda: crps)
+        unreadable = [w for w in caught if "unreadable" in str(w.message)]
+        assert len(unreadable) == 1 and len(caught) == 1
+        assert store.corrupt == 1 and store.misses == 1
+        np.testing.assert_array_equal(got.responses, crps.responses)
+        with np.load(store.path_for(key)) as data:
+            assert set(data.files) == {"shape", "challenges", "responses"}
+            assert data["challenges"].dtype == np.uint8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = store.get_or_generate(
+                **request, generate=lambda: pytest.fail("must hit")
+            )
+        assert store.hits == 1
+        np.testing.assert_array_equal(again.challenges, crps.challenges)
+
+    def test_load_and_publish_are_traced(self, tmp_path):
+        from repro.telemetry.spans import recording
+
+        store = ArtifactStore(tmp_path)
+        challenges, responses = make_plane(seed=2)
+        with recording() as recorder:
+            store.store_fleet("k", challenges, responses)
+            store.load_fleet("k")
+            store.load_fleet("absent")
+        spans = recorder.roots()
+        assert [s.name for s in spans] == [
+            "artifact_store.publish", "artifact_store.load",
+        ]
+        assert all(s.attrs["kind"] == "fleet" for s in spans)
+        assert spans[0].attrs["bytes"] == 3 * 8 + 40 + 40  # shape + packed
+        assert spans[1].attrs["bytes"] == store.total_bytes()
+
+
+# ----------------------------------------------------------------------
+# fleet_eval_trial builds its fleet only when it needs one.
+# ----------------------------------------------------------------------
+class TestLazyFleetBuild:
+    def run_counted(self, monkeypatch, spec, cache_dir, trials=3):
+        from repro.pufs.fleet import Fleet
+
+        builds = []
+        original = Fleet.build
+
+        def counted(cls, fleet_spec, seed=None):
+            builds.append(fleet_spec)
+            return original(fleet_spec, seed)
+
+        monkeypatch.setattr(Fleet, "build", classmethod(counted))
+        kwargs = {"spec": spec, "cache_dir": str(cache_dir)}
+        report = TrialRunner(workers=1).run(fleet_eval_trial, trials, 21, kwargs)
+        report.raise_failures()
+        return report.values(), len(builds)
+
+    def test_noiseless_hit_builds_no_fleet(self, tmp_path, monkeypatch):
+        spec = FleetEvalSpec(
+            family="xor", n=16, size=8, k=2, m=120,
+            noise_sigma=0.0, repetitions=1,
+        )
+        cold, cold_builds = self.run_counted(monkeypatch, spec, tmp_path)
+        warm, warm_builds = self.run_counted(monkeypatch, spec, tmp_path)
+        assert (cold_builds, warm_builds) == (3, 0)
+        for a, b in zip(cold, warm):
+            np.testing.assert_array_equal(a, b)
+
+    def test_noisy_trial_builds_one_fleet_on_miss_and_hit(
+        self, tmp_path, monkeypatch
+    ):
+        spec = FleetEvalSpec(
+            family="arbiter", n=16, size=8, m=120,
+            noise_sigma=0.3, repetitions=3,
+        )
+        cold, cold_builds = self.run_counted(monkeypatch, spec, tmp_path)
+        warm, warm_builds = self.run_counted(monkeypatch, spec, tmp_path)
+        assert (cold_builds, warm_builds) == (3, 3)
+        uncached = TrialRunner(workers=1).run(
+            fleet_eval_trial, 3, 21, {"spec": spec}
+        ).values()
+        for a, b, c in zip(cold, warm, uncached):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
