@@ -1,4 +1,5 @@
-"""Telemetry must be (nearly) free: < 5% overhead on the E4 kernel path.
+"""Telemetry must be (nearly) free: < 5% overhead on the E4 kernel path,
+and distinct tracking must stay cheap on a small fleet trial.
 
 The instrumentation design promises that metering and tracing cost one
 context-variable read when off, and one span + a handful of counter
@@ -11,6 +12,12 @@ snapshot) and asserting the slowdown stays under 5%.
 
 Best-of-N timing on an interleaved schedule (off, on, off, on, ...)
 keeps the comparison robust to thermal/scheduler drift.
+
+The E4 path amortises metering over 25 000 rows; a small fleet trial
+(the service example: 256 challenges of 32 bits, observed three times)
+does not.  The small-trial case pins distinct tracking there: the
+sorted-array ``QueryMeter._observe`` must cost at most half of the
+frozen set loop (``repro.kernels.reference.naive_observe``).
 """
 
 import time
@@ -92,6 +99,58 @@ def test_telemetry_overhead_under_5_percent(report):
     assert overhead < MAX_OVERHEAD, (
         f"telemetry overhead {overhead * 100:.2f}% exceeds "
         f"{MAX_OVERHEAD * 100:.0f}% on the E4 kernel sweep"
+    )
+
+
+#: The serve example trial's metered shape: 256 challenges of 32 bits,
+#: observed once by ``Fleet.eval`` and twice by ``Fleet.vote_and_measure``.
+SMALL_M, SMALL_N, SMALL_OBSERVES = 256, 32, 3
+SMALL_REPEATS = 200
+MAX_SMALL_RATIO = 0.5
+
+
+def test_small_trial_observe_under_half_the_frozen_loop(report):
+    """Distinct tracking at small trial sizes: the sorted-array ``_observe``
+    must cost at most half of the frozen set loop it replaced."""
+    from repro.kernels.reference import naive_observe
+
+    x = uniform_challenges(SMALL_M, SMALL_N, np.random.default_rng(3))
+
+    def sorted_array():
+        meter = QueryMeter()
+        for _ in range(SMALL_OBSERVES):
+            meter._observe(x)
+        return meter.distinct_challenges
+
+    def frozen_loop():
+        seen = set()
+        for _ in range(SMALL_OBSERVES):
+            naive_observe(seen, x, QueryMeter().distinct_cap)
+        return len(seen)
+
+    assert sorted_array() == frozen_loop() == SMALL_M
+    new = old = float("inf")
+    for _ in range(SMALL_REPEATS):  # interleaved best-of-N
+        t0 = time.perf_counter()
+        sorted_array()
+        t1 = time.perf_counter()
+        frozen_loop()
+        t2 = time.perf_counter()
+        new, old = min(new, t1 - t0), min(old, t2 - t1)
+    ratio = new / old
+    text = "\n".join(
+        [
+            f"distinct tracking on the small fleet trial shape ({SMALL_M}x{SMALL_N} "
+            f"challenges observed {SMALL_OBSERVES} times, best of {SMALL_REPEATS}):",
+            f"  frozen set loop:      {old * 1e6:.1f} us",
+            f"  sorted uint64 array:  {new * 1e6:.1f} us",
+            f"  ratio: {ratio:.2f}  (budget {MAX_SMALL_RATIO:.2f})",
+        ]
+    )
+    report("telemetry_overhead_small_trial", text)
+    assert ratio <= MAX_SMALL_RATIO, (
+        f"sorted-array _observe costs {ratio:.2f}x the frozen loop "
+        f"(budget {MAX_SMALL_RATIO:.2f}x)"
     )
 
 

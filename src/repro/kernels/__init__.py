@@ -25,6 +25,8 @@ from repro.kernels.fleet import (
     br_features,
     fleet_margins,
     linear_features,
+    majority_from_negatives,
+    noisy_measurements,
     noisy_sign_responses,
     parity_features,
     sign_responses,
@@ -50,6 +52,8 @@ __all__ = [
     "br_features",
     "fleet_margins",
     "linear_features",
+    "majority_from_negatives",
+    "noisy_measurements",
     "noisy_sign_responses",
     "parity_features",
     "sign_responses",

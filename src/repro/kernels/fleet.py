@@ -12,9 +12,12 @@ cell.  These kernels restructure that work as one GEMM:
 * one ``(M, d) @ (d, N)`` multiply yields every margin of every
   instance.
 
-Sign-domain post-processing (XOR combination across chains, majority
-voting over noisy repetitions) is exact ±1 integer arithmetic and is
-batched over the whole ``(M, N)`` plane.
+Sign-domain post-processing is exact and batched over the whole
+``(M, N)`` plane: XOR combination across chains is a ±1 product for one
+ideal measurement; repeated noisy measurements
+(:func:`noisy_measurements`) draw all their noise slabs in one stream,
+decide signs as bool flags, XOR chains with ``reduceat`` and vote by
+counting -1 answers.
 
 This module is part of the ``repro.kernels`` leaf package: it imports
 numpy and :mod:`repro.kernels.backend` and nothing else from ``repro``.
@@ -24,7 +27,7 @@ Query metering and the ``Fleet`` object API live in
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +41,16 @@ __all__ = [
     "sign_responses",
     "xor_combine",
     "noisy_sign_responses",
+    "noisy_measurements",
+    "majority_from_negatives",
     "batched_majority_vote",
+    "NOISE_DRAW_BYTES",
 ]
+
+#: Largest noise draw :func:`noisy_measurements` makes at once, in bytes.
+#: Bigger fleets draw whole measurements in groups under it, in stream
+#: order, so the values never depend on it.
+NOISE_DRAW_BYTES = 1 << 23
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +145,7 @@ def fleet_margins(
 
 def sign_responses(margins: np.ndarray) -> np.ndarray:
     """±1 ``int8`` responses with the repo-wide tie rule (0 maps to +1)."""
-    return np.where(np.asarray(margins) >= 0, 1, -1).astype(np.int8)
+    return _flags_to_signs(~(np.asarray(margins) >= 0))
 
 
 def xor_combine(chain_signs: np.ndarray, chain_offsets: np.ndarray) -> np.ndarray:
@@ -176,6 +187,64 @@ def noisy_sign_responses(
     return signs
 
 
+def noisy_measurements(
+    margins: np.ndarray,
+    noise_sigma: float,
+    repetitions: int,
+    rng: np.random.Generator,
+    chain_offsets: Optional[np.ndarray] = None,
+    extra: int = 0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``repetitions + extra`` noisy fleet measurements from one noise stream.
+
+    ``margins`` is ``(M, K)`` (K instances, or K chains for XOR fleets
+    with ``chain_offsets``).  Returns ``(negatives, tail)``:
+    ``negatives`` is the ``(M, N)`` int32 count of -1 answers among the
+    first ``repetitions`` measurements, ``tail`` the ``(extra, M, N)``
+    ±1 int8 answers of the ``extra`` measurements that follow.
+
+    The noise is one ``(repetitions + extra, M, K)`` C-order normal draw
+    — the same stream as that many sequential ``(M, K)`` slabs — split
+    into whole-measurement groups of at most :data:`NOISE_DRAW_BYTES`
+    each so a large fleet never allocates the whole tensor.  Signs are
+    decided in the bool domain — ``noise >= -margins`` is exactly
+    ``margins + noise >= 0`` (the sum's rounding cannot cross zero), and
+    a NaN margin still answers -1 — and chains combine by XOR of their
+    -1 flags.
+    With ``noise_sigma <= 0`` nothing is drawn and every measurement is
+    the ideal response.
+    """
+    margins = np.asarray(margins)
+    if noise_sigma <= 0:
+        ideal = _negative_flags(~(margins >= 0), chain_offsets)
+        tail = np.broadcast_to(_flags_to_signs(ideal), (extra,) + ideal.shape)
+        return ideal.astype(np.int32) * np.int32(repetitions), tail.copy()
+    width = margins.shape[1] if chain_offsets is None else len(chain_offsets)
+    negatives = np.zeros((margins.shape[0], width), dtype=np.int32)
+    tail = np.empty((extra,) + negatives.shape, dtype=np.int8)
+    threshold = -margins
+    total = repetitions + extra
+    group = max(1, NOISE_DRAW_BYTES // max(1, 8 * margins.size))
+    for lo in range(0, total, group):
+        shape = (min(group, total - lo),) + margins.shape
+        noise = rng.normal(0.0, noise_sigma, size=shape)
+        flags = _negative_flags(~(noise >= threshold), chain_offsets)
+        # flags[:split] are votes; flags[split:] are tail[start:...].
+        split = min(len(flags), max(0, repetitions - lo))
+        if split:
+            negatives += flags[:split].sum(axis=0, dtype=np.int32)
+        if split < len(flags):
+            start = lo + split - repetitions
+            tail[start : start + len(flags) - split] = _flags_to_signs(flags[split:])
+    return negatives, tail
+
+
+def majority_from_negatives(negatives: np.ndarray, repetitions: int) -> np.ndarray:
+    """±1 int8 majority over ``repetitions`` measurements with ``negatives``
+    -1 answers; ties (even ``repetitions``) break toward +1."""
+    return _flags_to_signs(2 * np.asarray(negatives) > repetitions)
+
+
 def batched_majority_vote(
     margins: np.ndarray,
     noise_sigma: float,
@@ -185,28 +254,30 @@ def batched_majority_vote(
 ) -> np.ndarray:
     """Majority vote over ``repetitions`` noisy fleet measurements.
 
-    Only the repetition axis is a Python loop; each iteration draws one
-    ``(M, K)`` noise slab and updates an int16 vote accumulator over the
-    ``(M, N)`` plane.  Vote counts are bounded by ``repetitions`` so
-    int16 is exact up to 32767 repetitions.  Ties (even counts) break
-    toward +1, matching :func:`repro.pufs.noise.majority_vote`.
+    One :func:`noisy_measurements` pass: the vote draws the same noise
+    stream as ``repetitions`` sequential ``(M, K)`` slabs and counts -1
+    answers per cell.  Ties (even counts) break toward +1, matching
+    :func:`repro.pufs.noise.majority_vote`.
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
-    margins = np.asarray(margins)
-    first = noisy_sign_responses(
-        margins,
-        rng.normal(0.0, noise_sigma, size=margins.shape) if noise_sigma > 0 else None,
-        chain_offsets,
+    negatives, _ = noisy_measurements(
+        margins, noise_sigma, repetitions, rng, chain_offsets
     )
-    votes = first.astype(np.int16)
-    for _ in range(repetitions - 1):
-        measurement = noisy_sign_responses(
-            margins,
-            rng.normal(0.0, noise_sigma, size=margins.shape)
-            if noise_sigma > 0
-            else None,
-            chain_offsets,
-        )
-        votes += measurement
-    return np.where(votes >= 0, 1, -1).astype(np.int8)
+    return majority_from_negatives(negatives, repetitions)
+
+
+def _negative_flags(
+    flags: np.ndarray, chain_offsets: Optional[np.ndarray]
+) -> np.ndarray:
+    """Per-instance -1 flags from per-column flags on the last axis: an
+    XOR instance answers -1 iff an odd number of its chains do."""
+    if chain_offsets is None:
+        return flags
+    offsets = np.asarray(chain_offsets, dtype=np.intp)
+    return np.bitwise_xor.reduceat(flags, offsets, axis=-1)
+
+
+def _flags_to_signs(flags: np.ndarray) -> np.ndarray:
+    """-1 where ``flags`` is set, +1 elsewhere, as int8."""
+    return 1 - 2 * np.asarray(flags).view(np.int8)

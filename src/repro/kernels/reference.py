@@ -1,6 +1,6 @@
 """Frozen pure-python/numpy reference paths, kept for equivalence checks.
 
-Three families live here:
+Four families live here:
 
 * the historical per-subset loops the character kernel replaced (one
   Python-level iteration per subset, each calling ``np.prod`` over a
@@ -17,7 +17,11 @@ Three families live here:
 * the per-parameter / per-individual learner loops the fused learner
   paths replaced (the MLP's four-array Adam step, the reliability
   attack's one-call-per-individual ES fitness), kept so the learner
-  tests can assert the fused paths compute the same thing.
+  tests can assert the fused paths compute the same thing;
+* the per-item bookkeeping loops of the fleet trial: the query meter's
+  set-based distinct tracking and the per-instance ``SeedSequence``
+  fan-out of the fleet build, which the sorted-array meter and the
+  vectorised :mod:`repro.kernels.spawn` must match exactly.
 
 Do not optimise these.  Their slowness *is* the point: a reference must
 stay simple enough to audit by eye.  Integer-valued paths (characters,
@@ -31,7 +35,7 @@ guaranteed outside a tolerance-sized guard band around zero.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -384,3 +388,103 @@ def naive_cma_fitness(
         overlap = max(abs(float(hc @ p)) for p in profiles)
         corr -= distinct_penalty * overlap
     return corr
+
+
+def naive_row_keys(rows: np.ndarray):
+    """One hashable key per challenge row, the pre-packbits ``_row_keys``.
+
+    Rows of width <= 64: ``(rows < 1)`` as uint64 bits times the powers
+    of two, one uint64 ``matmul``.  Wider rows: per-row bytes.
+    """
+    m, n = rows.shape
+    if n <= 64:
+        bits = (rows < 1).astype(np.uint64)
+        weights = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+        return bits @ weights
+    return [rows[i].tobytes() for i in range(m)]
+
+
+def naive_observe(seen: set, x: np.ndarray, distinct_cap: int) -> Tuple[int, bool]:
+    """The pre-sorted-array ``QueryMeter._observe`` loop, verbatim.
+
+    Updates ``seen`` (one set holding uint64 keys as ints and wide-row
+    bytes) with the non-empty row batch ``x`` and returns ``(repeated,
+    saturated)``: the rows of ``x`` counted as repeats and whether a new
+    key was turned away at ``distinct_cap``.  Unique keys are visited in
+    ascending order, so the cap admits the smallest new keys first.
+    """
+    repeated, saturated = 0, False
+    keys = naive_row_keys(np.ascontiguousarray(x, dtype=np.int8))
+    unique = np.unique(keys) if isinstance(keys, np.ndarray) else sorted(set(keys))
+    repeated += x.shape[0] - len(unique)
+    for key in unique:
+        key = int(key) if isinstance(keys, np.ndarray) else key
+        if key in seen:
+            repeated += 1
+        elif len(seen) < distinct_cap:
+            seen.add(key)
+        else:
+            saturated = True
+    return repeated, saturated
+
+
+def naive_child_generators(
+    root: np.random.SeedSequence, start: int, count: int
+) -> List[np.random.Generator]:
+    """One ``SeedSequence`` child and one ``default_rng`` per instance:
+    children ``spawn_key + (start + i,)`` of ``root``, built one by one."""
+    return [
+        np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (start + i,)
+            )
+        )
+        for i in range(count)
+    ]
+
+
+def naive_fleet_weights(spec, root: np.random.SeedSequence) -> np.ndarray:
+    """The per-instance fleet build loop: the float64 stacked weight columns
+    of a :class:`~repro.pufs.fleet.FleetSpec` built from ``root``.
+
+    Instance ``i`` draws from its own generator on child ``1 + i`` in the
+    standalone constructor's order; a BR fleet first draws its shared
+    topology from child 0.  (BR draw helpers are imported lazily from
+    :mod:`repro.pufs.fleet`; this module stays numpy-only at import.)
+    """
+    n, size = spec.n, spec.size
+    if spec.family == "arbiter":
+        cols = np.empty((n + 1, size))
+        for i, rng in enumerate(naive_child_generators(root, 1, size)):
+            cols[:, i] = rng.normal(0.0, spec.weight_sigma, size=n + 1)
+        return cols
+    if spec.family == "xor":
+        counts = spec.chain_counts
+        cols = np.empty((n + 1, sum(counts)))
+        mix = np.sqrt(1.0 - spec.correlation**2)
+        col = 0
+        for k_i, rng in zip(counts, naive_child_generators(root, 1, size)):
+            shared = rng.normal(0.0, spec.weight_sigma, size=n + 1)
+            for _ in range(k_i):
+                own = rng.normal(0.0, spec.weight_sigma, size=n + 1)
+                cols[:, col] = mix * own + spec.correlation * shared
+                col += 1
+        return cols
+    if spec.family == "br":
+        from repro.pufs.fleet import _br_instance_weights, _br_topology
+
+        (topology_rng,) = naive_child_generators(root, 0, 1)
+        pairs, triples = _br_topology(spec, topology_rng)
+        cols = np.empty((1 + n + len(pairs) + len(triples), size))
+        for i, rng in enumerate(naive_child_generators(root, 1, size)):
+            bias, linear, offset, pair_w, triple_w = _br_instance_weights(
+                spec, rng, len(pairs), len(triples)
+            )
+            cols[:, i] = np.concatenate(
+                ([offset + np.sum(bias)], linear, pair_w, triple_w)
+            )
+        return cols
+    cols = np.zeros((n + 1, size))
+    for i, rng in enumerate(naive_child_generators(root, 1, size)):
+        cols[:n, i] = rng.normal(0.0, spec.weight_sigma, size=n)
+    return cols

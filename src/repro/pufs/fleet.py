@@ -21,14 +21,20 @@ that child seed — the conformance relations and the golden-snapshot
 tests rely on this replay.
 
 Construction fans the seed out per instance (that is what per-instance
-seeds *mean*); evaluation has no per-instance Python work.
+seeds *mean*), but the fan-out itself is vectorised:
+:func:`repro.kernels.spawn.child_generators` hashes the root entropy and
+spawn-key prefix once and derives every child's PCG64 seed in one array
+pass, bit-identical to building each child ``SeedSequence``.  Only the
+standalone constructors' weight draws remain per instance; evaluation
+has no per-instance Python work.
 
 Query accounting
 ----------------
 Fleet evaluations are oracle calls against every instance at once:
 ``eval``/``eval_noisy`` record ``m x N`` EX queries and
 ``majority_vote`` records one query per noisy measurement
-(``m x N x repetitions``).  Metric helpers in
+(``m x N x repetitions``); ``vote_and_measure`` records exactly what
+``majority_vote`` then ``eval_noisy`` would.  Metric helpers in
 :mod:`repro.pufs.metrics` wrap their draws in ``unmetered()`` — quality
 metrics are not adversary queries.
 """
@@ -41,12 +47,13 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.kernels.backend import validate_tier, weight_dtype
+from repro.kernels.spawn import child_generators
 from repro.kernels.fleet import (
-    batched_majority_vote,
     br_features,
     fleet_margins,
     linear_features,
-    noisy_sign_responses,
+    majority_from_negatives,
+    noisy_measurements,
     parity_features,
     sign_responses,
     xor_combine,
@@ -55,6 +62,7 @@ from repro.booleanfuncs.ltf import LTF
 from repro.pufs.arbiter import ArbiterPUF
 from repro.pufs.bistable_ring import BistableRingPUF
 from repro.pufs.xor_arbiter import XORArbiterPUF
+from repro.telemetry.spans import trace
 
 #: PUF families a fleet can stack.
 FLEET_FAMILIES = ("arbiter", "xor", "br", "ltf")
@@ -85,13 +93,6 @@ def _as_seed_sequence(seed: object) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
-
-
-def _child(root: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
-    """Child ``index`` of ``root`` by the repo-wide spawn-key idiom."""
-    return np.random.SeedSequence(
-        entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (index,)
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,8 +194,7 @@ class FleetSpec:
 # ----------------------------------------------------------------------
 def _stack_arbiter(spec: FleetSpec, root: np.random.SeedSequence) -> np.ndarray:
     cols = np.empty((spec.n + 1, spec.size), dtype=np.float64)
-    for i in range(spec.size):
-        rng = np.random.default_rng(_child(root, 1 + i))
+    for i, rng in enumerate(child_generators(root, 1, spec.size)):
         cols[:, i] = rng.normal(0.0, spec.weight_sigma, size=spec.n + 1)
     return cols
 
@@ -207,8 +207,7 @@ def _stack_xor(
     cols = np.empty((spec.n + 1, total), dtype=np.float64)
     mix = np.sqrt(1.0 - spec.correlation**2)
     col = 0
-    for i, k_i in enumerate(counts):
-        rng = np.random.default_rng(_child(root, 1 + i))
+    for k_i, rng in zip(counts, child_generators(root, 1, spec.size)):
         shared = rng.normal(0.0, spec.weight_sigma, size=spec.n + 1)
         for _ in range(k_i):
             own = rng.normal(0.0, spec.weight_sigma, size=spec.n + 1)
@@ -269,13 +268,11 @@ def _br_instance_weights(
 def _stack_br(
     spec: FleetSpec, root: np.random.SeedSequence
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pair_indices, triple_indices = _br_topology(
-        spec, np.random.default_rng(_child(root, 0))
-    )
+    topology_rng, *instance_rngs = child_generators(root, 0, 1 + spec.size)
+    pair_indices, triple_indices = _br_topology(spec, topology_rng)
     d = 1 + spec.n + len(pair_indices) + len(triple_indices)
     cols = np.empty((d, spec.size), dtype=np.float64)
-    for i in range(spec.size):
-        rng = np.random.default_rng(_child(root, 1 + i))
+    for i, rng in enumerate(instance_rngs):
         bias, linear, offset, pair_w, triple_w = _br_instance_weights(
             spec, rng, len(pair_indices), len(triple_indices)
         )
@@ -288,8 +285,7 @@ def _stack_br(
 
 def _stack_ltf(spec: FleetSpec, root: np.random.SeedSequence) -> np.ndarray:
     cols = np.empty((spec.n + 1, spec.size), dtype=np.float64)
-    for i in range(spec.size):
-        rng = np.random.default_rng(_child(root, 1 + i))
+    for i, rng in enumerate(child_generators(root, 1, spec.size)):
         cols[: spec.n, i] = rng.normal(0.0, spec.weight_sigma, size=spec.n)
         cols[spec.n, i] = 0.0  # -threshold; LTF.random uses threshold 0
     return cols
@@ -331,14 +327,15 @@ class Fleet:
         """
         root = _as_seed_sequence(seed)
         chain_offsets = pair_indices = triple_indices = None
-        if spec.family == "arbiter":
-            weights = _stack_arbiter(spec, root)
-        elif spec.family == "xor":
-            weights, chain_offsets = _stack_xor(spec, root)
-        elif spec.family == "br":
-            weights, pair_indices, triple_indices = _stack_br(spec, root)
-        else:  # ltf
-            weights = _stack_ltf(spec, root)
+        with trace("fleet.build", family=spec.family, size=spec.size):
+            if spec.family == "arbiter":
+                weights = _stack_arbiter(spec, root)
+            elif spec.family == "xor":
+                weights, chain_offsets = _stack_xor(spec, root)
+            elif spec.family == "br":
+                weights, pair_indices, triple_indices = _stack_br(spec, root)
+            else:  # ltf
+                weights = _stack_ltf(spec, root)
         return cls(
             spec,
             root,
@@ -413,12 +410,7 @@ class Fleet:
         consumption order differs from N separate ``eval_noisy`` calls.
         """
         challenges = self._check(challenges)
-        margins = self.margins(challenges)
-        noise = None
-        if self.spec.noise_sigma > 0:
-            rng = np.random.default_rng() if rng is None else rng
-            noise = rng.normal(0.0, self.spec.noise_sigma, size=margins.shape)
-        signs = noisy_sign_responses(margins, noise, self.chain_offsets)
+        _, (signs,) = self._measure(challenges, 0, 1, rng)
         self._meter(challenges, signs, repetitions=1)
         return signs
 
@@ -432,13 +424,64 @@ class Fleet:
         batched over the whole ``(M, N)`` plane (ties break toward +1,
         matching :func:`repro.pufs.noise.majority_vote`)."""
         challenges = self._check(challenges)
-        margins = self.margins(challenges)
-        rng = np.random.default_rng() if rng is None else rng
-        voted = batched_majority_vote(
-            margins, self.spec.noise_sigma, repetitions, rng, self.chain_offsets
-        )
+        if repetitions <= 0:
+            raise ValueError("repetitions must be positive")
+        negatives, _ = self._measure(challenges, repetitions, 0, rng)
+        voted = majority_from_negatives(negatives, repetitions)
         self._meter(challenges, voted, repetitions=repetitions)
         return voted
+
+    def vote_and_measure(
+        self,
+        challenges: np.ndarray,
+        repetitions: int = 11,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(voted, measured)``: a majority vote over ``repetitions`` noisy
+        measurements, then one more noisy measurement.
+
+        The values, the rng consumption and the meter records equal
+        :meth:`majority_vote` followed by :meth:`eval_noisy` on the same
+        challenges and generator, but the margins are built once and the
+        ``repetitions + 1`` noise slabs are drawn together.  This is the
+        noiseless-CRP protocol's reliability check (DESIGN §2).
+        """
+        challenges = self._check(challenges)
+        if repetitions <= 0:
+            raise ValueError("repetitions must be positive")
+        negatives, (measured,) = self._measure(challenges, repetitions, 1, rng)
+        voted = majority_from_negatives(negatives, repetitions)
+        self._meter(challenges, voted, repetitions=repetitions)
+        self._meter(challenges, measured, repetitions=1)
+        return voted, measured
+
+    def _measure(
+        self,
+        challenges: np.ndarray,
+        repetitions: int,
+        extra: int,
+        rng: Optional[np.random.Generator],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`noisy_measurements` over this fleet's margins, traced as
+        ``fleet.measure``; a default generator is made only if noise is drawn."""
+        sigma = self.spec.noise_sigma
+        if rng is None and sigma > 0:
+            rng = np.random.default_rng()
+        with trace(
+            "fleet.measure",
+            family=self.spec.family,
+            size=self.spec.size,
+            m=challenges.shape[0],
+            repetitions=repetitions + extra,
+        ):
+            return noisy_measurements(
+                self.margins(challenges),
+                sigma,
+                repetitions,
+                rng,
+                self.chain_offsets,
+                extra,
+            )
 
     def _meter(
         self, challenges: np.ndarray, responses: np.ndarray, repetitions: int
@@ -469,9 +512,7 @@ class Fleet:
         """
         spec = self.spec
         out: List[object] = []
-        for i in range(spec.size):
-            child = _child(self.seed, 1 + i)
-            rng = np.random.default_rng(child)
+        for i, rng in enumerate(child_generators(self.seed, 1, spec.size)):
             if spec.family == "arbiter":
                 out.append(
                     ArbiterPUF(

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.kernels.backend import get_backend
+from repro.kernels.fleet import noisy_measurements
 from repro.pufs.base import PUF
 from repro.pufs.crp import uniform_challenges
 from repro.pufs.fleet import Fleet
@@ -188,21 +189,27 @@ def fleet_reliability(
 
     A length-N vector: instance i's mean agreement of its noisy
     measurements with its per-challenge majority response, the same
-    statistic :func:`reliability` computes per PUF.  Only the repetition
-    axis is a Python loop.
+    statistic :func:`reliability` computes per PUF.  The measurements
+    are one :func:`~repro.kernels.fleet.noisy_measurements` pass (one
+    margin GEMM, the noise stream of ``repetitions`` sequential
+    :meth:`Fleet.eval_noisy` calls): a cell with ``c`` of ``repetitions``
+    answers at -1 agrees ``c`` times with a -1 majority, else
+    ``repetitions - c`` times.  Metric draws are not adversary queries,
+    so nothing is metered.
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
     challenges = _fleet_challenges(fleet, m, rng)
     rng = np.random.default_rng() if rng is None else rng
-    with unmetered():
-        meas = np.stack(
-            [fleet.eval_noisy(challenges, rng) for _ in range(repetitions)],
-            axis=0,
-        )  # (repetitions, m, N)
-    sums = np.sum(meas.astype(np.int32), axis=0)
-    majority = np.where(sums >= 0, 1, -1)
-    return np.mean(meas == majority[None, :, :], axis=(0, 1))
+    negatives, _ = noisy_measurements(
+        fleet.margins(challenges),
+        fleet.spec.noise_sigma,
+        repetitions,
+        rng,
+        fleet.chain_offsets,
+    )
+    agree = np.where(2 * negatives > repetitions, negatives, repetitions - negatives)
+    return np.sum(agree, axis=0) / (repetitions * challenges.shape[0])
 
 
 def xor_reliability_prediction(chain_flip_rate: float, k: int) -> float:

@@ -503,8 +503,9 @@ def fleet_eval_trial(
     )
     uniformity = float(np.mean(plane == -1))
     if spec.noise_sigma > 0 and spec.repetitions > 1:
-        voted = built_fleet().majority_vote(challenges, spec.repetitions, rng)
-        meas = built_fleet().eval_noisy(challenges, rng)
+        voted, meas = built_fleet().vote_and_measure(
+            challenges, spec.repetitions, rng
+        )
         reliability = float(np.mean(meas == voted))
     else:
         reliability = 1.0

@@ -62,14 +62,15 @@ def _row_keys(rows: np.ndarray):
 
     Rows of width <= 64 pack into uint64 bitmasks (vectorised; exact for
     any fixed alphabet since repro challenges are +/-1, or 0/1 in the F2
-    learners — a single trial never mixes the two conventions).  Wider
-    rows fall back to per-row bytes.
+    learners — a single trial never mixes the two conventions): bit ``j``
+    is set iff column ``j`` is below 1, packed little-endian with
+    ``np.packbits``.  Wider rows fall back to per-row bytes.
     """
     m, n = rows.shape
     if n <= 64:
-        bits = (rows < 1).astype(np.uint64)
-        weights = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-        return bits @ weights
+        packed = np.zeros((m, 8), dtype=np.uint8)
+        packed[:, : (n + 7) // 8] = np.packbits(rows < 1, axis=1, bitorder="little")
+        return packed.view("<u8").ravel().astype(np.uint64, copy=False)
     return [rows[i].tobytes() for i in range(m)]
 
 
@@ -104,8 +105,9 @@ class QueryMeter:
         Optional meter every record is forwarded to (meter chaining: a
         learner-local meter forwarding to the ambient trial meter).
     track_distinct:
-        Hash challenge rows to split queried challenges into distinct vs
-        repeated.  Costs one bytes-hash per row; disable for very large
+        Key challenge rows to split queried challenges into distinct vs
+        repeated.  Costs a sort and a sorted-array lookup per batch (a
+        bytes-hash per row above 64 columns); disable for very large
         sweeps.
     distinct_cap:
         Stop tracking new distinct rows past this many (the counters then
@@ -126,13 +128,16 @@ class QueryMeter:
         self.challenge_rows = 0
         self.repeated_challenges = 0
         self.distinct_saturated = False
-        self._seen: set = set()
+        self._seen = np.empty(0, dtype=np.uint64)  # sorted keys of rows <= 64 wide
+        self._seen_wide: set = set()  # row bytes of wider rows
+        self._merged_distinct = 0  # distinct counts folded in by merge_snapshot
 
     # ------------------------------------------------------------------
     @property
     def distinct_challenges(self) -> int:
-        """Distinct challenge rows observed so far (lower bound if saturated)."""
-        return len(self._seen)
+        """Distinct challenge rows observed so far (lower bound if saturated),
+        plus the distinct counts of merged snapshots."""
+        return len(self._seen) + len(self._seen_wide) + self._merged_distinct
 
     @property
     def total_queries(self) -> int:
@@ -187,23 +192,36 @@ class QueryMeter:
         independent: in-batch duplicates beyond the first occurrence count
         as repeated, as does any row already seen by this meter.  Once the
         cap is hit, ``distinct_challenges`` becomes a lower bound and
-        ``distinct_saturated`` is set.
+        ``distinct_saturated`` is set; new rows are admitted in ascending
+        key order until then.  Rows of width <= 64 live as uint64 keys in
+        one sorted array (sort, adjacent compare, ``searchsorted``,
+        ``np.insert``); wider rows keep a set of their bytes.
         """
         self.challenge_rows += x.shape[0]
         if not self.track_distinct or x.shape[0] == 0:
             return
-        seen = self._seen
-        keys = _row_keys(np.ascontiguousarray(x, dtype=np.int8))
-        unique = np.unique(keys) if isinstance(keys, np.ndarray) else sorted(set(keys))
-        self.repeated_challenges += x.shape[0] - len(unique)
-        for key in unique:
-            key = int(key) if isinstance(keys, np.ndarray) else key
-            if key in seen:
-                self.repeated_challenges += 1
-            elif len(seen) < self.distinct_cap:
-                seen.add(key)
+        x = np.ascontiguousarray(x, dtype=np.int8)
+        room = max(0, self.distinct_cap - len(self._seen) - len(self._seen_wide))
+        if x.shape[1] > 64:
+            unique = sorted(set(_row_keys(x)))
+            fresh = [key for key in unique if key not in self._seen_wide]
+            self._seen_wide.update(fresh[:room])
+        else:
+            keys = np.sort(_row_keys(x))
+            unique = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            seen = self._seen
+            if len(seen):
+                at = np.searchsorted(seen, unique)
+                fresh_mask = seen.take(at, mode="clip") != unique
+                fresh = unique[fresh_mask]
+                if len(fresh) and room:
+                    self._seen = np.insert(seen, at[fresh_mask][:room], fresh[:room])
             else:
-                self.distinct_saturated = True
+                fresh = unique
+                self._seen = fresh[:room]
+        self.repeated_challenges += x.shape[0] - len(fresh)
+        if len(fresh) > room:
+            self.distinct_saturated = True
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Bump a free-form named counter (cache hits, kernel blocks, ...)."""
@@ -245,9 +263,7 @@ class QueryMeter:
         self.distinct_saturated = self.distinct_saturated or bool(
             snap.get("distinct_saturated", False)
         )
-        self._merged_distinct = getattr(self, "_merged_distinct", 0) + snap.get(
-            "distinct_challenges", 0
-        )
+        self._merged_distinct += snap.get("distinct_challenges", 0)
         for name, amount in (snap.get("counters") or {}).items():
             self.counters[name] = self.counters.get(name, 0) + amount
 

@@ -23,7 +23,10 @@ from repro.pufs.metrics import (
     uniformity,
     uniqueness,
 )
+from repro.kernels import fleet as kfleet
+from repro.kernels.fleet import noisy_sign_responses
 from repro.telemetry.meter import QueryMeter, metered
+from repro.telemetry.spans import recording
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +135,93 @@ def test_instance_margin_matches_fleet_margins():
     stacked = fleet.margins(c)
     for i, inst in enumerate(fleet.instances()):
         assert np.allclose(stacked[:, i], instance_margin(inst, c), atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# The one-slab measurement kernel
+# ----------------------------------------------------------------------
+def slab_loop(margins, sigma, slabs, seed, offsets=None):
+    """Per-slab reference: ``slabs`` sequential (M, K) draws, ±1 signs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(slabs):
+        noise = rng.normal(0.0, sigma, size=margins.shape) if sigma > 0 else None
+        out.append(noisy_sign_responses(margins, noise, offsets))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("draw_bytes", [1, 5000, 1 << 23])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FleetSpec("arbiter", 12, 7, noise_sigma=0.7),
+        FleetSpec("xor", 10, 4, k=(1, 3, 2, 4), noise_sigma=0.5),
+    ],
+    ids=["arbiter", "mixed-xor"],
+)
+def test_noisy_measurements_replay_the_per_slab_stream(monkeypatch, spec, draw_bytes):
+    """Any byte cap draws the same stream: whole-measurement groups in order."""
+    monkeypatch.setattr(kfleet, "NOISE_DRAW_BYTES", draw_bytes)
+    fleet = Fleet.build(spec, 9)
+    margins = fleet.margins(uniform_challenges(90, spec.n, np.random.default_rng(1)))
+    repetitions, extra = 5, 2
+    negatives, tail = kfleet.noisy_measurements(
+        margins,
+        spec.noise_sigma,
+        repetitions,
+        np.random.default_rng(4),
+        fleet.chain_offsets,
+        extra,
+    )
+    slabs = slab_loop(
+        margins, spec.noise_sigma, repetitions + extra, 4, fleet.chain_offsets
+    )
+    assert np.array_equal(negatives, np.sum(slabs[:repetitions] == -1, axis=0))
+    assert tail.dtype == np.int8 and np.array_equal(tail, slabs[repetitions:])
+
+
+def test_noiseless_measurements_draw_nothing():
+    fleet = Fleet.build(FleetSpec("xor", 10, 3, k=2), 2)
+    margins = fleet.margins(uniform_challenges(40, 10, np.random.default_rng(1)))
+    rng = np.random.default_rng(3)
+    negatives, tail = kfleet.noisy_measurements(
+        margins, 0.0, 4, rng, fleet.chain_offsets, 1
+    )
+    ideal = noisy_sign_responses(margins, None, fleet.chain_offsets)
+    assert np.array_equal(negatives, 4 * (ideal == -1))
+    assert np.array_equal(tail[0], ideal)
+    assert rng.random() == np.random.default_rng(3).random()
+
+
+@pytest.mark.parametrize("repetitions", [1, 4, 5])
+def test_vote_and_measure_equals_vote_then_measurement(repetitions):
+    """Same values, same rng consumption, same two meter records."""
+    spec = FleetSpec("xor", 12, 5, k=(2, 1, 3, 1, 2), noise_sigma=0.6)
+    fleet = Fleet.build(spec, 17)
+    c = uniform_challenges(80, 12, np.random.default_rng(5))
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    with metered(QueryMeter()) as split_meter:
+        voted = fleet.majority_vote(c, repetitions, rng_a)
+        measured = fleet.eval_noisy(c, rng_a)
+    with metered(QueryMeter()) as fused_meter:
+        fused = fleet.vote_and_measure(c, repetitions, rng_b)
+    assert np.array_equal(fused[0], voted) and np.array_equal(fused[1], measured)
+    assert rng_a.random() == rng_b.random()
+    assert fused_meter.snapshot() == split_meter.snapshot()
+    with pytest.raises(ValueError):
+        fleet.vote_and_measure(c, 0, rng_b)
+
+
+def test_measurements_record_fleet_measure_spans():
+    fleet = Fleet.build(FleetSpec("ltf", 8, 3, noise_sigma=0.2), 1)
+    c = uniform_challenges(16, 8, np.random.default_rng(0))
+    with recording() as spans:
+        fleet.vote_and_measure(c, 3, np.random.default_rng(1))
+        Fleet.build(fleet.spec, 1)
+    measure, build = spans.spans
+    assert measure.name == "fleet.measure" and build.name == "fleet.build"
+    assert measure.attrs == {"family": "ltf", "size": 3, "m": 16, "repetitions": 4}
+    assert build.attrs == {"family": "ltf", "size": 3}
 
 
 # ----------------------------------------------------------------------

@@ -143,3 +143,20 @@ def test_merge_snapshot_sums_counts():
     b.merge_snapshot(a.snapshot())
     assert b.kinds["ex"].queries == 8
     assert b.challenge_rows == 4
+
+
+def test_merge_snapshot_sums_distinct_counts():
+    """Merged distinct counts add up (they used to be dropped)."""
+    a = QueryMeter()
+    x = rows((0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0))
+    a.record("ex", queries=4, challenges=x)
+    assert a.distinct_challenges == 3
+    merged = QueryMeter()
+    merged.merge_snapshot(a.snapshot())
+    merged.merge_snapshot(a.snapshot())
+    assert merged.distinct_challenges == 6
+    assert merged.repeated_challenges == 2
+    assert merged.snapshot()["distinct_challenges"] == 6
+    # Live rows observed afterwards count on top of the merged ones.
+    merged.record("ex", queries=1, challenges=rows((1, 1, 1)))
+    assert merged.distinct_challenges == 7
