@@ -383,9 +383,9 @@ def _diff_fleet_arbiter(ctx: RelationContext) -> Dict[str, object]:
 
 def _diff_fleet_xor(ctx: RelationContext) -> Dict[str, object]:
     """A mixed-k XOR fleet's per-chain margins agree with the fsum
-    reference, and the ±1 integer combine path (reduceat over chain
-    slices) matches the per-instance loop bit-identically on every row
-    whose chains all clear the guard band."""
+    reference, and the chain combine (an XOR of -1 flags over each
+    instance's chain slice) matches the per-instance loop bit-identically
+    on every row whose chains all clear the guard band."""
     from repro.pufs.arbiter import parity_transform
     from repro.pufs.fleet import Fleet, FleetSpec, eval_instance
 
@@ -763,7 +763,7 @@ def differential_relations() -> List[Relation]:
             "diff_fleet_xor",
             "differential",
             "mixed-k XOR fleet chain margins agree with the reference; the "
-            "reduceat combine matches the per-instance loop",
+            "chain-XOR combine matches the per-instance loop",
             _diff_fleet_xor,
         ),
         Relation(

@@ -13,11 +13,14 @@ cell.  These kernels restructure that work as one GEMM:
   instance.
 
 Sign-domain post-processing is exact and batched over the whole
-``(M, N)`` plane: XOR combination across chains is a ±1 product for one
-ideal measurement; repeated noisy measurements
-(:func:`noisy_measurements`) draw all their noise slabs in one stream,
-decide signs as bool flags, XOR chains with ``reduceat`` and vote by
-counting -1 answers.
+``(M, N)`` plane.  Signs are decided once as bool "answers -1" flags at
+chain width; an XOR instance's flag is the XOR of its chains' flags,
+combined by column position (one gather of every instance's first
+chain, then one XOR per further chain index, over the instances that
+have it), and flags become ±1 int8 once, at instance width.  Repeated
+noisy measurements (:func:`noisy_measurements`) draw all their noise
+slabs in one stream, combine chains the same way and vote by counting
+-1 answers.
 
 This module is part of the ``repro.kernels`` leaf package: it imports
 numpy and :mod:`repro.kernels.backend` and nothing else from ``repro``.
@@ -61,9 +64,9 @@ def parity_features(challenges: np.ndarray, tier: str = "float64") -> np.ndarray
 
     Column ``i`` is ``prod_{j >= i} c_j``; the last column is the
     constant 1 multiplying the bias weight.  All entries are ±1, so the
-    transform is exact in every tier (int8 cumprod of ±1 cannot
-    overflow; ±1 is exact in binary32/binary64) and the int8 tier's
-    features are value-identical to float64's.
+    products are taken in int8 (a cumprod of ±1 cannot overflow) and
+    cast to the tier dtype once; ±1 is exact in binary32/binary64, so
+    every tier's features are value-identical to float64's.
     """
     dtype = feature_dtype(tier)
     challenges = np.asarray(challenges)
@@ -71,8 +74,8 @@ def parity_features(challenges: np.ndarray, tier: str = "float64") -> np.ndarray
         challenges = challenges[None, :]
     m, n = challenges.shape
     phi = np.ones((m, n + 1), dtype=dtype)
-    flipped = np.ascontiguousarray(challenges[:, ::-1]).astype(dtype, copy=False)
-    phi[:, :n] = np.cumprod(flipped, axis=1)[:, ::-1]
+    flipped = np.asarray(challenges[:, ::-1], dtype=np.int8)
+    phi[:, :n] = np.cumprod(flipped, axis=1, dtype=np.int8)[:, ::-1]
     return phi
 
 
@@ -143,25 +146,34 @@ def fleet_margins(
     return backend.gemm(np.asarray(features), np.asarray(weights))
 
 
-def sign_responses(margins: np.ndarray) -> np.ndarray:
-    """±1 ``int8`` responses with the repo-wide tie rule (0 maps to +1)."""
-    return _flags_to_signs(~(np.asarray(margins) >= 0))
+def sign_responses(
+    margins: np.ndarray, chain_offsets: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """±1 ``int8`` responses with the repo-wide tie rule (0 maps to +1).
+
+    With ``chain_offsets``, ``margins`` holds XOR chains (instance i's
+    chains contiguous from ``chain_offsets[i]``) and the result is the
+    per-instance XOR response: signs are decided as bool flags at chain
+    width, combined by :func:`_negative_flags` and converted to int8
+    once, at instance width.  A NaN margin answers -1.
+    """
+    flags = _negative_flags(~(np.asarray(margins) >= 0), chain_offsets)
+    return _flags_to_signs(flags)
 
 
 def xor_combine(chain_signs: np.ndarray, chain_offsets: np.ndarray) -> np.ndarray:
     """Combine per-chain signs into per-instance XOR responses.
 
     ``chain_signs`` is ``(M, total_chains)`` ±1 int8 with instance i's
-    chains stored contiguously starting at ``chain_offsets[i]``;
-    ``reduceat`` multiplies each instance's slice, supporting a
-    *mixed-k* fleet (every instance may have a different chain count)
-    without Python loops.  Products of ±1 cannot overflow int8.
+    chains stored contiguously starting at ``chain_offsets[i]``; every
+    instance may have a different chain count (a *mixed-k* fleet).  An
+    instance answers -1 iff an odd number of its chains do, so this is
+    the ±1 product of each slice, computed as an XOR of -1 flags.
     """
     chain_signs = np.asarray(chain_signs)
-    chain_offsets = np.asarray(chain_offsets, dtype=np.intp)
     if chain_signs.ndim != 2:
         raise ValueError(f"chain_signs must be 2-D, got shape {chain_signs.shape}")
-    return np.multiply.reduceat(chain_signs, chain_offsets, axis=1).astype(np.int8)
+    return _flags_to_signs(_negative_flags(chain_signs < 0, chain_offsets))
 
 
 def noisy_sign_responses(
@@ -181,10 +193,7 @@ def noisy_sign_responses(
     margins = np.asarray(margins)
     if noise is not None:
         margins = margins + noise
-    signs = sign_responses(margins)
-    if chain_offsets is not None:
-        signs = xor_combine(signs, chain_offsets)
-    return signs
+    return sign_responses(margins, chain_offsets)
 
 
 def noisy_measurements(
@@ -271,11 +280,30 @@ def _negative_flags(
     flags: np.ndarray, chain_offsets: Optional[np.ndarray]
 ) -> np.ndarray:
     """Per-instance -1 flags from per-column flags on the last axis: an
-    XOR instance answers -1 iff an odd number of its chains do."""
+    XOR instance answers -1 iff an odd number of its chains do.
+
+    Instance i owns the columns from ``chain_offsets[i]`` up to the next
+    offset (the last instance up to the end of the axis).  The combine
+    goes by chain position: take every instance's first chain, then for
+    each ``j >= 1`` XOR in chain ``j`` of the instances that have more
+    than ``j`` chains — one pass per chain index, whatever the mix of
+    chain counts, on stacks of any leading shape.
+    """
     if chain_offsets is None:
         return flags
+    flags = np.asarray(flags)
     offsets = np.asarray(chain_offsets, dtype=np.intp)
-    return np.bitwise_xor.reduceat(flags, offsets, axis=-1)
+    counts = np.diff(offsets, append=flags.shape[-1])
+    # np.take keeps the result C-ordered (fancy indexing on the last axis
+    # would hand back a transposed layout that every consumer re-copies).
+    out = np.take(flags, offsets, axis=-1)
+    for j in range(1, int(counts.max(initial=1))):
+        deeper = np.flatnonzero(counts > j)
+        if len(deeper) == len(offsets):
+            out ^= np.take(flags, offsets + j, axis=-1)
+        else:
+            out[..., deeper] ^= np.take(flags, offsets[deeper] + j, axis=-1)
+    return out
 
 
 def _flags_to_signs(flags: np.ndarray) -> np.ndarray:

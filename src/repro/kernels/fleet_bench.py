@@ -18,7 +18,7 @@ import dataclasses
 import json
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,18 +29,27 @@ from repro.pufs.fleet import Fleet, FleetSpec, eval_instance
 
 @dataclasses.dataclass(frozen=True)
 class FleetBenchCase:
-    """One timed per-instance-loop-vs-stacked-GEMM comparison."""
+    """One timed per-instance-loop-vs-stacked-GEMM comparison.
+
+    ``k`` is an XOR case's chain count: a scalar, or one count per
+    instance for a mixed-k fleet (see :func:`mixed_k`).
+    """
 
     name: str
     family: str
     n: int
     size: int
     m: int
-    k: int = 1
+    k: Union[int, Tuple[int, ...]] = 1
     correlation: float = 0.0
     tier: str = "float64"
     repeats: int = 3
     seed: int = 4
+
+
+def mixed_k(size: int, top: int) -> Tuple[int, ...]:
+    """Per-instance chain counts cycling 1, 2, ..., ``top``."""
+    return tuple(1 + i % top for i in range(size))
 
 
 def default_cases() -> List[FleetBenchCase]:
@@ -66,6 +75,10 @@ def default_cases() -> List[FleetBenchCase]:
             repeats=2,
         ),
         FleetBenchCase(
+            name="xor_n64_k1-5_N1024", family="xor", n=64, size=1024, m=1000,
+            k=mixed_k(1024, 5), repeats=2,
+        ),
+        FleetBenchCase(
             name="br_n64_N256", family="br", n=64, size=256, m=1000, repeats=2,
         ),
     ]
@@ -81,6 +94,10 @@ def smoke_cases() -> List[FleetBenchCase]:
         FleetBenchCase(
             name="xor_n32_k3_N64_smoke", family="xor", n=32, size=64, m=256,
             k=3, repeats=3,
+        ),
+        FleetBenchCase(
+            name="xor_n32_k1-4_N64_smoke", family="xor", n=32, size=64, m=256,
+            k=mixed_k(64, 4), repeats=3,
         ),
         FleetBenchCase(
             name="arbiter_n32_N128_i8_smoke", family="arbiter", n=32, size=128,
@@ -136,7 +153,7 @@ def run_case(case: FleetBenchCase) -> Dict[str, object]:
             "n": case.n,
             "size": case.size,
             "m": case.m,
-            "k": case.k,
+            "k": _describe_k(case.k),
             "tier": case.tier,
             "repeats": case.repeats,
         },
@@ -148,6 +165,13 @@ def run_case(case: FleetBenchCase) -> Dict[str, object]:
         "responses_identical": identical,
         "equivalent": identical,
     }
+
+
+def _describe_k(k: Union[int, Tuple[int, ...]]) -> Union[int, str]:
+    """A scalar k as is; a mixed-k tuple as its distinct counts."""
+    if isinstance(k, int):
+        return k
+    return "mixed " + "/".join(str(v) for v in sorted(set(k)))
 
 
 def run_fleet_bench(

@@ -21,7 +21,10 @@ Four families live here:
 * the per-item bookkeeping loops of the fleet trial: the query meter's
   set-based distinct tracking and the per-instance ``SeedSequence``
   fan-out of the fleet build, which the sorted-array meter and the
-  vectorised :mod:`repro.kernels.spawn` must match exactly.
+  vectorised :mod:`repro.kernels.spawn` must match exactly; and the
+  fleet's ``reduceat`` chain combines and float64 Gram uniqueness, which
+  the positional chain XOR of :mod:`repro.kernels.fleet` and the
+  float32 Gram of :mod:`repro.pufs.metrics` must match bit for bit.
 
 Do not optimise these.  Their slowness *is* the point: a reference must
 stay simple enough to audit by eye.  Integer-valued paths (characters,
@@ -488,3 +491,34 @@ def naive_fleet_weights(spec, root: np.random.SeedSequence) -> np.ndarray:
     for i, rng in enumerate(naive_child_generators(root, 1, size)):
         cols[:n, i] = rng.normal(0.0, spec.weight_sigma, size=n)
     return cols
+
+
+def naive_xor_combine(
+    chain_signs: np.ndarray, chain_offsets: np.ndarray
+) -> np.ndarray:
+    """The pre-flag ``xor_combine``: ``np.multiply.reduceat`` of each
+    instance's contiguous slice of ±1 chain signs, as int8."""
+    offsets = np.asarray(chain_offsets, dtype=np.intp)
+    products = np.multiply.reduceat(np.asarray(chain_signs), offsets, axis=1)
+    return products.astype(np.int8)
+
+
+def naive_negative_flags(flags: np.ndarray, chain_offsets) -> np.ndarray:
+    """The pre-positional ``_negative_flags``: ``np.bitwise_xor.reduceat``
+    of each instance's slice of -1 flags on the last axis."""
+    if chain_offsets is None:
+        return flags
+    offsets = np.asarray(chain_offsets, dtype=np.intp)
+    return np.bitwise_xor.reduceat(flags, offsets, axis=-1)
+
+
+def naive_plane_uniqueness(responses: np.ndarray) -> float:
+    """The pre-float32 ``response_plane_uniqueness``: a float64 Gram
+    matrix through a contiguous transposed copy, then the i < j mean."""
+    responses = np.asarray(responses)
+    m, size = responses.shape
+    r = responses.astype(np.float64)
+    gram = np.ascontiguousarray(r.T) @ r
+    diff = (m - gram) / 2.0
+    upper = diff[np.triu_indices(size, k=1)]
+    return float(np.mean(upper / m))

@@ -30,11 +30,39 @@ far-from-halfspace behaviour of Tables II/III are reproduced.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from repro.pufs.base import PUF
+
+
+def draw_pair_indices(
+    n: int, pair_density: float, rng: np.random.Generator
+) -> np.ndarray:
+    """``(P, 2)`` pair-interaction indices: every adjacent ring pair plus
+    ``int(pair_density * n(n-1)/2)`` random ones, capped at all pairs."""
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    num_random = int(pair_density * n * (n - 1) / 2)
+    seen = {tuple(sorted(p)) for p in pairs}
+    while len(seen) < len(pairs) + num_random and len(seen) < n * (n - 1) // 2:
+        i, j = rng.choice(n, size=2, replace=False)
+        seen.add(tuple(sorted((int(i), int(j)))))
+    return np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+
+
+def draw_triple_indices(
+    n: int, triple_density: float, rng: np.random.Generator
+) -> np.ndarray:
+    """``(T, 3)`` distinct random triples, ``max(1, int(triple_density * n))``
+    of them but never more than the ring's C(n, 3) (none for n < 3)."""
+    num_triples = min(max(1, int(triple_density * n)), math.comb(n, 3))
+    triples = set()
+    while len(triples) < num_triples:
+        t = rng.choice(n, size=3, replace=False)
+        triples.add(tuple(sorted(int(v) for v in t)))
+    return np.array(sorted(triples), dtype=np.int64).reshape(-1, 3)
 
 
 class BistableRingPUF(PUF):
@@ -54,7 +82,8 @@ class BistableRingPUF(PUF):
         Fraction of the n(n-1)/2 possible pairs carrying an interaction
         term (nearest-neighbour coupling plus random longer-range pairs).
     triple_density:
-        Fraction of ~n random triples carrying a third-order term.
+        Fraction of ~n random triples carrying a third-order term (at
+        most the ring's C(n, 3) distinct triples).
     noise_sigma:
         Measurement noise on the settling margin.
     """
@@ -86,22 +115,11 @@ class BistableRingPUF(PUF):
         self.global_offset = rng.normal(0.0, 0.5)
 
         # Pairwise couplings: all adjacent ring pairs, plus random pairs.
-        pairs = [(i, (i + 1) % n) for i in range(n)]
-        num_random = int(pair_density * n * (n - 1) / 2)
-        seen = {tuple(sorted(p)) for p in pairs}
-        while len(seen) < len(pairs) + num_random and len(seen) < n * (n - 1) // 2:
-            i, j = rng.choice(n, size=2, replace=False)
-            seen.add(tuple(sorted((int(i), int(j)))))
-        self.pair_indices = np.array(sorted(seen), dtype=np.int64)
+        self.pair_indices = draw_pair_indices(n, pair_density, rng)
         self.pair_weights = rng.normal(0.0, 1.0, size=len(self.pair_indices))
 
         # Third-order couplings: ~ triple_density * n random triples.
-        num_triples = max(1, int(triple_density * n))
-        triples = set()
-        while len(triples) < num_triples:
-            t = rng.choice(n, size=3, replace=False)
-            triples.add(tuple(sorted(int(v) for v in t)))
-        self.triple_indices = np.array(sorted(triples), dtype=np.int64)
+        self.triple_indices = draw_triple_indices(n, triple_density, rng)
         self.triple_weights = rng.normal(0.0, 1.0, size=len(self.triple_indices))
 
         # Normalise the non-linear part to the requested relative strength.

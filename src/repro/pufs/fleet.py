@@ -56,11 +56,14 @@ from repro.kernels.fleet import (
     noisy_measurements,
     parity_features,
     sign_responses,
-    xor_combine,
 )
 from repro.booleanfuncs.ltf import LTF
 from repro.pufs.arbiter import ArbiterPUF
-from repro.pufs.bistable_ring import BistableRingPUF
+from repro.pufs.bistable_ring import (
+    BistableRingPUF,
+    draw_pair_indices,
+    draw_triple_indices,
+)
 from repro.pufs.xor_arbiter import XORArbiterPUF
 from repro.telemetry.spans import trace
 
@@ -208,11 +211,11 @@ def _stack_xor(
     mix = np.sqrt(1.0 - spec.correlation**2)
     col = 0
     for k_i, rng in zip(counts, child_generators(root, 1, spec.size)):
-        shared = rng.normal(0.0, spec.weight_sigma, size=spec.n + 1)
-        for _ in range(k_i):
-            own = rng.normal(0.0, spec.weight_sigma, size=spec.n + 1)
-            cols[:, col] = mix * own + spec.correlation * shared
-            col += 1
+        # Row 0 is the shared component, rows 1.. the chains' own: one
+        # C-order draw is the standalone constructor's 1 + k_i draws.
+        draw = rng.normal(0.0, spec.weight_sigma, size=(1 + k_i, spec.n + 1))
+        cols[:, col : col + k_i] = (mix * draw[1:] + spec.correlation * draw[0]).T
+        col += k_i
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
     return cols, offsets
 
@@ -220,22 +223,10 @@ def _stack_xor(
 def _br_topology(
     spec: FleetSpec, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The shared pair/triple index sets, drawn exactly the way a standalone
-    :class:`BistableRingPUF` draws them (same selection loop, same rng calls)."""
-    n = spec.n
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    num_random = int(spec.pair_density * n * (n - 1) / 2)
-    seen = {tuple(sorted(p)) for p in pairs}
-    while len(seen) < len(pairs) + num_random and len(seen) < n * (n - 1) // 2:
-        i, j = rng.choice(n, size=2, replace=False)
-        seen.add(tuple(sorted((int(i), int(j)))))
-    pair_indices = np.array(sorted(seen), dtype=np.int64)
-    num_triples = max(1, int(spec.triple_density * n))
-    triples = set()
-    while len(triples) < num_triples:
-        t = rng.choice(n, size=3, replace=False)
-        triples.add(tuple(sorted(int(v) for v in t)))
-    triple_indices = np.array(sorted(triples), dtype=np.int64)
+    """The shared pair/triple index sets, drawn by the same helpers (same
+    rng calls, same order) a standalone :class:`BistableRingPUF` uses."""
+    pair_indices = draw_pair_indices(spec.n, spec.pair_density, rng)
+    triple_indices = draw_triple_indices(spec.n, spec.triple_density, rng)
     return pair_indices, triple_indices
 
 
@@ -390,12 +381,19 @@ class Fleet:
 
     # ------------------------------------------------------------------
     def eval(self, challenges: np.ndarray) -> np.ndarray:
-        """Ideal responses of the whole fleet: ``(M, N)`` ±1 int8."""
+        """Ideal responses of the whole fleet: ``(M, N)`` ±1 int8.
+
+        One margin GEMM, signs decided once at chain width and XOR fleets'
+        chains combined as bool flags, traced as ``fleet.eval``.
+        """
         challenges = self._check(challenges)
-        margins = self.margins(challenges)
-        signs = sign_responses(margins)
-        if self.chain_offsets is not None:
-            signs = xor_combine(signs, self.chain_offsets)
+        with trace(
+            "fleet.eval",
+            family=self.spec.family,
+            size=self.spec.size,
+            m=challenges.shape[0],
+        ):
+            signs = sign_responses(self.margins(challenges), self.chain_offsets)
         self._meter(challenges, signs, repetitions=1)
         return signs
 

@@ -20,6 +20,12 @@ from repro.pufs.fleet import Fleet
 from repro.pufs.noise import repeated_measurements
 from repro.telemetry.meter import unmetered
 
+#: Response planes with fewer rows than this get a float32 Gram matrix in
+#: :func:`response_plane_uniqueness`: binary32 holds every integer of
+#: magnitude up to 2**24 exactly, and no Gram entry or partial sum of an
+#: m-row ±1 plane exceeds m.
+GRAM_FLOAT32_EXACT_ROWS = 1 << 24
+
 
 def uniformity(responses: np.ndarray) -> float:
     """Fraction of -1 responses (i.e. logical 1s); ideal is 0.5."""
@@ -131,8 +137,10 @@ def response_plane_uniqueness(responses: np.ndarray) -> float:
     response plane.
 
     Computed from the plane's Gram matrix:
-    ``disagreements_ij = (m - (R^T R)_ij) / 2`` — exact integers, since
-    ±1 dot products are integers and m < 2^53.  Pairs are averaged in
+    ``disagreements_ij = (m - (R^T R)_ij) / 2``.  Every product is ±1 and
+    every partial sum an integer of magnitude at most m, so the GEMM is
+    exact in float32 while ``m < 2**24`` (:data:`GRAM_FLOAT32_EXACT_ROWS`)
+    and runs in float64 from there.  Pairs are averaged in float64 in
     the same i < j order as :func:`uniqueness`, so for the same
     challenge draw the result is bit-identical to the per-instance loop.
     """
@@ -140,8 +148,9 @@ def response_plane_uniqueness(responses: np.ndarray) -> float:
     if responses.ndim != 2 or responses.shape[1] < 2:
         raise ValueError("uniqueness needs an (m, N >= 2) response plane")
     m, size = responses.shape
-    r = responses.astype(np.float64)
-    gram = get_backend().gemm(np.ascontiguousarray(r.T), r)
+    dtype = np.float32 if m < GRAM_FLOAT32_EXACT_ROWS else np.float64
+    r = responses.astype(dtype)
+    gram = get_backend().gemm(r.T, r).astype(np.float64)
     diff = (m - gram) / 2.0  # exact pairwise disagreement counts
     upper = diff[np.triu_indices(size, k=1)]
     return float(np.mean(upper / m))

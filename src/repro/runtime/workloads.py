@@ -462,15 +462,23 @@ def fleet_eval_trial(
     drives challenge draws and measurement noise.  The ideal response
     plane is memoised by (fleet spec, seed, tier, shape) when
     ``cache_dir`` is set; reliability needs fresh noisy measurements and
-    is always computed live.  The fleet is built lazily, at most once:
-    only when the plane is generated (no store, or a store miss) or the
-    noisy reliability branch runs — a noiseless store hit never builds
-    it.  The build consumes only the fleet seed, so when it happens does
-    not change any value.
+    is always computed live.
+
+    Work a store hit makes redundant is skipped, without changing any
+    value.  The fleet is built lazily, at most once: only when the plane
+    is generated (no store, or a store miss) or the noisy reliability
+    branch runs.  The build consumes only the fleet seed, so when it
+    happens does not matter.  The challenges are drawn only when the
+    plane is generated, or just before the noisy branch on a hit: the
+    measurement noise comes from the same generator right after the
+    challenge draw, so that branch must advance it past the draw.  A
+    noiseless store hit builds nothing and draws nothing.
     """
     fleet_seed, crp_seed = ctx.seed.spawn(2)
     fleet_spec = spec.fleet_spec()
     fleet: Optional[Fleet] = None
+    rng = np.random.default_rng(crp_seed)
+    generated = False
 
     def built_fleet() -> Fleet:
         nonlocal fleet
@@ -478,10 +486,10 @@ def fleet_eval_trial(
             fleet = Fleet.build(fleet_spec, fleet_seed)
         return fleet
 
-    rng = np.random.default_rng(crp_seed)
-    challenges = uniform_challenges(spec.m, spec.n, rng)
-
     def generate():
+        nonlocal generated
+        generated = True
+        challenges = uniform_challenges(spec.m, spec.n, rng)
         return challenges, built_fleet().eval(challenges)
 
     if cache_dir is not None:
@@ -503,6 +511,9 @@ def fleet_eval_trial(
     )
     uniformity = float(np.mean(plane == -1))
     if spec.noise_sigma > 0 and spec.repetitions > 1:
+        if not generated:
+            # A hit's rows are this draw; the noise must follow it.
+            uniform_challenges(spec.m, spec.n, rng)
         voted, meas = built_fleet().vote_and_measure(
             challenges, spec.repetitions, rng
         )

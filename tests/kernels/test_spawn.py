@@ -89,7 +89,7 @@ def test_child_states_reject_out_of_range_indices():
 @SETTINGS
 @given(
     family=st.sampled_from(["arbiter", "xor", "br", "ltf"]),
-    n=st.integers(4, 12),  # a BR ring needs C(n, 3) >= n distinct triples
+    n=st.integers(1, 12),  # BR rings below n = 4 cap their triples at C(n, 3)
     counts=st.lists(st.integers(1, 4), min_size=1, max_size=6),
     seed=st.one_of(
         st.integers(0, 2**128 - 1), st.lists(st.integers(0, 2**40), max_size=3)

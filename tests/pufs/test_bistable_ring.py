@@ -1,11 +1,17 @@
 """Unit tests for repro.pufs.bistable_ring and feed_forward."""
 
+import contextlib
+import math
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.booleanfuncs.encoding import random_pm1
 from repro.conformance.pytest_plugin import statistical_test
 from repro.pufs.bistable_ring import BistableRingPUF
+from repro.pufs.fleet import Fleet, FleetSpec
 from repro.pufs.feed_forward import FeedForwardArbiterPUF
 
 
@@ -109,3 +115,42 @@ class TestFeedForwardArbiterPUF:
         puf = FeedForwardArbiterPUF(16, loops=[(3, 8), (5, 12)], rng=np.random.default_rng(6))
         r = puf.eval(random_pm1(16, 100, np.random.default_rng(7)))
         assert set(np.unique(r)) <= {-1, 1}
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise ``TimeoutError`` in the main thread after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    triple_density=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_small_rings_finish_construction(n, triple_density, seed):
+    """Rings with fewer than ``max(1, int(triple_density * n))`` distinct
+    triples used to redraw forever; the count is capped at C(n, 3)."""
+    with time_limit(10):
+        puf = BistableRingPUF(
+            n, np.random.default_rng(seed), triple_density=triple_density
+        )
+        spec = FleetSpec("br", n, 2, triple_density=triple_density)
+        fleet = Fleet.build(spec, seed)
+    wanted = min(max(1, int(triple_density * n)), math.comb(n, 3))
+    assert puf.triple_indices.shape == (wanted, 3)
+    assert fleet.triple_indices.shape == (wanted, 3)
+    c = random_pm1(n, 20, np.random.default_rng(seed))
+    assert puf.eval(c).shape == (20,)
+    assert fleet.eval(c).shape == (20, 2)

@@ -224,6 +224,18 @@ def test_measurements_record_fleet_measure_spans():
     assert build.attrs == {"family": "ltf", "size": 3}
 
 
+def test_eval_records_a_fleet_eval_span():
+    fleet = Fleet.build(FleetSpec("xor", 8, 3, k=(1, 3, 2)), 1)
+    c = uniform_challenges(16, 8, np.random.default_rng(0))
+    with recording() as spans:
+        signs = fleet.eval(c)
+    (span,) = spans.spans
+    assert span.name == "fleet.eval"
+    assert span.attrs == {"family": "xor", "size": 3, "m": 16}
+    assert signs.shape == (16, 3) and signs.dtype == np.int8
+    assert signs.flags.c_contiguous  # the store packs rows; keep them whole
+
+
 # ----------------------------------------------------------------------
 # Golden snapshot: FleetSpec("xor", 64, 256, k=4), seed 2026
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ and a fleet trial builds its fleet only when a miss or the noisy
 reliability branch needs it.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import tempfile
@@ -581,3 +582,57 @@ class TestLazyFleetBuild:
         for a, b, c in zip(cold, warm, uncached):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
+
+
+# ----------------------------------------------------------------------
+# fleet_eval_trial draws its challenges only when it needs them.
+# ----------------------------------------------------------------------
+class TestLazyChallengeDraw:
+    def run_counted(self, monkeypatch, spec, cache_dir=None, trials=3):
+        from repro.runtime import workloads
+
+        draws = []
+        original = workloads.uniform_challenges
+
+        def counted(m, n, rng):
+            draws.append(m)
+            return original(m, n, rng)
+
+        monkeypatch.setattr(workloads, "uniform_challenges", counted)
+        kwargs = {"spec": spec}
+        if cache_dir is not None:
+            kwargs["cache_dir"] = str(cache_dir)
+        report = TrialRunner(workers=1).run(fleet_eval_trial, trials, 21, kwargs)
+        report.raise_failures()
+        return report.values(), len(draws)
+
+    def test_noiseless_hit_draws_no_challenges(self, tmp_path, monkeypatch):
+        spec = FleetEvalSpec(
+            family="xor", n=16, size=8, k=3, m=120,
+            noise_sigma=0.0, repetitions=1,
+        )
+        cold, cold_draws = self.run_counted(monkeypatch, spec, tmp_path)
+        warm, warm_draws = self.run_counted(monkeypatch, spec, tmp_path)
+        assert (cold_draws, warm_draws) == (3, 0)
+        for a, b in zip(cold, warm):
+            np.testing.assert_array_equal(a, b)
+
+    def test_noisy_full_and_prefix_hits_replay_the_cold_values(
+        self, tmp_path, monkeypatch
+    ):
+        big = FleetEvalSpec(
+            family="xor", n=16, size=8, k=(1, 2, 3, 2, 1, 4, 2, 3), m=120,
+            noise_sigma=0.3, repetitions=3,
+        )
+        small = dataclasses.replace(big, m=70)
+        cold, cold_draws = self.run_counted(monkeypatch, big, tmp_path)
+        full, full_draws = self.run_counted(monkeypatch, big, tmp_path)
+        prefix, prefix_draws = self.run_counted(monkeypatch, small, tmp_path)
+        assert len(ArtifactStore(tmp_path).entries()) == 3  # both reruns hit
+        # The noisy branch draws (and discards) the challenges on a hit.
+        assert (cold_draws, full_draws, prefix_draws) == (3, 3, 3)
+        uncached_small, _ = self.run_counted(monkeypatch, small)
+        for a, b in zip(cold, full):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(uncached_small, prefix):
+            np.testing.assert_array_equal(a, b)

@@ -6,8 +6,10 @@ import pytest
 
 from repro.runtime import TrialRunner
 from repro.runtime.workloads import (
+    FleetEvalSpec,
     LearningCurveSpec,
     SQTrialSpec,
+    fleet_eval_trial,
     learning_curve_trial,
     sq_trial,
 )
@@ -54,6 +56,15 @@ def test_sq_lands_exactly_on_both_bounds(tmp_path):
     assert queries["measured_max"] == queries["bound"] == 9
     assert queries["ratio"] == pytest.approx(1.0)
     assert report["all_within_bounds"]
+
+
+def test_fleet_run_splits_build_eval_and_measure_spans(tmp_path):
+    spec = FleetEvalSpec(family="xor", n=16, size=6, k=3, m=64, repetitions=3)
+    ledger = run_workload(tmp_path, "fleet", fleet_eval_trial, spec)
+    spans = build_report(ledger.run_dir)["spans"]
+    for name in ("fleet.build", "fleet.eval", "fleet.measure"):
+        assert spans[name]["count"] == 2
+    assert "| fleet.eval |" in render_markdown(build_report(ledger.run_dir))
 
 
 def test_violation_detected_and_rendered(tmp_path):
