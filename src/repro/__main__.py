@@ -9,21 +9,24 @@ Subcommands:
 * ``attack-demo`` — a 30-second tour: lock c17, run the SAT attack,
   print the recovered key.
 
-* ``trials`` — the parallel experiment runtime: fan a workload
-  (``curve``/``active``/``lmn``/``km``/``sq``/``fault``/``fleet``/
-  ``skew``) out over worker processes,
+* ``trials`` — the parallel experiment runtime: fan a workload from
+  :data:`repro.runtime.workloads.WORKLOADS` out over worker processes,
   report per-trial timings, speedup over serial, and the bit-identity
-  check; ``--ledger`` additionally writes a query-accounting run
-  directory, ``--retries``/``--trial-timeout`` configure the retry
-  policy for infrastructure failures, and ``--resume`` replays a killed
-  run's ledger so only missing trials re-execute.  ``--shards N`` runs
-  N work-stealing process pools with per-shard mergeable ledgers;
+  check.  The spec is the workload dataclass's defaults, overridden by
+  repeatable ``--spec KEY=VALUE`` pairs (VALUE is JSON, else a plain
+  string) — the same pairs a service job's ``spec`` object holds;
+  ``--smoke`` puts the workload's seconds-fast CI tier under them.
+  ``--ledger`` additionally writes a query-accounting run directory,
+  ``--retries``/``--trial-timeout`` configure the retry policy for
+  infrastructure failures, and ``--resume`` replays a killed run's
+  ledger so only missing trials re-execute.  ``--shards N`` runs N
+  work-stealing process pools with per-shard mergeable ledgers;
   ``--cache-dir`` memoises workload artifacts in an ``ArtifactStore``
   (``--cache-max-bytes`` caps it, ``--cache-stats`` prints and records
-  hit/miss/bytes counters); ``--smoke`` shrinks the workload to a
-  seconds-fast CI tier::
+  hit/miss/bytes counters)::
 
       python -m repro trials --trials 32 --workers 4
+      python -m repro trials --spec n=24 --spec 'budgets=[50,200]'
       python -m repro trials --workload lmn --trials 4 --ledger
       python -m repro trials --ledger --run-id demo --resume
       python -m repro trials --workload fleet --shards 2 --smoke
@@ -153,109 +156,34 @@ def cmd_attack_demo(args: argparse.Namespace) -> int:
     return 0 if result.success else 1
 
 
-def _resolve_workload(args: argparse.Namespace):
-    """(trial_fn, spec, value column labels) for ``args.workload``.
+def _spec_pair(text: str):
+    """One ``--spec KEY=VALUE``: VALUE as JSON, else as a plain string."""
+    import json
 
-    ``--n``/``--k``/``--test-size`` default to ``None`` in the parser so
-    each workload keeps its own dataclass defaults unless overridden.
+    key, sep, raw = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    try:
+        return key, json.loads(raw)
+    except ValueError:
+        return key, raw
+
+
+def _trials_workload(args: argparse.Namespace):
+    """``(trial_fn, spec, column labels)`` for a ``trials`` invocation.
+
+    The spec is the registry entry's dataclass defaults, then its smoke
+    overrides under ``--smoke``, then every ``--spec`` pair (a later pair
+    for the same key wins), built by the same
+    :func:`~repro.runtime.workloads.build_workload` the service calls.
     """
-    from repro.runtime import workloads as w
+    from repro.runtime.workloads import WORKLOADS, build_workload
 
-    def pick(value, default):
-        return default if value is None else value
-
-    name = args.workload
-    if name == "curve":
-        budgets = tuple(int(b) for b in args.budgets.split(","))
-        spec = w.LearningCurveSpec(
-            n=pick(args.n, 48),
-            k=pick(args.k, 1),
-            budgets=budgets,
-            test_size=pick(args.test_size, 2000),
-        )
-        return (
-            w.learning_curve_trial,
-            spec,
-            [f"acc @ {b}" for b in spec.sorted_budgets],
-        )
-    if name == "active":
-        budgets = tuple(int(b) for b in args.budgets.split(","))
-        spec = w.ActiveTrialSpec(
-            n=pick(args.n, 32),
-            k=pick(args.k, 1),
-            strategy=args.strategy,
-            budgets=budgets,
-            batch=args.batch,
-            pool_size=pick(args.pool_size, max(1024, 2 * max(budgets))),
-            committee=args.committee,
-            fast_fraction=args.fast_fraction,
-            test_size=pick(args.test_size, 2000),
-            noise_rate=args.noise_rate,
-        )
-        return (
-            w.active_trial,
-            spec,
-            [f"acc @ {b}" for b in spec.sorted_budgets],
-        )
-    if name == "lmn":
-        spec = w.LMNTrialSpec(
-            n=pick(args.n, 12),
-            k=pick(args.k, 2),
-            degree=args.degree,
-            m=args.m,
-            test_size=pick(args.test_size, 5000),
-        )
-        return w.lmn_trial, spec, ["captured wt", "accuracy"]
-    if name == "km":
-        spec = w.KMTrialSpec(
-            n=pick(args.n, 12),
-            theta=args.theta,
-            bucket_samples=args.bucket_samples,
-            coefficient_samples=args.coefficient_samples,
-            test_size=pick(args.test_size, 2000),
-        )
-        return w.km_trial, spec, ["accuracy", "MQ queries"]
-    if name == "sq":
-        spec = w.SQTrialSpec(
-            n=pick(args.n, 32),
-            tau=args.tau,
-            mode=args.mode,
-            test_size=pick(args.test_size, 2000),
-        )
-        return w.sq_trial, spec, ["accuracy", "SQ queries"]
-    if name == "fleet":
-        smoke = getattr(args, "smoke", False)
-        spec = w.FleetEvalSpec(
-            family=args.family,
-            n=pick(args.n, 32 if smoke else 64),
-            size=pick(args.size, 48 if smoke else 256),
-            k=pick(args.k, 4),
-            noise_sigma=args.noise_sigma,
-            tier=args.tier,
-            m=pick(args.fleet_m, 400 if smoke else 2000),
-            repetitions=3 if smoke else args.repetitions,
-        )
-        return (
-            w.fleet_eval_trial,
-            spec,
-            ["uniqueness", "uniformity", "reliability"],
-        )
-    if name == "skew":
-        spec = w.SkewedSleepSpec(
-            slow_count=args.slow_count,
-            slow_seconds=args.slow_seconds,
-            fast_seconds=args.fast_seconds,
-        )
-        return w.skewed_sleep_trial, spec, [f"draw {i}" for i in range(spec.size)]
-    if name == "fault":
-        fail_at = tuple(int(i) for i in args.fail_at.split(",") if i.strip())
-        spec = w.FaultInjectionSpec(
-            size=2,
-            sleep_seconds=args.sleep_seconds,
-            fail_indices=fail_at,
-        )
-        return w.fault_injection_trial, spec, ["draw 0", "draw 1"]
-    raise ValueError(f"unknown workload {name!r}")
+    _, _, labels, smoke = WORKLOADS[args.workload]
+    overrides = dict(smoke) if args.smoke else {}
+    overrides.update(args.spec)
+    trial_fn, spec = build_workload(args.workload, overrides)
+    return trial_fn, spec, labels(spec)
 
 
 def _retry_policy(retries: int):
@@ -344,6 +272,7 @@ def _aggregate_cache_stats(results) -> dict:
 
 def cmd_trials(args: argparse.Namespace) -> int:
     import dataclasses
+    import inspect
 
     from repro.analysis.tables import TableBuilder
     from repro.runtime import TrialRunner
@@ -357,10 +286,14 @@ def cmd_trials(args: argparse.Namespace) -> int:
         print("--retries must be >= 0 (0 disables retrying)")
         return 2
 
-    trial_fn, spec, columns = _resolve_workload(args)
+    try:
+        trial_fn, spec, columns = _trials_workload(args)
+    except ValueError as exc:
+        print(exc)
+        return 2
     kwargs = {"spec": spec}
     if args.cache_dir is not None:
-        if args.workload not in ("fleet", "active"):
+        if "cache_dir" not in inspect.signature(trial_fn).parameters:
             print(f"--cache-dir is not supported by the {args.workload} workload")
             return 2
         kwargs["cache_dir"] = args.cache_dir
@@ -894,6 +827,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runtime.workloads import WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Pitfalls in ML-based adversary modeling — reproduction toolkit",
@@ -930,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trials.add_argument(
         "--workload",
-        choices=("curve", "active", "lmn", "km", "sq", "fault", "fleet", "skew"),
+        choices=sorted(WORKLOADS),
         default="curve",
         help="which trial workload to fan out",
     )
@@ -949,158 +884,22 @@ def build_parser() -> argparse.ArgumentParser:
         "ledger-shardNN.jsonl, merged transparently on read/resume",
     )
     trials.add_argument(
-        "--n", type=int, default=None, help="challenge length (workload default)"
-    )
-    trials.add_argument(
-        "--k",
-        type=int,
-        default=None,
-        help="XOR chain count (1 = plain arbiter; workload default)",
-    )
-    trials.add_argument(
-        "--budgets",
-        type=str,
-        default="100,400,1600",
-        help="comma-separated CRP budgets (curve workload)",
-    )
-    trials.add_argument(
-        "--test-size", type=int, default=None, help="held-out evaluation size"
-    )
-    trials.add_argument(
-        "--strategy",
-        choices=("passive", "uncertainty", "committee", "fastslow"),
-        default="uncertainty",
-        help="query-selection strategy (active workload)",
-    )
-    trials.add_argument(
-        "--batch",
-        type=int,
-        default=16,
-        help="queries per fit/select round (active workload)",
-    )
-    trials.add_argument(
-        "--pool-size",
-        type=int,
-        default=None,
-        help="candidate pool size (active workload; default covers the "
-        "largest budget twice over)",
-    )
-    trials.add_argument(
-        "--committee",
-        type=int,
-        default=3,
-        help="committee size for --strategy committee (active workload)",
-    )
-    trials.add_argument(
-        "--fast-fraction",
-        type=float,
-        default=0.5,
-        help="budget fraction spent in the random fast phase for "
-        "--strategy fastslow (active workload)",
-    )
-    trials.add_argument(
-        "--noise-rate",
-        type=float,
-        default=0.0,
-        help="per-answer flip probability on the oracle (active workload)",
-    )
-    trials.add_argument(
-        "--degree", type=int, default=3, help="LMN spectrum degree (lmn workload)"
-    )
-    trials.add_argument(
-        "--m", type=int, default=25_000, help="LMN training sample size (lmn workload)"
-    )
-    trials.add_argument(
-        "--theta", type=float, default=0.25, help="KM coefficient threshold (km workload)"
-    )
-    trials.add_argument(
-        "--bucket-samples", type=int, default=2048, help="KM bucket-weight samples"
-    )
-    trials.add_argument(
-        "--coefficient-samples", type=int, default=8192, help="KM coefficient samples"
-    )
-    trials.add_argument(
-        "--tau", type=float, default=0.05, help="SQ oracle tolerance (sq workload)"
-    )
-    trials.add_argument(
-        "--mode",
-        choices=("sampling", "adversarial"),
-        default="sampling",
-        help="SQ oracle mode (sq workload)",
-    )
-    trials.add_argument(
-        "--family",
-        choices=("arbiter", "xor", "br", "ltf"),
-        default="arbiter",
-        help="PUF family of the population (fleet workload)",
-    )
-    trials.add_argument(
-        "--size",
-        type=int,
-        default=None,
-        help="instances per fleet (fleet workload; default 256, 48 smoke)",
-    )
-    trials.add_argument(
-        "--tier",
-        choices=("float64", "float32", "int8"),
-        default="float64",
-        help="dtype tier for the stacked GEMM (fleet workload)",
-    )
-    trials.add_argument(
-        "--noise-sigma",
-        type=float,
-        default=0.05,
-        help="measurement noise on the margins (fleet workload)",
-    )
-    trials.add_argument(
-        "--repetitions",
-        type=int,
-        default=5,
-        help="majority-vote repetitions (fleet workload)",
-    )
-    trials.add_argument(
-        "--fleet-m",
-        type=int,
-        default=None,
-        help="challenges per fleet trial (fleet workload; default 2000, 400 smoke)",
-    )
-    trials.add_argument(
-        "--fail-at",
-        type=str,
-        default="",
-        help="comma-separated trial indices that raise (fault workload)",
-    )
-    trials.add_argument(
-        "--sleep-seconds",
-        type=float,
-        default=0.2,
-        help="per-trial sleep, a window for kill tests (fault workload)",
-    )
-    trials.add_argument(
-        "--slow-count",
-        type=int,
-        default=4,
-        help="leading trial indices that sleep --slow-seconds (skew workload)",
-    )
-    trials.add_argument(
-        "--slow-seconds",
-        type=float,
-        default=0.4,
-        help="sleep for the slow trials (skew workload)",
-    )
-    trials.add_argument(
-        "--fast-seconds",
-        type=float,
-        default=0.01,
-        help="sleep for the fast trials (skew workload)",
+        "--spec",
+        type=_spec_pair,
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one field of the workload's spec dataclass; VALUE "
+        "is JSON (a plain string if it does not parse), e.g. --spec n=24 "
+        "--spec budgets=[50,200]; repeatable, a later pair wins",
     )
     trials.add_argument(
         "--cache-dir",
         type=str,
         default=None,
         help="memoise workload artifacts in an ArtifactStore at this "
-        "directory (fleet workload); warm reruns replay instead of "
-        "regenerating",
+        "directory (workloads whose trial takes cache_dir: active, atlas, "
+        "chow, fleet); warm reruns replay instead of regenerating",
     )
     trials.add_argument(
         "--cache-max-bytes",
@@ -1118,7 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
     trials.add_argument(
         "--smoke",
         action="store_true",
-        help="shrink the workload to a seconds-fast CI tier (fleet workload)",
+        help="start from the workload's seconds-fast CI tier (fleet, atlas); "
+        "--spec pairs apply on top",
     )
     trials.add_argument("--seed", type=int, default=0, help="master seed")
     trials.add_argument(

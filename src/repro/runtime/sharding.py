@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import threading
 import time
 import warnings
@@ -162,6 +163,32 @@ def _execute_chunk(
         _execute_trial(trial_fn, index, seed, kwargs, submitted_at, attempts)
         for index, seed in items
     ]
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit once the process that made the pool dies.
+
+    A SIGKILLed parent cannot shut its pool down, and its idle workers
+    would block on the call queue forever, re-parented to init.  A daemon
+    thread polls ``os.getppid()`` and ends the worker with ``os._exit``
+    as soon as it changes.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers do not outlive this process."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
 
 
 def _stop_pool(pool: ProcessPoolExecutor) -> None:
@@ -345,7 +372,7 @@ class _ShardDriver:
             self._drain_serially([])
             return
         try:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
+            pool = _new_pool(self.workers)
         except Exception as exc:  # no POSIX semaphores, fork failure, ...
             self.fallback = f"{type(exc).__name__}: {exc}"
             self._drain_serially([])
@@ -393,7 +420,7 @@ class _ShardDriver:
             _stop_pool(pool)
             pending.clear()
             deadlines.clear()
-            pool = ProcessPoolExecutor(max_workers=self.workers)
+            pool = _new_pool(self.workers)
             for ckey in sorted(victims):
                 if ckey not in lost_keys:
                     submit(victims[ckey], charge=False)

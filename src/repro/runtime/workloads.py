@@ -1,22 +1,32 @@
-"""Picklable trial workloads for the parallel runtime.
+"""Picklable trial workloads for the parallel runtime, and their registry.
 
 :class:`~repro.runtime.runner.TrialRunner` ships trial functions to
 worker processes, so they must be module-level callables.  This module
 collects the standard experiment shapes — the learning-curve trial used
-by ``python -m repro trials`` and the CRP-collection trial the cache
-benchmarks replay — with all parameters passed as plain dataclasses.
+by ``python -m repro trials``, the fleet and Chow trials the store
+benchmarks replay, the fault and skew trials the runtime tests drive —
+with all parameters passed as plain dataclasses.
+
+:data:`WORKLOADS` names every one of them (plus the atlas cell trial),
+and :func:`build_workload` turns a name and a dict of spec overrides
+into ``(trial_fn, spec)``.  ``python -m repro trials --spec KEY=VALUE``
+and the service's job ``spec`` object both go through it, so one
+workload description runs the same experiment from either entry point.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import time
+import typing
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.analysis import atlas as _atlas
 from repro.kernels import CharacterBasis, DEFAULT_CHARACTER_BLOCK
 from repro.learning.logistic import LogisticAttack
 from repro.pufs.arbiter import ArbiterPUF, parity_transform
@@ -422,7 +432,7 @@ class FleetEvalSpec:
     family: str = "arbiter"
     n: int = 64
     size: int = 256
-    k: int = 4
+    k: Union[int, Tuple[int, ...]] = 4  # a tuple gives each XOR instance its own k
     correlation: float = 0.0
     noise_sigma: float = 0.05
     tier: str = "float64"
@@ -682,3 +692,120 @@ def sq_trial(ctx: TrialContext, spec: SQTrialSpec) -> np.ndarray:
         test = uniform_challenges(spec.test_size, spec.n, query_rng)
     accuracy = float(np.mean(result.predict(test) == target(test)))
     return np.array([accuracy, float(result.queries_made)])
+
+
+# ----------------------------------------------------------------------
+# The workload registry
+# ----------------------------------------------------------------------
+def _budget_labels(spec) -> list:
+    return [f"acc @ {b}" for b in spec.sorted_budgets]
+
+
+def _draw_labels(spec) -> list:
+    return [f"draw {i}" for i in range(spec.size)]
+
+
+#: Workload name -> ``(trial_fn, spec_cls, labels, smoke)``: the trial
+#: function, its spec dataclass, ``labels(spec)`` naming the columns of
+#: one trial's value, and the spec overrides of the seconds-fast
+#: ``--smoke`` tier.  Entries are plain tuples with the trial function
+#: first, and :func:`build_workload` reads it at call time, so rebinding
+#: an entry (as a tracer does) reaches every caller.  The dataclass
+#: defaults are the only defaults.
+WORKLOADS: Dict[str, Tuple[Callable[..., Any], type, Callable, Dict[str, Any]]] = {
+    "curve": (learning_curve_trial, LearningCurveSpec, _budget_labels, {}),
+    "active": (active_trial, ActiveTrialSpec, _budget_labels, {}),
+    "lmn": (lmn_trial, LMNTrialSpec, lambda s: ["captured wt", "accuracy"], {}),
+    "km": (km_trial, KMTrialSpec, lambda s: ["accuracy", "MQ queries"], {}),
+    "sq": (sq_trial, SQTrialSpec, lambda s: ["accuracy", "SQ queries"], {}),
+    "fleet": (
+        fleet_eval_trial,
+        FleetEvalSpec,
+        lambda s: ["uniqueness", "uniformity", "reliability"],
+        {"n": 32, "size": 48, "m": 400, "repetitions": 3},
+    ),
+    "chow": (
+        chow_brpuf_trial,
+        ChowTrialSpec,
+        lambda s: ["E[f]"] + [f"E[f x{i}]" for i in range(s.n)],
+        {},
+    ),
+    "skew": (skewed_sleep_trial, SkewedSleepSpec, _draw_labels, {}),
+    "fault": (fault_injection_trial, FaultInjectionSpec, _draw_labels, {}),
+    "atlas": (
+        _atlas.atlas_trial,
+        _atlas.AtlasTrialSpec,
+        lambda s: ["accuracy", "queries"],
+        dataclasses.asdict(_atlas.smoke_spec()),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_kinds(spec_cls: type) -> Dict[str, Any]:
+    """Field name -> resolved type of a spec dataclass (resolved once)."""
+    return typing.get_type_hints(spec_cls)
+
+
+class UnknownWorkload(ValueError):
+    """The requested workload name is not in :data:`WORKLOADS`."""
+
+
+def _coerce(workload: str, field: str, kind: Any, value: Any) -> Any:
+    """``value`` as the declared type ``kind`` of a spec field.
+
+    Lists become tuples for tuple fields, ints become floats for float
+    fields (JSON does not tell ``2`` from ``2.0``), and a union takes
+    the first member that fits; a value of any other type raises
+    ``ValueError``.
+    """
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Union:  # Optional[X], or e.g. int | Tuple[int, ...]
+        for member in args:
+            try:
+                return _coerce(workload, field, member, value)
+            except ValueError:
+                pass
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_coerce(workload, field, args[0], v) for v in value)
+    elif kind is float and type(value) in (int, float):
+        return float(value)
+    elif type(value) is kind:
+        return value
+    expected = kind.__name__ if isinstance(kind, type) else str(kind)
+    raise ValueError(
+        f"spec field {field!r} of workload {workload!r} expects "
+        f"{expected.replace('typing.', '')}, got {value!r}"
+    )
+
+
+def build_workload(name: str, spec: Optional[Dict[str, Any]] = None):
+    """``(trial_fn, spec_instance)`` for a workload name + JSON spec dict.
+
+    ``spec`` overrides the spec dataclass defaults field by field.
+    Values arrive as JSON types and are checked against the field types
+    (see :func:`_coerce`).  Unknown workloads, unknown fields, values of
+    the wrong type and values the dataclass rejects all raise
+    ``ValueError`` — the route layer turns that into HTTP 400 and the
+    CLI into exit status 2, so a bad spec never reaches a runner.
+    """
+    if name not in WORKLOADS:
+        raise UnknownWorkload(
+            f"unknown workload {name!r}; expected one of {sorted(WORKLOADS)}"
+        )
+    trial_fn, spec_cls = WORKLOADS[name][:2]
+    overrides = dict(spec or {})
+    kinds = _field_kinds(spec_cls)
+    known = {f.name for f in dataclasses.fields(spec_cls)}
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown spec field(s) {unknown} for workload {name!r}; "
+            f"expected a subset of {sorted(known)}"
+        )
+    coerced = {
+        key: _coerce(name, key, kinds[key], value)
+        for key, value in overrides.items()
+    }
+    return trial_fn, spec_cls(**coerced)

@@ -1,9 +1,10 @@
 """Assessment jobs: the unit of work the service queues, runs, persists.
 
 A *job* is one ``TrialRunner`` invocation described as data: a workload
-name from :data:`WORKLOADS`, a spec-override dict, a trial count, a
-master seed, and the client identity/budget the quota layer accounts
-under.  Each job owns a directory ``<data_dir>/jobs/<job_id>/`` holding
+name from :data:`~repro.runtime.workloads.WORKLOADS`, a spec-override
+dict, a trial count, a master seed, and the client identity/budget the
+quota layer accounts under.  Each job owns a directory
+``<data_dir>/jobs/<job_id>/`` holding
 
 * ``job.json`` — the job record (spec, state, progress, result), written
   atomically on every transition so a killed server can re-adopt it;
@@ -26,26 +27,15 @@ import os
 import secrets
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.analysis import atlas as _atlas
-from repro.runtime import workloads as _workloads
-
-#: Workload name -> (trial function, spec dataclass).  The service-facing
-#: twin of the CLI's ``_resolve_workload``: every CLI workload is a
-#: servable scenario, constructed from a plain JSON spec dict.
-WORKLOADS: Dict[str, Tuple[Callable[..., Any], type]] = {
-    "curve": (_workloads.learning_curve_trial, _workloads.LearningCurveSpec),
-    "active": (_workloads.active_trial, _workloads.ActiveTrialSpec),
-    "lmn": (_workloads.lmn_trial, _workloads.LMNTrialSpec),
-    "km": (_workloads.km_trial, _workloads.KMTrialSpec),
-    "sq": (_workloads.sq_trial, _workloads.SQTrialSpec),
-    "fleet": (_workloads.fleet_eval_trial, _workloads.FleetEvalSpec),
-    "chow": (_workloads.chow_brpuf_trial, _workloads.ChowTrialSpec),
-    "skew": (_workloads.skewed_sleep_trial, _workloads.SkewedSleepSpec),
-    "fault": (_workloads.fault_injection_trial, _workloads.FaultInjectionSpec),
-    "atlas": (_atlas.atlas_trial, _atlas.AtlasTrialSpec),
-}
+# The one workload registry, shared with ``python -m repro trials``: a
+# job's ``spec`` object is exactly that command's ``--spec`` pairs.
+from repro.runtime.workloads import (  # noqa: F401  (re-exported)
+    WORKLOADS,
+    UnknownWorkload,
+    build_workload,
+)
 
 #: Jobs at or under this many trials default to the interactive priority
 #: tier (they preempt queued atlas-scale backlogs).
@@ -60,39 +50,6 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: Default client identity when no ``X-API-Key`` header is sent.
 ANONYMOUS_KEY = "anonymous"
-
-
-class UnknownWorkload(ValueError):
-    """The requested workload name is not in :data:`WORKLOADS`."""
-
-
-def build_workload(name: str, spec: Optional[Dict[str, Any]] = None):
-    """``(trial_fn, spec_instance)`` for a workload name + JSON spec dict.
-
-    Spec values arrive as JSON types; lists are converted to tuples so
-    tuple-typed dataclass fields (``budgets``, ``fail_indices``)
-    round-trip.  Unknown workloads and unknown/invalid spec fields raise
-    ``ValueError`` — the route layer turns that into HTTP 400, so a bad
-    request can never reach the queue.
-    """
-    if name not in WORKLOADS:
-        raise UnknownWorkload(
-            f"unknown workload {name!r}; expected one of {sorted(WORKLOADS)}"
-        )
-    trial_fn, spec_cls = WORKLOADS[name]
-    overrides = dict(spec or {})
-    known = {f.name for f in dataclasses.fields(spec_cls)}
-    unknown = sorted(set(overrides) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown spec field(s) {unknown} for workload {name!r}; "
-            f"expected a subset of {sorted(known)}"
-        )
-    coerced = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in overrides.items()
-    }
-    return trial_fn, spec_cls(**coerced)
 
 
 def new_job_id() -> str:

@@ -126,9 +126,9 @@ class TestCLI:
                 "trials",
                 "--trials", "3",
                 "--workers", "2",
-                "--n", "16",
-                "--budgets", "40,80",
-                "--test-size", "200",
+                "--spec", "n=16",
+                "--spec", "budgets=[40,80]",
+                "--spec", "test_size=200",
                 "--seed", "3",
             ]
         )

@@ -3,7 +3,9 @@
 Drives ``python -m repro trials`` as a real subprocess, kills it -9 in
 the middle of a pooled fault-injection workload, and asserts the
 ``--resume`` rerun completes with bit-identical values (the CLI's own
-serial-vs-parallel identity check) and a clean ``repro report``.
+serial-vs-parallel identity check) and a clean ``repro report``.  The
+killed CLI runs in its own session, so the test can also assert that its
+orphaned pool workers exit instead of living on.
 """
 
 import json
@@ -18,6 +20,58 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 TRIALS = 10
+
+
+def group_members(pgid):
+    """Live (non-zombie) processes in process group ``pgid``."""
+    proc = Path("/proc")
+    if not proc.is_dir():  # pragma: no cover - non-Linux fallback
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for stat in proc.glob("[0-9]*/stat"):
+        try:
+            # Fields after the parenthesised command: state, ppid, pgrp.
+            state, _ppid, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except (OSError, IndexError, ValueError):
+            continue  # the process exited while we looked
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+def assert_group_exits(pgid, within=10.0):
+    """The killed CLI's process group empties within ``within`` seconds."""
+    deadline = time.monotonic() + within
+    while group_members(pgid):
+        if time.monotonic() > deadline:
+            pytest.fail(f"processes {group_members(pgid)} outlived the killed run")
+        time.sleep(0.1)
+
+
+def start_cli_session(args):
+    """``python -m repro <args>`` as the leader of a new session."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        cwd=REPO_ROOT,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+
+
+def kill_group(pgid):
+    """Best-effort cleanup: SIGKILL whatever is left of the group."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 def run_cli(*args, **kwargs):
@@ -41,7 +95,7 @@ def trials_args(runs_dir, extra=()):
         "--workload", "fault",
         "--trials", str(TRIALS),
         "--workers", "2",
-        "--sleep-seconds", "0.3",
+        "--spec", "sleep_seconds=0.3",
         "--ledger",
         "--run-id", "killrun",
         "--runs-dir", str(runs_dir),
@@ -53,19 +107,10 @@ def test_sigkill_mid_run_then_resume_completes_bit_identical(tmp_path):
     runs_dir = tmp_path / "runs"
     ledger_path = runs_dir / "killrun" / "ledger.jsonl"
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro"]
-        + trials_args(runs_dir, extra=("--skip-serial",)),
-        cwd=REPO_ROOT,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    proc = start_cli_session(trials_args(runs_dir, extra=("--skip-serial",)))
     try:
         # Wait until some trials have landed in the ledger, then kill -9
-        # the parent mid-run (its pool workers are orphaned too).
+        # the parent only, mid-run: its pool workers must notice and exit.
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             if ledger_path.exists() and ledger_path.stat().st_size > 0:
@@ -76,7 +121,10 @@ def test_sigkill_mid_run_then_resume_completes_bit_identical(tmp_path):
         else:
             pytest.fail("no ledger records appeared within 60s")
         os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        assert_group_exits(proc.pid)
     finally:
+        kill_group(proc.pid)
         proc.wait(timeout=30)
 
     completed = [
@@ -104,7 +152,7 @@ def test_resume_refuses_mismatched_invocation(tmp_path):
     runs_dir = tmp_path / "runs"
     base = [
         "trials", "--workload", "fault", "--workers", "1",
-        "--sleep-seconds", "0", "--skip-serial",
+        "--spec", "sleep_seconds=0", "--skip-serial",
         "--ledger", "--run-id", "metarun", "--runs-dir", str(runs_dir),
     ]
     first = run_cli(*base, "--trials", "2")
@@ -147,7 +195,7 @@ def sharded_trials_args(runs_dir, extra=()):
         "--trials", str(TRIALS),
         "--workers", "1",
         "--shards", "2",
-        "--sleep-seconds", "0.3",
+        "--spec", "sleep_seconds=0.3",
         "--ledger",
         "--run-id", "shardkill",
         "--runs-dir", str(runs_dir),
@@ -163,15 +211,8 @@ def test_sigkill_mid_sharded_run_then_resume_completes_bit_identical(tmp_path):
     runs_dir = tmp_path / "runs"
     run_dir = runs_dir / "shardkill"
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro"]
-        + sharded_trials_args(runs_dir, extra=("--skip-serial",)),
-        cwd=REPO_ROOT,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+    proc = start_cli_session(
+        sharded_trials_args(runs_dir, extra=("--skip-serial",))
     )
     try:
         deadline = time.monotonic() + 60
@@ -185,7 +226,10 @@ def test_sigkill_mid_sharded_run_then_resume_completes_bit_identical(tmp_path):
         else:
             pytest.fail("no shard ledger records appeared within 60s")
         os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        assert_group_exits(proc.pid)
     finally:
+        kill_group(proc.pid)
         proc.wait(timeout=30)
 
     completed = []

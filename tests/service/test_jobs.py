@@ -37,6 +37,11 @@ class TestBuildWorkload:
         _, spec = build_workload("active", {"budgets": [32, 64]})
         assert spec.budgets == (32, 64)
 
+    def test_union_fields_take_the_first_member_that_fits(self):
+        _, spec = build_workload("fleet", {"family": "xor", "size": 2, "k": [1, 3]})
+        assert spec.k == (1, 3)
+        assert build_workload("fleet", {"k": 2})[1].k == 2
+
     def test_unknown_workload(self):
         with pytest.raises(UnknownWorkload, match="unknown workload"):
             build_workload("nonsense", {})
@@ -48,6 +53,28 @@ class TestBuildWorkload:
     def test_invalid_spec_value_propagates_dataclass_validation(self):
         with pytest.raises(ValueError):
             build_workload("skew", {"size": -1})
+
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("fleet", {"n": "64"}),
+            ("curve", {"budgets": 5}),
+            ("curve", {"budgets": [40, "80"]}),
+            ("chow", {"n": 64.5}),
+            ("fleet", {"repetitions": True}),
+            ("skew", {"slow_seconds": "slow"}),
+            ("fault", {"once_dir": 3}),
+            ("fleet", {"k": "4"}),
+        ],
+    )
+    def test_wrong_value_type_is_a_value_error(self, name, spec):
+        (field,) = spec
+        with pytest.raises(ValueError, match=field):
+            build_workload(name, spec)
+
+    def test_ints_coerce_to_floats_for_float_fields(self):
+        _, spec = build_workload("skew", {"slow_seconds": 1})
+        assert type(spec.slow_seconds) is float and spec.slow_seconds == 1.0
 
 
 class TestJobSpec:
