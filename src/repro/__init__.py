@@ -33,10 +33,9 @@ Quickstart::
         print(row.summary())
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from repro import analysis, automata, booleanfuncs, learning, locking, pac, pufs
-from repro import property_testing
+__version__ = "1.0.0"
 
 __all__ = [
     "analysis",
@@ -49,3 +48,20 @@ __all__ = [
     "pufs",
     "__version__",
 ]
+
+
+_SUBPACKAGES = frozenset(__all__) - {"__version__"}
+
+
+def __getattr__(name: str):
+    """Import the subpackage ``repro.<name>`` on first attribute access (PEP 562).
+
+    ``import repro`` loads no subpackage, so a process pays only for the
+    subpackages its command uses.  ``repro.pufs.ArbiterPUF`` and
+    ``from repro import *`` still work: the first access imports the
+    subpackage, which then binds itself as an attribute of ``repro`` and
+    bypasses this hook from then on.
+    """
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

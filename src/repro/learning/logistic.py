@@ -12,7 +12,6 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.booleanfuncs.ltf import LTF
 from repro.telemetry import trace
@@ -76,6 +75,8 @@ class LogisticAttack:
         rng: Optional[np.random.Generator] = None,
     ) -> LogisticResult:
         """Train on +/-1 challenges and labels."""
+        from scipy import optimize
+
         x = np.asarray(x)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.shape != (x.shape[0],):

@@ -17,7 +17,6 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.telemetry import trace
 
@@ -97,6 +96,8 @@ class XorLogisticAttack:
         rng: Optional[np.random.Generator] = None,
     ) -> XorLogisticResult:
         """Fit on +/-1 challenges and responses."""
+        from scipy import optimize
+
         x = np.asarray(x)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.shape != (x.shape[0],):

@@ -27,13 +27,14 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.pufs.crp import CRPSet
 
 
 def expected_degree1_weight(nu: float) -> float:
     """W(nu): the degree-1 Fourier weight of a regular halfspace with bias nu."""
+    from scipy import stats
+
     if not -1.0 <= nu <= 1.0:
         raise ValueError(f"bias must be in [-1, 1], got {nu}")
     if abs(nu) >= 1.0:

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.analysis import atlas as _atlas
 from repro.kernels import CharacterBasis, DEFAULT_CHARACTER_BLOCK
-from repro.learning.logistic import LogisticAttack
 from repro.pufs.arbiter import ArbiterPUF, parity_transform
 from repro.pufs.bistable_ring import BistableRingPUF
 from repro.pufs.crp import generate_crps, uniform_challenges
@@ -71,6 +70,8 @@ def learning_curve_trial(ctx: TrialContext, spec: LearningCurveSpec) -> np.ndarr
     ``ctx``, so the result is a pure function of ``(master_seed, index)``
     — the determinism contract of :class:`TrialRunner`.
     """
+    from repro.learning.logistic import LogisticAttack
+
     rng = ctx.rng
     if spec.k == 1:
         puf = ArbiterPUF(spec.n, rng)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import secrets
 import time
 from pathlib import Path
@@ -36,6 +35,7 @@ from repro.runtime.workloads import (  # noqa: F401  (re-exported)
     UnknownWorkload,
     build_workload,
 )
+from repro.telemetry.ledger import atomic_write_text
 
 #: Jobs at or under this many trials default to the interactive priority
 #: tier (they preempt queued atlas-scale backlogs).
@@ -180,21 +180,7 @@ class JobStore:
         job_dir = self.job_dir(job.job_id)
         job_dir.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(job.as_dict(), sort_keys=True, indent=2)
-        fd, tmp = None, None
-        try:
-            import tempfile
-
-            fd, tmp = tempfile.mkstemp(prefix="job-", suffix=".tmp", dir=job_dir)
-            os.write(fd, (payload + "\n").encode("utf-8"))
-            os.close(fd)
-            fd = None
-            os.replace(tmp, job_dir / "job.json")
-            tmp = None
-        finally:
-            if fd is not None:
-                os.close(fd)
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
+        atomic_write_text(job_dir / "job.json", payload + "\n", mode=0o600)
 
     def load(self, job_id: str) -> Optional[Job]:
         """The persisted job record, or None when absent/unreadable."""

@@ -24,10 +24,11 @@ in-memory only and are reconstructed by job adoption.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
+import warnings
 from pathlib import Path
 from typing import Dict, Optional
+
+from repro.telemetry.ledger import atomic_write_text
 
 QUOTAS_NAME = "quotas.json"
 
@@ -82,9 +83,17 @@ class QuotaLedger:
                 self._usage = {
                     str(k): int(v) for k, v in (payload.get("usage") or {}).items()
                 }
-            except (ValueError, TypeError, AttributeError):
-                # A torn quotas.json must not brick the server; usage
-                # restarts from the jobs' meta.json records if needed.
+            except (ValueError, TypeError, AttributeError) as exc:
+                # A torn quotas.json must not brick the server, so every
+                # key's settled usage restarts at zero.  Nothing rebuilds
+                # it from the job records yet; the warning makes the
+                # reset visible.
+                warnings.warn(
+                    f"unreadable {self.path} ({exc}); settled quota usage "
+                    "restarts at zero for every key",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
                 self._usage = {}
 
     # ------------------------------------------------------------------
@@ -150,11 +159,4 @@ class QuotaLedger:
     def _persist(self) -> None:
         """Atomically rewrite ``quotas.json`` with current settled usage."""
         payload = json.dumps({"usage": self._usage}, sort_keys=True, indent=2)
-        fd, tmp = tempfile.mkstemp(
-            prefix="quotas-", suffix=".tmp", dir=self.data_dir
-        )
-        try:
-            os.write(fd, (payload + "\n").encode("utf-8"))
-        finally:
-            os.close(fd)
-        os.replace(tmp, self.path)
+        atomic_write_text(self.path, payload + "\n", mode=0o600)

@@ -24,6 +24,8 @@ write so readers need nothing but the standard library.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -49,6 +51,47 @@ def shard_ledger_name(shard_id: int) -> str:
     if shard_id < 0:
         raise ValueError(f"shard id must be non-negative, got {shard_id}")
     return f"ledger-shard{shard_id:02d}.jsonl"
+
+
+def _umask() -> int:
+    """The process umask, read without changing it where Linux allows."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("Umask:"):
+                    return int(line.split()[1], 8)
+    except (OSError, ValueError):
+        pass
+    # Elsewhere os.umask is the only reader; the brief 0o077 errs private.
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
+def atomic_write_text(
+    path: Union[str, Path], text: str, mode: Optional[int] = None
+) -> None:
+    """Replace ``path`` with ``text``: readers see the old file or the new one.
+
+    The text goes to a :func:`tempfile.mkstemp` file in ``path``'s
+    directory, which :func:`os.replace` then renames over ``path``.  Any
+    failure (a full disk, a file-size limit, a signal) unlinks the temp
+    file and leaves ``path`` as it was.  There is no fsync: the rename is
+    atomic against a killed process, not against power loss.
+
+    ``mode`` sets the permission bits; None gives what
+    :meth:`Path.write_text` would (``0o666`` less the umask).
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=path.stem + "-", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~_umask() if mode is None else mode)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _replayable(record: Dict[str, object]) -> bool:
@@ -181,9 +224,10 @@ class RunLedger:
                 )
 
     def write_meta(self, meta: Dict[str, object]) -> None:
-        """Write (replace) the run's ``meta.json``."""
-        self.meta_path.write_text(
-            json.dumps(meta, default=_json_default, sort_keys=True, indent=2) + "\n"
+        """Write (replace) the run's ``meta.json`` atomically."""
+        atomic_write_text(
+            self.meta_path,
+            json.dumps(meta, default=_json_default, sort_keys=True, indent=2) + "\n",
         )
 
     # ------------------------------------------------------------------

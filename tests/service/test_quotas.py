@@ -105,13 +105,27 @@ class TestPersistence:
 
     def test_torn_quotas_json_does_not_brick_the_ledger(self, tmp_path):
         (tmp_path / "quotas.json").write_text('{"usage": {"alice": 12')
-        q = QuotaLedger(tmp_path, default_limit=500)
+        with pytest.warns(RuntimeWarning, match="quotas.json"):
+            q = QuotaLedger(tmp_path, default_limit=500)
         assert q.usage("alice") == 0
         q.reserve("job-1", "alice", 10)
         q.settle("job-1", "alice", 10)
         assert json.loads((tmp_path / "quotas.json").read_text()) == {
             "usage": {"alice": 10}
         }
+
+    @pytest.mark.parametrize("keep", [0, 1, 9, 20])
+    def test_truncated_quotas_json_warns_and_resets_to_zero(self, tmp_path, keep):
+        q = QuotaLedger(tmp_path, default_limit=None)
+        q.settle("job-1", "alice", 12)
+        path = tmp_path / "quotas.json"
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.warns(RuntimeWarning) as caught:
+            q2 = QuotaLedger(tmp_path, default_limit=None)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert str(path) in message and "restarts at zero" in message
+        assert q2.usage("alice") == 0
 
     def test_quotas_file_written_atomically(self, tmp_path):
         q = QuotaLedger(tmp_path, default_limit=None)

@@ -1,0 +1,191 @@
+"""Import budget: each entry point loads only what its command runs.
+
+``import repro`` binds its subpackages on first attribute access
+(PEP 562), scipy is imported inside the learner and tester calls that
+use it, and trial functions import their learners in their bodies.  So a
+fleet, serve or atlas process never pays for scipy, the learners, the
+locking stack or the PAC machinery.  Each case runs a fresh interpreter
+and checks the module *names* in ``sys.modules`` — never timings, so a
+slow runner cannot make it flake.  A failure lists the offending modules
+with the chain that imported each one, read from ``-X importtime``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Prefixes no fleet, serve or atlas process may load.
+HEAVY = (
+    "scipy",
+    "repro.learning",
+    "repro.locking",
+    "repro.pac",
+    "repro.property_testing",
+)
+
+SUBPACKAGES = [
+    "analysis",
+    "automata",
+    "booleanfuncs",
+    "learning",
+    "locking",
+    "pac",
+    "property_testing",
+    "pufs",
+]
+
+_MARK = "MODULES:"
+
+_DUMP = f"import json, sys; print({_MARK!r} + json.dumps(sorted(sys.modules)))"
+
+#: Run ``python -m repro ARGS`` the way ``-m`` does, then dump sys.modules.
+_CLI = (
+    "import runpy, sys\n"
+    "sys.argv = ['repro'] + sys.argv[1:]\n"
+    "try:\n"
+    "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code in (0, None), exc.code\n"
+    f"{_DUMP}\n"
+)
+
+
+def _run(code, *args):
+    """Run ``code`` under ``-X importtime``; return (modules, importtime log)."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    line = [ln for ln in proc.stdout.splitlines() if ln.startswith(_MARK)][-1]
+    return set(json.loads(line[len(_MARK):])), proc.stderr
+
+
+def _import_chain(log, module):
+    """``a <- b <- c``: ``module`` and the modules that imported it.
+
+    ``-X importtime`` prints a module's line when its import finishes,
+    two spaces deeper per nesting level, so a module's importer is the
+    next line one level shallower.
+    """
+    rows = []
+    for line in log.splitlines():
+        if not line.startswith("import time:") or "|" not in line:
+            continue
+        name = line.rsplit("|", 1)[1]
+        stripped = name.lstrip(" ")
+        if stripped == "imported package":
+            continue
+        rows.append(((len(name) - len(stripped)) // 2, stripped.strip()))
+    for i, (depth, name) in enumerate(rows):
+        if name != module:
+            continue
+        chain = [name]
+        for later_depth, later in rows[i + 1:]:
+            if later_depth < depth:
+                chain.append(later)
+                depth = later_depth
+        return " <- ".join(chain)
+    return module
+
+
+def _assert_none_loaded(modules, log, prefixes):
+    offending = sorted(
+        m for m in modules if any(m == p or m.startswith(p + ".") for p in prefixes)
+    )
+    # The outermost offender of each family explains the rest.
+    roots = [
+        m for m in offending if not any(m.startswith(o + ".") for o in offending)
+    ]
+    assert not offending, (
+        f"{len(offending)} module(s) over the import budget: "
+        f"{', '.join(offending[:20])}{' …' if len(offending) > 20 else ''}\n"
+        "imported by:\n" + "\n".join("  " + _import_chain(log, m) for m in roots)
+    )
+
+
+def test_import_repro_loads_no_subpackage():
+    modules, log = _run("import repro; " + _DUMP)
+    assert "repro" in modules
+    _assert_none_loaded(modules - {"repro"}, log, ("repro",))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.runtime.workloads, repro.service.app",
+        "import repro.analysis.atlas",
+    ],
+)
+def test_library_imports_stay_light(code):
+    modules, log = _run(f"{code}; {_DUMP}")
+    _assert_none_loaded(modules, log, HEAVY)
+
+
+@pytest.mark.parametrize("command", ["trials", "serve"])
+def test_cli_help_stays_light(command):
+    modules, log = _run(_CLI, command, "--help")
+    assert "repro.runtime.workloads" in modules  # the --workload choices
+    _assert_none_loaded(modules, log, HEAVY)
+
+
+def test_attribute_access_and_star_import_bind_every_subpackage():
+    code = (
+        "import json, repro\n"
+        "before = sorted(repro.__dict__)\n"
+        "assert repro.pufs.ArbiterPUF.__name__ == 'ArbiterPUF'\n"
+        "star = {}\n"
+        "exec('from repro import *', star)\n"
+        "try:\n"
+        "    repro.nope\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "else:\n"
+        "    missing = None\n"
+        "print('RESULT:' + json.dumps({\n"
+        "    'star': {k: v.__name__ for k, v in star.items()\n"
+        "             if k != '__builtins__' and hasattr(v, '__name__')},\n"
+        "    'version': star.get('__version__'),\n"
+        "    'missing': missing,\n"
+        "    'bound_before': [n for n in before if not n.startswith('_')],\n"
+        "}))\n"
+        f"{_DUMP}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    line = [ln for ln in proc.stdout.splitlines() if ln.startswith("RESULT:")][-1]
+    result = json.loads(line[len("RESULT:"):])
+    assert result["star"] == {name: f"repro.{name}" for name in SUBPACKAGES}
+    assert result["version"] == "1.0.0"
+    assert result["missing"] == "module 'repro' has no attribute 'nope'"
+    assert not set(result["bound_before"]) & set(SUBPACKAGES)
+
+
+def test_import_chain_names_the_importer():
+    log = (
+        "import time: self [us] | cumulative | imported package\n"
+        "import time:        10 |         10 |       scipy.linalg\n"
+        "import time:        10 |         20 |     scipy.optimize\n"
+        "import time:        10 |         10 |     numpy\n"
+        "import time:        10 |         40 |   repro.learning.logistic\n"
+        "import time:        10 |         50 | repro.runtime.workloads\n"
+    )
+    assert _import_chain(log, "scipy.optimize") == (
+        "scipy.optimize <- repro.learning.logistic <- repro.runtime.workloads"
+    )
+    assert _import_chain(log, "absent") == "absent"
