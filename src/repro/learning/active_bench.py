@@ -76,16 +76,23 @@ def default_cases() -> List[ActiveBenchCase]:
 
 
 def smoke_cases() -> List[ActiveBenchCase]:
-    """Seconds-fast CI subset: one cell, enough to assert the gap exists."""
+    """Seconds-fast CI subset: one cell where the gap holds in expectation.
+
+    Per fresh n = 24 instance, uncertainty sampling's accuracy at 160
+    queries minus passive's at 320 has mean about 0.021 and standard
+    deviation about 0.009 (100 instances), so the 8-trial mean sits
+    about 6.5 standard deviations above zero; over 100 seeds of this
+    cell its smallest value was 0.012.  Budgets of 40-160 over a
+    512-challenge pool do not have the gap in expectation (mean
+    -0.006), so a gate there passes or fails by chance.
+    """
     return [
         ActiveBenchCase(
             name="atlas_n24_k1_smoke",
             n=24,
             k=1,
-            budgets=(40, 80, 160),
-            pool_size=512,
-            trials=2,
-            test_size=1000,
+            budgets=(80, 160, 320),
+            trials=8,
             strategies=("passive", "uncertainty", "fastslow"),
         )
     ]
