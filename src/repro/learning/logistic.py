@@ -3,7 +3,8 @@
 The empirical state of the art the paper contrasts with *provable* learners:
 gradient-based LR over the arbiter parity features breaks plain arbiter
 PUFs with a few thousand CRPs and small XOR PUFs with polynomially more.
-Implemented directly on NumPy/SciPy (no sklearn in this environment).
+Implemented directly on NumPy: the convex loss is minimised by damped
+Newton (:func:`repro.learning.solvers.newton_logistic`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.booleanfuncs.ltf import LTF
+from repro.learning.solvers import newton_logistic
 from repro.telemetry import trace
 
 FeatureMap = Callable[[np.ndarray], np.ndarray]
@@ -41,7 +43,7 @@ class LogisticResult:
 
 
 class LogisticAttack:
-    """L2-regularised logistic regression trained with L-BFGS.
+    """L2-regularised logistic regression trained by damped Newton.
 
     Parameters
     ----------
@@ -51,7 +53,7 @@ class LogisticAttack:
         Optional challenge transform (e.g. the arbiter parity transform,
         which makes arbiter-PUF CRPs linearly separable).
     max_iter:
-        L-BFGS iteration cap.
+        Newton step cap; ``converged`` is False when a fit hits it.
     """
 
     def __init__(
@@ -75,8 +77,6 @@ class LogisticAttack:
         rng: Optional[np.random.Generator] = None,
     ) -> LogisticResult:
         """Train on +/-1 challenges and labels."""
-        from scipy import optimize
-
         x = np.asarray(x)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -89,32 +89,17 @@ class LogisticAttack:
         rng = np.random.default_rng() if rng is None else rng
         theta0 = rng.normal(0.0, 0.01, size=d + 1)
 
-        def loss_and_grad(theta: np.ndarray):
-            w, b = theta[:d], theta[d]
-            margin = y * (feats @ w + b)
-            # log(1 + exp(-margin)) computed stably.
-            loss = np.mean(np.logaddexp(0.0, -margin)) + 0.5 * self.l2 * (w @ w)
-            sig = 1.0 / (1.0 + np.exp(np.clip(margin, -500, 500)))
-            coef = -y * sig / m
-            grad_w = feats.T @ coef + self.l2 * w
-            grad_b = np.sum(coef)
-            return loss, np.concatenate([grad_w, [grad_b]])
-
         with trace("logistic.fit", examples=m, features=d):
-            result = optimize.minimize(
-                loss_and_grad,
-                theta0,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": self.max_iter},
+            theta, loss, converged = newton_logistic(
+                feats, y, theta0, self.l2, self.max_iter
             )
-        w, b = result.x[:d], result.x[d]
+        w, b = theta[:d], theta[d]
         ltf = LTF(w, -b, name="logistic_ltf")
         preds = ltf(feats)
         return LogisticResult(
             ltf=ltf,
-            converged=bool(result.success),
-            final_loss=float(result.fun),
+            converged=converged,
+            final_loss=loss,
             train_accuracy=float(np.mean(preds == y)),
             feature_map=self.feature_map,
         )

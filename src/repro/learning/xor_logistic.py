@@ -5,9 +5,10 @@ features,
 
     m(c) = prod_{j=1..k} (w_j . phi(c)),     y_hat = sgn(m(c)),
 
-and fits the chain weights by logistic regression on y * m(c) with L-BFGS
-and random restarts.  This is the attack that broke small-k XOR PUFs in
-practice and is the empirical counterpart of the provable machinery in
+and fits the chain weights by logistic regression on y * m(c) with
+L-BFGS (:func:`repro.learning.solvers.lbfgs`) and random restarts.  This
+is the attack that broke small-k XOR PUFs in practice and is the
+empirical counterpart of the provable machinery in
 :mod:`repro.learning.lmn` / :mod:`repro.learning.learn_poly`.
 """
 
@@ -18,9 +19,29 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.learning.solvers import lbfgs
 from repro.telemetry import trace
 
 FeatureMap = Callable[[np.ndarray], np.ndarray]
+
+
+def _other_margins(margins: np.ndarray) -> np.ndarray:
+    """Column j: the product of every margin column except j.
+
+    No division, so a zero margin is handled exactly: k = 1 gives ones,
+    k = 2 the column-swapped margins, larger k the elementwise product
+    of exclusive prefix and suffix products.
+    """
+    m, k = margins.shape
+    if k == 1:
+        return np.ones((m, 1))
+    if k == 2:
+        return margins[:, ::-1]
+    prefix = np.ones((m, k))
+    suffix = np.ones((m, k))
+    prefix[:, 1:] = np.cumprod(margins[:, :-1], axis=1)
+    suffix[:, :-1] = np.cumprod(margins[:, :0:-1], axis=1)[:, ::-1]
+    return prefix * suffix
 
 
 @dataclasses.dataclass
@@ -55,7 +76,8 @@ class XorLogisticAttack:
     restarts:
         Random restarts of L-BFGS; the loss is non-convex for k >= 2.
     max_iter:
-        L-BFGS iterations per restart.
+        L-BFGS iterations per restart; ``converged`` is False when the
+        winning restart hit this cap.
     l2:
         Ridge penalty on all weights.
     feature_map:
@@ -96,8 +118,6 @@ class XorLogisticAttack:
         rng: Optional[np.random.Generator] = None,
     ) -> XorLogisticResult:
         """Fit on +/-1 challenges and responses."""
-        from scipy import optimize
-
         x = np.asarray(x)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -108,23 +128,21 @@ class XorLogisticAttack:
         feats = x if self.feature_map is None else self.feature_map(x)
         feats = np.asarray(feats, dtype=np.float64)
         m, d = feats.shape
-        k = self.k
+        k, l2 = self.k, self.l2
 
         def loss_and_grad(theta: np.ndarray):
             w = theta.reshape(k, d)
             margins = feats @ w.T  # (m, k)
-            prod = np.prod(margins, axis=1)
-            z = y * prod
-            loss = np.mean(np.logaddexp(0.0, -z)) + 0.5 * self.l2 * np.sum(w * w)
-            sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
-            coef = -y * sig / m  # dLoss/dprod
-            grad = np.empty_like(w)
-            for j in range(k):
-                others = np.prod(
-                    np.delete(margins, j, axis=1), axis=1
-                ) if k > 1 else np.ones(m)
-                grad[j] = feats.T @ (coef * others) + self.l2 * w[j]
-            return loss, grad.ravel()
+            others = _other_margins(margins)
+            z = y * (margins[:, 0] * others[:, 0])  # y * product of all k
+            loss = np.logaddexp(0.0, -z).sum() / m + 0.5 * l2 * (theta @ theta)
+            # dLoss/dprod = -y * sigmoid(-z) / m; exp is clipped above only,
+            # where it would overflow.
+            coef = y / (-m * (1.0 + np.exp(np.minimum(z, 500.0))))
+            # d prod / d w_j = (product of the other k - 1 margins) * feats.
+            grad = (coef[:, None] * others).T @ feats
+            grad += l2 * w
+            return float(loss), grad.ravel()
 
         best: Optional[XorLogisticResult] = None
         for attempt in range(self.restarts):
@@ -133,20 +151,14 @@ class XorLogisticAttack:
                 "xor_logistic.fit", examples=m, features=d, k=k, restart=attempt
             ):
                 theta0 = rng.normal(0.0, 1.0, size=k * d)
-                result = optimize.minimize(
-                    loss_and_grad,
-                    theta0,
-                    jac=True,
-                    method="L-BFGS-B",
-                    options={"maxiter": self.max_iter},
-                )
-                w = result.x.reshape(k, d)
+                theta, loss, converged = lbfgs(loss_and_grad, theta0, self.max_iter)
+                w = theta.reshape(k, d)
                 margins = np.prod(feats @ w.T, axis=1)
                 acc = float(np.mean(np.where(margins >= 0, 1, -1) == y))
             candidate = XorLogisticResult(
                 chain_weights=w,
-                converged=bool(result.success),
-                final_loss=float(result.fun),
+                converged=converged,
+                final_loss=loss,
                 train_accuracy=acc,
                 restarts_used=attempt + 1,
                 feature_map=self.feature_map,

@@ -1,10 +1,12 @@
 """Import budget: each entry point loads only what its command runs.
 
 ``import repro`` binds its subpackages on first attribute access
-(PEP 562), scipy is imported inside the learner and tester calls that
-use it, and trial functions import their learners in their bodies.  So a
-fleet, serve or atlas process never pays for scipy, the learners, the
-locking stack or the PAC machinery.  Each case runs a fresh interpreter
+(PEP 562), scipy is imported only inside the halfspace tester, the
+conformance oracles and the frozen references that use it, and trial
+functions import their learners in their bodies.  So a fleet, serve or
+atlas process never pays for scipy, the learners, the locking stack or
+the PAC machinery, and the LR fits of an atlas or learning-curve run
+(NumPy solvers) load no scipy either.  Each case runs a fresh interpreter
 and checks the module *names* in ``sys.modules`` — never timings, so a
 slow runner cannot make it flake.  A failure lists the offending modules
 with the chain that imported each one, read from ``-X importtime``.
@@ -56,10 +58,30 @@ _CLI = (
 )
 
 
+_CALLER = "import caller: "
+
+#: Log, for each module first imported while a ``repro`` function (not a
+#: module body) is on the stack, the innermost such function: an import
+#: made at call time has no importer in the ``-X importtime`` log.
+_AUDIT = (
+    "import sys\n"
+    "def _audit(event, args):\n"
+    "    if event != 'import':\n"
+    "        return\n"
+    "    frame = sys._getframe(1)\n"
+    "    while frame and not frame.f_globals.get('__name__', '').startswith('repro'):\n"
+    "        frame = frame.f_back\n"
+    "    if frame and frame.f_code.co_name != '<module>':\n"
+    "        where = frame.f_globals['__name__'] + '.' + frame.f_code.co_name\n"
+    f"        sys.stderr.write({_CALLER!r} + args[0] + '|' + where + '\\n')\n"
+    "sys.addaudithook(_audit)\n"
+)
+
+
 def _run(code, *args):
-    """Run ``code`` under ``-X importtime``; return (modules, importtime log)."""
+    """Run ``code`` under ``-X importtime``; return (modules, import log)."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", code, *args],
+        [sys.executable, "-X", "importtime", "-c", _AUDIT + code, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
@@ -75,10 +97,17 @@ def _import_chain(log, module):
 
     ``-X importtime`` prints a module's line when its import finishes,
     two spaces deeper per nesting level, so a module's importer is the
-    next line one level shallower.
+    next line one level shallower.  When the outermost importer was
+    loaded by a ``repro`` function at call time, that function ends the
+    chain.
     """
     rows = []
+    callers = {}
     for line in log.splitlines():
+        if line.startswith(_CALLER):
+            name, where = line[len(_CALLER):].split("|", 1)
+            callers.setdefault(name, where)
+            continue
         if not line.startswith("import time:") or "|" not in line:
             continue
         name = line.rsplit("|", 1)[1]
@@ -94,6 +123,8 @@ def _import_chain(log, module):
             if later_depth < depth:
                 chain.append(later)
                 depth = later_depth
+        if chain[-1] in callers:
+            chain.append(callers[chain[-1]])
         return " <- ".join(chain)
     return module
 
@@ -136,6 +167,28 @@ def test_cli_help_stays_light(command):
     modules, log = _run(_CLI, command, "--help")
     assert "repro.runtime.workloads" in modules  # the --workload choices
     _assert_none_loaded(modules, log, HEAVY)
+
+
+#: Commands that fit LR models in-process on a tiny grid: the learners
+#: load, scipy must not.
+LR_COMMANDS = {
+    "atlas": [
+        "atlas", "--families", "xor", "--learners", "lr", "--ns", "16",
+        "--ks", "1,2", "--budgets", "60", "--test-size", "200",
+    ],
+    "curve": [
+        "trials", "--workload", "curve", "--smoke", "--trials", "2",
+        "--workers", "1", "--spec", "n=16", "--spec", "budgets=[60]",
+        "--spec", "test_size=200",
+    ],
+}
+
+
+@pytest.mark.parametrize("args", LR_COMMANDS.values(), ids=LR_COMMANDS.keys())
+def test_lr_fits_load_no_scipy(args):
+    modules, log = _run(_CLI, *args)
+    _assert_none_loaded(modules, log, ("scipy",))
+    assert "repro.learning.logistic" in modules  # the fits ran here
 
 
 def test_attribute_access_and_star_import_bind_every_subpackage():
@@ -189,3 +242,17 @@ def test_import_chain_names_the_importer():
         "scipy.optimize <- repro.learning.logistic <- repro.runtime.workloads"
     )
     assert _import_chain(log, "absent") == "absent"
+
+
+def test_import_chain_ends_at_the_calling_function():
+    log = (
+        "import caller: scipy|repro.learning.logistic.fit\n"
+        "import caller: scipy.optimize|repro.learning.logistic.fit\n"
+        "import time: self [us] | cumulative | imported package\n"
+        "import time:        10 |         10 |   scipy.optimize\n"
+        "import time:        10 |         20 | scipy\n"
+    )
+    assert _import_chain(log, "scipy") == "scipy <- repro.learning.logistic.fit"
+    assert _import_chain(log, "scipy.optimize") == (
+        "scipy.optimize <- scipy <- repro.learning.logistic.fit"
+    )
