@@ -39,10 +39,14 @@ ARMIJO = 1e-4
 #: Step halvings before a line search gives up.
 MAX_BACKTRACKS = 40
 
-#: Largest m * n * k of one Hessian GEMM.  OpenBLAS runs a GEMM this
-#: small on one thread, and a threaded GEMM rounds differently, so the
-#: Hessian is summed over row blocks of at most this size: every fit is
-#: then bit-identical whatever the BLAS thread count.
+#: Largest m * n * k of one Hessian GEMM.  A threaded GEMM rounds
+#: differently from a serial one, so the Hessian is summed over row
+#: blocks of at most this size, which OpenBLAS runs on one thread: its
+#: default build threads a GEMM only above SMP_THRESHOLD_MIN (65536) x
+#: GEMM_MULTITHREAD_THRESHOLD (4) = 2^18.  With that build every fit is
+#: bit-identical whatever the BLAS thread count.  An OpenBLAS built with
+#: another threshold, MKL or Accelerate may thread these GEMMs and break
+#: that; the fits stay deterministic for a fixed thread count.
 SERIAL_GEMM_SIZE = 1 << 18
 
 Solution = Tuple[np.ndarray, float, bool]

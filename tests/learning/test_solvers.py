@@ -153,5 +153,12 @@ def _run_with_threads(threads):
     return json.loads(line[len("RESULT:"):])
 
 
+_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif(
+    "openblas" not in _BLAS.lower(),
+    reason=f"cross-thread bit-identity assumes OpenBLAS, not {_BLAS}",
+)
 def test_bit_identical_across_blas_threads():
     assert _run_with_threads(1) == _run_with_threads(2)

@@ -58,30 +58,10 @@ _CLI = (
 )
 
 
-_CALLER = "import caller: "
-
-#: Log, for each module first imported while a ``repro`` function (not a
-#: module body) is on the stack, the innermost such function: an import
-#: made at call time has no importer in the ``-X importtime`` log.
-_AUDIT = (
-    "import sys\n"
-    "def _audit(event, args):\n"
-    "    if event != 'import':\n"
-    "        return\n"
-    "    frame = sys._getframe(1)\n"
-    "    while frame and not frame.f_globals.get('__name__', '').startswith('repro'):\n"
-    "        frame = frame.f_back\n"
-    "    if frame and frame.f_code.co_name != '<module>':\n"
-    "        where = frame.f_globals['__name__'] + '.' + frame.f_code.co_name\n"
-    f"        sys.stderr.write({_CALLER!r} + args[0] + '|' + where + '\\n')\n"
-    "sys.addaudithook(_audit)\n"
-)
-
-
 def _run(code, *args):
-    """Run ``code`` under ``-X importtime``; return (modules, import log)."""
+    """Run ``code`` under ``-X importtime``; return (modules, importtime log)."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", _AUDIT + code, *args],
+        [sys.executable, "-X", "importtime", "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
@@ -97,17 +77,10 @@ def _import_chain(log, module):
 
     ``-X importtime`` prints a module's line when its import finishes,
     two spaces deeper per nesting level, so a module's importer is the
-    next line one level shallower.  When the outermost importer was
-    loaded by a ``repro`` function at call time, that function ends the
-    chain.
+    next line one level shallower.
     """
     rows = []
-    callers = {}
     for line in log.splitlines():
-        if line.startswith(_CALLER):
-            name, where = line[len(_CALLER):].split("|", 1)
-            callers.setdefault(name, where)
-            continue
         if not line.startswith("import time:") or "|" not in line:
             continue
         name = line.rsplit("|", 1)[1]
@@ -123,8 +96,6 @@ def _import_chain(log, module):
             if later_depth < depth:
                 chain.append(later)
                 depth = later_depth
-        if chain[-1] in callers:
-            chain.append(callers[chain[-1]])
         return " <- ".join(chain)
     return module
 
@@ -243,16 +214,3 @@ def test_import_chain_names_the_importer():
     )
     assert _import_chain(log, "absent") == "absent"
 
-
-def test_import_chain_ends_at_the_calling_function():
-    log = (
-        "import caller: scipy|repro.learning.logistic.fit\n"
-        "import caller: scipy.optimize|repro.learning.logistic.fit\n"
-        "import time: self [us] | cumulative | imported package\n"
-        "import time:        10 |         10 |   scipy.optimize\n"
-        "import time:        10 |         20 | scipy\n"
-    )
-    assert _import_chain(log, "scipy") == "scipy <- repro.learning.logistic.fit"
-    assert _import_chain(log, "scipy.optimize") == (
-        "scipy.optimize <- scipy <- repro.learning.logistic.fit"
-    )
