@@ -550,12 +550,18 @@ def _diff_fleet_majority_vote(ctx: RelationContext) -> Dict[str, object]:
     """Batched noisy measurement and majority vote are bit-identical to
     a per-instance reference fed the *same* noise stream.
 
-    The batched path and the reference consume identical ``(M, chains)``
-    normal slabs (same generator seed, same draw order), so the ±1
-    integer post-processing — sign, per-instance XOR combine, int16 vote
-    accumulation, the ties-to-+1 rule — must agree bit-for-bit.
+    The batched path draws noise only for the chains inside the noise
+    band (``|margin| < NOISE_BAND * sigma``).  The reference replays
+    that stream slab by slab into a full ``(M, chains)`` noise tensor
+    that holds the band draws inside the band and zero outside it, so
+    the ±1 integer post-processing — sign, per-instance XOR combine,
+    vote accumulation, the ties-to-+1 rule — must agree bit-for-bit.
     """
-    from repro.kernels.fleet import batched_majority_vote, noisy_sign_responses
+    from repro.kernels.fleet import (
+        NOISE_BAND,
+        batched_majority_vote,
+        noisy_sign_responses,
+    )
     from repro.pufs.fleet import Fleet, FleetSpec
 
     spec = FleetSpec("xor", 16, 5, k=(1, 2, 3, 2, 4), noise_sigma=0.6)
@@ -593,10 +599,12 @@ def _diff_fleet_majority_vote(ctx: RelationContext) -> Dict[str, object]:
         np.random.default_rng(entropy),
         offsets,
     )
+    band = np.abs(margins) < NOISE_BAND * spec.noise_sigma
     replay = np.random.default_rng(entropy)
     votes = np.zeros((c.shape[0], spec.size), dtype=np.int64)
     for _ in range(repetitions):
-        slab = replay.normal(0.0, spec.noise_sigma, size=margins.shape)
+        slab = np.zeros(margins.shape)
+        slab[band] = replay.normal(0.0, spec.noise_sigma, size=int(band.sum()))
         votes += combine_loop(np.where(margins + slab >= 0, 1, -1))
     if not np.array_equal(voted, np.where(votes >= 0, 1, -1).astype(np.int8)):
         raise ConformanceViolation(
@@ -616,6 +624,7 @@ def _diff_fleet_majority_vote(ctx: RelationContext) -> Dict[str, object]:
         "rows": int(c.shape[0]),
         "chains": int(sum(counts)),
         "repetitions": repetitions,
+        "band_fraction": round(float(np.mean(band)), 4),
     }
 
 
@@ -783,7 +792,7 @@ def differential_relations() -> List[Relation]:
             "diff_fleet_majority_vote",
             "differential",
             "batched noisy eval and majority vote are bit-identical to the "
-            "per-instance loop under the same noise stream",
+            "per-instance loop under the same band-limited noise stream",
             _diff_fleet_majority_vote,
         ),
         Relation(

@@ -623,6 +623,66 @@ def _reliability_attack_beats_chance(ctx: RelationContext) -> Dict[str, object]:
     }
 
 
+def _fleet_noise_band_matches_dense(ctx: RelationContext) -> Dict[str, object]:
+    """Band-limited measurement noise flips answers as often as dense noise.
+
+    :func:`repro.kernels.fleet.noisy_measurements` draws noise only for
+    chains within ``NOISE_BAND`` noise standard deviations of the
+    threshold; the frozen :func:`repro.kernels.reference
+    .naive_dense_noisy_measurements` draws it for every chain.  On an
+    arbiter fleet and on a mixed-k XOR fleet whose margins spread about
+    three noise sigmas (nearly every chain inside the band, the flip
+    probability far from 0 and 1), the two kernels, fed independent
+    streams, must disagree with the ideal answer equally often over
+    every vote and tail measurement: two one-sided
+    ``check_two_sample_less`` per fleet, each at a quarter of the
+    relation's alpha.  A band narrower than the noise reach (t = 1)
+    loses about 0.02 of flip rate and fails here.
+    """
+    from repro.kernels.fleet import noisy_measurements, sign_responses
+    from repro.kernels.reference import naive_dense_noisy_measurements
+    from repro.pufs.fleet import Fleet, FleetSpec
+
+    alpha = ctx.split_alpha(4)
+    n, repetitions, extra = 32, 5, 2
+    m = ctx.samples(4_000, minimum=1_000)
+    specs = {
+        "arbiter": FleetSpec("arbiter", n, 64, noise_sigma=2.0),
+        "mixed-xor": FleetSpec("xor", n, 64, k=(1, 2, 3, 4) * 16, noise_sigma=2.0),
+    }
+    details: Dict[str, object] = {"m": m, "measurements": repetitions + extra}
+    for name, spec in specs.items():
+        fleet = Fleet.build(spec, int(ctx.rng().integers(0, 2**63)))
+        margins = fleet.margins(_random_challenges(ctx.rng(), m, n))
+        ideal = sign_responses(margins, fleet.chain_offsets)
+        flips = []
+        for kernel in (noisy_measurements, naive_dense_noisy_measurements):
+            negatives, tail = kernel(
+                margins,
+                spec.noise_sigma,
+                repetitions,
+                ctx.rng(),
+                fleet.chain_offsets,
+                extra,
+            )
+            vote_flips = np.where(ideal < 0, repetitions - negatives, negatives)
+            flips.append(int(np.sum(vote_flips)) + int(np.sum(tail != ideal)))
+        cells = (repetitions + extra) * m * spec.size
+        band, dense = flips
+        ctx.check(
+            orc.check_two_sample_less(
+                band, cells, dense, cells, alpha, name=f"{name}_band_le_dense"
+            )
+        )
+        ctx.check(
+            orc.check_two_sample_less(
+                dense, cells, band, cells, alpha, name=f"{name}_dense_le_band"
+            )
+        )
+        details[name] = {"cells": cells, "band_flips": band, "dense_flips": dense}
+    return details
+
+
 def metamorphic_relations() -> List[Relation]:
     """The registry of metamorphic relations, in stable order."""
     return [
@@ -739,6 +799,14 @@ def metamorphic_relations() -> List[Relation]:
             "the CMA-ES reliability side channel models noisy XOR PUFs "
             "well above chance from repeated measurements alone",
             _reliability_attack_beats_chance,
+            statistical=True,
+        ),
+        Relation(
+            "fleet_noise_band_matches_dense",
+            "metamorphic",
+            "fleet measurements that draw noise only near the threshold flip "
+            "answers as often as the frozen dense noise draw",
+            _fleet_noise_band_matches_dense,
             statistical=True,
         ),
     ]

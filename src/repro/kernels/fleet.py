@@ -18,9 +18,13 @@ chain width; an XOR instance's flag is the XOR of its chains' flags,
 combined by column position (one gather of every instance's first
 chain, then one XOR per further chain index, over the instances that
 have it), and flags become ±1 int8 once, at instance width.  Repeated
-noisy measurements (:func:`noisy_measurements`) draw all their noise
-slabs in one stream, combine chains the same way and vote by counting
--1 answers.
+noisy measurements (:func:`noisy_measurements`) draw noise only where it
+can flip an answer: a chain whose margin lies more than
+:data:`NOISE_BAND` (t = 8.3) noise standard deviations from the
+threshold keeps its ideal sign, which moves each chain's answer
+distribution by a total-variation distance below 2·Phi(-t) ~ 1e-16 per
+measurement.  The chains inside the band draw all their measurements in
+one stream; chains combine the same way and votes count -1 answers.
 
 This module is part of the ``repro.kernels`` leaf package: it imports
 numpy and :mod:`repro.kernels.backend` and nothing else from ``repro``.
@@ -48,12 +52,18 @@ __all__ = [
     "majority_from_negatives",
     "batched_majority_vote",
     "NOISE_DRAW_BYTES",
+    "NOISE_BAND",
 ]
 
-#: Largest noise draw :func:`noisy_measurements` makes at once, in bytes.
-#: Bigger fleets draw whole measurements in groups under it, in stream
-#: order, so the values never depend on it.
+#: Largest noise draw (or flag plane) :func:`noisy_measurements` makes at
+#: once, in bytes.  Bigger fleets draw whole measurements in groups under
+#: it, in stream order, so the values never depend on it.
 NOISE_DRAW_BYTES = 1 << 23
+
+#: Half-width of the noise band, in noise standard deviations: only chains
+#: with ``|margin| < NOISE_BAND * sigma`` draw measurement noise.  Outside
+#: it a dense draw flips a chain with probability below Phi(-8.3) ~ 5e-17.
+NOISE_BAND = 8.3
 
 
 # ----------------------------------------------------------------------
@@ -212,39 +222,54 @@ def noisy_measurements(
     first ``repetitions`` measurements, ``tail`` the ``(extra, M, N)``
     ±1 int8 answers of the ``extra`` measurements that follow.
 
-    The noise is one ``(repetitions + extra, M, K)`` C-order normal draw
-    — the same stream as that many sequential ``(M, K)`` slabs — split
-    into whole-measurement groups of at most :data:`NOISE_DRAW_BYTES`
-    each so a large fleet never allocates the whole tensor.  Signs are
-    decided in the bool domain — ``noise >= -margins`` is exactly
-    ``margins + noise >= 0`` (the sum's rounding cannot cross zero), and
-    a NaN margin still answers -1 — and chains combine by XOR of their
-    -1 flags.
-    With ``noise_sigma <= 0`` nothing is drawn and every measurement is
-    the ideal response.
+    Noise is drawn only for the *band*: the chains with ``|margin| <
+    NOISE_BAND * noise_sigma``, ``n_band`` of them in C order.  Every
+    other chain answers its ideal sign in every measurement.  A dense
+    draw would flip it with probability ``Phi(-|margin| / noise_sigma)
+    < Phi(-8.3)`` ~ 5e-17, so per chain and measurement the answer's
+    total-variation distance to the dense kernel's is below
+    ``2 Phi(-8.3)`` ~ 1e-16.  A NaN margin fails the band test and
+    answers -1, as its ideal sign does.
+
+    The band noise is one ``(repetitions + extra, n_band)`` C-order
+    normal draw — the same stream as that many sequential
+    ``(n_band,)`` slabs, so :meth:`~repro.pufs.fleet.Fleet.majority_vote`
+    then :meth:`~repro.pufs.fleet.Fleet.eval_noisy` draws exactly what
+    one ``vote_and_measure`` does — split into whole-measurement groups
+    so that neither a group's noise nor its ``(M, K)`` flag planes
+    exceed :data:`NOISE_DRAW_BYTES`.  The draws are scattered into
+    copies of the ideal -1 flags; ``noise >= -margin`` is exactly
+    ``margin + noise >= 0`` (the sum's rounding cannot cross zero), and
+    chains combine by XOR of their -1 flags.  With ``noise_sigma <= 0``
+    nothing is drawn and every measurement is the ideal response.
     """
     margins = np.asarray(margins)
+    ideal = ~(margins >= 0)
     if noise_sigma <= 0:
-        ideal = _negative_flags(~(margins >= 0), chain_offsets)
-        tail = np.broadcast_to(_flags_to_signs(ideal), (extra,) + ideal.shape)
-        return ideal.astype(np.int32) * np.int32(repetitions), tail.copy()
+        flags = _negative_flags(ideal, chain_offsets)
+        tail = np.broadcast_to(_flags_to_signs(flags), (extra,) + flags.shape)
+        return flags.astype(np.int32) * np.int32(repetitions), tail.copy()
+    band = np.flatnonzero(np.abs(margins) < NOISE_BAND * noise_sigma)
+    threshold = -np.take(margins, band)
     width = margins.shape[1] if chain_offsets is None else len(chain_offsets)
     negatives = np.zeros((margins.shape[0], width), dtype=np.int32)
     tail = np.empty((extra,) + negatives.shape, dtype=np.int8)
-    threshold = -margins
     total = repetitions + extra
-    group = max(1, NOISE_DRAW_BYTES // max(1, 8 * margins.size))
+    group = max(1, NOISE_DRAW_BYTES // max(1, 8 * len(band), margins.size))
     for lo in range(0, total, group):
-        shape = (min(group, total - lo),) + margins.shape
-        noise = rng.normal(0.0, noise_sigma, size=shape)
-        flags = _negative_flags(~(noise >= threshold), chain_offsets)
+        count = min(group, total - lo)
+        noise = rng.normal(0.0, noise_sigma, size=(count, len(band)))
+        chains = np.empty((count,) + margins.shape, dtype=bool)
+        chains[...] = ideal
+        chains.reshape(count, -1)[:, band] = ~(noise >= threshold)
+        flags = _negative_flags(chains, chain_offsets)
         # flags[:split] are votes; flags[split:] are tail[start:...].
-        split = min(len(flags), max(0, repetitions - lo))
+        split = min(count, max(0, repetitions - lo))
         if split:
             negatives += flags[:split].sum(axis=0, dtype=np.int32)
-        if split < len(flags):
+        if split < count:
             start = lo + split - repetitions
-            tail[start : start + len(flags) - split] = _flags_to_signs(flags[split:])
+            tail[start : start + count - split] = _flags_to_signs(flags[split:])
     return negatives, tail
 
 

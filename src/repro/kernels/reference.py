@@ -28,7 +28,10 @@ Four families live here:
   vectorised :mod:`repro.kernels.spawn` must match exactly; and the
   fleet's ``reduceat`` chain combines and float64 Gram uniqueness, which
   the positional chain XOR of :mod:`repro.kernels.fleet` and the
-  float32 Gram of :mod:`repro.pufs.metrics` must match bit for bit.
+  float32 Gram of :mod:`repro.pufs.metrics` must match bit for bit;
+  and the dense fleet noise draw (one normal per measurement, challenge
+  and chain), which the band-limited ``noisy_measurements`` must match
+  in flip rate (the ``fleet_noise_band_matches_dense`` relation).
 
 Do not optimise these.  Their slowness *is* the point: a reference must
 stay simple enough to audit by eye.  Integer-valued paths (characters,
@@ -651,3 +654,60 @@ def naive_plane_uniqueness(responses: np.ndarray) -> float:
     diff = (m - gram) / 2.0
     upper = diff[np.triu_indices(size, k=1)]
     return float(np.mean(upper / m))
+
+
+def naive_dense_noisy_measurements(
+    margins: np.ndarray,
+    noise_sigma: float,
+    repetitions: int,
+    rng: np.random.Generator,
+    chain_offsets: Optional[np.ndarray] = None,
+    extra: int = 0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pre-band ``noisy_measurements``, verbatim: one normal per
+    (measurement, challenge, chain).
+
+    ``repetitions + extra`` noisy fleet measurements from one noise stream.
+
+    ``margins`` is ``(M, K)`` (K instances, or K chains for XOR fleets
+    with ``chain_offsets``).  Returns ``(negatives, tail)``:
+    ``negatives`` is the ``(M, N)`` int32 count of -1 answers among the
+    first ``repetitions`` measurements, ``tail`` the ``(extra, M, N)``
+    ±1 int8 answers of the ``extra`` measurements that follow.
+
+    The noise is one ``(repetitions + extra, M, K)`` C-order normal draw
+    — the same stream as that many sequential ``(M, K)`` slabs — split
+    into whole-measurement groups of at most :data:`NOISE_DRAW_BYTES`
+    each so a large fleet never allocates the whole tensor.  Signs are
+    decided in the bool domain — ``noise >= -margins`` is exactly
+    ``margins + noise >= 0`` (the sum's rounding cannot cross zero), and
+    a NaN margin still answers -1 — and chains combine by XOR of their
+    -1 flags.
+    With ``noise_sigma <= 0`` nothing is drawn and every measurement is
+    the ideal response.
+    """
+    from repro.kernels.fleet import NOISE_DRAW_BYTES, _flags_to_signs, _negative_flags
+
+    margins = np.asarray(margins)
+    if noise_sigma <= 0:
+        ideal = _negative_flags(~(margins >= 0), chain_offsets)
+        tail = np.broadcast_to(_flags_to_signs(ideal), (extra,) + ideal.shape)
+        return ideal.astype(np.int32) * np.int32(repetitions), tail.copy()
+    width = margins.shape[1] if chain_offsets is None else len(chain_offsets)
+    negatives = np.zeros((margins.shape[0], width), dtype=np.int32)
+    tail = np.empty((extra,) + negatives.shape, dtype=np.int8)
+    threshold = -margins
+    total = repetitions + extra
+    group = max(1, NOISE_DRAW_BYTES // max(1, 8 * margins.size))
+    for lo in range(0, total, group):
+        shape = (min(group, total - lo),) + margins.shape
+        noise = rng.normal(0.0, noise_sigma, size=shape)
+        flags = _negative_flags(~(noise >= threshold), chain_offsets)
+        # flags[:split] are votes; flags[split:] are tail[start:...].
+        split = min(len(flags), max(0, repetitions - lo))
+        if split:
+            negatives += flags[:split].sum(axis=0, dtype=np.int32)
+        if split < len(flags):
+            start = lo + split - repetitions
+            tail[start : start + len(flags) - split] = _flags_to_signs(flags[split:])
+    return negatives, tail

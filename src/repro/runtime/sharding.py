@@ -31,9 +31,11 @@ functions of ``(master_seed, index)``:
   workers *then* shuts the pool down, harvests futures that already hold
   results, and resubmits the lost chunks under the
   :class:`~repro.runtime.runner.RetryPolicy` with seed-derived backoff.
-* **Pickling failures** are deterministic, so the shard drains its
-  leftovers and queue serially in its driver thread, checking ``cancel``
-  before every trial.
+* **Pickling failures** are deterministic.  A trial function or kwargs
+  that cannot be pickled is caught before any pool starts, and every
+  shard runs serially; a result that cannot cross back makes its shard
+  shut the pool down and drain its leftovers and queue serially in its
+  driver thread.  Either drain checks ``cancel`` before every trial.
 * **Crash-safe resume** — a one-shard run appends to the main
   ``ledger.jsonl``; with ``shards > 1`` each shard appends to its own
   ``ledger-shardNN.jsonl`` (:meth:`repro.telemetry.ledger.RunLedger.shard`),
@@ -46,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
+import pickle
 import threading
 import time
 import warnings
@@ -471,14 +474,15 @@ class _ShardDriver:
                     rebuild(lost, "infra")
                     break  # remaining `done` futures died with the pool
                 except Exception as exc:
-                    # Deterministic plumbing failure (the function, kwargs
-                    # or result cannot cross the process boundary):
-                    # retrying cannot help, drain serially instead.
+                    # Deterministic plumbing failure (a result cannot
+                    # cross back; the function and kwargs were checked
+                    # before any pool started): retrying cannot help, so
+                    # shut the healthy pool down and drain serially.
                     self.fallback = f"{type(exc).__name__}: {exc}"
                     leftovers = sorted(
                         [items, *pending.values()], key=lambda c: c[0][0]
                     )
-                    _stop_pool(pool)
+                    pool.shutdown(wait=True, cancel_futures=True)
                     self._drain_serially(leftovers)
                     return
                 else:
@@ -552,6 +556,15 @@ def run_sharded(
     retry = RetryPolicy() if retry is None else retry
     chunk = chunk_size or default_shard_chunk(len(items), shards, workers)
     scheduler = WorkStealingScheduler(partition_items(items, shards))
+    pooled = shards > 1 or workers > 1
+    unpicklable = None
+    if pooled:
+        # A function or kwargs that cannot cross the process boundary
+        # would fail every chunk; find out before any pool starts.
+        try:
+            pickle.dumps((trial_fn, kwargs))
+        except Exception as exc:
+            unpicklable = f"{type(exc).__name__}: {exc}"
 
     def make_emit(shard_id: int) -> Callable[[TrialResult], None]:
         shard_ledger = ledger
@@ -578,10 +591,13 @@ def run_sharded(
             trial_timeout=trial_timeout,
             emit=make_emit(s),
             cancel=cancel,
-            pooled=shards > 1 or workers > 1,
+            pooled=pooled and unpicklable is None,
         )
         for s in range(shards)
     ]
+    if unpicklable is not None:
+        for driver in drivers:
+            driver.fallback = unpicklable
     threads = [
         threading.Thread(target=driver.drive, name=f"repro-shard-{driver.shard_id}")
         for driver in drivers[1:]

@@ -56,6 +56,10 @@ QUERY_KINDS = ("ex", "mq", "eq", "sq")
 #: Rows beyond which distinct-challenge tracking stops (memory guard).
 DEFAULT_DISTINCT_CAP = 1 << 21
 
+#: Largest challenge matrix, in bytes, whose row keys a meter keeps (with a
+#: copy of the rows) so that observing the same rows again skips keying.
+_KEY_MEMO_BYTES = 1 << 20
+
 
 def _row_keys(rows: np.ndarray):
     """One hashable key per challenge row.
@@ -92,8 +96,13 @@ class KindCounter:
     crp_bytes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view (JSON-ready)."""
-        return dataclasses.asdict(self)
+        """Plain-dict view (JSON-ready), in field order."""
+        return {
+            "queries": self.queries,
+            "examples": self.examples,
+            "batches": self.batches,
+            "crp_bytes": self.crp_bytes,
+        }
 
 
 class QueryMeter:
@@ -131,6 +140,7 @@ class QueryMeter:
         self._seen = np.empty(0, dtype=np.uint64)  # sorted keys of rows <= 64 wide
         self._seen_wide: set = set()  # row bytes of wider rows
         self._merged_distinct = 0  # distinct counts folded in by merge_snapshot
+        self._key_memo: Optional[tuple] = None  # (rows copy, their unique keys)
 
     # ------------------------------------------------------------------
     @property
@@ -207,8 +217,7 @@ class QueryMeter:
             fresh = [key for key in unique if key not in self._seen_wide]
             self._seen_wide.update(fresh[:room])
         else:
-            keys = np.sort(_row_keys(x))
-            unique = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            unique = self._unique_keys(x)
             seen = self._seen
             if len(seen):
                 at = np.searchsorted(seen, unique)
@@ -222,6 +231,23 @@ class QueryMeter:
         self.repeated_challenges += x.shape[0] - len(fresh)
         if len(fresh) > room:
             self.distinct_saturated = True
+
+    def _unique_keys(self, x: np.ndarray) -> np.ndarray:
+        """Sorted distinct uint64 keys of the rows of ``x`` (<= 64 wide).
+
+        The keys of the last matrix up to :data:`_KEY_MEMO_BYTES` are kept
+        with a copy of its rows: a fleet trial observes one challenge
+        matrix three times (``Fleet.eval`` and both records of
+        ``vote_and_measure``), and a row-for-row equal matrix reuses them.
+        """
+        memo = self._key_memo
+        if memo is not None and np.array_equal(memo[0], x):
+            return memo[1]
+        keys = np.sort(_row_keys(x))
+        unique = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        if x.nbytes <= _KEY_MEMO_BYTES:
+            self._key_memo = (x.copy(), unique)
+        return unique
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Bump a free-form named counter (cache hits, kernel blocks, ...)."""

@@ -141,11 +141,14 @@ def test_instance_margin_matches_fleet_margins():
 # The one-slab measurement kernel
 # ----------------------------------------------------------------------
 def slab_loop(margins, sigma, slabs, seed, offsets=None):
-    """Per-slab reference: ``slabs`` sequential (M, K) draws, ±1 signs."""
+    """Per-slab reference: ``slabs`` sequential draws over the noise band,
+    each scattered into a zero (M, K) noise tensor, ±1 signs."""
     rng = np.random.default_rng(seed)
+    band = np.abs(margins) < kfleet.NOISE_BAND * sigma
     out = []
     for _ in range(slabs):
-        noise = rng.normal(0.0, sigma, size=margins.shape) if sigma > 0 else None
+        noise = np.zeros(margins.shape)
+        noise[band] = rng.normal(0.0, sigma, size=int(band.sum()))
         out.append(noisy_sign_responses(margins, noise, offsets))
     return np.stack(out)
 
@@ -176,8 +179,57 @@ def test_noisy_measurements_replay_the_per_slab_stream(monkeypatch, spec, draw_b
     slabs = slab_loop(
         margins, spec.noise_sigma, repetitions + extra, 4, fleet.chain_offsets
     )
+    band = np.abs(margins) < kfleet.NOISE_BAND * spec.noise_sigma
+    assert 0 < np.sum(band) < band.size  # both sides of the band are exercised
     assert np.array_equal(negatives, np.sum(slabs[:repetitions] == -1, axis=0))
     assert tail.dtype == np.int8 and np.array_equal(tail, slabs[repetitions:])
+
+
+def test_chains_outside_the_noise_band_never_flip():
+    """Margins beyond NOISE_BAND sigmas answer their ideal sign in every
+    measurement; only the in-band chains draw (and can flip)."""
+    sigma = 1.0
+    edge = kfleet.NOISE_BAND * sigma
+    margins = np.array(
+        [[edge, -edge, 0.1, 50.0], [-50.0, np.nextafter(edge, 0), -0.2, 9.0]]
+    )
+    rng = np.random.default_rng(0)
+    negatives, tail = kfleet.noisy_measurements(margins, sigma, 400, rng, None, 50)
+    outside = np.abs(margins) >= edge
+    ideal = noisy_sign_responses(margins, None)
+    assert np.array_equal(negatives[outside], 400 * (ideal[outside] == -1))
+    assert np.all(tail[:, outside] == ideal[outside])
+    assert 0 < negatives[0, 2] < 400 and 0 < negatives[1, 2] < 400
+    # Exactly the three in-band chains drew: 450 normals each.
+    replay = np.random.default_rng(0)
+    replay.normal(size=450 * 3)
+    assert rng.random() == replay.random()
+
+    # An XOR instance with every chain outside the band is its ideal answer.
+    chains = np.array([[edge, -50.0, 0.1, 9.0], [-edge, 60.0, -0.2, -0.05]])
+    offsets = np.array([0, 2])
+    negatives, tail = kfleet.noisy_measurements(chains, sigma, 400, rng, offsets, 3)
+    xor_ideal = noisy_sign_responses(chains, None, offsets)
+    assert np.array_equal(negatives[:, 0], 400 * (xor_ideal[:, 0] == -1))
+    assert np.all(tail[:, :, 0] == xor_ideal[:, 0])
+    assert np.all((0 < negatives[:, 1]) & (negatives[:, 1] < 400))
+
+
+def test_nan_margin_answers_minus_one_in_votes_and_tail():
+    margins = np.array([[np.nan, 0.3], [1.0, np.nan]])
+    negatives, tail = kfleet.noisy_measurements(
+        margins, 0.5, 7, np.random.default_rng(1), None, 2
+    )
+    nan = np.isnan(margins)
+    assert np.all(negatives[nan] == 7) and np.all(tail[:, nan] == -1)
+    # Through the chain XOR a NaN chain is a -1 chain: NaN ^ (+) answers
+    # -1 and NaN ^ (-) answers +1, in every measurement.
+    chains = np.array([[np.nan, 50.0], [-50.0, np.nan]])
+    negatives, tail = kfleet.noisy_measurements(
+        chains, 0.5, 7, np.random.default_rng(1), np.array([0]), 2
+    )
+    assert np.array_equal(negatives, [[7], [0]])
+    assert np.array_equal(tail, [[[-1], [1]], [[-1], [1]]])
 
 
 def test_noiseless_measurements_draw_nothing():
@@ -249,8 +301,8 @@ def test_golden_fleet_population_statistics():
     rel = fleet_reliability(fleet, m=500, repetitions=11, rng=np.random.default_rng(2))
     uf = fleet_uniformity(fleet, m=2000, rng=np.random.default_rng(3))
     assert uq == pytest.approx(0.4999551623774509, abs=1e-9)
-    assert float(np.mean(rel)) == pytest.approx(0.9928693181818182, abs=1e-9)
-    assert float(np.min(rel)) == pytest.approx(0.9865454545454545, abs=1e-9)
+    assert float(np.mean(rel)) == pytest.approx(0.9928203125, abs=1e-9)
+    assert float(np.min(rel)) == pytest.approx(0.986909090909091, abs=1e-9)
     assert float(np.mean(uf)) == pytest.approx(0.50006640625, abs=1e-9)
 
 

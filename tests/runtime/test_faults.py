@@ -339,6 +339,13 @@ def unpicklable(fn):
     return lambda ctx, **kwargs: fn(ctx, **kwargs)
 
 
+def unpicklable_result_trial(ctx):
+    """A picklable trial whose result (a closure) cannot cross back."""
+    index = ctx.index
+    return lambda: index
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 class TestPicklingFallback:
     @SHARDS
     def test_unpicklable_trial_falls_back_to_serial(self, shards):
@@ -359,6 +366,17 @@ class TestPicklingFallback:
         assert [r.index for r in report.results] == list(range(6))
         for value, reference in zip(report.values(), clean_values(6, 8)):
             np.testing.assert_array_equal(value, reference)
+
+    @SHARDS
+    def test_unpicklable_result_drains_serially(self, shards):
+        """The pool runs, a result fails to cross back, the shard shuts its
+        pool down and drains the rest in-thread."""
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            report = TrialRunner(workers=2, shards=shards).run(
+                unpicklable_result_trial, 6, master_seed=8
+            )
+        assert [r.index for r in report.results] == list(range(6))
+        assert [value() for value in report.values()] == list(range(6))
 
     @SHARDS
     def test_serial_drain_honours_cancel_before_every_trial(self, shards):

@@ -8,6 +8,12 @@ changed noise stream or seed fan-out, a changed snapshot means changed
 query accounting.  The three single-trial pins cover the other noisy
 fleet families (mixed-k XOR, BR, LTF) at a noise level that flips many
 responses, so the reliability values are sensitive to every draw.
+
+The digests pin the band-limited noise stream (noise drawn only for
+chains within ``NOISE_BAND`` sigmas of the threshold).  The BR pin
+predates it: its trial counts 16 vote/measurement disagreements in 1000
+cells under both the band-limited and the dense stream, so its
+reliability, and its digest, did not move.
 """
 
 import threading
@@ -50,8 +56,8 @@ def _snapshot(rows, crp_bytes, queries, batches=3):
 SERVICE_SNAPSHOT = _snapshot(rows=768, crp_bytes=139264, queries=114688)
 
 SERVICE_DIGESTS = {
-    7: "sha256:9464328d6de1d97e778b5dc9ce896dc6bbce2d59aac1d2bf2ae6abbaad6c4d2e",
-    41: "sha256:0ee3590fdb314c61288918a1cc7c574ad156137ba8d269ab2aeeb54a378eeb01",
+    7: "sha256:e8c32093d777cbedf59ac06de2260c096bc2040194baa464e364ebefef4bac03",
+    41: "sha256:7996b3fe36ae19974298dc589852dfa1be898a417d15859c9e88dc40f8d112b0",
 }
 
 
@@ -89,7 +95,7 @@ NOISY_FAMILY_TRIALS = {
             m=200,
             repetitions=7,
         ),
-        "sha256:16b56ef92b11db3fc38e7ec6ae755891a04f1ce4b6942ae21fed096072341638",
+        "sha256:30ee3a0c05d60fa954e740bbb3f258200929e39d51e6f1a0375bae788d6600ae",
         _snapshot(rows=600, crp_bytes=25200, queries=10800),
     ),
     "br": (
@@ -103,7 +109,7 @@ NOISY_FAMILY_TRIALS = {
         FleetEvalSpec(
             family="ltf", n=20, size=7, noise_sigma=0.3, m=200, repetitions=6
         ),
-        "sha256:61648be7a6e76836a1c3c2dad8d007cbfdac6bd16990fa290d3a79bbcca9a5f6",
+        "sha256:4ed9e94cc78567aa856bbbaf23878a24cfdfb7708fe84ffa65127d3926c34ef4",
         _snapshot(rows=600, crp_bytes=23200, queries=11200),
     ),
 }

@@ -9,6 +9,7 @@ snapshots.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernels.reference import naive_observe, naive_row_keys
@@ -79,3 +80,27 @@ def test_packed_row_keys_equal_matmul_keys(n, seed, zero_one):
     bits = np.random.default_rng(seed).integers(0, 2, size=(17, n))
     x = (bits if zero_one else 1 - 2 * bits).astype(np.int8)
     assert np.array_equal(_row_keys(x), naive_row_keys(x))
+
+
+@pytest.mark.parametrize("cap", [0, 100, 300, 1 << 21])
+def test_reobserved_matrix_matches_frozen_loop(cap):
+    """One challenge matrix observed again and again (as a fleet trial
+    does) reuses its row keys; the split must still equal the frozen
+    loop's, with the cap saturated or not, and rows changed in place
+    between observations must be keyed afresh."""
+    x = (1 - 2 * np.random.default_rng(3).integers(0, 2, size=(256, 32))).astype(
+        np.int8
+    )
+    meter = QueryMeter(distinct_cap=cap)
+    batches = []
+    for step in range(5):
+        if step == 3:
+            x[:40] *= -1  # same object, new rows
+        batch = x if step != 2 else x.copy()
+        meter.record("ex", queries=len(batch), challenges=batch)
+        batches.append(batch.copy())
+    snap = meter.snapshot()
+    expected = reference_split(batches, cap, True)
+    assert {k: snap[k] for k in expected} == expected
+    assert snap["distinct_saturated"] == (cap < 256 + 40)
+
