@@ -6,6 +6,9 @@ Every benchmark prints its reproduced table and also writes it to
 The conformance plugin is loaded here too, so benchmark assertions on
 stochastic rates go through ``@statistical_test`` + ``stat`` calibrated
 checks (docs/TESTING.md) instead of bare point-estimate thresholds.
+
+The frozen references that only tests use live in ``tests/_reference.py``;
+the ``frozen_reference`` fixture hands that module to a benchmark.
 """
 
 from __future__ import annotations
@@ -29,6 +32,14 @@ def crp_cache():
     from repro.runtime import ArtifactStore
 
     return ArtifactStore(RESULTS_DIR / "crp_cache")
+
+
+@pytest.fixture
+def frozen_reference():
+    """The test-only frozen references (``tests/_reference.py``)."""
+    from tests import _reference
+
+    return _reference
 
 
 @pytest.fixture

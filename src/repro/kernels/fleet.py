@@ -14,17 +14,19 @@ cell.  These kernels restructure that work as one GEMM:
 
 Sign-domain post-processing is exact and batched over the whole
 ``(M, N)`` plane.  Signs are decided once as bool "answers -1" flags at
-chain width; an XOR instance's flag is the XOR of its chains' flags,
-combined by column position (one gather of every instance's first
-chain, then one XOR per further chain index, over the instances that
-have it), and flags become ±1 int8 once, at instance width.  Repeated
-noisy measurements (:func:`noisy_measurements`) draw noise only where it
-can flip an answer: a chain whose margin lies more than
-:data:`NOISE_BAND` (t = 8.3) noise standard deviations from the
-threshold keeps its ideal sign, which moves each chain's answer
-distribution by a total-variation distance below 2·Phi(-t) ~ 1e-16 per
-measurement.  The chains inside the band draw all their measurements in
-one stream; chains combine the same way and votes count -1 answers.
+chain width; an XOR instance's flag is the XOR of its chains' flags —
+counted by one multiply over a word view of the flags when every
+instance has the same k in {2, 4, 8}, else combined by column position
+(one gather of every instance's first chain, then one XOR per further
+chain index, over the instances that have it) — and flags become ±1
+int8 once, at instance width.  Repeated noisy measurements
+(:func:`noisy_measurements`) draw noise only where it can flip an
+answer: a chain whose margin lies more than :data:`NOISE_BAND` (t =
+8.3) noise standard deviations from the threshold keeps its ideal sign,
+which moves each chain's answer distribution by a total-variation
+distance below 2·Phi(-t) ~ 1e-16 per measurement.  The chains inside
+the band draw all their measurements in one stream; chains combine the
+same way and votes count -1 answers.
 
 This module is part of the ``repro.kernels`` leaf package: it imports
 numpy and :mod:`repro.kernels.backend` and nothing else from ``repro``.
@@ -308,17 +310,26 @@ def _negative_flags(
     XOR instance answers -1 iff an odd number of its chains do.
 
     Instance i owns the columns from ``chain_offsets[i]`` up to the next
-    offset (the last instance up to the end of the axis).  The combine
-    goes by chain position: take every instance's first chain, then for
-    each ``j >= 1`` XOR in chain ``j`` of the instances that have more
-    than ``j`` chains — one pass per chain index, whatever the mix of
-    chain counts, on stacks of any leading shape.
+    offset (the last instance up to the end of the axis).  When every
+    instance has the same k in {2, 4, 8} chains, the combine reads each
+    instance's k flag bytes as one word and counts them in one multiply
+    (:func:`_word_parity`).  Any other layout goes by chain position:
+    take every instance's first chain, then for each ``j >= 1`` XOR in
+    chain ``j`` of the instances that have more than ``j`` chains — one
+    pass per chain index, whatever the mix of chain counts, on stacks of
+    any leading shape.  Both are the exact parity of the same bits, so
+    which one runs depends only on the fleet's layout and never changes
+    a value.
     """
     if chain_offsets is None:
         return flags
     flags = np.asarray(flags)
     offsets = np.asarray(chain_offsets, dtype=np.intp)
     counts = np.diff(offsets, append=flags.shape[-1])
+    k = int(counts[0]) if len(counts) else 0
+    if k in _PARITY_WORDS and flags.dtype == np.bool_:
+        if offsets[0] == 0 and np.all(counts == k):
+            return _word_parity(flags, k)
     # np.take keeps the result C-ordered (fancy indexing on the last axis
     # would hand back a transposed layout that every consumer re-copies).
     out = np.take(flags, offsets, axis=-1)
@@ -329,6 +340,33 @@ def _negative_flags(
         else:
             out[..., deeper] ^= np.take(flags, offsets[deeper] + j, axis=-1)
     return out
+
+
+#: Chains per instance that :func:`_word_parity` combines, and the
+#: unsigned word holding one instance's flag bytes.
+_PARITY_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _word_parity(flags: np.ndarray, k: int) -> np.ndarray:
+    """The XOR of each run of ``k`` bool flags on the last axis, for ``k``
+    in :data:`_PARITY_WORDS`.
+
+    A bool is one byte holding 0 or 1, so each instance's ``k`` flags
+    are the bytes of one unsigned word.  Multiplying the word by
+    ``0x0101...01`` adds every byte into the top one — each byte is 0 or
+    1, so no partial sum reaches 256 and nothing carries between bytes —
+    and whatever the byte order, the top byte of the product is the
+    number of set flags.  Shifting it down and keeping its low bit gives
+    the parity exactly.  Integer multiply, shift and AND only, so any
+    NumPy version runs it.
+    """
+    word = _PARITY_WORDS[k]
+    ones = word(sum(1 << (8 * i) for i in range(k)))
+    counts = np.ascontiguousarray(flags).view(word) * ones
+    counts >>= 8 * (k - 1)
+    parity = counts.astype(np.uint8)
+    parity &= 1
+    return parity.view(np.bool_)
 
 
 def _flags_to_signs(flags: np.ndarray) -> np.ndarray:

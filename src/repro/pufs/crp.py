@@ -20,8 +20,53 @@ ChallengeSampler = Callable[[int, int, np.random.Generator], np.ndarray]
 
 
 def uniform_challenges(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """m uniform +/-1 challenges — the distribution of Section III."""
+    """m uniform +/-1 challenges — the distribution of Section III.
+
+    The values and the generator state afterwards are those of
+    ``(1 - 2 * rng.integers(0, 2, size=(m, n))).astype(np.int8)``.  On
+    a ``PCG64`` generator the bits come straight from raw words instead
+    (see :func:`_pcg64_top_bits`); any other bit generator takes the
+    ``integers`` path itself.
+    """
+    bit_generator = getattr(rng, "bit_generator", None)
+    if type(bit_generator) is np.random.PCG64 and min(m, n) >= 0:
+        return 1 - 2 * _pcg64_top_bits(bit_generator, m * n).reshape(m, n)
     return (1 - 2 * rng.integers(0, 2, size=(m, n))).astype(np.int8)
+
+
+def _pcg64_top_bits(bit_generator: np.random.PCG64, count: int) -> np.ndarray:
+    """The ``count`` int8 draws of ``integers(0, 2)`` on a PCG64 generator.
+
+    ``integers(0, 2)`` takes one 32-bit half-word per draw and returns
+    its top bit: Lemire's multiply-shift maps ``u`` to ``(2 u) >> 32``,
+    and its rejection threshold ``(2**32 - 2) % 2`` is 0, so it never
+    draws again.  PCG64 serves the low half of each 64-bit word first
+    and buffers the high half in ``has_uint32``/``uinteger`` for the next
+    32-bit request.  So the draws are: the buffered half, if one is
+    waiting, then the two halves of each raw word in order, and an odd
+    count leaves the last word's high half buffered — which is written
+    back to the generator's state, with ``uinteger`` as the C code
+    leaves it.
+    """
+    out = np.empty(count, dtype=np.int8)
+    if count == 0:
+        return out
+    state = bit_generator.state
+    start = 0
+    if state["has_uint32"]:
+        out[0] = state["uinteger"] >> 31
+        start = 1
+    words = (count - start + 1) // 2
+    if words:
+        raw = np.asarray(bit_generator.random_raw(words), dtype="<u8")
+        # Byte 3 of each little-endian 32-bit half holds its top bit.
+        top = raw.view(np.uint8)[3::4][: count - start]
+        np.right_shift(top, 7, out=out[start:].view(np.uint8))
+        state = bit_generator.state
+        state["uinteger"] = int(raw[-1] >> np.uint64(32))
+    state["has_uint32"] = int((count - start) % 2)
+    bit_generator.state = state
+    return out
 
 
 def biased_challenges(p: float) -> ChallengeSampler:

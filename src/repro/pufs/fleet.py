@@ -25,8 +25,10 @@ seeds *mean*), but the fan-out itself is vectorised:
 :func:`repro.kernels.spawn.child_generators` hashes the root entropy and
 spawn-key prefix once and derives every child's PCG64 seed in one array
 pass, bit-identical to building each child ``SeedSequence``.  Only the
-standalone constructors' weight draws remain per instance; evaluation
-has no per-instance Python work.
+standalone constructors' normal draws remain per instance: arbiter, XOR
+and LTF children each fill their slice of one buffer, which is scaled
+and correlation-mixed once for the whole fleet.  Evaluation has no
+per-instance Python work.
 
 Query accounting
 ----------------
@@ -42,7 +44,7 @@ metrics are not adversary queries.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -195,29 +197,53 @@ class FleetSpec:
 # Per-family weight stacking.  Each builder replays the standalone
 # constructor's rng draw order from the instance's child seed.
 # ----------------------------------------------------------------------
+def _stacked_normals(
+    spec: FleetSpec,
+    root: np.random.SeedSequence,
+    rows: Sequence[int],
+    width: Optional[int] = None,
+) -> np.ndarray:
+    """``(sum(rows), width)`` weight draws (``width`` defaults to ``n + 1``):
+    instance ``i``'s ``rows[i]`` rows of ``normal(0, weight_sigma)``, in
+    C order from its own child generator.
+
+    Each child fills its slice of one buffer with ``standard_normal(out=...)``
+    and the whole buffer is scaled once.  ``normal(loc, scale)`` computes
+    ``loc + scale * z`` from the same ``standard_normal`` stream, so
+    ``sigma * z + 0.0`` is that value bit for bit, the ``+ 0.0`` included
+    (it turns a ``-0.0`` product into ``0.0``, as ``loc`` does).
+    """
+    width = spec.n + 1 if width is None else width
+    draws = np.empty((sum(rows), width), dtype=np.float64)
+    ends = np.cumsum(rows).tolist()
+    for rng, lo, hi in zip(child_generators(root, 1, spec.size), [0] + ends, ends):
+        rng.standard_normal(out=draws[lo:hi])
+    draws *= spec.weight_sigma
+    draws += 0.0
+    return draws
+
+
 def _stack_arbiter(spec: FleetSpec, root: np.random.SeedSequence) -> np.ndarray:
-    cols = np.empty((spec.n + 1, spec.size), dtype=np.float64)
-    for i, rng in enumerate(child_generators(root, 1, spec.size)):
-        cols[:, i] = rng.normal(0.0, spec.weight_sigma, size=spec.n + 1)
-    return cols
+    return _stacked_normals(spec, root, np.ones(spec.size, dtype=np.intp)).T
 
 
 def _stack_xor(
     spec: FleetSpec, root: np.random.SeedSequence
 ) -> Tuple[np.ndarray, np.ndarray]:
-    counts = spec.chain_counts
-    total = sum(counts)
-    cols = np.empty((spec.n + 1, total), dtype=np.float64)
+    """Instance i draws ``1 + k_i`` rows in C order, as the standalone
+    constructor does: row 0 is the shared component, the rest its chains'
+    own.  Every chain is ``mix * own + correlation * shared``, evaluated
+    for all chains of the fleet at once with the same two products and
+    one sum per element as the per-instance expression."""
+    counts = np.asarray(spec.chain_counts, dtype=np.intp)
+    draws = _stacked_normals(spec, root, 1 + counts)
+    shared = np.cumsum(1 + counts) - (1 + counts)
+    own = np.ones(len(draws), dtype=bool)
+    own[shared] = False
     mix = np.sqrt(1.0 - spec.correlation**2)
-    col = 0
-    for k_i, rng in zip(counts, child_generators(root, 1, spec.size)):
-        # Row 0 is the shared component, rows 1.. the chains' own: one
-        # C-order draw is the standalone constructor's 1 + k_i draws.
-        draw = rng.normal(0.0, spec.weight_sigma, size=(1 + k_i, spec.n + 1))
-        cols[:, col : col + k_i] = (mix * draw[1:] + spec.correlation * draw[0]).T
-        col += k_i
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
-    return cols, offsets
+    cols = mix * draws[own] + spec.correlation * np.repeat(draws[shared], counts, 0)
+    offsets = np.cumsum(counts) - counts
+    return cols.T, offsets
 
 
 def _br_topology(
@@ -275,10 +301,9 @@ def _stack_br(
 
 
 def _stack_ltf(spec: FleetSpec, root: np.random.SeedSequence) -> np.ndarray:
-    cols = np.empty((spec.n + 1, spec.size), dtype=np.float64)
-    for i, rng in enumerate(child_generators(root, 1, spec.size)):
-        cols[: spec.n, i] = rng.normal(0.0, spec.weight_sigma, size=spec.n)
-        cols[spec.n, i] = 0.0  # -threshold; LTF.random uses threshold 0
+    cols = np.zeros((spec.n + 1, spec.size), dtype=np.float64)  # row n: -threshold
+    ones = np.ones(spec.size, dtype=np.intp)
+    cols[: spec.n] = _stacked_normals(spec, root, ones, width=spec.n).T
     return cols
 
 

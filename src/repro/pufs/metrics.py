@@ -8,6 +8,7 @@ paper invokes when reconciling the LMN results of [17] with the bound of
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,9 @@ def uniformity(responses: np.ndarray) -> float:
     responses = np.asarray(responses)
     if responses.size == 0:
         raise ValueError("need at least one response")
-    return float(np.mean(responses == -1))
+    # Equal to np.mean(responses == -1): its float64 sum of 0/1 values is
+    # exact, and both divisions are correctly rounded.
+    return np.count_nonzero(responses == -1) / responses.size
 
 
 def response_bias(responses: np.ndarray) -> float:
@@ -143,6 +146,8 @@ def response_plane_uniqueness(responses: np.ndarray) -> float:
     and runs in float64 from there.  Pairs are averaged in float64 in
     the same i < j order as :func:`uniqueness`, so for the same
     challenge draw the result is bit-identical to the per-instance loop.
+    Only the i < j entries are converted, each by the same exact
+    operations; their flat positions are cached per fleet size.
     """
     responses = np.asarray(responses)
     if responses.ndim != 2 or responses.shape[1] < 2:
@@ -150,10 +155,20 @@ def response_plane_uniqueness(responses: np.ndarray) -> float:
     m, size = responses.shape
     dtype = np.float32 if m < GRAM_FLOAT32_EXACT_ROWS else np.float64
     r = responses.astype(dtype)
-    gram = get_backend().gemm(r.T, r).astype(np.float64)
-    diff = (m - gram) / 2.0  # exact pairwise disagreement counts
-    upper = diff[np.triu_indices(size, k=1)]
-    return float(np.mean(upper / m))
+    gram = get_backend().gemm(r.T, r)
+    upper = np.take(gram, _upper_pairs(size)).astype(np.float64)
+    diff = (m - upper) / 2.0  # exact pairwise disagreement counts
+    return float(np.mean(diff / m))
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(size: int) -> np.ndarray:
+    """Flat indices of the i < j entries of a ``(size, size)`` matrix, in
+    ``np.triu_indices`` order (read-only: the array is shared)."""
+    rows, cols = np.triu_indices(size, k=1)
+    flat = rows * size + cols
+    flat.flags.writeable = False
+    return flat
 
 
 def fleet_uniqueness(

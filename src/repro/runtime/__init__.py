@@ -12,9 +12,9 @@ The pieces compose into the standard experiment loop:
 * :mod:`repro.runtime.chunking` — blocked CRP generation/evaluation that
   keeps the working set cache-resident;
 * :mod:`repro.runtime.store` — :class:`ArtifactStore`, content-addressed
-  ``.npz`` memoisation of generated artifacts (CRP sets, fleet response
-  planes) keyed by :func:`artifact_digest`, with LRU eviction and
-  hit/miss/bytes stats;
+  memoisation of generated artifacts (CRP sets, fleet response planes,
+  one flat bit-packed file each) keyed by :func:`artifact_digest`, with
+  LRU eviction and hit/miss/bytes stats;
 * :mod:`repro.runtime.sharding` — the one dispatch loop behind every
   ``TrialRunner`` run: serial, a single process pool, or work-stealing
   shards (``TrialRunner(shards=N)``) with per-shard mergeable ledgers;

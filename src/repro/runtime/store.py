@@ -12,25 +12,38 @@ store instead of regenerating.
 
 Store layout and guarantees
 ---------------------------
-* One ``.npz`` per entry, named ``<kind>-<digest>.npz``: an
-  *uncompressed* zip archive holding the challenges and responses
-  bit-packed (``np.packbits`` along the last axis, ``+1 -> 1``) next to
-  their logical shape.  Entries hold only +/-1 values — every artifact
-  kind is a +/-1 CRP pool or response plane — and the writer refuses
-  anything else with ``ValueError`` before staging a file.  A packed
-  plane is smaller than a zlib-compressed int8 one and costs no deflate
-  on publish or inflate on load; the zip's CRC-32 still catches a
-  flipped bit.  An entry the reader cannot decode — including one
-  written in the pre-bit-packing zlib format — is discarded once and
-  regenerated (see corrupt-entry-as-miss below).
+* One flat file per entry, named ``<kind>-<digest>.npz``, written in
+  one write and read in one read.  Its layout, little-endian:
+
+  - the 8-byte magic :data:`ENTRY_MAGIC`;
+  - the logical shape ``(m, n, width)`` as three int64, ``width = -1``
+    marking a CRP response vector;
+  - the challenges, bit-packed (``np.packbits`` along the last axis,
+    ``+1 -> 1``): ``m * ceil(n / 8)`` bytes;
+  - the responses, packed the same way: ``ceil(m / 8)`` bytes for a
+    vector, ``m * ceil(width / 8)`` for a plane;
+  - a CRC-32 (``zlib.crc32``, uint32) of everything before it.
+
+  Entries hold only +/-1 values — every artifact kind is a +/-1 CRP
+  pool or response plane — and the writer refuses anything else with
+  ``ValueError`` before staging a file.  A packed plane is smaller than
+  a zlib-compressed int8 one and costs no deflate on publish or inflate
+  on load, and the CRC-32 catches a flipped bit.  The reader rejects a
+  file that is shorter than the header, carries another magic, holds a
+  payload whose length disagrees with its header, or fails the CRC.
+  The ``.npz`` suffix is the one entries carried when they were zip
+  archives, so an entry written in an older format — the bit-packed
+  zip or the zlib int8 one before it — sits at the path a lookup
+  reads, fails the magic check, and is discarded once and regenerated
+  (see corrupt-entry-as-miss below).
 * **Atomic publication, winner-take-one.**  Writers stage into a private
   ``tempfile.mkstemp`` file and publish with ``os.replace``; two
   processes storing the same digest concurrently both succeed, and
-  exactly one complete archive survives (whichever ``replace`` lands
+  exactly one complete entry survives (whichever ``replace`` lands
   last).  Entries for one digest are byte-equivalent by construction —
   the digest *is* the generation provenance — so which writer wins is
   unobservable.
-* **Corrupt-entry-as-miss.**  An unreadable or malformed archive (killed
+* **Corrupt-entry-as-miss.**  An unreadable or malformed entry (killed
   writer, bad disk) is warned about, unlinked, and reported as a miss,
   so one crash can never poison every later run.
 * **Prefix / row-slab reuse.**  Challenge draws are sequential, so the
@@ -55,11 +68,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import struct
 import tempfile
 import warnings
+import zlib
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +89,13 @@ ARTIFACT_KINDS = ("crps", "fleet")
 
 #: Per kind, the warning label and legacy counter prefix of a discard.
 _LEGACY_NAMES = {"crps": ("CRP", "crp_cache"), "fleet": ("fleet", "fleet_cache")}
+
+#: The first 8 bytes of every entry file (format version 1).
+ENTRY_MAGIC = b"REPROPM1"
+
+#: An entry's header (magic, then ``m, n, width``) and CRC-32 trailer.
+_HEADER = struct.Struct("<8s3q")
+_CRC = struct.Struct("<I")
 
 #: Environment variable supplying the default store directory.
 STORE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -101,26 +124,17 @@ def _pack_pm1(values: np.ndarray, name: str) -> np.ndarray:
     return np.packbits(values > 0, axis=-1)
 
 
-def _unpack_pm1(packed: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """The int8 +/-1 array of logical ``shape`` that ``packed`` encodes."""
-    expected = shape[:-1] + ((shape[-1] + 7) // 8,)
-    if packed.dtype != np.uint8 or packed.shape != expected:
-        raise ValueError(
-            f"packed array {packed.shape} {packed.dtype} does not encode "
-            f"logical shape {shape}"
-        )
-    bits = np.unpackbits(packed, axis=-1, count=shape[-1])
+def _unpack_pm1(packed: np.ndarray, count: int) -> np.ndarray:
+    """The int8 +/-1 values ``packed`` encodes, ``count`` per last-axis row."""
+    bits = np.unpackbits(packed, axis=-1, count=count)
     return bits.view(np.int8) * np.int8(2) - np.int8(1)
 
 
-def _pack_entry(
-    challenges: np.ndarray, responses: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """The arrays of one entry: bit-packed planes and their logical shape.
+def _pack_entry(challenges: np.ndarray, responses: np.ndarray) -> bytes:
+    """The bytes of one entry file (layout in the module docstring).
 
-    ``shape`` is ``(m, n, width)``, with ``width = -1`` marking a CRP
-    response vector.  Raises ``ValueError`` on any value other than
-    +/-1 or on inconsistent shapes, before anything touches the disk.
+    Raises ``ValueError`` on any value other than +/-1 or on
+    inconsistent shapes, before anything touches the disk.
     """
     challenges, responses = np.asarray(challenges), np.asarray(responses)
     if (
@@ -133,37 +147,63 @@ def _pack_entry(
             f"{responses.shape} are not one (m, n) / (m[, width]) entry"
         )
     width = responses.shape[1] if responses.ndim == 2 else -1
-    return {
-        "shape": np.array(challenges.shape + (width,), dtype=np.int64),
-        "challenges": _pack_pm1(challenges, "challenges"),
-        "responses": _pack_pm1(responses, "responses"),
-    }
+    body = b"".join(
+        (
+            _HEADER.pack(ENTRY_MAGIC, *challenges.shape, width),
+            _pack_pm1(challenges, "challenges").tobytes(),
+            _pack_pm1(responses, "responses").tobytes(),
+        )
+    )
+    return body + _CRC.pack(zlib.crc32(body))
 
 
-def _write_entry(path: Path, arrays: Dict[str, np.ndarray]) -> None:
-    """Write packed entry ``arrays`` to ``path`` as an uncompressed ``.npz``."""
-    np.savez(path, **arrays)
+def _write_entry(handle: BinaryIO, entry: bytes) -> None:
+    """Write the whole ``entry`` to the open staging file in one write."""
+    handle.write(entry)
+
+
+def _packed_rows(m: int, width: int) -> Tuple[int, ...]:
+    """The packed shape of an ``(m, width)`` plane, or of an ``m``-vector
+    when ``width`` is -1."""
+    return ((m + 7) // 8,) if width == -1 else (m, (width + 7) // 8)
 
 
 def _read_entry(path: Path, vector: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """The int8 (challenges, responses) of the entry at ``path``.
+    """The int8 (challenges, responses) of the entry file at ``path``.
 
     ``vector`` says whether the responses must be a CRP response vector
-    (else a response plane).  Raises on anything that is not a whole,
-    self-consistent packed entry — a truncated or bit-flipped archive
-    (``BadZipFile`` from the CRC-32), a missing member, a shape that
-    does not match the packed arrays, or the wrong response layout.
+    (else a response plane).  Raises ``ValueError`` on anything that is
+    not one whole, self-consistent entry: a file shorter than the header
+    and CRC, another magic (an entry in an older format), a shape that
+    is not the expected layout, a payload whose length disagrees with
+    the header, or a CRC-32 mismatch.
     """
-    with np.load(path) as data:
-        shape = data["shape"]
-        if shape.shape != (3,) or shape.dtype != np.int64:
-            raise ValueError(f"malformed entry shape {shape!r}")
-        m, n, width = (int(v) for v in shape)
-        if m < 1 or n < 0 or width < -1 or (width == -1) != vector:
-            expected = "CRP set" if vector else "response plane"
-            raise ValueError(f"entry shape {(m, n, width)} is not a {expected}")
-        challenges = _unpack_pm1(data["challenges"], (m, n))
-        responses = _unpack_pm1(data["responses"], (m,) if vector else (m, width))
+    data = path.read_bytes()
+    if len(data) < _HEADER.size + _CRC.size:
+        raise ValueError(f"truncated entry: {len(data)} bytes")
+    magic, m, n, width = _HEADER.unpack_from(data)
+    if magic != ENTRY_MAGIC:
+        raise ValueError(f"magic {magic!r} is not {ENTRY_MAGIC!r} (older format?)")
+    if m < 1 or n < 0 or width < -1 or (width == -1) != vector:
+        expected = "CRP set" if vector else "response plane"
+        raise ValueError(f"entry shape {(m, n, width)} is not a {expected}")
+    shapes = (_packed_rows(m, n), _packed_rows(m, width))
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = _HEADER.size + sum(sizes) + _CRC.size
+    if len(data) != expected:
+        raise ValueError(
+            f"entry of {len(data)} bytes, its header {(m, n, width)} "
+            f"needs {expected}"
+        )
+    (crc,) = _CRC.unpack_from(data, len(data) - _CRC.size)
+    if zlib.crc32(memoryview(data)[: -_CRC.size]) != crc:
+        raise ValueError("CRC-32 mismatch")
+    packed = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
+    challenges = _unpack_pm1(packed[: sizes[0]].reshape(shapes[0]), n)
+    responses = _unpack_pm1(
+        packed[sizes[0] : sizes[0] + sizes[1]].reshape(shapes[1]),
+        m if vector else width,
+    )
     return challenges, responses
 
 
@@ -235,16 +275,17 @@ def artifact_digest(
 class ArtifactStore:
     """A directory of content-addressed, memoised experiment artifacts.
 
-    Each entry is an uncompressed ``.npz`` of bit-packed +/-1 challenges
-    and responses plus their logical shape (see the module docstring).
-    Publishing anything but +/-1 values raises ``ValueError``; an entry
-    written before the bit-packed format is discarded once with a
-    warning and regenerated, like any other unreadable entry.
+    Each entry is one flat file: a magic, the logical shape, the
+    bit-packed +/-1 challenges and responses and a CRC-32 (see the module
+    docstring).  Publishing anything but +/-1 values raises
+    ``ValueError``; an entry written in an older format (a zip ``.npz``)
+    is discarded once with a warning and regenerated, like any other
+    unreadable entry.
 
     Parameters
     ----------
     store_dir:
-        Where the ``.npz`` entries live; created on first store.
+        Where the entry files live; created on first store.
         Defaults to ``$REPRO_CACHE_DIR`` or ``.repro_cache`` in the
         working directory.
     max_bytes:
@@ -324,26 +365,26 @@ class ArtifactStore:
         value raises ``ValueError`` before any file exists.  The staging
         file comes from ``tempfile.mkstemp`` in the store directory, so
         concurrent writers of the same key never interleave into one tmp
-        path — each publishes its own complete archive via
+        path — each publishes its own complete entry via
         ``os.replace`` and the last one wins whole (winner-take-one;
         entries for one digest are byte-equivalent, so the winner is
         unobservable).  Orphaned staging files from killed writers are
         swept by :meth:`clear`.
         """
         path = self.entry_path(kind, key)
-        arrays = _pack_entry(challenges, responses)
-        packed = sum(a.nbytes for a in arrays.values())
+        entry = _pack_entry(challenges, responses)
+        size = len(entry)
+        packed = size - len(ENTRY_MAGIC) - _CRC.size  # shape + packed planes
         with trace("artifact_store.publish", kind=kind, bytes=packed):
             self.store_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
                 prefix=f"{path.name[: -len('.npz')]}-", suffix=".tmp.npz",
                 dir=self.store_dir,
             )
-            os.close(fd)
             tmp = Path(tmp_name)
             try:
-                _write_entry(tmp, arrays)
-                size = tmp.stat().st_size
+                with open(fd, "wb") as handle:
+                    _write_entry(handle, entry)
                 os.replace(tmp, path)
             finally:
                 if tmp.exists():  # only on a failed write/replace
@@ -365,8 +406,8 @@ class ArtifactStore:
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The (challenges, responses) of entry ``key`` of ``kind``, or None.
 
-        An entry the reader rejects — a truncated or corrupt archive left
-        by a killed writer, or one in a pre-bit-packing format — is warned
+        An entry the reader rejects — a truncated or corrupt file left
+        by a killed writer, or one in an older format — is warned
         about, unlinked, and reported as a miss, so the caller
         regenerates.  Every *read* after a crash would otherwise fail
         forever on the same poisoned file.
@@ -456,7 +497,7 @@ class ArtifactStore:
         """Persist ``crps`` under ``key`` (atomic replace, winner-take-one).
 
         Concurrent writers of the same key both succeed; exactly one
-        complete archive survives — see :meth:`_publish`.
+        complete entry survives — see :meth:`_publish`.
         """
         return self._publish("crps", key, crps.challenges, crps.responses)
 
@@ -529,7 +570,7 @@ class ArtifactStore:
         """The cached (challenges, responses) plane for ``key``, or None.
 
         Same corrupt-entry policy as :meth:`load`: an unreadable or
-        malformed archive is warned about, unlinked, and reported as a
+        malformed entry is warned about, unlinked, and reported as a
         miss, so one killed writer cannot poison every later run.
         """
         return self._load_entry("fleet", key)

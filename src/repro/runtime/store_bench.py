@@ -5,7 +5,7 @@ Two case families, matching the two halves of the store/scheduler layer:
 * **Warm start** — run a generation-heavy fleet sweep twice against one
   :class:`~repro.runtime.store.ArtifactStore`: the cold pass pays full
   BR-PUF response-plane generation, the warm pass replays the memoised
-  ``.npz`` entries.  Reports the wall-clock speedup and checks the two
+  entries.  Reports the wall-clock speedup and checks the two
   passes' trial values are bit-identical (the store hit path consumes no
   randomness, so they must be).
 * **Sharding** — run a skewed sleep-bound trial mix (all slow trials

@@ -32,7 +32,7 @@ from repro.pufs.arbiter import ArbiterPUF, parity_transform
 from repro.pufs.bistable_ring import BistableRingPUF
 from repro.pufs.crp import generate_crps, uniform_challenges
 from repro.pufs.fleet import Fleet, FleetSpec
-from repro.pufs.metrics import response_plane_uniqueness
+from repro.pufs.metrics import response_plane_uniqueness, uniformity as plane_uniformity
 from repro.pufs.xor_arbiter import XORArbiterPUF
 from repro.runtime.chunking import DEFAULT_BLOCK_SIZE, generate_crps_blocked
 from repro.runtime.store import ArtifactStore
@@ -520,7 +520,7 @@ def fleet_eval_trial(
     uniqueness = (
         response_plane_uniqueness(plane) if spec.size >= 2 else float("nan")
     )
-    uniformity = float(np.mean(plane == -1))
+    uniformity = plane_uniformity(plane)
     if spec.noise_sigma > 0 and spec.repetitions > 1:
         if not generated:
             # A hit's rows are this draw; the noise must follow it.
@@ -528,7 +528,7 @@ def fleet_eval_trial(
         voted, meas = built_fleet().vote_and_measure(
             challenges, spec.repetitions, rng
         )
-        reliability = float(np.mean(meas == voted))
+        reliability = np.count_nonzero(meas == voted) / meas.size
     else:
         reliability = 1.0
     return np.array([uniqueness, uniformity, reliability])

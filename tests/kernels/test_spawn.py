@@ -5,15 +5,17 @@
 hand a fleet: any non-negative entropy int (up to and past 128 bits), int
 sequences, freshly pooled ``SeedSequence()`` roots, and spawn-key prefixes
 that are empty, long, or hold words of 2**32 and above.  ``Fleet.build``
-weights must equal the frozen per-instance build loop for all four
-families, mixed-k XOR included.
+weights must equal the frozen per-instance build loop of
+``tests/_reference.py`` byte for byte for all four families, uniform
+and mixed-k XOR with correlation > 0, and weight sigmas other than 1
+(the stackers scale and mix one buffer of draws for the whole fleet).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels.reference import naive_child_generators, naive_fleet_weights
+from tests._reference import naive_child_generators, naive_fleet_weights
 from repro.kernels.spawn import child_generators, child_states
 from repro.pufs.fleet import Fleet, FleetSpec
 
@@ -90,16 +92,26 @@ def test_child_states_reject_out_of_range_indices():
 @given(
     family=st.sampled_from(["arbiter", "xor", "br", "ltf"]),
     n=st.integers(1, 12),  # BR rings below n = 4 cap their triples at C(n, 3)
-    counts=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    counts=st.one_of(
+        st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        st.builds(lambda k, size: [k] * size, st.integers(1, 8), st.integers(1, 6)),
+    ),
+    sigma=st.sampled_from([1.0, 0.37, 2.5]),
     seed=st.one_of(
         st.integers(0, 2**128 - 1), st.lists(st.integers(0, 2**40), max_size=3)
     ),
     prefix=spawn_prefixes,
 )
-def test_fleet_build_equals_frozen_per_instance_loop(family, n, counts, seed, prefix):
+def test_fleet_build_equals_frozen_per_instance_loop(
+    family, n, counts, sigma, seed, prefix
+):
     k = tuple(counts) if family == "xor" else 1
     correlation = 0.3 if family == "xor" else 0.0
-    spec = FleetSpec(family, n, len(counts), k=k, correlation=correlation)
+    spec = FleetSpec(
+        family, n, len(counts), k=k, correlation=correlation, weight_sigma=sigma
+    )
     root = np.random.SeedSequence(seed, spawn_key=tuple(prefix))
     built = Fleet.build(spec, root).weights
-    assert np.array_equal(built, naive_fleet_weights(spec, root))
+    expected = np.ascontiguousarray(naive_fleet_weights(spec, root))
+    assert built.tobytes() == expected.tobytes()
+

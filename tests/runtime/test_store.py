@@ -6,9 +6,10 @@ dtype tier, shape, noisy) and nothing else; eviction is size-capped LRU
 with the just-published entry protected; an int8-tier request is never
 served a float64 entry; warm-start reruns are bit-identical to cold ones;
 two processes publishing the same digest concurrently both succeed
-with exactly one complete archive surviving (winner-take-one); entries
-round-trip exactly through the bit-packed +/-1 codec, which rejects
-other values and discards a bit-flipped or pre-bit-packing entry once;
+with exactly one complete entry surviving (winner-take-one); entries
+round-trip exactly through the flat bit-packed +/-1 codec, which rejects
+other values and discards a bit-flipped, truncated, mislabelled or
+older-format entry once;
 and a fleet trial builds its fleet only when a miss or the noisy
 reliability branch needs it.
 """
@@ -30,6 +31,7 @@ from repro.pufs.crp import CRPSet, generate_crps
 from repro.runtime import TrialRunner
 from repro.runtime.store import (
     ARTIFACT_KINDS,
+    ENTRY_MAGIC,
     MAX_BYTES_ENV,
     STORE_DIR_ENV,
     ArtifactStore,
@@ -479,7 +481,7 @@ class TestEntryCodec:
             return plane
 
         fresh = ArtifactStore(tmp_path)
-        with pytest.warns(RuntimeWarning, match="unreadable fleet.*BadZipFile"):
+        with pytest.warns(RuntimeWarning, match="unreadable fleet.*CRC-32 mismatch"):
             challenges, _ = fresh.get_or_generate_fleet(**args, generate=regenerate)
         assert calls == [1] and fresh.corrupt == 1
         np.testing.assert_array_equal(challenges, plane[0])
@@ -506,9 +508,7 @@ class TestEntryCodec:
         assert len(unreadable) == 1 and len(caught) == 1
         assert store.corrupt == 1 and store.misses == 1
         np.testing.assert_array_equal(got.responses, crps.responses)
-        with np.load(store.path_for(key)) as data:
-            assert set(data.files) == {"shape", "challenges", "responses"}
-            assert data["challenges"].dtype == np.uint8
+        assert store.path_for(key).read_bytes().startswith(ENTRY_MAGIC)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             again = store.get_or_generate(
@@ -516,6 +516,102 @@ class TestEntryCodec:
             )
         assert store.hits == 1
         np.testing.assert_array_equal(again.challenges, crps.challenges)
+
+    @staticmethod
+    def _regenerates_once(tmp_path, kind, damage):
+        """Publish an entry of ``kind``, let ``damage(path, challenges,
+        responses)`` rewrite its file, then check the next lookup warns
+        once, regenerates once and republishes an entry that a third
+        lookup hits — with that entry the only file left on disk."""
+        store = ArtifactStore(tmp_path)
+        challenges, responses = make_plane(seed=5, m=21, n=11, size=5)
+        if kind == "crps":
+            responses = responses[:, 0]
+            request = dict(puf_spec="p", seed=1, distribution="uniform", m=21)
+            lookup = store.get_or_generate
+            plane = CRPSet(challenges, responses)
+        else:
+            request = dict(
+                fleet_spec="f", seed=1, distribution="uniform",
+                tier="int8", shape=(11, 5), m=21,
+            )
+            lookup = store.get_or_generate_fleet
+            plane = (challenges, responses)
+        lookup(**request, generate=lambda: plane)
+        (path,) = store.entries()
+        damage(path, challenges, responses)
+        calls = []
+
+        def regenerate():
+            calls.append(1)
+            return plane
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lookup(**request, generate=regenerate)
+        assert len(caught) == 1 and "unreadable" in str(caught[0].message)
+        assert calls == [1] and store.corrupt == 1 and store.misses == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lookup(**request, generate=lambda: pytest.fail("must hit"))
+        assert store.hits == 1
+        assert list(store.entries()) == [path]
+        assert sorted(tmp_path.iterdir()) == [path]
+        return str(caught[0].message)
+
+    @pytest.mark.parametrize("kind", ["crps", "fleet"])
+    @pytest.mark.parametrize("keep", [0, 5, 31, 40, -1])
+    def test_truncated_entry_is_a_warned_miss(self, tmp_path, kind, keep):
+        def truncate(path, *_):
+            raw = path.read_bytes()
+            path.write_bytes(raw[: keep % len(raw)])
+
+        message = self._regenerates_once(tmp_path, kind, truncate)
+        assert "truncated entry" in message or "needs" in message
+
+    @pytest.mark.parametrize("kind", ["crps", "fleet"])
+    def test_wrong_magic_is_a_warned_miss(self, tmp_path, kind):
+        def relabel(path, *_):
+            path.write_bytes(b"REPROPM2" + path.read_bytes()[len(ENTRY_MAGIC) :])
+
+        message = self._regenerates_once(tmp_path, kind, relabel)
+        assert "b'REPROPM2'" in message
+
+    @pytest.mark.parametrize("kind", ["crps", "fleet"])
+    @pytest.mark.parametrize("extra", [-1, 1, 8])
+    def test_payload_disagreeing_with_header_is_a_warned_miss(
+        self, tmp_path, kind, extra
+    ):
+        """The CRC is re-sealed over the resized payload, so only the
+        length check against the header can catch it."""
+        import zlib
+
+        def resize(path, *_):
+            body = path.read_bytes()[:-4]
+            body = body[:extra] if extra < 0 else body + bytes(extra)
+            path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+
+        message = self._regenerates_once(tmp_path, kind, resize)
+        assert "needs" in message
+
+    @pytest.mark.parametrize("kind", ["crps", "fleet"])
+    def test_bit_packed_npz_entry_is_a_warned_miss(self, tmp_path, kind):
+        """An entry in the zip layout the store wrote before its flat
+        format: an uncompressed ``np.savez`` of the int64 shape and the
+        packed planes, at the same path."""
+
+        def older_format(path, challenges, responses):
+            width = responses.shape[1] if responses.ndim == 2 else -1
+            with open(path, "wb") as handle:
+                np.savez(
+                    handle,
+                    shape=np.array(challenges.shape + (width,), dtype=np.int64),
+                    challenges=np.packbits(challenges > 0, axis=-1),
+                    responses=np.packbits(responses > 0, axis=-1),
+                )
+
+        message = self._regenerates_once(tmp_path, kind, older_format)
+        assert "b'PK\\x03\\x04" in message
 
     def test_load_and_publish_are_traced(self, tmp_path):
         from repro.telemetry.spans import recording
