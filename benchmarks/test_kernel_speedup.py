@@ -5,7 +5,8 @@ the blocked-GEMM character kernel at the scales the benchmarks actually
 run — the E4 LMN configuration (12-bit XOR Arbiter PUF, degree 3,
 25 000 CRPs), wider XOR PUFs, BR-PUF Chow estimation, batched FWHT —
 asserts exact equivalence plus the targeted speedups, and writes the
-machine-readable ``benchmarks/results/BENCH_kernels.json``.
+machine-readable ``benchmarks/results/BENCH_kernels.json`` through the
+same harness as ``python -m repro bench kernels``.
 
 A second test re-runs the E4 sweep end-to-end through the rewired
 learners and pins the published ``benchmarks/results/lmn_xorpuf.txt``
@@ -16,12 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.kernels.bench import (
-    default_cases,
-    render_table,
-    run_kernel_bench,
-    write_results,
-)
+from repro.tooling.bench import run_suite, write_payload
+from repro.tooling.benchdocs import case_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -41,12 +38,12 @@ PINNED_COEFFICIENTS = 299
 
 @pytest.fixture(scope="module")
 def payload():
-    return run_kernel_bench(default_cases())
+    return run_suite("kernels")
 
 
 def test_kernel_speedup(payload, report):
-    report("BENCH_kernels", render_table(payload))
-    write_results(payload, RESULTS_DIR / "BENCH_kernels.json")
+    report("BENCH_kernels", "\n".join(case_table(payload["cases"])))
+    write_payload(payload, RESULTS_DIR / "BENCH_kernels.json")
 
     by_name = {rec["name"]: rec for rec in payload["cases"]}
     e4 = by_name["lmn_xor12_e4"]

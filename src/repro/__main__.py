@@ -37,29 +37,24 @@ Subcommands:
 
       python -m repro report runs/<run_id>
 
-* ``bench-kernels`` — time the shared character kernel against the old
-  per-subset loops and regenerate the machine-readable baseline::
+* ``atlas`` — the security-boundary atlas: sweep a grid of (family,
+  learner, representation, n, k, sigma, m) cells and reduce them to
+  boundary maps.  The grid is ``AtlasTrialSpec`` set through the same
+  ``--spec KEY=VALUE`` pairs as ``trials`` (``--smoke`` puts the CI grid
+  under them)::
 
-      python -m repro bench-kernels --out benchmarks/results/BENCH_kernels.json
+      python -m repro atlas --smoke
+      python -m repro atlas --spec 'families=["xor"]' --spec 'ks=[1,2]'
 
-* ``bench-fleet`` — time the per-instance evaluation loop against the
-  stacked-GEMM fleet kernels over populations of PUF instances::
+* ``bench`` — time one benchmark suite (``kernels``: the character
+  kernel vs the per-subset loops; ``fleet``: the stacked-GEMM fleet vs
+  the per-instance loop; ``store``: warm-start replay and shard
+  scaling; ``active``: the adaptive-vs-passive query atlas), check
+  every case against its reference path, and regenerate the suite's
+  machine-readable baseline::
 
-      python -m repro bench-fleet --out benchmarks/results/BENCH_fleet.json
-      python -m repro bench-fleet --smoke
-
-* ``bench-store`` — time the artifact store's cold-vs-warm sweep replay
-  and the work-stealing shard scaling on a skewed trial mix::
-
-      python -m repro bench-store --out benchmarks/results/BENCH_store.json
-      python -m repro bench-store --smoke
-
-* ``bench-active`` — the adaptive-vs-passive query atlas: every query
-  strategy attacks the same (n, k) cells under metered budgets and the
-  baseline records where chosen-challenge access beats i.i.d. sampling::
-
-      python -m repro bench-active --out benchmarks/results/BENCH_active.json
-      python -m repro bench-active --smoke
+      python -m repro bench kernels --out benchmarks/results/BENCH_kernels.json
+      python -m repro bench fleet --smoke
 
 * ``docs-bench`` — regenerate ``docs/BENCHMARKS.md`` from the committed
   ``benchmarks/results/BENCH_*.json`` baselines (``--check`` fails on
@@ -170,7 +165,7 @@ def _spec_pair(text: str):
 
 
 def _trials_workload(args: argparse.Namespace):
-    """``(trial_fn, spec, column labels)`` for a ``trials`` invocation.
+    """``(trial_fn, spec, column labels)`` for a ``trials`` or ``atlas`` run.
 
     The spec is the registry entry's dataclass defaults, then its smoke
     overrides under ``--smoke``, then every ``--spec`` pair (a later pair
@@ -184,6 +179,15 @@ def _trials_workload(args: argparse.Namespace):
     overrides.update(args.spec)
     trial_fn, spec = build_workload(args.workload, overrides)
     return trial_fn, spec, labels(spec)
+
+
+def _run_flags_error(args: argparse.Namespace):
+    """The message for an unusable ``--resume``/``--retries``, else None."""
+    if args.resume and not args.run_id:
+        return "--resume needs --run-id (the run directory to pick up)"
+    if args.retries < 0:
+        return "--retries must be >= 0 (0 disables retrying)"
+    return None
 
 
 def _retry_policy(retries: int):
@@ -217,6 +221,52 @@ def _resume_mismatches(meta, workload: str, spec, trials: int, seed) -> list:
         for key, value in current.items()
         if key in meta and meta[key] != value
     ]
+
+
+def _open_ledger(args: argparse.Namespace, spec, trials: int, **meta):
+    """``(ledger, status)`` for a ``--ledger`` or ``--resume`` run.
+
+    The ledger is None without either flag.  A fresh run writes
+    ``meta.json``: workload, spec, trial count, workers, shards, master
+    seed, then ``meta``.  ``--resume`` keeps an existing ``meta.json``,
+    and when it disagrees with this invocation prints the differing
+    fields and returns status 2, the exit status; otherwise status is 0.
+    """
+    if not (args.ledger or args.resume):
+        return None, 0
+    import dataclasses
+    from pathlib import Path
+
+    from repro.telemetry import RunLedger, new_run_id
+
+    run_id = args.run_id or new_run_id(args.workload)
+    ledger = RunLedger(Path(args.runs_dir) / run_id)
+    existing = ledger.read_meta()
+    if args.resume and existing is not None:
+        mismatches = _resume_mismatches(
+            existing, args.workload, spec, trials, args.seed
+        )
+        if mismatches:
+            print(
+                f"cannot --resume {ledger.run_dir}: its meta.json "
+                "disagrees with this invocation"
+            )
+            for line in mismatches:
+                print("  " + line)
+            return None, 2
+        return ledger, 0
+    ledger.write_meta(
+        {
+            "workload": args.workload,
+            "spec": dataclasses.asdict(spec),
+            "trials": trials,
+            "workers": args.workers,
+            "shards": args.shards,
+            "master_seed": args.seed,
+            **meta,
+        }
+    )
+    return ledger, 0
 
 
 def _results_match(a, b) -> bool:
@@ -271,21 +321,15 @@ def _aggregate_cache_stats(results) -> dict:
 
 
 def cmd_trials(args: argparse.Namespace) -> int:
-    import dataclasses
     import inspect
 
     from repro.analysis.tables import TableBuilder
     from repro.runtime import TrialRunner
 
-    if args.resume and not args.run_id:
-        print("--resume needs --run-id (the run directory to pick up)")
+    error = _run_flags_error(args)
+    if error:
+        print(error)
         return 2
-    if args.resume:
-        args.ledger = True
-    if args.retries < 0:
-        print("--retries must be >= 0 (0 disables retrying)")
-        return 2
-
     try:
         trial_fn, spec, columns = _trials_workload(args)
     except ValueError as exc:
@@ -303,41 +347,11 @@ def cmd_trials(args: argparse.Namespace) -> int:
         f"workload: {args.trials} {args.workload} trials ({spec!r}), "
         f"master seed {args.seed}"
     )
-
-    ledger = None
-    if args.ledger:
-        from pathlib import Path
-
-        from repro.telemetry import RunLedger, new_run_id
-
-        run_id = args.run_id or new_run_id(args.workload)
-        ledger = RunLedger(Path(args.runs_dir) / run_id)
-        meta = ledger.read_meta()
-        if args.resume and meta is not None:
-            mismatches = _resume_mismatches(
-                meta, args.workload, spec, args.trials, args.seed
-            )
-            if mismatches:
-                print(
-                    f"cannot --resume {ledger.run_dir}: its meta.json "
-                    "disagrees with this invocation"
-                )
-                for line in mismatches:
-                    print("  " + line)
-                return 2
-        if not (args.resume and meta is not None):
-            ledger.write_meta(
-                {
-                    "workload": args.workload,
-                    "spec": dataclasses.asdict(spec),
-                    "trials": args.trials,
-                    "workers": args.workers,
-                    "shards": args.shards,
-                    "master_seed": args.seed,
-                    "eps": args.eps,
-                    "delta": args.delta,
-                }
-            )
+    ledger, status = _open_ledger(
+        args, spec, args.trials, eps=args.eps, delta=args.delta
+    )
+    if status:
+        return status
 
     serial = None
     if not args.skip_serial:
@@ -409,47 +423,21 @@ def cmd_trials(args: argparse.Namespace) -> int:
 
 def cmd_atlas(args: argparse.Namespace) -> int:
     """Run the security-boundary atlas sweep and write boundary maps."""
-    import dataclasses
     import json
     from pathlib import Path
 
     from repro.analysis import atlas as atlas_mod
 
-    if args.resume and not args.run_id:
-        print("--resume needs --run-id (the run directory to pick up)")
+    error = _run_flags_error(args)
+    if error:
+        print(error)
         return 2
-    if args.resume:
-        args.ledger = True
-    if args.retries < 0:
-        print("--retries must be >= 0 (0 disables retrying)")
+    try:
+        atlas_mod.check_frontier(args.frontier)
+        _, spec, _ = _trials_workload(args)
+    except ValueError as exc:
+        print(exc)
         return 2
-
-    spec = atlas_mod.smoke_spec() if args.smoke else atlas_mod.default_spec()
-    overrides = {}
-
-    def csv(raw, conv):
-        return tuple(conv(v.strip()) for v in raw.split(",") if v.strip())
-
-    if args.families is not None:
-        overrides["families"] = csv(args.families, str)
-    if args.learners is not None:
-        overrides["learners"] = csv(args.learners, str)
-    if args.representations is not None:
-        overrides["representations"] = csv(args.representations, str)
-    if args.ns is not None:
-        overrides["ns"] = csv(args.ns, int)
-    if args.ks is not None:
-        overrides["ks"] = csv(args.ks, int)
-    if args.noises is not None:
-        overrides["noise_sigmas"] = csv(args.noises, float)
-    if args.budgets is not None:
-        overrides["budgets"] = csv(args.budgets, int)
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.test_size is not None:
-        overrides["test_size"] = args.test_size
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
 
     cells = atlas_mod.expand_grid(spec)
     trials = atlas_mod.num_trials(spec)
@@ -457,35 +445,9 @@ def cmd_atlas(args: argparse.Namespace) -> int:
         f"atlas: {len(cells)} cells x {spec.replicates} replicate(s) = "
         f"{trials} trials, master seed {args.seed}"
     )
-
-    ledger = None
-    if args.ledger:
-        from repro.telemetry import RunLedger, new_run_id
-
-        run_id = args.run_id or new_run_id("atlas")
-        ledger = RunLedger(Path(args.runs_dir) / run_id)
-        meta = ledger.read_meta()
-        if args.resume and meta is not None:
-            mismatches = _resume_mismatches(meta, "atlas", spec, trials, args.seed)
-            if mismatches:
-                print(
-                    f"cannot --resume {ledger.run_dir}: its meta.json "
-                    "disagrees with this invocation"
-                )
-                for line in mismatches:
-                    print("  " + line)
-                return 2
-        if not (args.resume and meta is not None):
-            ledger.write_meta(
-                {
-                    "workload": "atlas",
-                    "spec": dataclasses.asdict(spec),
-                    "trials": trials,
-                    "workers": args.workers,
-                    "shards": args.shards,
-                    "master_seed": args.seed,
-                }
-            )
+    ledger, status = _open_ledger(args, spec, trials)
+    if status:
+        return status
 
     payload, report = atlas_mod.run_atlas(
         spec,
@@ -601,142 +563,20 @@ def cmd_lint_docstrings(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_kernels(args: argparse.Namespace) -> int:
-    from repro.kernels.bench import (
-        default_cases,
-        render_table,
-        run_kernel_bench,
-        smoke_cases,
-        write_results,
-    )
+def cmd_bench(args: argparse.Namespace) -> int:
+    """Run one benchmark suite, print its case table, apply its gates."""
+    from repro.tooling.bench import failures, run_suite, write_payload
+    from repro.tooling.benchdocs import case_table
 
-    cases = smoke_cases() if args.smoke else default_cases()
-    payload = run_kernel_bench(cases)
-    print(render_table(payload))
+    payload = run_suite(args.suite, smoke=args.smoke)
+    print("\n".join(case_table(payload["cases"])))
     if args.out is not None:
-        from pathlib import Path
-
-        write_results(payload, Path(args.out))
+        write_payload(payload, args.out)
         print(f"wrote {args.out}")
-
-    failures = []
-    for rec in payload["cases"]:
-        if not rec["equivalent"]:
-            failures.append(f"{rec['name']}: kernel output differs from naive path")
-        if args.smoke:
-            timing = rec.get("fit") or rec.get("transform")
-            if timing["speedup"] < 1.0:
-                failures.append(
-                    f"{rec['name']}: kernel slower than naive "
-                    f"({timing['speedup']:.2f}x)"
-                )
-    for failure in failures:
+    found = failures(args.suite, payload, args.smoke)
+    for failure in found:
         print("FAIL:", failure)
-    return 1 if failures else 0
-
-
-def cmd_bench_fleet(args: argparse.Namespace) -> int:
-    from repro.kernels.fleet_bench import (
-        default_cases,
-        render_table,
-        run_fleet_bench,
-        smoke_cases,
-        write_results,
-    )
-
-    cases = smoke_cases() if args.smoke else default_cases()
-    payload = run_fleet_bench(cases)
-    print(render_table(payload))
-    if args.out is not None:
-        from pathlib import Path
-
-        write_results(payload, Path(args.out))
-        print(f"wrote {args.out}")
-
-    failures = []
-    for rec in payload["cases"]:
-        if not rec["equivalent"]:
-            failures.append(
-                f"{rec['name']}: fleet responses differ from the per-instance loop"
-            )
-        if args.smoke and rec["eval"]["speedup"] < 1.0:
-            failures.append(
-                f"{rec['name']}: stacked GEMM slower than the loop "
-                f"({rec['eval']['speedup']:.2f}x)"
-            )
-    for failure in failures:
-        print("FAIL:", failure)
-    return 1 if failures else 0
-
-
-def cmd_bench_store(args: argparse.Namespace) -> int:
-    from repro.runtime.store_bench import (
-        default_cases,
-        render_table,
-        run_store_bench,
-        smoke_cases,
-        write_results,
-    )
-
-    cases = smoke_cases() if args.smoke else default_cases()
-    payload = run_store_bench(cases)
-    print(render_table(payload))
-    if args.out is not None:
-        from pathlib import Path
-
-        write_results(payload, Path(args.out))
-        print(f"wrote {args.out}")
-
-    failures = []
-    for rec in payload["cases"]:
-        if not rec["equivalent"]:
-            failures.append(
-                f"{rec['name']}: values not bit-identical across runs"
-            )
-        if args.smoke:
-            timing = rec.get("warm_start") or rec.get("sharding")
-            if timing["speedup"] < 1.0:
-                failures.append(
-                    f"{rec['name']}: no speedup ({timing['speedup']:.2f}x)"
-                )
-    for failure in failures:
-        print("FAIL:", failure)
-    return 1 if failures else 0
-
-
-def cmd_bench_active(args: argparse.Namespace) -> int:
-    from repro.learning.active_bench import (
-        default_cases,
-        render_table,
-        run_active_bench,
-        smoke_cases,
-        write_results,
-    )
-
-    cases = smoke_cases() if args.smoke else default_cases()
-    payload = run_active_bench(cases)
-    print(render_table(payload))
-    if args.out is not None:
-        from pathlib import Path
-
-        write_results(payload, Path(args.out))
-        print(f"wrote {args.out}")
-
-    failures = []
-    for rec in payload["cases"]:
-        if not rec["equivalent"]:
-            failures.append(
-                f"{rec['name']}: metered query counts differ from the "
-                "nominal budget"
-            )
-    if not any(rec["atlas"]["adaptive_beats_passive"] for rec in payload["cases"]):
-        failures.append(
-            "no atlas cell shows an adaptive strategy reaching passive "
-            "accuracy with fewer metered queries"
-        )
-    for failure in failures:
-        print("FAIL:", failure)
-    return 1 if failures else 0
+    return 1 if found else 0
 
 
 def cmd_conformance(args: argparse.Namespace) -> int:
@@ -826,8 +666,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
 
+def _add_spec_flag(parser: argparse.ArgumentParser, target: str) -> None:
+    """The repeatable ``--spec KEY=VALUE`` override of ``trials``/``atlas``."""
+    parser.add_argument(
+        "--spec",
+        type=_spec_pair,
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help=f"override one field of {target}; VALUE is JSON (a plain "
+        "string if it does not parse); repeatable, a later pair wins",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.runtime.workloads import WORKLOADS
+    from repro.tooling.bench import SUITES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -883,15 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="independent work-stealing process pools; each writes its own "
         "ledger-shardNN.jsonl, merged transparently on read/resume",
     )
-    trials.add_argument(
-        "--spec",
-        type=_spec_pair,
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one field of the workload's spec dataclass; VALUE "
-        "is JSON (a plain string if it does not parse), e.g. --spec n=24 "
-        "--spec budgets=[50,200]; repeatable, a later pair wins",
+    _add_spec_flag(
+        trials, "the workload's spec dataclass (e.g. --spec n=24 "
+        "--spec budgets=[50,200])"
     )
     trials.add_argument(
         "--cache-dir",
@@ -1017,6 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
             "src/repro/learning/reliability_attack.py",
             "src/repro/pufs/cdc_xor.py",
             "src/repro/analysis/atlas.py",
+            "src/repro/tooling/bench.py",
         ],
         help="files or directories to measure",
     )
@@ -1037,76 +886,31 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(func=cmd_lint_docstrings)
 
     bench = sub.add_parser(
-        "bench-kernels",
-        help="time the character kernel vs the old per-subset loops",
+        "bench",
+        help="time one benchmark suite against its reference path and "
+        "regenerate its BENCH_<suite>.json baseline",
+    )
+    bench.add_argument(
+        "suite",
+        choices=sorted(SUITES),
+        help="kernels: character kernel vs per-subset loops; fleet: stacked "
+        "GEMM vs per-instance loop; store: warm start and shard scaling; "
+        "active: adaptive-vs-passive query atlas",
     )
     bench.add_argument(
         "--out",
         type=str,
         default=None,
-        help="write the JSON payload here (e.g. benchmarks/results/BENCH_kernels.json)",
+        help="write the JSON payload here "
+        "(e.g. benchmarks/results/BENCH_kernels.json)",
     )
     bench.add_argument(
         "--smoke",
         action="store_true",
-        help="run the seconds-fast CI subset and fail unless the kernel is "
-        "equivalent and at least as fast as the naive path",
+        help="run the seconds-fast CI subset; kernels, fleet and store then "
+        "also fail unless every case is at least as fast as its baseline",
     )
-    bench.set_defaults(func=cmd_bench_kernels)
-
-    bench_fleet = sub.add_parser(
-        "bench-fleet",
-        help="time the per-instance loop vs the stacked-GEMM fleet kernels",
-    )
-    bench_fleet.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        help="write the JSON payload here (e.g. benchmarks/results/BENCH_fleet.json)",
-    )
-    bench_fleet.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the seconds-fast CI subset and fail unless the fleet path is "
-        "equivalent and at least as fast as the per-instance loop",
-    )
-    bench_fleet.set_defaults(func=cmd_bench_fleet)
-
-    bench_store = sub.add_parser(
-        "bench-store",
-        help="time warm-start sweep replay and work-stealing shard scaling",
-    )
-    bench_store.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        help="write the JSON payload here (e.g. benchmarks/results/BENCH_store.json)",
-    )
-    bench_store.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the seconds-fast CI subset and fail unless results are "
-        "bit-identical and at least as fast as the baseline",
-    )
-    bench_store.set_defaults(func=cmd_bench_store)
-
-    bench_active = sub.add_parser(
-        "bench-active",
-        help="map the adaptive-vs-passive query atlas under metered budgets",
-    )
-    bench_active.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        help="write the JSON payload here (e.g. benchmarks/results/BENCH_active.json)",
-    )
-    bench_active.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the seconds-fast CI subset and fail unless query accounting "
-        "is exact and some adaptive strategy beats the passive baseline",
-    )
-    bench_active.set_defaults(func=cmd_bench_active)
+    bench.set_defaults(func=cmd_bench)
 
     atlas_p = sub.add_parser(
         "atlas",
@@ -1117,7 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
     atlas_p.add_argument(
         "--smoke",
         action="store_true",
-        help="CI tier: the 108-cell smoke grid with tight learner schedules",
+        help="CI tier: the 108-cell smoke grid with tight learner schedules; "
+        "--spec pairs apply on top",
     )
     atlas_p.add_argument("--seed", type=int, default=0, help="master seed")
     atlas_p.add_argument(
@@ -1132,48 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     atlas_p.add_argument(
         "--retries", type=int, default=0, help="retries per infra failure"
     )
-    atlas_p.add_argument(
-        "--families",
-        type=str,
-        default=None,
-        help="comma-separated PUF families (xor, cdc_xor)",
-    )
-    atlas_p.add_argument(
-        "--learners",
-        type=str,
-        default=None,
-        help="comma-separated learners (lr, mlp, reliability)",
-    )
-    atlas_p.add_argument(
-        "--representations",
-        type=str,
-        default=None,
-        help="comma-separated challenge representations (parity, raw)",
-    )
-    atlas_p.add_argument(
-        "--ns", type=str, default=None, help="comma-separated challenge lengths"
-    )
-    atlas_p.add_argument(
-        "--ks", type=str, default=None, help="comma-separated chain counts"
-    )
-    atlas_p.add_argument(
-        "--noises",
-        type=str,
-        default=None,
-        help="comma-separated measurement-noise sigmas",
-    )
-    atlas_p.add_argument(
-        "--budgets",
-        type=str,
-        default=None,
-        help="comma-separated sample budgets m",
-    )
-    atlas_p.add_argument(
-        "--replicates", type=int, default=None, help="replicates per cell"
-    )
-    atlas_p.add_argument(
-        "--test-size", type=int, default=None, help="held-out evaluation size"
-    )
+    _add_spec_flag(atlas_p, "AtlasTrialSpec, the grid (e.g. --spec 'ks=[1,2]')")
     atlas_p.add_argument(
         "--frontier",
         type=float,
@@ -1218,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the BENCH_atlas.json payload here",
     )
-    atlas_p.set_defaults(func=cmd_atlas)
+    atlas_p.set_defaults(func=cmd_atlas, workload="atlas")
 
     conf = sub.add_parser(
         "conformance",

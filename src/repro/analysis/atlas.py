@@ -343,6 +343,13 @@ def atlas_trial(
 # ----------------------------------------------------------------------
 # Reduction: ledger values -> boundary maps
 # ----------------------------------------------------------------------
+def check_frontier(frontier: float) -> None:
+    """Raise ``ValueError`` unless ``0.5 < frontier <= 1``: a frontier at
+    or below chance would count an unlearned cell as broken."""
+    if not 0.5 < frontier <= 1.0:
+        raise ValueError(f"frontier must be in (0.5, 1], got {frontier!r}")
+
+
 def reduce_atlas(
     spec: AtlasTrialSpec,
     values: Dict[int, Sequence[float]],
@@ -357,8 +364,7 @@ def reduce_atlas(
     arrival order never matters, so a sharded, killed-and-resumed run
     reduces to the same ``digest`` as a serial one.
     """
-    if not 0.5 < frontier <= 1.0:
-        raise ValueError("frontier must be in (0.5, 1]")
+    check_frontier(frontier)
     cells = expand_grid(spec)
     cell_rows: List[Dict[str, object]] = []
     mean_by_cell: Dict[Tuple, Optional[float]] = {}
@@ -538,11 +544,6 @@ def bench_cases(payload: Dict[str, object]) -> List[Dict[str, object]]:
 # ----------------------------------------------------------------------
 # Presets + the end-to-end engine
 # ----------------------------------------------------------------------
-def default_spec() -> AtlasTrialSpec:
-    """The standing atlas grid (moderate budgets, both families)."""
-    return AtlasTrialSpec()
-
-
 def smoke_spec() -> AtlasTrialSpec:
     """The CI smoke grid: 108 cells covering all three scenario families.
 

@@ -1,4 +1,4 @@
-"""Kernel-vs-naive benchmark cases behind ``python -m repro bench-kernels``.
+"""Kernel-vs-naive benchmark cases behind ``python -m repro bench kernels``.
 
 Each case times the frozen per-subset loops from
 :mod:`repro.kernels.reference` against the blocked-GEMM kernel on the
@@ -8,23 +8,21 @@ configuration, wider XOR PUFs, the BR-PUF Chow estimation of E11) plus a
 batched-FWHT case; ``smoke_cases`` is the small, seconds-fast subset CI
 runs on every push.
 
-Results serialise to ``benchmarks/results/BENCH_kernels.json`` — the
-machine-readable perf baseline this PR establishes.
+Results serialise to ``benchmarks/results/BENCH_kernels.json`` through
+the shared harness in :mod:`repro.tooling.bench`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import time
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import reference
 from repro.kernels.character import CharacterBasis
 from repro.kernels.fwht import fwht
+from repro.tooling.bench import best_time
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,17 +90,6 @@ def smoke_cases() -> List[KernelBenchCase]:
     ]
 
 
-def _best_time(fn: Callable[[], np.ndarray], repeats: int) -> Tuple[float, np.ndarray]:
-    """Best-of-``repeats`` wall time (single-core machines jitter a lot)."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def _case_data(
     case: KernelBenchCase,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -148,8 +135,8 @@ def _run_fwht_case(case: KernelBenchCase) -> Dict[str, object]:
     def new() -> np.ndarray:
         return fwht(tables)
 
-    t_old, out_old = _best_time(old, case.repeats)
-    t_new, out_new = _best_time(new, case.repeats)
+    t_old, out_old = best_time(old, case.repeats)
+    t_new, out_new = best_time(new, case.repeats)
     identical = bool(np.array_equal(out_old, out_new))
     return {
         "name": case.name,
@@ -174,20 +161,20 @@ def run_case(case: KernelBenchCase) -> Dict[str, object]:
     basis = CharacterBasis.low_degree(x_fit.shape[1], case.degree)
     subsets = list(basis.subsets)
 
-    t_fit_old, est_old = _best_time(
+    t_fit_old, est_old = best_time(
         lambda: reference.naive_estimate_coefficients(x_fit, y_fit, subsets),
         case.repeats,
     )
-    t_fit_new, est_new = _best_time(
+    t_fit_new, est_new = best_time(
         lambda: basis.estimate_coefficients(x_fit, y_fit), case.repeats
     )
     spectra_identical = bool(np.array_equal(est_old, est_new))
 
     spectrum = dict(zip(subsets, est_old))
-    t_eval_old, pred_old = _best_time(
+    t_eval_old, pred_old = best_time(
         lambda: reference.naive_sign_of_expansion(x_eval, spectrum), case.repeats
     )
-    t_eval_new, pred_new = _best_time(
+    t_eval_new, pred_new = best_time(
         lambda: basis.predict_sign(x_eval, est_new), case.repeats
     )
     predictions_identical = bool(np.array_equal(pred_old, pred_new))
@@ -222,46 +209,13 @@ def run_case(case: KernelBenchCase) -> Dict[str, object]:
     }
 
 
-def run_kernel_bench(
-    cases: Optional[Sequence[KernelBenchCase]] = None,
-) -> Dict[str, object]:
-    """Run a case list and assemble the serialisable payload."""
-    cases = default_cases() if cases is None else list(cases)
-    return {
-        "generated_by": "python -m repro bench-kernels",
-        "numpy": np.__version__,
-        "cases": [run_case(case) for case in cases],
-    }
-
-
-def render_table(payload: Dict[str, object]) -> str:
-    """Human-readable summary of a benchmark payload."""
-    from repro.analysis.tables import TableBuilder
-
-    table = TableBuilder(
-        ["case", "N", "fit old [s]", "fit new [s]", "fit x", "eval old [s]",
-         "eval new [s]", "eval x", "identical"],
-        title="character-kernel speedups (old per-subset loops vs blocked GEMM)",
-    )
-    for rec in payload["cases"]:
-        fit = rec.get("fit") or rec.get("transform")
-        ev = rec.get("eval")
-        table.add_row(
-            rec["name"],
-            rec["params"].get("coefficients", rec["params"].get("batch", "")),
-            f"{fit['old_s']:.4f}",
-            f"{fit['new_s']:.4f}",
-            f"{fit['speedup']:.1f}",
-            f"{ev['old_s']:.4f}" if ev else "-",
-            f"{ev['new_s']:.4f}" if ev else "-",
-            f"{ev['speedup']:.1f}" if ev else "-",
-            "yes" if rec["equivalent"] else "NO",
-        )
-    return table.render()
-
-
-def write_results(payload: Dict[str, object], path: Path) -> None:
-    """Write the benchmark payload as indented JSON, creating parents."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def gate(records: Sequence[Dict[str, object]], smoke: bool) -> List[str]:
+    """Under ``--smoke``, a kernel slower than the naive path fails."""
+    if not smoke:
+        return []
+    found = []
+    for rec in records:
+        speedup = (rec.get("fit") or rec.get("transform"))["speedup"]
+        if speedup < 1.0:
+            found.append(f"{rec['name']}: kernel slower than naive ({speedup:.2f}x)")
+    return found

@@ -1,4 +1,4 @@
-"""Fleet-vs-loop benchmark cases behind ``python -m repro bench-fleet``.
+"""Fleet-vs-loop benchmark cases behind ``python -m repro bench fleet``.
 
 Each case evaluates the same fleet two ways on the same challenges —
 the per-instance Python loop (one feature build + one gemv per
@@ -15,16 +15,13 @@ Results serialise to ``benchmarks/results/BENCH_fleet.json``.
 from __future__ import annotations
 
 import dataclasses
-import json
-import time
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.kernels.backend import get_backend
 from repro.pufs.crp import uniform_challenges
 from repro.pufs.fleet import Fleet, FleetSpec, eval_instance
+from repro.tooling.bench import best_time
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,17 +103,6 @@ def smoke_cases() -> List[FleetBenchCase]:
     ]
 
 
-def _best_time(fn: Callable[[], np.ndarray], repeats: int) -> Tuple[float, np.ndarray]:
-    """Best-of-``repeats`` wall time (single-core machines jitter a lot)."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def run_case(case: FleetBenchCase) -> Dict[str, object]:
     """Time one case on both paths and check exact response equality."""
     spec = FleetSpec(
@@ -143,8 +129,8 @@ def run_case(case: FleetBenchCase) -> Dict[str, object]:
     def stacked() -> np.ndarray:
         return fleet.eval(challenges)
 
-    t_old, out_old = _best_time(loop, case.repeats)
-    t_new, out_new = _best_time(stacked, case.repeats)
+    t_old, out_old = best_time(loop, case.repeats)
+    t_new, out_new = best_time(stacked, case.repeats)
     identical = bool(np.array_equal(out_old, out_new))
     return {
         "name": case.name,
@@ -174,45 +160,13 @@ def _describe_k(k: Union[int, Tuple[int, ...]]) -> Union[int, str]:
     return "mixed " + "/".join(str(v) for v in sorted(set(k)))
 
 
-def run_fleet_bench(
-    cases: Optional[Sequence[FleetBenchCase]] = None,
-) -> Dict[str, object]:
-    """Run a case list and assemble the serialisable payload."""
-    cases = default_cases() if cases is None else list(cases)
-    return {
-        "generated_by": "python -m repro bench-fleet",
-        "numpy": np.__version__,
-        "backend": get_backend().name,
-        "cases": [run_case(case) for case in cases],
-    }
-
-
-def render_table(payload: Dict[str, object]) -> str:
-    """Human-readable summary of a fleet benchmark payload."""
-    from repro.analysis.tables import TableBuilder
-
-    table = TableBuilder(
-        ["case", "N", "m", "tier", "loop [s]", "fleet [s]", "speedup",
-         "identical"],
-        title="fleet speedups (per-instance loop vs stacked GEMM)",
-    )
-    for rec in payload["cases"]:
-        ev = rec["eval"]
-        table.add_row(
-            rec["name"],
-            rec["params"]["size"],
-            rec["params"]["m"],
-            rec["params"]["tier"],
-            f"{ev['old_s']:.4f}",
-            f"{ev['new_s']:.4f}",
-            f"{ev['speedup']:.1f}",
-            "yes" if rec["equivalent"] else "NO",
-        )
-    return table.render()
-
-
-def write_results(payload: Dict[str, object], path: Path) -> None:
-    """Write the benchmark payload as indented JSON, creating parents."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def gate(records: Sequence[Dict[str, object]], smoke: bool) -> List[str]:
+    """Under ``--smoke``, a stacked GEMM slower than the loop fails."""
+    if not smoke:
+        return []
+    return [
+        f"{rec['name']}: stacked GEMM slower than the loop "
+        f"({rec['eval']['speedup']:.2f}x)"
+        for rec in records
+        if rec["eval"]["speedup"] < 1.0
+    ]

@@ -1,4 +1,4 @@
-"""The adaptive-vs-passive query atlas behind ``python -m repro bench-active``.
+"""The adaptive-vs-passive query atlas behind ``python -m repro bench active``.
 
 Each case is one (n, k) cell of the atlas: every
 :data:`~repro.learning.active.STRATEGY_NAMES` strategy attacks the same
@@ -23,8 +23,6 @@ into ``docs/BENCHMARKS.md`` via ``python -m repro docs-bench``.
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,7 +111,7 @@ def _queries_to_reach(
     return None
 
 
-def run_active_case(case: ActiveBenchCase) -> Dict[str, object]:
+def run_case(case: ActiveBenchCase) -> Dict[str, object]:
     """Run every strategy of one atlas cell and assemble its record.
 
     Each (strategy, trial) pair runs under its own
@@ -212,53 +210,13 @@ def run_active_case(case: ActiveBenchCase) -> Dict[str, object]:
     }
 
 
-def run_active_bench(
-    cases: Optional[Sequence[ActiveBenchCase]] = None,
-) -> Dict[str, object]:
-    """Run a case list and assemble the serialisable payload."""
-    cases = default_cases() if cases is None else list(cases)
-    return {
-        "generated_by": "python -m repro bench-active",
-        "numpy": np.__version__,
-        "cases": [run_active_case(case) for case in cases],
-    }
-
-
-def render_table(payload: Dict[str, object]) -> str:
-    """Human-readable summary of an active-learning atlas payload."""
-    from repro.analysis.tables import TableBuilder
-
-    table = TableBuilder(
-        [
-            "cell",
-            "(n, k)",
-            "passive acc @ budget",
-            "best adaptive",
-            "queries to match",
-            "savings",
-            "metered",
-        ],
-        title="adaptive-vs-passive query atlas (equal metered budgets)",
-    )
-    for rec in payload["cases"]:
-        atlas = rec["atlas"]
-        total = rec["params"]["budget"]
-        best = atlas["best_adaptive"]
-        reach = atlas["best_adaptive_queries"]
-        table.add_row(
-            rec["name"],
-            f"({rec['params']['n']}, {rec['params']['k']})",
-            f"{atlas['passive_final_accuracy']:.3f} @ {total}",
-            best or "none",
-            str(reach) if reach else "never",
-            f"{total / reach:.1f}x" if reach else "-",
-            "ok" if rec["equivalent"] else "MISCOUNTED",
-        )
-    return table.render()
-
-
-def write_results(payload: Dict[str, object], path: Path) -> None:
-    """Write the benchmark payload as indented JSON, creating parents."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def gate(records: Sequence[Dict[str, object]], smoke: bool) -> List[str]:
+    """Fail unless some cell shows an adaptive strategy reaching passive
+    accuracy with fewer metered queries (checked with or without
+    ``--smoke``)."""
+    if any(rec["atlas"]["adaptive_beats_passive"] for rec in records):
+        return []
+    return [
+        "no atlas cell shows an adaptive strategy reaching passive "
+        "accuracy with fewer metered queries"
+    ]

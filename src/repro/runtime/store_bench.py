@@ -1,4 +1,4 @@
-"""Artifact-store and sharding benchmarks behind ``python -m repro bench-store``.
+"""Artifact-store and sharding benchmarks behind ``python -m repro bench store``.
 
 Two case families, matching the two halves of the store/scheduler layer:
 
@@ -22,12 +22,11 @@ into ``docs/BENCHMARKS.md`` via ``python -m repro docs-bench``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -103,7 +102,7 @@ def _values_identical(a: TrialReport, b: TrialReport) -> bool:
     )
 
 
-def run_warm_start_case(case: WarmStartCase) -> Dict[str, object]:
+def _run_warm_start(case: WarmStartCase) -> Dict[str, object]:
     """Time the cold and warm passes of one cached fleet sweep.
 
     The BR family is the generation-heavy one (its response plane needs
@@ -159,7 +158,7 @@ def run_warm_start_case(case: WarmStartCase) -> Dict[str, object]:
     }
 
 
-def run_sharding_case(case: ShardingCase) -> Dict[str, object]:
+def _run_sharding(case: ShardingCase) -> Dict[str, object]:
     """Time the skewed sleep mix on one pool vs ``case.shards`` shards.
 
     ``chunk_size=1`` gives the scheduler trial-level stealing
@@ -205,54 +204,22 @@ def run_sharding_case(case: ShardingCase) -> Dict[str, object]:
     }
 
 
-def run_store_bench(
-    cases: Optional[Sequence[object]] = None,
-) -> Dict[str, object]:
-    """Run a case list and assemble the serialisable payload."""
-    cases = default_cases() if cases is None else list(cases)
-    records = []
-    for case in cases:
-        if isinstance(case, WarmStartCase):
-            records.append(run_warm_start_case(case))
-        elif isinstance(case, ShardingCase):
-            records.append(run_sharding_case(case))
-        else:
-            raise TypeError(f"unknown bench case type {type(case).__name__}")
-    return {
-        "generated_by": "python -m repro bench-store",
-        "numpy": np.__version__,
-        "cases": records,
-    }
+def run_case(case: Union[WarmStartCase, ShardingCase]) -> Dict[str, object]:
+    """Time one warm-start or sharding case and check bit-identity."""
+    if isinstance(case, WarmStartCase):
+        return _run_warm_start(case)
+    if isinstance(case, ShardingCase):
+        return _run_sharding(case)
+    raise TypeError(f"unknown bench case type {type(case).__name__}")
 
 
-def render_table(payload: Dict[str, object]) -> str:
-    """Human-readable summary of a store benchmark payload."""
-    from repro.analysis.tables import TableBuilder
-
-    table = TableBuilder(
-        ["case", "kind", "baseline [s]", "new [s]", "speedup", "identical"],
-        title="artifact store + sharding (cold-vs-warm, 1-pool-vs-sharded)",
-    )
-    for rec in payload["cases"]:
-        if "warm_start" in rec:
-            kind, timing = "warm-start", rec["warm_start"]
-            old_s, new_s = timing["cold_s"], timing["warm_s"]
-        else:
-            kind, timing = "sharding", rec["sharding"]
-            old_s, new_s = timing["shards1_s"], timing["shardsN_s"]
-        table.add_row(
-            rec["name"],
-            kind,
-            f"{old_s:.3f}",
-            f"{new_s:.3f}",
-            f"{timing['speedup']:.1f}",
-            "yes" if rec["equivalent"] else "NO",
-        )
-    return table.render()
-
-
-def write_results(payload: Dict[str, object], path: Path) -> None:
-    """Write the benchmark payload as indented JSON, creating parents."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def gate(records: Sequence[Dict[str, object]], smoke: bool) -> List[str]:
+    """Under ``--smoke``, a warm pass or a sharded run with no speedup fails."""
+    if not smoke:
+        return []
+    found = []
+    for rec in records:
+        speedup = (rec.get("warm_start") or rec.get("sharding"))["speedup"]
+        if speedup < 1.0:
+            found.append(f"{rec['name']}: no speedup ({speedup:.2f}x)")
+    return found

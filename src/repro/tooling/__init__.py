@@ -10,6 +10,8 @@ subcommands:
   machine-readable ``benchmarks/results/BENCH_*.json`` baselines
   (``python -m repro docs-bench``), with a ``--check`` mode CI uses to
   fail on drift between committed docs and committed baselines.
+* :mod:`repro.tooling.bench` — the one harness behind
+  ``python -m repro bench <suite>``, which writes those baselines.
 """
 
 from repro.tooling.benchdocs import render_benchmarks_markdown

@@ -24,7 +24,7 @@ HEADER = """\
 machine-readable baselines in `benchmarks/results/BENCH_*.json` by
 `python -m repro docs-bench`; CI regenerates it and fails on drift.
 To refresh after changing a kernel, rerun the producing command noted in
-each section and then `python -m repro docs-bench --write`.
+each section and then `python -m repro docs-bench`.
 """
 
 
@@ -55,8 +55,13 @@ def _flatten(record: Dict[str, object], prefix: str = "") -> Dict[str, object]:
     return flat
 
 
-def _case_table(cases: List[Dict[str, object]]) -> List[str]:
-    """A markdown table over the union of the cases' flattened scalar keys."""
+def case_table(cases: List[Dict[str, object]]) -> List[str]:
+    """A markdown table over the union of the cases' flattened scalar keys.
+
+    ``python -m repro bench`` prints its run through this table too, so
+    a suite's terminal output and its ``docs/BENCHMARKS.md`` section
+    have the same columns.
+    """
     flats = [_flatten(case) for case in cases]
     columns: List[str] = []
     for flat in flats:
@@ -90,7 +95,7 @@ def _render_payload(name: str, payload: Dict[str, object]) -> List[str]:
         lines.append("")
     cases = payload.get("cases")
     if isinstance(cases, list) and cases and isinstance(cases[0], dict):
-        lines += _case_table(cases)
+        lines += case_table(cases)
     elif isinstance(payload.get("results"), dict):
         results = payload["results"]
         lines += ["| metric | value |", "|---|---|"]

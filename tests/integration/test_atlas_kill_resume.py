@@ -26,13 +26,13 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: The tiny grid: xor / mlp / parity, n=16, 2 ks x 2 sigmas x 2 budgets.
 #: MLP trials are slow enough (~0.1s) to leave a kill window.
 GRID = (
-    "--families", "xor",
-    "--learners", "mlp",
-    "--representations", "parity",
-    "--ns", "16",
-    "--ks", "1,2",
-    "--noises", "0,0.3",
-    "--budgets", "1000,3000",
+    "--spec", 'families=["xor"]',
+    "--spec", 'learners=["mlp"]',
+    "--spec", 'representations=["parity"]',
+    "--spec", "ns=[16]",
+    "--spec", "ks=[1,2]",
+    "--spec", "noise_sigmas=[0,0.3]",
+    "--spec", "budgets=[1000,3000]",
 )
 CELLS = 8
 
@@ -156,22 +156,22 @@ def test_atlas_resume_refuses_mismatched_grid(tmp_path):
     runs_dir = tmp_path / "runs"
     base = [
         "atlas",
-        "--families", "xor",
-        "--learners", "lr",
-        "--ns", "16",
-        "--ks", "1",
-        "--noises", "0",
+        "--spec", 'families=["xor"]',
+        "--spec", 'learners=["lr"]',
+        "--spec", "ns=[16]",
+        "--spec", "ks=[1]",
+        "--spec", "noise_sigmas=[0]",
         "--workers", "1",
         "--ledger", "--run-id", "metarun", "--runs-dir", str(runs_dir),
     ]
-    first = run_cli(*base, "--budgets", "40,100")
+    first = run_cli(*base, "--spec", "budgets=[40,100]")
     assert first.returncode == 0, first.stdout
 
-    clash = run_cli(*base, "--budgets", "40,100,200", "--resume")
+    clash = run_cli(*base, "--spec", "budgets=[40,100,200]", "--resume")
     assert clash.returncode == 2
     assert "meta.json" in clash.stdout
 
-    matching = run_cli(*base, "--budgets", "40,100", "--resume")
+    matching = run_cli(*base, "--spec", "budgets=[40,100]", "--resume")
     assert matching.returncode == 0, matching.stdout
     assert "2 replayed" in matching.stdout
 

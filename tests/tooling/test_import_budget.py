@@ -133,19 +133,29 @@ def test_library_imports_stay_light(code):
     _assert_none_loaded(modules, log, HEAVY)
 
 
-@pytest.mark.parametrize("command", ["trials", "serve"])
+#: The benchmark suite modules, which ``bench`` imports only to run one.
+SUITE_MODULES = (
+    "repro.kernels.bench",
+    "repro.kernels.fleet_bench",
+    "repro.learning.active_bench",
+    "repro.runtime.store_bench",
+)
+
+
+@pytest.mark.parametrize("command", ["trials", "serve", "bench"])
 def test_cli_help_stays_light(command):
     modules, log = _run(_CLI, command, "--help")
     assert "repro.runtime.workloads" in modules  # the --workload choices
-    _assert_none_loaded(modules, log, HEAVY)
+    _assert_none_loaded(modules, log, HEAVY + SUITE_MODULES)
 
 
 #: Commands that fit LR models in-process on a tiny grid: the learners
 #: load, scipy must not.
 LR_COMMANDS = {
     "atlas": [
-        "atlas", "--families", "xor", "--learners", "lr", "--ns", "16",
-        "--ks", "1,2", "--budgets", "60", "--test-size", "200",
+        "atlas", "--spec", 'families=["xor"]', "--spec", 'learners=["lr"]',
+        "--spec", "ns=[16]", "--spec", "ks=[1,2]", "--spec", "budgets=[60]",
+        "--spec", "test_size=200",
     ],
     "curve": [
         "trials", "--workload", "curve", "--smoke", "--trials", "2",
