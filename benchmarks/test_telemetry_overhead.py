@@ -17,7 +17,8 @@ The E4 path amortises metering over 25 000 rows; a small fleet trial
 (the service example: 256 challenges of 32 bits, observed three times)
 does not.  The small-trial case pins distinct tracking there: the
 sorted-array ``QueryMeter._observe`` must cost at most half of the
-frozen set loop (``repro.kernels.reference.naive_observe``).
+frozen set loop (``naive_observe``, reached through the
+``frozen_reference`` fixture).
 """
 
 import time
@@ -109,11 +110,10 @@ SMALL_REPEATS = 200
 MAX_SMALL_RATIO = 0.5
 
 
-def test_small_trial_observe_under_half_the_frozen_loop(report):
+def test_small_trial_observe_under_half_the_frozen_loop(report, frozen_reference):
     """Distinct tracking at small trial sizes: the sorted-array ``_observe``
     must cost at most half of the frozen set loop it replaced."""
-    from repro.kernels.reference import naive_observe
-
+    naive_observe = frozen_reference.naive_observe
     x = uniform_challenges(SMALL_M, SMALL_N, np.random.default_rng(3))
 
     def sorted_array():

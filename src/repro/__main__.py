@@ -151,7 +151,16 @@ def cmd_attack_demo(args: argparse.Namespace) -> int:
     return 0 if result.success else 1
 
 
-def _spec_pair(text: str):
+class _SpecPair(tuple):
+    """``(key, value)`` of one ``--spec KEY=VALUE``, with ``text`` as given."""
+
+    def __new__(cls, key, value, text):
+        pair = super().__new__(cls, (key, value))
+        pair.text = text
+        return pair
+
+
+def _spec_pair(text: str) -> _SpecPair:
     """One ``--spec KEY=VALUE``: VALUE as JSON, else as a plain string."""
     import json
 
@@ -159,9 +168,9 @@ def _spec_pair(text: str):
     if not sep or not key:
         raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
     try:
-        return key, json.loads(raw)
+        return _SpecPair(key, json.loads(raw), text)
     except ValueError:
-        return key, raw
+        return _SpecPair(key, raw, text)
 
 
 def _trials_workload(args: argparse.Namespace):
@@ -421,6 +430,25 @@ def cmd_trials(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _atlas_command(args: argparse.Namespace) -> str:
+    """The ``atlas`` command line that reproduces this run's boundary maps:
+    ``--smoke``, every ``--spec`` pair as given, and ``--seed`` /
+    ``--frontier`` where they differ from their defaults."""
+    import shlex
+
+    from repro.analysis.atlas import DEFAULT_FRONTIER
+
+    words = ["python -m repro atlas"]
+    if args.smoke:
+        words.append("--smoke")
+    words += [f"--spec {shlex.quote(pair.text)}" for pair in args.spec]
+    if args.seed != 0:
+        words.append(f"--seed {args.seed}")
+    if args.frontier != DEFAULT_FRONTIER:
+        words.append(f"--frontier {args.frontier!r}")
+    return " ".join(words)
+
+
 def cmd_atlas(args: argparse.Namespace) -> int:
     """Run the security-boundary atlas sweep and write boundary maps."""
     import json
@@ -498,8 +526,7 @@ def cmd_atlas(args: argparse.Namespace) -> int:
         print(f"heatmaps: {out_dir / 'atlas.md'}")
     if args.bench_out is not None:
         bench = {
-            "generated_by": "python -m repro atlas"
-            + (" --smoke" if args.smoke else ""),
+            "generated_by": _atlas_command(args),
             "cases": atlas_mod.bench_cases(payload),
         }
         bench_path = Path(args.bench_out)

@@ -38,7 +38,7 @@ Fleet evaluation supports three dtype tiers, selected by name:
 
 The tier governs *storage and GEMM precision* only; responses are
 always ±1 ``int8`` and all sign-domain arithmetic (XOR combination,
-majority-vote counting, metric Gram matrices) is exact integer work
+majority-vote counting, the uniqueness row counts) is exact integer work
 in every tier.
 """
 

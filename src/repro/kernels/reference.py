@@ -17,21 +17,15 @@ Four families live here:
 * the per-parameter / per-individual learner loops the fused learner
   paths replaced (the MLP's four-array Adam step, the reliability
   attack's one-call-per-individual ES fitness), kept so the learner
-  tests can assert the fused paths compute the same thing, and the
-  scipy L-BFGS-B fits the in-repo LR solvers replaced, kept so
-  ``tests/learning/test_solver_equivalence.py`` can assert the new
-  fits are statistically no worse (the only scipy use in this module,
-  imported inside those two functions);
-* the query meter's set-based distinct tracking, which the
-  sorted-array meter must match exactly; and the dense fleet noise draw
-  (one normal per measurement, challenge and chain), which the
-  band-limited ``noisy_measurements`` must match in flip rate (the
-  ``fleet_noise_band_matches_dense`` relation).
+  tests can assert the fused paths compute the same thing;
+* the dense fleet noise draw (one normal per measurement, challenge and
+  chain), which the band-limited ``noisy_measurements`` must match in
+  flip rate (the ``fleet_noise_band_matches_dense`` relation).
 
-The fleet-build and chain-combine references that only the tests use
-(per-instance seeding and weight draws, ``reduceat`` combines, the
-float64 Gram, the ``integers`` challenge draw) live in
-``tests/_reference.py``.
+The references that only the tests and benchmarks use (per-instance
+fleet seeding and weight draws, ``reduceat`` combines, the pair-by-pair
+uniqueness count, the ``integers`` challenge draw, the scipy L-BFGS-B
+LR fits and the query meter's set loop) live in ``tests/_reference.py``.
 
 Do not optimise these.  Their slowness *is* the point: a reference must
 stay simple enough to audit by eye.  Integer-valued paths (characters,
@@ -372,131 +366,6 @@ def naive_mlp_fit(
     }
 
 
-def naive_lbfgsb_logistic_fit(
-    feats: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    l2: float,
-    max_iter: int,
-) -> Dict[str, object]:
-    """scipy L-BFGS-B fit of the L2-regularised logistic loss.
-
-    The pre-Newton body of ``LogisticAttack.fit``, verbatim, on the
-    already-mapped float features: theta0 drawn as
-    ``rng.normal(0, 0.01, d + 1)``, then ``scipy.optimize.minimize``.
-    Returns the weights ``w``, intercept ``b``, ``converged``,
-    ``final_loss`` and ``train_accuracy`` of ``sgn(X w + b)``.
-    """
-    from scipy import optimize
-
-    from repro.booleanfuncs.ltf import LTF
-
-    feats = np.asarray(feats, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    m, d = feats.shape
-    theta0 = rng.normal(0.0, 0.01, size=d + 1)
-
-    def loss_and_grad(theta: np.ndarray):
-        w, b = theta[:d], theta[d]
-        margin = y * (feats @ w + b)
-        # log(1 + exp(-margin)) computed stably.
-        loss = np.mean(np.logaddexp(0.0, -margin)) + 0.5 * l2 * (w @ w)
-        sig = 1.0 / (1.0 + np.exp(np.clip(margin, -500, 500)))
-        coef = -y * sig / m
-        grad_w = feats.T @ coef + l2 * w
-        grad_b = np.sum(coef)
-        return loss, np.concatenate([grad_w, [grad_b]])
-
-    result = optimize.minimize(
-        loss_and_grad,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter},
-    )
-    w, b = result.x[:d], result.x[d]
-    preds = LTF(w, -b, name="logistic_ltf")(feats)
-    return {
-        "w": w,
-        "b": float(b),
-        "converged": bool(result.success),
-        "final_loss": float(result.fun),
-        "train_accuracy": float(np.mean(preds == y)),
-    }
-
-
-def naive_lbfgsb_xor_fit(
-    feats: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    k: int,
-    restarts: int,
-    max_iter: int,
-    l2: float,
-    target_accuracy: float,
-) -> Dict[str, object]:
-    """scipy L-BFGS-B product-of-margins fit with random restarts.
-
-    The pre-NumPy-L-BFGS body of ``XorLogisticAttack.fit``, verbatim, on
-    the already-mapped float features: per restart a fresh
-    ``rng.normal(0, 1, k * d)`` start, one ``scipy.optimize.minimize``,
-    the gradient built chain by chain from ``np.delete`` copies; the
-    best training accuracy wins and ``target_accuracy`` stops early.
-    Returns ``chain_weights`` (k, d), ``converged``, ``final_loss``,
-    ``train_accuracy`` and ``restarts_used`` of the winning restart.
-    """
-    from scipy import optimize
-
-    feats = np.asarray(feats, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    m, d = feats.shape
-
-    def loss_and_grad(theta: np.ndarray):
-        w = theta.reshape(k, d)
-        margins = feats @ w.T  # (m, k)
-        prod = np.prod(margins, axis=1)
-        z = y * prod
-        loss = np.mean(np.logaddexp(0.0, -z)) + 0.5 * l2 * np.sum(w * w)
-        sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
-        coef = -y * sig / m  # dLoss/dprod
-        grad = np.empty_like(w)
-        for j in range(k):
-            others = np.prod(
-                np.delete(margins, j, axis=1), axis=1
-            ) if k > 1 else np.ones(m)
-            grad[j] = feats.T @ (coef * others) + l2 * w[j]
-        return loss, grad.ravel()
-
-    best: Optional[Dict[str, object]] = None
-    for attempt in range(restarts):
-        theta0 = rng.normal(0.0, 1.0, size=k * d)
-        result = optimize.minimize(
-            loss_and_grad,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter},
-        )
-        w = result.x.reshape(k, d)
-        margins = np.prod(feats @ w.T, axis=1)
-        acc = float(np.mean(np.where(margins >= 0, 1, -1) == y))
-        candidate = {
-            "chain_weights": w,
-            "converged": bool(result.success),
-            "final_loss": float(result.fun),
-            "train_accuracy": acc,
-            "restarts_used": attempt + 1,
-        }
-        if best is None or candidate["train_accuracy"] > best["train_accuracy"]:
-            best = candidate
-        if best["train_accuracy"] >= target_accuracy:
-            break
-    assert best is not None
-    return best
-
-
 def naive_cma_fitness(
     phi: np.ndarray,
     w: np.ndarray,
@@ -523,44 +392,6 @@ def naive_cma_fitness(
         overlap = max(abs(float(hc @ p)) for p in profiles)
         corr -= distinct_penalty * overlap
     return corr
-
-
-def naive_row_keys(rows: np.ndarray):
-    """One hashable key per challenge row, the pre-packbits ``_row_keys``.
-
-    Rows of width <= 64: ``(rows < 1)`` as uint64 bits times the powers
-    of two, one uint64 ``matmul``.  Wider rows: per-row bytes.
-    """
-    m, n = rows.shape
-    if n <= 64:
-        bits = (rows < 1).astype(np.uint64)
-        weights = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-        return bits @ weights
-    return [rows[i].tobytes() for i in range(m)]
-
-
-def naive_observe(seen: set, x: np.ndarray, distinct_cap: int) -> Tuple[int, bool]:
-    """The pre-sorted-array ``QueryMeter._observe`` loop, verbatim.
-
-    Updates ``seen`` (one set holding uint64 keys as ints and wide-row
-    bytes) with the non-empty row batch ``x`` and returns ``(repeated,
-    saturated)``: the rows of ``x`` counted as repeats and whether a new
-    key was turned away at ``distinct_cap``.  Unique keys are visited in
-    ascending order, so the cap admits the smallest new keys first.
-    """
-    repeated, saturated = 0, False
-    keys = naive_row_keys(np.ascontiguousarray(x, dtype=np.int8))
-    unique = np.unique(keys) if isinstance(keys, np.ndarray) else sorted(set(keys))
-    repeated += x.shape[0] - len(unique)
-    for key in unique:
-        key = int(key) if isinstance(keys, np.ndarray) else key
-        if key in seen:
-            repeated += 1
-        elif len(seen) < distinct_cap:
-            seen.add(key)
-        else:
-            saturated = True
-    return repeated, saturated
 
 
 def naive_dense_noisy_measurements(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -32,15 +33,18 @@ from repro.pufs.crp import CRPSet
 
 
 def expected_degree1_weight(nu: float) -> float:
-    """W(nu): the degree-1 Fourier weight of a regular halfspace with bias nu."""
-    from scipy import stats
+    """W(nu): the degree-1 Fourier weight of a regular halfspace with bias nu.
 
+    W is even in nu, so the quantile is taken at ``(1 - |nu|) / 2``, which
+    lies in (0, 1/2] for every |nu| < 1 (``1 - nu`` could round to 2).
+    """
     if not -1.0 <= nu <= 1.0:
         raise ValueError(f"bias must be in [-1, 1], got {nu}")
     if abs(nu) >= 1.0:
         return 0.0
-    theta = stats.norm.ppf((1.0 - nu) / 2.0)
-    return float(4.0 * stats.norm.pdf(theta) ** 2)
+    normal = NormalDist()
+    theta = normal.inv_cdf((1.0 - abs(nu)) / 2.0)
+    return 4.0 * normal.pdf(theta) ** 2
 
 
 def degree1_weight_ustat(

@@ -8,12 +8,10 @@ paper invokes when reconciling the LMN results of [17] with the bound of
 
 from __future__ import annotations
 
-import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.kernels.backend import get_backend
 from repro.kernels.fleet import noisy_measurements
 from repro.pufs.base import PUF
 from repro.pufs.crp import uniform_challenges
@@ -21,11 +19,8 @@ from repro.pufs.fleet import Fleet
 from repro.pufs.noise import repeated_measurements
 from repro.telemetry.meter import unmetered
 
-#: Response planes with fewer rows than this get a float32 Gram matrix in
-#: :func:`response_plane_uniqueness`: binary32 holds every integer of
-#: magnitude up to 2**24 exactly, and no Gram entry or partial sum of an
-#: m-row ±1 plane exceeds m.
-GRAM_FLOAT32_EXACT_ROWS = 1 << 24
+_INT16_MAX = int(np.iinfo(np.int16).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def uniformity(responses: np.ndarray) -> float:
@@ -69,20 +64,27 @@ def uniqueness(
     m: int = 1000,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
-    """Mean pairwise inter-chip Hamming distance of responses; ideal 0.5."""
+    """Mean pairwise inter-chip Hamming distance of responses; ideal 0.5.
+
+    The integer disagreement counts of all pairs are added up and divided
+    once, so the value is the exact mean, rounded once.
+    """
     if len(pufs) < 2:
         raise ValueError("uniqueness needs at least two PUF instances")
+    if m <= 0:
+        raise ValueError("challenge count must be positive")
     n = pufs[0].n
     if any(p.n != n for p in pufs):
         raise ValueError("all PUF instances must share the challenge length")
     rng = np.random.default_rng() if rng is None else rng
     challenges = uniform_challenges(m, n, rng)
     responses = [p.eval(challenges) for p in pufs]
-    dists = []
+    disagreements = 0
     for i in range(len(pufs)):
         for j in range(i + 1, len(pufs)):
-            dists.append(np.mean(responses[i] != responses[j]))
-    return float(np.mean(dists))
+            disagreements += int(np.count_nonzero(responses[i] != responses[j]))
+    pairs = len(pufs) * (len(pufs) - 1) // 2
+    return disagreements / (pairs * challenges.shape[0])
 
 
 def bit_aliasing(
@@ -139,36 +141,33 @@ def response_plane_uniqueness(responses: np.ndarray) -> float:
     """Mean pairwise inter-chip Hamming distance of an ``(m, N)`` ±1
     response plane.
 
-    Computed from the plane's Gram matrix:
-    ``disagreements_ij = (m - (R^T R)_ij) / 2``.  Every product is ±1 and
-    every partial sum an integer of magnitude at most m, so the GEMM is
-    exact in float32 while ``m < 2**24`` (:data:`GRAM_FLOAT32_EXACT_ROWS`)
-    and runs in float64 from there.  Pairs are averaged in float64 in
-    the same i < j order as :func:`uniqueness`, so for the same
-    challenge draw the result is bit-identical to the per-instance loop.
-    Only the i < j entries are converted, each by the same exact
-    operations; their flat positions are cached per fleet size.
+    Counted per challenge row, in O(mN) and without a Gram matrix: a row
+    with sum ``s`` has ``(N + s) / 2`` instances at +1 and ``(N - s) / 2``
+    at -1, so ``(N**2 - s**2) / 4`` of its instance pairs disagree, and
+    the mean over the ``N (N - 1) / 2`` pairs and ``m`` rows is
+    ``(m N**2 - sum(s**2)) / (2 m N (N - 1))``.  Row sums are integers
+    of magnitude at most N, accumulated in int16 while that holds (every
+    partial sum is exact) and in int64 beyond; ``sum(s**2)`` is an int64
+    dot product while ``m N**2`` fits in int64 and a Python-int sum
+    beyond.  The result is the exact rational mean, rounded once by one
+    int/int division, so it equals :func:`uniqueness` for the same
+    challenge draw.  Any ±1 dtype is accepted (the int8 plane of
+    :meth:`Fleet.eval` or a float plane).
     """
     responses = np.asarray(responses)
     if responses.ndim != 2 or responses.shape[1] < 2:
         raise ValueError("uniqueness needs an (m, N >= 2) response plane")
     m, size = responses.shape
-    dtype = np.float32 if m < GRAM_FLOAT32_EXACT_ROWS else np.float64
-    r = responses.astype(dtype)
-    gram = get_backend().gemm(r.T, r)
-    upper = np.take(gram, _upper_pairs(size)).astype(np.float64)
-    diff = (m - upper) / 2.0  # exact pairwise disagreement counts
-    return float(np.mean(diff / m))
-
-
-@functools.lru_cache(maxsize=16)
-def _upper_pairs(size: int) -> np.ndarray:
-    """Flat indices of the i < j entries of a ``(size, size)`` matrix, in
-    ``np.triu_indices`` order (read-only: the array is shared)."""
-    rows, cols = np.triu_indices(size, k=1)
-    flat = rows * size + cols
-    flat.flags.writeable = False
-    return flat
+    if m == 0:
+        raise ValueError("uniqueness needs at least one challenge row")
+    acc = np.int16 if size <= _INT16_MAX else np.int64
+    sums = responses.sum(axis=1, dtype=acc).astype(np.int64)
+    agreeing = m * size * size  # sum(s**2) of a plane with no disagreement
+    if agreeing <= _INT64_MAX:
+        squares = int(sums @ sums)
+    else:  # sum(s**2) could overflow int64: add the squares as Python ints
+        squares = sum(s * s for s in sums.tolist())
+    return (agreeing - squares) / (2 * m * size * (size - 1))
 
 
 def fleet_uniqueness(

@@ -483,7 +483,8 @@ def fleet_eval_trial(
     plane is generated, or just before the noisy branch on a hit: the
     measurement noise comes from the same generator right after the
     challenge draw, so that branch must advance it past the draw.  A
-    noiseless store hit builds nothing and draws nothing.
+    noiseless store hit builds nothing and draws nothing, and, as
+    uniqueness is counted from the plane's row sums, runs no GEMM.
     """
     fleet_seed, crp_seed = ctx.seed.spawn(2)
     fleet_spec = spec.fleet_spec()

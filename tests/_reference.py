@@ -1,7 +1,8 @@
 """Frozen reference paths that only the tests and benchmarks use.
 
-Each one is the slow, obvious form of a fleet-trial kernel, kept so the
-tests can demand that the kernel equals it exactly:
+Each one is the slow, obvious form of a kernel or learner, kept so the
+tests can demand that the fast path equals it (exactly, except for the
+two scipy fits):
 
 * ``naive_uniform_challenges``: the ``rng.integers`` challenge draw that
   :func:`repro.pufs.crp.uniform_challenges` replays from raw PCG64 words
@@ -14,8 +15,17 @@ tests can demand that the kernel equals it exactly:
 * ``naive_xor_combine`` / ``naive_negative_flags``: ``reduceat`` chain
   combines, which the word-parity and positional combines of
   :mod:`repro.kernels.fleet` match;
-* ``naive_plane_uniqueness``: the float64 Gram uniqueness, which the
-  float32 Gram of :mod:`repro.pufs.metrics` matches.
+* ``naive_plane_uniqueness``: the exact mean of the per-pair integer
+  disagreement counts, rounded once, which the row-sum identity of
+  :mod:`repro.pufs.metrics` matches;
+* ``naive_lbfgsb_logistic_fit`` / ``naive_lbfgsb_xor_fit``: the scipy
+  L-BFGS-B fits the NumPy LR solvers of :mod:`repro.learning.solvers`
+  replaced, which they must match statistically (scipy, a test-only
+  dependency here, is imported inside the two functions);
+* ``naive_row_keys`` / ``naive_observe``: the query meter's set-based
+  distinct tracking, which the sorted-array meter of
+  :mod:`repro.telemetry.meter` matches exactly and
+  ``benchmarks/test_telemetry_overhead.py`` times.
 
 The references the conformance suite and the ``bench`` commands drive
 ship in :mod:`repro.kernels.reference`.  Do not optimise these either.
@@ -23,7 +33,7 @@ ship in :mod:`repro.kernels.reference`.  Do not optimise these either.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -115,12 +125,176 @@ def naive_negative_flags(flags: np.ndarray, chain_offsets) -> np.ndarray:
 
 
 def naive_plane_uniqueness(responses: np.ndarray) -> float:
-    """The pre-float32 ``response_plane_uniqueness``: a float64 Gram
-    matrix through a contiguous transposed copy, then the i < j mean."""
+    """Uniqueness pair by pair: the integer disagreement count of every
+    i < j column pair of an ``(m, N)`` ±1 plane, added up as Python ints
+    and divided once (the exact mean, correctly rounded)."""
     responses = np.asarray(responses)
     m, size = responses.shape
-    r = responses.astype(np.float64)
-    gram = np.ascontiguousarray(r.T) @ r
-    diff = (m - gram) / 2.0
-    upper = diff[np.triu_indices(size, k=1)]
-    return float(np.mean(upper / m))
+    disagreements = 0
+    for i in range(size):
+        for j in range(i + 1, size):
+            disagreements += int(np.count_nonzero(responses[:, i] != responses[:, j]))
+    return disagreements / (m * (size * (size - 1) // 2))
+
+
+def naive_lbfgsb_logistic_fit(
+    feats: np.ndarray,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    l2: float,
+    max_iter: int,
+) -> Dict[str, object]:
+    """scipy L-BFGS-B fit of the L2-regularised logistic loss.
+
+    The pre-Newton body of ``LogisticAttack.fit``, verbatim, on the
+    already-mapped float features: theta0 drawn as
+    ``rng.normal(0, 0.01, d + 1)``, then ``scipy.optimize.minimize``.
+    Returns the weights ``w``, intercept ``b``, ``converged``,
+    ``final_loss`` and ``train_accuracy`` of ``sgn(X w + b)``.
+    """
+    from scipy import optimize
+
+    from repro.booleanfuncs.ltf import LTF
+
+    feats = np.asarray(feats, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m, d = feats.shape
+    theta0 = rng.normal(0.0, 0.01, size=d + 1)
+
+    def loss_and_grad(theta: np.ndarray):
+        w, b = theta[:d], theta[d]
+        margin = y * (feats @ w + b)
+        # log(1 + exp(-margin)) computed stably.
+        loss = np.mean(np.logaddexp(0.0, -margin)) + 0.5 * l2 * (w @ w)
+        sig = 1.0 / (1.0 + np.exp(np.clip(margin, -500, 500)))
+        coef = -y * sig / m
+        grad_w = feats.T @ coef + l2 * w
+        grad_b = np.sum(coef)
+        return loss, np.concatenate([grad_w, [grad_b]])
+
+    result = optimize.minimize(
+        loss_and_grad,
+        theta0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iter},
+    )
+    w, b = result.x[:d], result.x[d]
+    preds = LTF(w, -b, name="logistic_ltf")(feats)
+    return {
+        "w": w,
+        "b": float(b),
+        "converged": bool(result.success),
+        "final_loss": float(result.fun),
+        "train_accuracy": float(np.mean(preds == y)),
+    }
+
+
+def naive_lbfgsb_xor_fit(
+    feats: np.ndarray,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    k: int,
+    restarts: int,
+    max_iter: int,
+    l2: float,
+    target_accuracy: float,
+) -> Dict[str, object]:
+    """scipy L-BFGS-B product-of-margins fit with random restarts.
+
+    The pre-NumPy-L-BFGS body of ``XorLogisticAttack.fit``, verbatim, on
+    the already-mapped float features: per restart a fresh
+    ``rng.normal(0, 1, k * d)`` start, one ``scipy.optimize.minimize``,
+    the gradient built chain by chain from ``np.delete`` copies; the
+    best training accuracy wins and ``target_accuracy`` stops early.
+    Returns ``chain_weights`` (k, d), ``converged``, ``final_loss``,
+    ``train_accuracy`` and ``restarts_used`` of the winning restart.
+    """
+    from scipy import optimize
+
+    feats = np.asarray(feats, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m, d = feats.shape
+
+    def loss_and_grad(theta: np.ndarray):
+        w = theta.reshape(k, d)
+        margins = feats @ w.T  # (m, k)
+        prod = np.prod(margins, axis=1)
+        z = y * prod
+        loss = np.mean(np.logaddexp(0.0, -z)) + 0.5 * l2 * np.sum(w * w)
+        sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
+        coef = -y * sig / m  # dLoss/dprod
+        grad = np.empty_like(w)
+        for j in range(k):
+            others = np.prod(
+                np.delete(margins, j, axis=1), axis=1
+            ) if k > 1 else np.ones(m)
+            grad[j] = feats.T @ (coef * others) + l2 * w[j]
+        return loss, grad.ravel()
+
+    best: Optional[Dict[str, object]] = None
+    for attempt in range(restarts):
+        theta0 = rng.normal(0.0, 1.0, size=k * d)
+        result = optimize.minimize(
+            loss_and_grad,
+            theta0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": max_iter},
+        )
+        w = result.x.reshape(k, d)
+        margins = np.prod(feats @ w.T, axis=1)
+        acc = float(np.mean(np.where(margins >= 0, 1, -1) == y))
+        candidate = {
+            "chain_weights": w,
+            "converged": bool(result.success),
+            "final_loss": float(result.fun),
+            "train_accuracy": acc,
+            "restarts_used": attempt + 1,
+        }
+        if best is None or candidate["train_accuracy"] > best["train_accuracy"]:
+            best = candidate
+        if best["train_accuracy"] >= target_accuracy:
+            break
+    assert best is not None
+    return best
+
+
+def naive_row_keys(rows: np.ndarray):
+    """One hashable key per challenge row, the pre-packbits ``_row_keys``.
+
+    Rows of width <= 64: ``(rows < 1)`` as uint64 bits times the powers
+    of two, one uint64 ``matmul``.  Wider rows: per-row bytes.
+    """
+    m, n = rows.shape
+    if n <= 64:
+        bits = (rows < 1).astype(np.uint64)
+        weights = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+        return bits @ weights
+    return [rows[i].tobytes() for i in range(m)]
+
+
+def naive_observe(seen: set, x: np.ndarray, distinct_cap: int) -> Tuple[int, bool]:
+    """The pre-sorted-array ``QueryMeter._observe`` loop, verbatim.
+
+    Updates ``seen`` (one set holding uint64 keys as ints and wide-row
+    bytes) with the non-empty row batch ``x`` and returns ``(repeated,
+    saturated)``: the rows of ``x`` counted as repeats and whether a new
+    key was turned away at ``distinct_cap``.  Unique keys are visited in
+    ascending order, so the cap admits the smallest new keys first.
+    """
+    repeated, saturated = 0, False
+    keys = naive_row_keys(np.ascontiguousarray(x, dtype=np.int8))
+    unique = np.unique(keys) if isinstance(keys, np.ndarray) else sorted(set(keys))
+    repeated += x.shape[0] - len(unique)
+    for key in unique:
+        key = int(key) if isinstance(keys, np.ndarray) else key
+        if key in seen:
+            repeated += 1
+        elif len(seen) < distinct_cap:
+            seen.add(key)
+        else:
+            saturated = True
+    return repeated, saturated

@@ -101,3 +101,39 @@ def test_bad_frontier_runs_no_trial_and_writes_no_ledger(tmp_path):
 
     assert main([*argv, "--frontier", "0.6"]) == 0
     assert (runs / "r" / "ledger.jsonl").read_text().count("\n") == 1
+
+
+def test_bench_out_names_the_command_that_made_it(tmp_path):
+    """The ``--bench-out`` payload of a tiny grid names that grid: every
+    ``--spec`` pair as given, plus the non-default seed and frontier."""
+    import json
+
+    out = tmp_path / "bench.json"
+    argv = [*TINY, "--seed", "3", "--frontier", "0.8", "--bench-out", str(out)]
+    assert main(["atlas", *argv]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["generated_by"] == (
+        "python -m repro atlas --spec 'families=[\"xor\"]' "
+        "--spec 'learners=[\"lr\"]' --spec 'ns=[16]' --spec 'ks=[1]' "
+        "--spec 'noise_sigmas=[0]' --spec 'budgets=[40]' "
+        "--spec test_size=100 --seed 3 --frontier 0.8"
+    )
+    (case,) = payload["cases"]
+    assert (case["family"], case["n"], case["cells"]) == ("xor", 16, 1)
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["--smoke"], "python -m repro atlas --smoke"),
+        (["--smoke", "--seed", "0", "--frontier", "0.75"],
+         "python -m repro atlas --smoke"),
+        (["--spec", "ks=[1, 2]", "--seed", "-1"],
+         "python -m repro atlas --spec 'ks=[1, 2]' --seed -1"),
+    ],
+    ids=["committed-smoke", "defaults-omitted", "spec-as-given"],
+)
+def test_atlas_command_keeps_defaults_out(argv, command):
+    from repro.__main__ import _atlas_command, build_parser
+
+    assert _atlas_command(build_parser().parse_args(["atlas", *argv])) == command

@@ -101,9 +101,9 @@ def test_fleet_metrics_route_through_seam():
         fleet_uniqueness(fleet, m=64, rng=np.random.default_rng(0))
         calls_after_uniqueness = len(recorder.calls)
         fleet_reliability(fleet, m=32, repetitions=3, rng=np.random.default_rng(1))
-    # uniqueness = one margin GEMM + one Gram GEMM; reliability adds one
-    # margin GEMM per repeated measurement pass
-    assert calls_after_uniqueness == 2
+    # uniqueness = one margin GEMM (the statistic itself is counted from
+    # row sums); reliability adds one margin GEMM per measurement pass
+    assert calls_after_uniqueness == 1
     assert len(recorder.calls) > calls_after_uniqueness
 
 
@@ -126,6 +126,25 @@ def test_fleet_workload_routes_through_seam(tmp_path):
         )
     assert recorder.calls
     assert np.allclose(result, cached, equal_nan=True)
+
+
+def test_noiseless_fleet_trial_gemms_miss_one_hit_none(tmp_path):
+    """A noiseless store miss evaluates the fleet once; a hit reuses the
+    stored plane and computes every statistic without a GEMM."""
+    spec = FleetEvalSpec(family="xor", n=10, size=6, k=2, m=40, noise_sigma=0.0)
+    values = []
+    for expected_calls in (1, 0):
+        recorder = RecordingBackend()
+        with use_backend(recorder):
+            values.append(
+                fleet_eval_trial(
+                    TrialContext(index=0, seed=np.random.SeedSequence(3)),
+                    spec,
+                    cache_dir=str(tmp_path),
+                )
+            )
+        assert len(recorder.calls) == expected_calls
+    assert np.array_equal(values[0], values[1])
 
 
 def test_sentinel_backend_controls_responses():

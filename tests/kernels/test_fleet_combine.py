@@ -1,14 +1,15 @@
-"""The fleet's chain combine and Gram uniqueness equal their frozen paths.
+"""The fleet's chain combine and plane uniqueness equal their frozen paths.
 
 ``repro.kernels.fleet`` XORs an XOR instance's chains by one word
 multiply when every instance has the same k in {2, 4, 8} and by column
-position otherwise, and ``response_plane_uniqueness`` runs its Gram
-matrix in float32; the ``reduceat`` combines and the float64 Gram they
-replaced are frozen in ``tests/_reference.py``.  Uniform k from 1 to 9,
-mixed chain counts (k = 1 included), 2-D and 3-D flag stacks, the
-stacked measurements of ``noisy_measurements``, margins holding NaN,
-signed zeros and infinities, planes with two columns, constant columns
-and odd row counts, and the float64 Gram branch must all agree bit for
+position otherwise, and ``response_plane_uniqueness`` counts
+disagreements from per-row sums; the ``reduceat`` combines and a
+pair-by-pair disagreement count are frozen in ``tests/_reference.py``.
+Uniform k from 1 to 9, mixed chain counts (k = 1 included), 2-D and 3-D
+flag stacks, the stacked measurements of ``noisy_measurements``, margins
+holding NaN, signed zeros and infinities, planes with two columns,
+constant columns and odd row counts, int8 and float planes, planes too
+wide for 32-bit counts, and the Python-int branch must all agree bit for
 bit.
 """
 
@@ -141,23 +142,52 @@ class RecordingBackend(NumpyBackend):
 
 
 @SETTINGS
-@given(plane=planes())
-def test_plane_uniqueness_equals_float64_gram(plane):
+@given(plane=planes(), as_float=st.booleans())
+def test_plane_uniqueness_equals_exact_mean(plane, as_float):
+    """The row-sum identity is the correctly rounded exact mean, for int8
+    and float planes alike, and issues no GEMM."""
     backend = RecordingBackend()
     with use_backend(backend):
-        got = metrics.response_plane_uniqueness(plane)
-    assert backend.dtypes == [np.float32]
+        got = metrics.response_plane_uniqueness(
+            plane.astype(np.float64) if as_float else plane
+        )
+    assert backend.dtypes == []
     assert got == naive_plane_uniqueness(plane)
 
 
+def counted_plane(negatives, size, seed):
+    """A ±1 plane whose row r holds ``negatives[r]`` -1s, shuffled, and the
+    exact uniqueness that follows from the counts: a row with ``a`` -1s
+    has ``a (N - a)`` disagreeing pairs."""
+    plane = np.ones((len(negatives), size), dtype=np.int8)
+    for row, a in zip(plane, negatives):
+        row[:a] = -1
+    plane = np.random.default_rng(seed).permuted(plane, axis=1)
+    pairs = sum(a * (size - a) for a in negatives)
+    return plane, pairs / (len(negatives) * (size * (size - 1) // 2))
+
+
+@pytest.mark.parametrize(
+    "m, size",
+    [(257, 4096), (1, 70_000), (5, 32_767), (5, 32_768), (2, 65_536)],
+)
+def test_plane_uniqueness_wide_planes_do_not_overflow(m, size):
+    """``m N**2`` beyond 2**32, and row sums on both sides of the int16
+    accumulator's reach (N up to 32767), stay exact."""
+    assert m * size * size > 2**32
+    negatives = [int(a) for a in np.random.default_rng(size).integers(0, size + 1, m)]
+    if m >= 3:
+        negatives[:2] = [0, size]  # row sums of +N and -N
+    plane, expected = counted_plane(negatives, size, m)
+    assert metrics.response_plane_uniqueness(plane) == expected
+
+
 @SETTINGS
-@given(plane=planes(), bound=st.integers(1, 42))
-def test_plane_uniqueness_float64_branch(plane, bound):
-    """Planes of at least ``GRAM_FLOAT32_EXACT_ROWS`` rows take float64."""
-    backend = RecordingBackend()
-    with pytest.MonkeyPatch.context() as patch, use_backend(backend):
-        patch.setattr(metrics, "GRAM_FLOAT32_EXACT_ROWS", bound)
+@given(plane=planes())
+def test_plane_uniqueness_python_int_branch(plane):
+    """Past int64's reach the squares are added as Python ints; with the
+    bound patched down, every plane takes that branch and agrees."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_INT64_MAX", 0)
         got = metrics.response_plane_uniqueness(plane)
-    expected = np.float32 if plane.shape[0] < bound else np.float64
-    assert backend.dtypes == [expected]
     assert got == naive_plane_uniqueness(plane)

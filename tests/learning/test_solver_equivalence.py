@@ -2,7 +2,7 @@
 
 ``LogisticAttack`` (damped Newton) and ``XorLogisticAttack`` (NumPy
 L-BFGS) cannot be bit-identical to the frozen scipy fits in
-:mod:`repro.kernels.reference`: a different optimiser stops at a
+``tests/_reference.py``: a different optimiser stops at a
 different point.  What must hold is statistical equivalence on the
 shapes the atlas sweeps: over a fixed panel of smoke-shaped cells, the
 pooled held-out error of the new fits is no larger than the reference's
@@ -16,11 +16,11 @@ import pytest
 
 from repro.analysis.atlas import AtlasCell, _build_puf, smoke_spec
 from repro.conformance.pytest_plugin import statistical_test
-from repro.kernels.reference import naive_lbfgsb_logistic_fit, naive_lbfgsb_xor_fit
 from repro.learning.gradient_attack import LRAttacker
 from repro.learning.logistic import LogisticAttack
 from repro.learning.xor_logistic import XorLogisticAttack
 from repro.pufs.crp import generate_crps, uniform_challenges
+from tests._reference import naive_lbfgsb_logistic_fit, naive_lbfgsb_xor_fit
 
 SPEC = smoke_spec()
 

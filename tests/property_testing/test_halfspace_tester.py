@@ -35,6 +35,25 @@ class TestExpectedWeight:
         with pytest.raises(ValueError):
             expected_degree1_weight(1.5)
 
+    def test_matches_scipy_normal(self):
+        """The stdlib ``NormalDist`` quantile and density agree with
+        scipy's ``norm.ppf`` / ``norm.pdf`` over (-1, 1), and W stays an
+        exactly even, finite function up to an ulp from either end."""
+        from scipy import stats
+
+        nus = np.concatenate([
+            np.linspace(-0.999999, 0.999999, 2001),
+            [1e-300, -1e-17, 0.5 - 1e-16, 0.9999999],
+        ])
+        for nu in nus:
+            theta = stats.norm.ppf((1.0 - abs(nu)) / 2.0)
+            expected = 4.0 * stats.norm.pdf(theta) ** 2
+            got = expected_degree1_weight(nu)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert got == expected_degree1_weight(-nu)
+        for nu in (np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)):
+            assert 0.0 < expected_degree1_weight(nu) < 1e-29
+
     def test_matches_exact_weight_of_majority(self):
         # MAJ_n has W1 -> 2/pi; at n=9 it is already close.
         f = LTF(np.ones(9))

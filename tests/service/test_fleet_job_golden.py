@@ -14,6 +14,14 @@ chains within ``NOISE_BAND`` sigmas of the threshold).  The BR pin
 predates it: its trial counts 16 vote/measurement disagreements in 1000
 cells under both the band-limited and the dense stream, so its
 reliability, and its digest, did not move.
+
+Uniqueness is the exact mean pairwise distance, rounded once (counted
+from per-row sums).  The mixed-XOR and LTF pins (m = 200) were re-pinned
+when it replaced the Gram-matrix mean, whose per-pair float quotients
+put their uniqueness 1 and 2 ulp off the exact value (0.5000000000000001
+→ 0.5, 0.49142857142857155 → 0.49142857142857144); the reliability and
+uniformity values did not move.  The served job (m = 256, a power of
+two) and the BR pin were exact before and kept their digests.
 """
 
 import threading
@@ -95,7 +103,7 @@ NOISY_FAMILY_TRIALS = {
             m=200,
             repetitions=7,
         ),
-        "sha256:30ee3a0c05d60fa954e740bbb3f258200929e39d51e6f1a0375bae788d6600ae",
+        "sha256:9db1658f75488b05f5e726ed0288eb9d9be6c41c2ccfa32f9d37d644e975243a",
         _snapshot(rows=600, crp_bytes=25200, queries=10800),
     ),
     "br": (
@@ -109,7 +117,7 @@ NOISY_FAMILY_TRIALS = {
         FleetEvalSpec(
             family="ltf", n=20, size=7, noise_sigma=0.3, m=200, repetitions=6
         ),
-        "sha256:4ed9e94cc78567aa856bbbaf23878a24cfdfb7708fe84ffa65127d3926c34ef4",
+        "sha256:e67b95af6f3509f9f8b281edac3dfef420caa2e1b99261c6f4a4bcefd1c79bf5",
         _snapshot(rows=600, crp_bytes=23200, queries=11200),
     ),
 }

@@ -1,7 +1,7 @@
 """The sorted-array distinct tracking equals the frozen set-based loop.
 
 ``QueryMeter._observe`` keeps rows of width <= 64 as uint64 keys in one
-sorted array; :func:`repro.kernels.reference.naive_observe` is the loop it
+sorted array; ``naive_observe`` (``tests/_reference.py``) is the loop it
 replaced.  Random batch sequences — in-batch and cross-batch repeats,
 caps of 0, 1 and small values, empty batches, interleaved narrow and wide
 rows, the +/-1 and 0/1 alphabets, tracking off — must leave equal
@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels.reference import naive_observe, naive_row_keys
 from repro.telemetry.meter import QueryMeter, _row_keys
+from tests._reference import naive_observe, naive_row_keys
 
 SETTINGS = settings(max_examples=150, deadline=None)
 

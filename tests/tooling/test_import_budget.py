@@ -1,8 +1,9 @@
 """Import budget: each entry point loads only what its command runs.
 
 ``import repro`` binds its subpackages on first attribute access
-(PEP 562), scipy is imported only inside the halfspace tester, the
-conformance oracles and the frozen references that use it, and trial
+(PEP 562), scipy is imported only inside the conformance oracles that
+use it (the halfspace tester runs on ``statistics.NormalDist``, and the
+scipy reference fits live in ``tests/_reference.py``), and trial
 functions import their learners in their bodies.  So a fleet, serve or
 atlas process never pays for scipy, the learners, the locking stack or
 the PAC machinery, and the LR fits of an atlas or learning-curve run
@@ -170,6 +171,15 @@ def test_lr_fits_load_no_scipy(args):
     modules, log = _run(_CLI, *args)
     _assert_none_loaded(modules, log, ("scipy",))
     assert "repro.learning.logistic" in modules  # the fits ran here
+
+
+def test_halfspace_weight_loads_no_scipy():
+    modules, log = _run(
+        "from repro.property_testing import expected_degree1_weight; "
+        f"expected_degree1_weight(0.3); {_DUMP}"
+    )
+    assert "repro.property_testing.halfspace_tester" in modules
+    _assert_none_loaded(modules, log, ("scipy",))
 
 
 def test_attribute_access_and_star_import_bind_every_subpackage():
