@@ -575,8 +575,14 @@ def cmd_docs_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_lint_docstrings(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.tooling.docscov import measure_docstring_coverage
 
+    missing = [path for path in args.paths if not Path(path).exists()]
+    if missing:
+        print(f"no such path: {', '.join(missing)}")
+        return 2
     report = measure_docstring_coverage(
         args.paths, include_private=args.include_private
     )
@@ -888,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
             "src/repro/conformance",
             "src/repro/learning/active.py",
             "src/repro/learning/active_bench.py",
-            "src/repro/learning/gradient_attack.py",
             "src/repro/learning/reliability_attack.py",
             "src/repro/pufs/cdc_xor.py",
             "src/repro/analysis/atlas.py",

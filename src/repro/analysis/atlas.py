@@ -13,10 +13,13 @@ budget at which the attack crosses the break threshold for each k.
 
 Three scenario families feed the grid:
 
-* ``lr`` / ``mlp`` — the gradient-attack suite of
-  :mod:`repro.learning.gradient_attack` (proper product-of-margins LR
-  for k >= 2, one-hidden-layer MLP), swept over parity vs raw challenge
-  representations;
+* ``lr`` / ``mlp`` — the gradient-trained learners, fitted directly:
+  :class:`~repro.learning.logistic.LogisticAttack` at k = 1, the
+  product-of-margins :class:`~repro.learning.xor_logistic.XorLogisticAttack`
+  at k >= 2, and the one-hidden-layer
+  :class:`~repro.learning.mlp.MLPAttack`, swept over parity vs raw
+  challenge representations (the representation is the learner's
+  ``feature_map``: ``parity_transform`` or none);
 * ``reliability`` — the CMA-style multi-measurement reliability
   side channel of
   :class:`~repro.learning.reliability_attack.CMAReliabilityAttack`;
@@ -54,6 +57,11 @@ REPRESENTATION_ORDER: Tuple[str, ...] = ("parity", "raw")
 
 #: The accuracy at which a cell counts as broken (the frontier default).
 DEFAULT_FRONTIER = 0.75
+
+#: Ridge penalty of the ``lr`` cells' fits (both LR learners).
+LR_L2 = 1e-5
+#: Minibatch size of the ``mlp`` cells' Adam fits.
+MLP_BATCH_SIZE = 64
 
 
 def _canonical(values: Sequence, order: Sequence, axis: str) -> Tuple:
@@ -267,8 +275,11 @@ def atlas_trial(
     query column is exactly the adversary's spend: ``m`` for gradient
     cells, ``m x repetitions`` for reliability cells.
     """
-    from repro.learning.gradient_attack import make_attacker
+    from repro.learning.logistic import LogisticAttack
+    from repro.learning.mlp import MLPAttack
     from repro.learning.reliability_attack import CMAReliabilityAttack
+    from repro.learning.xor_logistic import XorLogisticAttack
+    from repro.pufs.arbiter import parity_transform
     from repro.pufs.crp import CRPSet, generate_crps, uniform_challenges
     from repro.runtime.store import ArtifactStore
     from repro.telemetry import unmetered
@@ -314,23 +325,33 @@ def atlas_trial(
             )
         else:
             pool = generate()
-        options = (
-            {
-                "k": cell.k,
-                "restarts": spec.lr_restarts,
-                "max_iter": spec.lr_max_iter,
-            }
-            if cell.learner == "lr"
-            else {"hidden": spec.mlp_hidden, "epochs": spec.mlp_epochs}
+        feature_map = (
+            parity_transform if cell.representation == "parity" else None
         )
-        attacker = make_attacker(
-            cell.learner, representation=cell.representation, **options
-        )
-        attacker.train(
+        if cell.learner == "mlp":
+            learner = MLPAttack(
+                hidden=spec.mlp_hidden,
+                epochs=spec.mlp_epochs,
+                batch_size=MLP_BATCH_SIZE,
+                feature_map=feature_map,
+            )
+        elif cell.k == 1:
+            learner = LogisticAttack(
+                l2=LR_L2, feature_map=feature_map, max_iter=spec.lr_max_iter
+            )
+        else:
+            learner = XorLogisticAttack(
+                cell.k,
+                restarts=spec.lr_restarts,
+                max_iter=spec.lr_max_iter,
+                l2=LR_L2,
+                feature_map=feature_map,
+            )
+        model = learner.fit(
             pool.challenges, pool.responses, np.random.default_rng(fit_seed)
         )
         queries = cell.m
-        predict = attacker.predict
+        predict = model.predict
 
     with unmetered():
         test_rng = np.random.default_rng(test_seed)

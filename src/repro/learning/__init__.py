@@ -53,14 +53,6 @@ from repro.learning.interpose_attack import (
 )
 from repro.learning.kushilevitz_mansour import KushilevitzMansour, KMResult
 from repro.learning.mlp import MLPAttack, MLPResult
-from repro.learning.gradient_attack import (
-    ATTACKER_NAMES,
-    REPRESENTATION_NAMES,
-    GradientAttack,
-    LRAttacker,
-    MLPAttacker,
-    make_attacker,
-)
 from repro.learning.reliability_attack import (
     CMAReliabilityAttack,
     MultiReliabilityResult,
@@ -122,10 +114,4 @@ __all__ = [
     "ReliabilityAttackResult",
     "CMAReliabilityAttack",
     "MultiReliabilityResult",
-    "ATTACKER_NAMES",
-    "REPRESENTATION_NAMES",
-    "GradientAttack",
-    "LRAttacker",
-    "MLPAttacker",
-    "make_attacker",
 ]

@@ -53,35 +53,19 @@ bit-identically.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.learning.logistic import LogisticAttack, LogisticResult
+from repro.learning.features import FeatureMap
+from repro.learning.logistic import LogisticAttack
 from repro.learning.oracles import ExampleOracle, MembershipOracle, Target
 from repro.pufs.arbiter import parity_transform
 from repro.pufs.crp import ChallengeSampler, uniform_challenges
 from repro.telemetry import unmetered
 
-FeatureMap = Callable[[np.ndarray], np.ndarray]
-
 #: The strategy names :func:`make_strategy` accepts (the CLI choices).
 STRATEGY_NAMES = ("passive", "uncertainty", "committee", "fastslow")
-
-
-def _hypothesis_margin(result: LogisticResult, challenges: np.ndarray) -> np.ndarray:
-    """Signed distance of each challenge from the hypothesis hyperplane.
-
-    Raw (unnormalised) margins: the selection rule only compares
-    magnitudes *within* one scoring pass, so the weight norm cancels.
-    """
-    feats = (
-        challenges
-        if result.feature_map is None
-        else result.feature_map(challenges)
-    )
-    feats = np.asarray(feats, dtype=np.float64)
-    return feats @ result.ltf.weights - result.ltf.threshold
 
 
 def _smallest_scores(scores: np.ndarray, batch: int) -> np.ndarray:
@@ -162,7 +146,9 @@ class UncertaintyStrategy:
             l2=self.l2, feature_map=self.feature_map, max_iter=self.max_iter
         )
         result = attack.fit(x, y, rng)
-        scores = np.abs(_hypothesis_margin(result, pool))
+        # Raw margins: only magnitudes within one pass are compared, so
+        # the weight norm cancels.
+        scores = np.abs(result.score(pool))
         return _smallest_scores(scores, batch)
 
 
@@ -228,7 +214,7 @@ class CommitteeStrategy:
                 resample = rng.integers(0, m, size=m)
                 xr, yr = x[resample], y[resample]
             result = attack.fit(xr, yr, rng)
-            margins += _hypothesis_margin(result, pool)
+            margins += result.score(pool)
         scores = np.abs(margins / self.committee)
         return _smallest_scores(scores, batch)
 
@@ -285,7 +271,7 @@ class FastSlowStrategy:
             l2=self.l2, feature_map=self.feature_map, max_iter=self.max_iter
         )
         result = attack.fit(x, y, rng)
-        scores = np.abs(_hypothesis_margin(result, pool))
+        scores = np.abs(result.score(pool))
         return _smallest_scores(scores, batch)
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-FeatureMap = Callable[[np.ndarray], np.ndarray]
+from repro.learning.features import FeatureMap, _fit_inputs, _mapped
 
 
 @dataclasses.dataclass
@@ -46,8 +46,7 @@ class AdaBoostResult:
     feature_map: Optional[FeatureMap] = None
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats)
+        feats = _mapped(x, self.feature_map)
         acc = np.zeros(feats.shape[0])
         for stump, alpha in zip(self.stumps, self.alphas):
             acc += alpha * stump.predict(feats)
@@ -87,14 +86,7 @@ class AdaBoost:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> AdaBoostResult:
         """Train on +/-1 inputs and labels."""
-        x = np.asarray(x)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError("x must be (m, n) and y length m")
-        if x.shape[0] == 0:
-            raise ValueError("need at least one example")
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats, dtype=np.float64)
+        feats, y = _fit_inputs(x, y, self.feature_map)
         m, n = feats.shape
 
         weights = np.full(m, 1.0 / m)

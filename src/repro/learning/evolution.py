@@ -12,11 +12,11 @@ the adversary-model space.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-FeatureMap = Callable[[np.ndarray], np.ndarray]
+from repro.learning.features import FeatureMap, _fit_inputs, _mapped
 
 
 @dataclasses.dataclass
@@ -30,9 +30,7 @@ class ESResult:
     feature_map: Optional[FeatureMap] = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats, dtype=np.float64)
-        margins = np.prod(feats @ self.weights.T, axis=1)
+        margins = np.prod(_mapped(x, self.feature_map) @ self.weights.T, axis=1)
         return np.where(margins >= 0, 1, -1).astype(np.int8)
 
 
@@ -92,15 +90,8 @@ class EvolutionStrategiesAttack:
         rng: Optional[np.random.Generator] = None,
     ) -> ESResult:
         """Evolve chain weights against +/-1 CRPs."""
-        x = np.asarray(x)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError("x must be (m, n) and y length m")
-        if x.shape[0] == 0:
-            raise ValueError("need at least one example")
+        feats, y = _fit_inputs(x, y, self.feature_map)
         rng = np.random.default_rng() if rng is None else rng
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats, dtype=np.float64)
         d = feats.shape[1]
 
         def fitness(weights: np.ndarray) -> float:

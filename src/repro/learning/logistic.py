@@ -10,15 +10,14 @@ Newton (:func:`repro.learning.solvers.newton_logistic`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.booleanfuncs.ltf import LTF
+from repro.learning.features import FeatureMap, _fit_inputs, _mapped
 from repro.learning.solvers import newton_logistic
 from repro.telemetry import trace
-
-FeatureMap = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclasses.dataclass
@@ -31,15 +30,16 @@ class LogisticResult:
     train_accuracy: float
     feature_map: Optional[FeatureMap] = None
 
+    def score(self, x: np.ndarray) -> np.ndarray:
+        """The signed margin ``w . phi(x) - theta`` of each challenge."""
+        return _mapped(x, self.feature_map) @ self.ltf.weights - self.ltf.threshold
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        feats = x if self.feature_map is None else self.feature_map(x)
-        return self.ltf(feats)
+        return np.where(self.score(x) >= 0, 1, -1).astype(np.int8)
 
     def probability(self, x: np.ndarray) -> np.ndarray:
         """P(response = +1) under the logistic model."""
-        feats = x if self.feature_map is None else self.feature_map(x)
-        margin = np.asarray(feats, dtype=np.float64) @ self.ltf.weights - self.ltf.threshold
-        return 1.0 / (1.0 + np.exp(-margin))
+        return 1.0 / (1.0 + np.exp(-self.score(x)))
 
 
 class LogisticAttack:
@@ -77,14 +77,7 @@ class LogisticAttack:
         rng: Optional[np.random.Generator] = None,
     ) -> LogisticResult:
         """Train on +/-1 challenges and labels."""
-        x = np.asarray(x)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError("x must be (m, n) and y length m")
-        if x.shape[0] == 0:
-            raise ValueError("need at least one example")
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats, dtype=np.float64)
+        feats, y = _fit_inputs(x, y, self.feature_map)
         m, d = feats.shape
         rng = np.random.default_rng() if rng is None else rng
         theta0 = rng.normal(0.0, 0.01, size=d + 1)

@@ -10,13 +10,12 @@ trade-off (no PAC certificate, but excellent accuracy per CRP).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.learning.features import FeatureMap, _fit_inputs, _mapped
 from repro.telemetry import trace
-
-FeatureMap = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclasses.dataclass
@@ -33,9 +32,7 @@ class MLPResult:
     feature_map: Optional[FeatureMap] = None
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats, dtype=np.float64)
-        hidden = np.tanh(feats @ self.w1 + self.b1)
+        hidden = np.tanh(_mapped(x, self.feature_map) @ self.w1 + self.b1)
         return hidden @ self.w2 + self.b2
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -101,15 +98,8 @@ class MLPAttack:
         rng: Optional[np.random.Generator] = None,
     ) -> MLPResult:
         """Train on +/-1 inputs and labels."""
-        x = np.asarray(x)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError("x must be (m, n) and y length m")
-        if x.shape[0] == 0:
-            raise ValueError("need at least one example")
+        feats, y = _fit_inputs(x, y, self.feature_map)
         rng = np.random.default_rng() if rng is None else rng
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats, dtype=np.float64)
         m, d = feats.shape
         h = self.hidden
 

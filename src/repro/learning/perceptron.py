@@ -12,13 +12,12 @@ space of arbiter PUFs (where the target *is* linearly separable).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.booleanfuncs.ltf import LTF
-
-FeatureMap = Callable[[np.ndarray], np.ndarray]
+from repro.learning.features import FeatureMap, _fit_inputs
 
 
 @dataclasses.dataclass
@@ -83,16 +82,8 @@ class Perceptron:
         rng: Optional[np.random.Generator] = None,
     ) -> PerceptronResult:
         """Train on +/-1 challenges ``x`` and labels ``y``."""
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError("x must be (m, n) and y length m")
-        if x.shape[0] == 0:
-            raise ValueError("need at least one example")
+        feats, y = _fit_inputs(x, y, self.feature_map)
         rng = np.random.default_rng() if rng is None else rng
-
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = feats.astype(np.float64)
         m, d = feats.shape
         w = np.zeros(d)
         b = 0.0

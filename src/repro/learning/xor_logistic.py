@@ -15,14 +15,13 @@ empirical counterpart of the provable machinery in
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.learning.features import FeatureMap, _fit_inputs, _mapped
 from repro.learning.solvers import lbfgs
 from repro.telemetry import trace
-
-FeatureMap = Callable[[np.ndarray], np.ndarray]
 
 
 def _other_margins(margins: np.ndarray) -> np.ndarray:
@@ -55,14 +54,13 @@ class XorLogisticResult:
     restarts_used: int
     feature_map: Optional[FeatureMap] = None
 
-    def margin(self, x: np.ndarray) -> np.ndarray:
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats, dtype=np.float64)
-        margins = feats @ self.chain_weights.T  # (m, k)
+    def score(self, x: np.ndarray) -> np.ndarray:
+        """The product of the k chain margins of each challenge."""
+        margins = _mapped(x, self.feature_map) @ self.chain_weights.T  # (m, k)
         return np.prod(margins, axis=1)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self.margin(x) >= 0, 1, -1).astype(np.int8)
+        return np.where(self.score(x) >= 0, 1, -1).astype(np.int8)
 
 
 class XorLogisticAttack:
@@ -118,15 +116,8 @@ class XorLogisticAttack:
         rng: Optional[np.random.Generator] = None,
     ) -> XorLogisticResult:
         """Fit on +/-1 challenges and responses."""
-        x = np.asarray(x)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError("x must be (m, n) and y length m")
-        if x.shape[0] == 0:
-            raise ValueError("need at least one example")
+        feats, y = _fit_inputs(x, y, self.feature_map)
         rng = np.random.default_rng() if rng is None else rng
-        feats = x if self.feature_map is None else self.feature_map(x)
-        feats = np.asarray(feats, dtype=np.float64)
         m, d = feats.shape
         k, l2 = self.k, self.l2
 

@@ -46,6 +46,8 @@ class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown learner"):
             AtlasTrialSpec(learners=("svm",))
+        with pytest.raises(ValueError, match="unknown representation"):
+            AtlasTrialSpec(representations=("fourier",))
         with pytest.raises(ValueError, match="n >= 4"):
             AtlasTrialSpec(ns=(2,))
         with pytest.raises(ValueError, match="m >= 10"):

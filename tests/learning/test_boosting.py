@@ -80,12 +80,3 @@ class TestAdaBoost:
         booster = AdaBoost()
         with pytest.raises(ValueError):
             booster.fit(np.ones((3, 2)), np.ones(2))
-
-    def test_score_sign_matches_predict(self):
-        rng = np.random.default_rng(6)
-        target = LTF(np.ones(7))
-        x = random_pm1(7, 1000, rng)
-        result = AdaBoost(rounds=30).fit(x, target(x))
-        assert np.array_equal(
-            np.where(result.score(x) >= 0, 1, -1), result.predict(x)
-        )

@@ -52,15 +52,6 @@ class TestMLPAttack:
         x_test = random_pm1(6, 3000, rng)
         assert np.mean(fit.predict(x_test) == target(x_test)) > 0.95
 
-    def test_score_sign_matches_predict(self):
-        rng = np.random.default_rng(4)
-        x = random_pm1(5, 500, rng)
-        y = x[:, 0].astype(np.int8)
-        fit = MLPAttack(hidden=4, epochs=10).fit(x, y, rng)
-        assert np.array_equal(
-            np.where(fit.score(x) >= 0, 1, -1), fit.predict(x)
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MLPAttack(hidden=0)

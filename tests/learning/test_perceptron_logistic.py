@@ -109,6 +109,20 @@ class TestLogisticAttack:
         test = generate_crps(puf, 5000, rng)
         assert np.mean(result.predict(test.challenges) == test.responses) > 0.97
 
+    def test_raw_bits_are_the_wrong_feature_space(self):
+        """The same LR learner under raw bits stays far from the parity
+        model — the representation pitfall, isolated."""
+        puf = ArbiterPUF(24, np.random.default_rng(4))
+        train = generate_crps(puf, 1500, np.random.default_rng(5))
+        test = generate_crps(puf, 1000, np.random.default_rng(6))
+        accs = {}
+        for name, feature_map in (("parity", parity_transform), ("raw", None)):
+            result = LogisticAttack(l2=1e-5, feature_map=feature_map).fit(
+                train.challenges, train.responses, np.random.default_rng(7)
+            )
+            accs[name] = np.mean(result.predict(test.challenges) == test.responses)
+        assert accs["parity"] > accs["raw"] + 0.1
+
     def test_probability_calibrated_sign(self):
         rng = np.random.default_rng(8)
         target = LTF.random(6, rng)

@@ -14,11 +14,12 @@ L-BFGS-B run only approximates.
 import numpy as np
 import pytest
 
-from repro.analysis.atlas import AtlasCell, _build_puf, smoke_spec
+from repro.analysis.atlas import LR_L2, AtlasCell, _build_puf, smoke_spec
 from repro.conformance.pytest_plugin import statistical_test
-from repro.learning.gradient_attack import LRAttacker
+from repro.learning.features import _mapped
 from repro.learning.logistic import LogisticAttack
 from repro.learning.xor_logistic import XorLogisticAttack
+from repro.pufs.arbiter import parity_transform
 from repro.pufs.crp import generate_crps, uniform_challenges
 from tests._reference import naive_lbfgsb_logistic_fit, naive_lbfgsb_xor_fit
 
@@ -63,25 +64,24 @@ def _fit_both(cell, device):
     )
     test_y = puf.eval(test_x)
 
-    lr = LRAttacker(
-        representation, k=k, restarts=SPEC.lr_restarts, max_iter=SPEC.lr_max_iter
-    )
-    feats = lr.feature_map(pool.challenges)
+    feature_map = parity_transform if representation == "parity" else None
+    feats = _mapped(pool.challenges, feature_map)
     y = pool.responses.astype(np.float64)
-    test_feats = lr.feature_map(test_x)
+    test_feats = _mapped(test_x, feature_map)
+    max_iter = SPEC.lr_max_iter
     new_rng, ref_rng = (np.random.default_rng(seeds[2]) for _ in range(2))
     if k == 1:
-        new = LogisticAttack(l2=lr.l2, max_iter=lr.max_iter).fit(feats, y, new_rng)
-        new_scores = test_feats @ new.ltf.weights - new.ltf.threshold
+        new = LogisticAttack(l2=LR_L2, max_iter=max_iter).fit(feats, y, new_rng)
+        new_scores = new.score(test_feats)
         ref = naive_lbfgsb_logistic_fit(
-            feats, y, ref_rng, l2=lr.l2, max_iter=lr.max_iter
+            feats, y, ref_rng, l2=LR_L2, max_iter=max_iter
         )
         ref_scores = test_feats @ ref["w"] + ref["b"]
     else:
-        options = dict(restarts=lr.restarts, max_iter=lr.max_iter, l2=lr.l2)
+        options = dict(restarts=SPEC.lr_restarts, max_iter=max_iter, l2=LR_L2)
         attack = XorLogisticAttack(k, **options)
         new = attack.fit(feats, y, new_rng)
-        new_scores = new.margin(test_feats)
+        new_scores = new.score(test_feats)
         ref = naive_lbfgsb_xor_fit(
             feats, y, ref_rng, k=k, target_accuracy=attack.target_accuracy, **options
         )

@@ -79,7 +79,7 @@ class TestXorLogisticAttack:
         fit = XorLogisticAttack(2, feature_map=parity_transform).fit(
             crps.challenges, crps.responses, rng
         )
-        margins = fit.margin(crps.challenges)
+        margins = fit.score(crps.challenges)
         preds = fit.predict(crps.challenges)
         assert np.array_equal(np.where(margins >= 0, 1, -1), preds)
 
