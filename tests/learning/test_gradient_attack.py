@@ -1,43 +1,29 @@
-"""Unit tests for the gradient-attack suite and the CMA reliability
-attack (ISSUE 10)."""
+"""Unit tests for the gradient-attack learners as the atlas fits them.
+
+The atlas names its gradient learners ``lr`` and ``mlp`` and its
+challenge representations ``parity`` and ``raw``; an ``lr`` cell fits
+:class:`LogisticAttack` at k = 1 and :class:`XorLogisticAttack` at
+k >= 2, with ``parity_transform`` as the feature map of a parity cell.
+"""
 
 import numpy as np
 import pytest
 
-from repro.learning.gradient_attack import (
-    ATTACKER_NAMES,
-    LRAttacker,
-    MLPAttacker,
-    make_attacker,
-)
-from repro.learning.reliability_attack import CMAReliabilityAttack
-from repro.pufs.arbiter import ArbiterPUF
-from repro.pufs.cdc_xor import CDCXORArbiterPUF
+from repro.analysis.atlas import LR_L2, MLP_BATCH_SIZE, AtlasTrialSpec
+from repro.learning.logistic import LogisticAttack
+from repro.learning.mlp import MLPAttack
+from repro.learning.xor_logistic import XorLogisticAttack
+from repro.pufs.arbiter import ArbiterPUF, parity_transform
 from repro.pufs.crp import generate_crps
 from repro.pufs.xor_arbiter import XORArbiterPUF
 
 
 class TestMakeAttacker:
-    def test_registry_resolves_both_learners(self):
-        assert set(ATTACKER_NAMES) == {"lr", "mlp"}
-        assert isinstance(make_attacker("lr"), LRAttacker)
-        assert isinstance(make_attacker("mlp"), MLPAttacker)
-
     def test_rejects_unknown_name_and_representation(self):
-        with pytest.raises(ValueError, match="unknown attacker"):
-            make_attacker("svm")
+        with pytest.raises(ValueError, match="unknown learner"):
+            AtlasTrialSpec(learners=("svm",))
         with pytest.raises(ValueError, match="unknown representation"):
-            make_attacker("lr", representation="fourier")
-
-    def test_options_forward_to_constructor(self):
-        attacker = make_attacker("lr", k=2, restarts=7)
-        assert attacker.k == 2 and attacker.restarts == 7
-        mlp = make_attacker("mlp", hidden=9, epochs=3)
-        assert mlp.hidden == 9 and mlp.epochs == 3
-
-    def test_predict_before_train_is_an_error(self):
-        with pytest.raises(RuntimeError, match="train"):
-            make_attacker("lr").predict(np.ones((2, 8), dtype=np.int8))
+            AtlasTrialSpec(representations=("fourier",))
 
 
 class TestGradientAttackProtocol:
@@ -46,99 +32,35 @@ class TestGradientAttackProtocol:
         puf = ArbiterPUF(24, np.random.default_rng(0))
         train = generate_crps(puf, 1500, np.random.default_rng(1))
         test = generate_crps(puf, 1000, np.random.default_rng(2))
-        attacker = make_attacker(name).train(
+        if name == "lr":
+            learner = LogisticAttack(l2=LR_L2, feature_map=parity_transform)
+        else:
+            learner = MLPAttack(
+                hidden=24,
+                epochs=40,
+                batch_size=MLP_BATCH_SIZE,
+                feature_map=parity_transform,
+            )
+        model = learner.fit(
             train.challenges, train.responses, np.random.default_rng(3)
         )
-        acc = attacker.accuracy(test.challenges, test.responses)
+        predictions = model.predict(test.challenges)
+        acc = float(np.mean(predictions == test.responses))
         assert acc > 0.9, f"{name}: {acc:.3f}"
-        predictions = attacker.predict(test.challenges)
         assert predictions.dtype == np.int8
         assert np.all(np.abs(predictions) == 1)
-
-    def test_raw_representation_is_the_wrong_feature_space(self):
-        """The same LR learner under raw bits stays far from the parity
-        model — the representation pitfall, isolated."""
-        puf = ArbiterPUF(24, np.random.default_rng(4))
-        train = generate_crps(puf, 1500, np.random.default_rng(5))
-        test = generate_crps(puf, 1000, np.random.default_rng(6))
-        accs = {}
-        for representation in ("parity", "raw"):
-            attacker = make_attacker("lr", representation=representation)
-            attacker.train(
-                train.challenges, train.responses, np.random.default_rng(7)
-            )
-            accs[representation] = attacker.accuracy(
-                test.challenges, test.responses
-            )
-        assert accs["parity"] > accs["raw"] + 0.1
 
     def test_lr_k2_breaks_a_2xor(self):
         puf = XORArbiterPUF(16, 2, np.random.default_rng(8))
         train = generate_crps(puf, 3000, np.random.default_rng(9))
         test = generate_crps(puf, 1000, np.random.default_rng(10))
-        attacker = make_attacker("lr", k=2, restarts=6).train(
-            train.challenges, train.responses, np.random.default_rng(11)
-        )
-        assert attacker.accuracy(test.challenges, test.responses) > 0.85
+        model = XorLogisticAttack(
+            2, restarts=6, max_iter=200, l2=LR_L2, feature_map=parity_transform
+        ).fit(train.challenges, train.responses, np.random.default_rng(11))
+        assert np.mean(model.predict(test.challenges) == test.responses) > 0.85
 
     def test_lr_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k must be"):
-            LRAttacker(k=0)
-
-
-class TestCMAReliabilityAttack:
-    def test_breaks_noisy_2xor(self):
-        puf = XORArbiterPUF(16, 2, np.random.default_rng(20), noise_sigma=0.4)
-        attack = CMAReliabilityAttack(crps=3000, repetitions=9, generations=30)
-        result = attack.run(puf, np.random.default_rng(21))
-        test = generate_crps(puf, 1500, np.random.default_rng(22))
-        acc = np.mean(result.predict(test.challenges) == test.responses)
-        assert acc > 0.85, f"{acc:.3f}"
-        assert result.chain_weights.shape == (2, 17)
-        # k-1 slots are ES-peeled against the reliability signal; the
-        # last chain is recovered by logistic on the residual labels.
-        assert len(result.correlations) == 1
-
-    def test_generalises_to_k3(self):
-        puf = XORArbiterPUF(16, 3, np.random.default_rng(23), noise_sigma=0.4)
-        attack = CMAReliabilityAttack(
-            crps=4000, repetitions=9, generations=40, restarts=3
-        )
-        result = attack.run(puf, np.random.default_rng(24))
-        test = generate_crps(puf, 1500, np.random.default_rng(25))
-        acc = np.mean(result.predict(test.challenges) == test.responses)
-        assert acc > 0.8, f"{acc:.3f}"
-
-    def test_covers_cdc_xor_via_component_features(self):
-        puf = CDCXORArbiterPUF(
-            16, 2, np.random.default_rng(26), noise_sigma=0.4
-        )
-        attack = CMAReliabilityAttack(crps=3000, repetitions=9, generations=30)
-        result = attack.run(puf, np.random.default_rng(27))
-        assert result.shifts == puf.shifts
-        c = generate_crps(puf, 1500, np.random.default_rng(28))
-        acc = np.mean(result.predict(c.challenges) == c.responses)
-        assert acc > 0.8, f"{acc:.3f}"
-
-    def test_measurement_accounting(self):
-        puf = XORArbiterPUF(12, 2, np.random.default_rng(29), noise_sigma=0.3)
-        attack = CMAReliabilityAttack(crps=400, repetitions=5, generations=5)
-        result = attack.run(puf, np.random.default_rng(30))
-        assert result.oracle_measurements == 400 * 5
-
-    def test_rejects_noiseless_device(self):
-        quiet = XORArbiterPUF(12, 2, np.random.default_rng(31), noise_sigma=0.0)
-        with pytest.raises(ValueError, match="noisy"):
-            CMAReliabilityAttack(crps=100, repetitions=3, generations=2).run(
-                quiet
-            )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CMAReliabilityAttack(crps=5)
-        with pytest.raises(ValueError):
-            CMAReliabilityAttack(repetitions=2)
-        with pytest.raises(ValueError):
-            CMAReliabilityAttack(batches=0)
-        with pytest.raises(ValueError):
-            CMAReliabilityAttack(repetitions=4, batches=9)
+            XorLogisticAttack(k=0)
+        with pytest.raises(ValueError, match="ks must be"):
+            AtlasTrialSpec(ks=(0,))
