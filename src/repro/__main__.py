@@ -1051,8 +1051,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="run the assessment job server (HTTP + WebSocket over "
-        "TrialRunner; see docs/SERVICE.md)",
+        help="run the assessment job server (HTTP jobs and NDJSON event "
+        "streams over TrialRunner; see docs/SERVICE.md)",
     )
     serve.add_argument(
         "--host", type=str, default="127.0.0.1", help="bind address"

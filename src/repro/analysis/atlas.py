@@ -240,7 +240,6 @@ def cell_of_trial(spec: AtlasTrialSpec, index: int) -> Tuple[AtlasCell, int]:
 
 def _build_puf(cell: AtlasCell, rng: np.random.Generator):
     """Instantiate the cell's device family."""
-    from repro.pufs.arbiter import ArbiterPUF
     from repro.pufs.cdc_xor import CDCXORArbiterPUF
     from repro.pufs.xor_arbiter import XORArbiterPUF
 
@@ -248,11 +247,6 @@ def _build_puf(cell: AtlasCell, rng: np.random.Generator):
         return CDCXORArbiterPUF(
             cell.n, cell.k, rng, noise_sigma=cell.noise_sigma
         )
-    if cell.k == 1:
-        # A 1-chain XOR arbiter *is* an arbiter chain; constructing the
-        # plain device keeps the k = 1 column comparable across families.
-        puf = XORArbiterPUF(cell.n, 1, rng, noise_sigma=cell.noise_sigma)
-        return puf
     return XORArbiterPUF(cell.n, cell.k, rng, noise_sigma=cell.noise_sigma)
 
 

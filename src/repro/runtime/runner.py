@@ -552,7 +552,7 @@ class TrialRunner:
         ``on_result`` is called in the parent process as each trial
         completes — replayed results first (in index order), then
         executed ones in completion order — which is the progress hook
-        the assessment service streams WebSocket events from.  With
+        the assessment service streams its job events from.  With
         ``shards > 1`` it also fires from shard driver threads, so the
         callback must be thread-safe (the service marshals onto its event
         loop with ``call_soon_threadsafe``).  ``cancel`` is a cooperative

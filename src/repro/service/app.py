@@ -2,12 +2,12 @@
 
 ``python -m repro serve`` starts one :class:`ReproService`.  Clients
 submit assessment jobs over plain HTTP (``POST /v1/jobs``), poll them
-(``GET /v1/jobs/{id}``), and stream per-trial progress over a WebSocket
-(``GET /v1/jobs/{id}/events``).  Everything is standard library: the
-HTTP layer is :mod:`repro.service.routes`, the WebSocket layer is
-:mod:`repro.service.wsproto`, and job execution is the existing
-fault-tolerant sharded :class:`~repro.runtime.runner.TrialRunner`
-running in a thread-pool executor.
+(``GET /v1/jobs/{id}``), and stream per-trial progress as
+newline-delimited JSON (``GET /v1/jobs/{id}/events``).  Everything is
+standard library: the HTTP layer is :mod:`repro.service.routes`, and job
+execution is the existing fault-tolerant sharded
+:class:`~repro.runtime.runner.TrialRunner` running in a thread-pool
+executor.
 
 Design invariants
 -----------------
@@ -48,10 +48,10 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.runtime.runner import TrialResult, TrialRunner, trial_record
-from repro.telemetry.ledger import RunLedger
+from repro.telemetry.ledger import RunLedger, atomic_write_text
 from repro.telemetry.meter import QueryMeter, metered
 
-from . import routes, wsproto
+from . import routes
 from .jobs import (
     ANONYMOUS_KEY,
     Job,
@@ -202,7 +202,7 @@ class ReproService:
         self._router.add("GET", "/v1/jobs", self._handle_list)
         self._router.add("GET", "/v1/jobs/{job_id}", self._handle_get)
         self._router.add("POST", "/v1/jobs/{job_id}/cancel", self._handle_cancel)
-        # /v1/jobs/{job_id}/events is WebSocket-only; handled in _dispatch.
+        # GET /v1/jobs/{job_id}/events streams; it is handled in _dispatch.
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -225,8 +225,9 @@ class ReproService:
             "pid": os.getpid(),
             "data_dir": str(self.data_dir),
         }
-        (self.data_dir / SERVICE_INFO_NAME).write_text(
-            json.dumps(info, sort_keys=True, indent=2) + "\n"
+        atomic_write_text(
+            self.data_dir / SERVICE_INFO_NAME,
+            json.dumps(info, sort_keys=True, indent=2) + "\n",
         )
         self._pump()
 
@@ -428,7 +429,7 @@ class ReproService:
             return
         try:
             method, path, query, headers = routes.parse_request_head(head[:-4])
-            length = int(headers.get("content-length", "0") or 0)
+            length = routes.content_length(headers)
             if length > routes.MAX_BODY_BYTES:
                 writer.write(
                     routes.error_response(413, "request body too large").encode()
@@ -449,12 +450,12 @@ class ReproService:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        # The event stream is its own protocol once upgraded.
+        # The event stream writes for as long as the job runs.
         events_match = None
         if request.path.startswith("/v1/jobs/") and request.path.endswith("/events"):
             events_match = request.path[len("/v1/jobs/") : -len("/events")]
         if events_match is not None and request.method == "GET":
-            await self._handle_events(request, events_match, reader, writer)
+            await self._handle_events(events_match, reader, writer)
             return
         handler, params, path_known = self._router.match(request.method, request.path)
         if handler is None:
@@ -559,39 +560,29 @@ class ReproService:
         return routes.json_response(200, self._job_summary(job))
 
     # ------------------------------------------------------------------
-    # The WebSocket event stream.
+    # The NDJSON event stream.
     # ------------------------------------------------------------------
     async def _handle_events(
         self,
-        request: routes.Request,
         job_id: str,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        """Write ``hello``, the buffered events, then live ones to ``done``.
+
+        One ``json.dumps(event, sort_keys=True)`` line per event, no
+        ``Content-Length``: the body ends when the connection closes.
+        """
         job = self._jobs.get(job_id)
         if job is None:
             writer.write(routes.error_response(404, f"no such job: {job_id}").encode())
             await writer.drain()
             return
-        key = request.header("sec-websocket-key")
-        if request.header("upgrade").lower() != "websocket" or not key:
-            writer.write(
-                routes.error_response(
-                    426, "this endpoint requires a WebSocket upgrade"
-                ).encode()
-            )
-            await writer.drain()
-            return
-        accept = wsproto.accept_key(key)
         writer.write(
-            (
-                "HTTP/1.1 101 Switching Protocols\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Accept: {accept}\r\n\r\n"
-            ).encode("latin-1")
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Connection: close\r\n\r\n"
         )
-        await writer.drain()
 
         # Snapshot the buffer and subscribe atomically (loop thread, no
         # await between the two) so no event is missed or duplicated.
@@ -600,67 +591,35 @@ class ReproService:
         subscribed = job.state not in TERMINAL_STATES
         if subscribed:
             self._subscribers.setdefault(job_id, set()).add(queue)
-        closed = asyncio.Event()
-        reader_task = asyncio.ensure_future(
-            self._ws_reader(reader, writer, closed)
-        )
+        # The client sends nothing after its request, so EOF means it left;
+        # the None then ends the stream as a finished job's does.
+        hangup = asyncio.ensure_future(_read_to_eof(reader))
+        hangup.add_done_callback(lambda _: queue.put_nowait(None))
         try:
-            await self._ws_send(
-                writer, {"event": "hello", "job": self._job_summary(job)}
-            )
-            for event in backlog:
-                await self._ws_send(writer, event)
-            if subscribed:
-                while not closed.is_set():
-                    getter = asyncio.ensure_future(queue.get())
-                    waiter = asyncio.ensure_future(closed.wait())
-                    done, _ = await asyncio.wait(
-                        {getter, waiter}, return_when=asyncio.FIRST_COMPLETED
-                    )
-                    for pending in (getter, waiter):
-                        if pending not in done:
-                            pending.cancel()
-                    if getter in done:
-                        event = getter.result()
-                        if event is None:
-                            break
-                        await self._ws_send(writer, event)
-            writer.write(wsproto.encode_close(1000, "stream complete"))
+            for event in [{"event": "hello", "job": self._job_summary(job)}, *backlog]:
+                writer.write(_ndjson_line(event))
             await writer.drain()
+            while subscribed and (event := await queue.get()) is not None:
+                writer.write(_ndjson_line(event))
+                await writer.drain()
         except (ConnectionError, OSError):
             pass
         finally:
-            reader_task.cancel()
+            hangup.cancel()
             self._subscribers.get(job_id, set()).discard(queue)
 
-    async def _ws_send(self, writer: asyncio.StreamWriter, event: Dict[str, Any]) -> None:
-        writer.write(wsproto.encode_text(json.dumps(event, sort_keys=True)))
-        await writer.drain()
 
-    async def _ws_reader(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        closed: asyncio.Event,
-    ) -> None:
-        """Drain client frames: answer pings, honour close, flag EOF."""
-        decoder = wsproto.FrameDecoder()
-        try:
-            while True:
-                data = await reader.read(4096)
-                if not data:
-                    closed.set()
-                    return
-                decoder.feed(data)
-                for opcode, payload in decoder.frames():
-                    if opcode == wsproto.OP_PING:
-                        writer.write(wsproto.encode_frame(wsproto.OP_PONG, payload))
-                        await writer.drain()
-                    elif opcode == wsproto.OP_CLOSE:
-                        closed.set()
-                        return
-        except (wsproto.ProtocolError, ConnectionError, OSError):
-            closed.set()
+def _ndjson_line(event: Dict[str, Any]) -> bytes:
+    return (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+
+
+async def _read_to_eof(reader: asyncio.StreamReader) -> None:
+    """Discard whatever the peer sends until it closes its end."""
+    try:
+        while await reader.read(4096):
+            pass
+    except (ConnectionError, OSError):
+        pass
 
 
 async def _serve_main(service: ReproService) -> None:

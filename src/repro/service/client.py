@@ -1,21 +1,16 @@
 """A blocking standard-library client for the assessment service.
 
-Used by the test suite and the CI smoke job (and handy from a REPL);
-plain HTTP goes through :mod:`http.client`, the event stream opens a
-raw socket and speaks :mod:`repro.service.wsproto` directly — the same
-sans-IO frame code the server uses, so a protocol bug cannot hide
-behind a second implementation.
+Used by the test suite and the CI smoke job (and handy from a REPL).
+Every call, the newline-delimited JSON event stream included, is one
+:mod:`http.client` request on its own connection.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import socket
 import time
-from typing import Any, Dict, Iterator, List, Optional
-
-from . import wsproto
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class ServiceError(RuntimeError):
@@ -39,11 +34,15 @@ class ServiceClient:
         self.timeout = timeout
 
     # ------------------------------------------------------------------
-    def request(
-        self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
-    ) -> Any:
-        """One JSON request/response; :class:`ServiceError` on non-2xx."""
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+    def _open(
+        self, method: str, path: str, payload: Optional[Dict[str, Any]], timeout: float
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request; return the connection and its unread response.
+
+        Raises :class:`ServiceError` (and closes the connection) on a
+        status >= 400.
+        """
+        conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
         try:
             headers = {"Content-Type": "application/json"}
             if self.api_key:
@@ -51,11 +50,24 @@ class ServiceClient:
             body = None if payload is None else json.dumps(payload)
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
-            raw = response.read()
-            data = json.loads(raw.decode("utf-8")) if raw else None
             if response.status >= 400:
-                raise ServiceError(response.status, data)
-            return data
+                raw = response.read()
+                raise ServiceError(
+                    response.status, json.loads(raw.decode("utf-8")) if raw else None
+                )
+        except BaseException:
+            conn.close()
+            raise
+        return conn, response
+
+    def request(
+        self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
+    ) -> Any:
+        """One JSON request/response; :class:`ServiceError` on non-2xx."""
+        conn, response = self._open(method, path, payload, self.timeout)
+        try:
+            raw = response.read()
+            return json.loads(raw.decode("utf-8")) if raw else None
         finally:
             conn.close()
 
@@ -99,63 +111,18 @@ class ServiceClient:
     def stream_events(
         self, job_id: str, timeout: float = 120.0
     ) -> Iterator[Dict[str, Any]]:
-        """Yield the job's events from the WebSocket until the server closes.
+        """Yield the job's events, one per NDJSON line, until the server closes.
 
-        Performs the upgrade handshake (verifying ``Sec-WebSocket-Accept``),
-        then yields each JSON text frame; returns when the server sends a
-        close frame or the connection ends.
+        ``timeout`` bounds each wait for the next line; an unknown job
+        raises :class:`ServiceError` with status 404.
         """
-        sock = socket.create_connection((self.host, self.port), timeout=timeout)
+        conn, response = self._open("GET", f"/v1/jobs/{job_id}/events", None, timeout)
         try:
-            key = wsproto.handshake_key()
-            lines = [
-                f"GET /v1/jobs/{job_id}/events HTTP/1.1",
-                f"Host: {self.host}:{self.port}",
-                "Upgrade: websocket",
-                "Connection: Upgrade",
-                f"Sec-WebSocket-Key: {key}",
-                "Sec-WebSocket-Version: 13",
-            ]
-            if self.api_key:
-                lines.append(f"X-API-Key: {self.api_key}")
-            sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-
-            head = b""
-            while b"\r\n\r\n" not in head:
-                chunk = sock.recv(4096)
-                if not chunk:
-                    raise ServiceError(0, "connection closed during WS handshake")
-                head += chunk
-            head, _, rest = head.partition(b"\r\n\r\n")
-            status_line = head.split(b"\r\n", 1)[0].decode("latin-1")
-            if " 101 " not in status_line + " ":
-                raise ServiceError(0, f"WS upgrade refused: {status_line}")
-            expected = wsproto.accept_key(key)
-            if f"sec-websocket-accept: {expected}".lower() not in head.decode(
-                "latin-1"
-            ).lower():
-                raise ServiceError(0, "bad Sec-WebSocket-Accept in WS handshake")
-
-            decoder = wsproto.FrameDecoder()
-            decoder.feed(rest)
-            while True:
-                for opcode, payload in decoder.frames():
-                    if opcode == wsproto.OP_CLOSE:
-                        return
-                    if opcode == wsproto.OP_PING:
-                        sock.sendall(
-                            wsproto.encode_frame(
-                                wsproto.OP_PONG, payload, mask=True
-                            )
-                        )
-                    elif opcode == wsproto.OP_TEXT:
-                        yield json.loads(payload.decode("utf-8"))
-                data = sock.recv(4096)
-                if not data:
-                    return
-                decoder.feed(data)
+            for line in response:
+                if line.strip():
+                    yield json.loads(line)
         finally:
-            sock.close()
+            conn.close()
 
 
 def read_service_info(data_dir) -> Dict[str, Any]:

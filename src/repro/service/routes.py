@@ -3,9 +3,8 @@
 Hand-rolled on purpose: the service ships with zero dependencies beyond
 the standard library, and its API surface is small enough that a parser
 for exactly what we accept — request line, headers, Content-Length body
-— is less code than an abstraction layer over one.  Connections are
-``Connection: close`` (one request per connection) except for WebSocket
-upgrades, which hand the socket over to the event stream.
+— is less code than an abstraction layer over one.  Every connection is
+``Connection: close`` (one request per connection).
 
 :class:`Router` maps ``(METHOD, /path/pattern)`` to handlers, with
 ``{name}`` segments captured as string parameters::
@@ -34,7 +33,6 @@ REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
-    426: "Upgrade Required",
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
@@ -115,8 +113,11 @@ def parse_request_head(head: bytes) -> Tuple[str, str, Dict[str, str], Dict[str,
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise BadRequest(f"malformed request line: {lines[0]!r}")
     method, target = parts[0].upper(), parts[1]
-    split = urlsplit(target)
-    query = dict(parse_qsl(split.query))
+    try:
+        split = urlsplit(target)
+        query = dict(parse_qsl(split.query))
+    except ValueError as exc:  # e.g. an unbalanced "[" in the netloc
+        raise BadRequest(f"malformed request target: {target!r}") from exc
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -126,6 +127,15 @@ def parse_request_head(head: bytes) -> Tuple[str, str, Dict[str, str], Dict[str,
             raise BadRequest(f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
     return method, split.path or "/", query, headers
+
+
+def content_length(headers: Dict[str, str]) -> int:
+    """The declared body length; :class:`BadRequest` unless a plain
+    non-negative decimal integer (an absent or empty header is 0)."""
+    value = headers.get("content-length") or "0"
+    if not (value.isascii() and value.isdigit()):
+        raise BadRequest(f"bad Content-Length: {value!r}")
+    return int(value)
 
 
 Handler = Callable[..., Any]

@@ -1,4 +1,4 @@
-"""A live in-process service fixture for the HTTP/WebSocket tests.
+"""A live in-process service fixture for the HTTP and event-stream tests.
 
 The server's event loop runs in a daemon thread; the test body stays
 synchronous and talks to it through the blocking

@@ -8,11 +8,13 @@ the HTTP bytes and the ``TrialRunner`` underneath.
 
 import http.client
 import json
+import socket
 import time
 
 import pytest
 
 from repro.runtime.runner import TrialRunner
+from repro.service import routes
 from repro.service.client import ServiceError
 from repro.service.jobs import Job, JobSpec, JobStore, build_workload, values_digest
 from repro.telemetry.ledger import RunLedger
@@ -136,13 +138,106 @@ class TestHttpErrors:
         finally:
             conn.close()
 
-    def test_events_without_upgrade_is_426(self, live_service):
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, live_service, length):
+        live = live_service()
+        status, payload = raw_exchange(
+            live,
+            f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode(),
+        )
+        assert status == 400
+        assert "Content-Length" in payload["error"]["message"]
+
+    def test_oversized_head_is_413(self, live_service):
+        live = live_service()
+        filler = b"x" * (routes.MAX_HEAD_BYTES + 1)
+        status, payload = raw_exchange(
+            live, b"GET /v1/healthz HTTP/1.1\r\nX-Filler: " + filler + b"\r\n\r\n"
+        )
+        assert status == 413
+        assert payload["error"]["message"] == "request head too large"
+
+    def test_oversized_body_is_413(self, live_service):
+        live = live_service()
+        status, payload = raw_exchange(
+            live,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % (routes.MAX_BODY_BYTES + 1),
+        )
+        assert status == 413
+        assert payload["error"]["message"] == "request body too large"
+
+
+def raw_exchange(live, head: bytes):
+    """Send ``head`` over a raw socket; return (status, JSON body) of the reply."""
+    with socket.create_connection(
+        (live.service.host, live.service.port), timeout=10
+    ) as sock:
+        sock.sendall(head)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+class TestEventStream:
+    def test_events_are_ndjson_over_plain_http(self, live_service):
         live = live_service()
         client = live.client()
-        job = client.submit(workload="fleet", trials=1, spec=FLEET_SPEC)
+        job = client.submit(workload="fleet", trials=2, spec=FLEET_SPEC)
+        conn = http.client.HTTPConnection(
+            live.service.host, live.service.port, timeout=60
+        )
+        try:
+            conn.request("GET", f"/v1/jobs/{job['job_id']}/events")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.getheader("Content-Type") == "application/x-ndjson"
+            assert response.getheader("Content-Length") is None
+            lines = response.read().decode("utf-8").splitlines()
+        finally:
+            conn.close()
+        events = [json.loads(line) for line in lines]
+        assert events[0]["event"] == "hello"
+        assert events[-1]["event"] == "done"
+        assert events[-1]["job"]["state"] == "done"
+
+    def test_events_of_unknown_job_is_404(self, live_service):
+        client = live_service().client()
         with pytest.raises(ServiceError) as exc:
-            client.request("GET", f"/v1/jobs/{job['job_id']}/events")
-        assert exc.value.status == 426
+            list(client.stream_events("job-doesnotexist", timeout=10))
+        assert exc.value.status == 404
+
+    @pytest.mark.parametrize("which", ["running", "queued"])
+    def test_client_hangup_drops_its_subscriber(self, live_service, which):
+        # The queued job publishes nothing while it waits behind the
+        # running one, so only the server's EOF watch can notice the
+        # hangup; on the running job a failed write would notice it too.
+        live = live_service()
+        client = live.client()
+        running = client.submit(workload="skew", trials=50, spec=SLOW_SPEC)
+        queued = client.submit(workload="fleet", trials=2, spec=FLEET_SPEC)
+        job_id = (running if which == "running" else queued)["job_id"]
+
+        def subscribers() -> int:
+            return len(live.service._subscribers.get(job_id, ()))
+
+        with socket.create_connection(
+            (live.service.host, live.service.port), timeout=10
+        ) as sock:
+            sock.sendall(f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n\r\n".encode())
+            stream = sock.makefile("rb")
+            while stream.readline() != b"\r\n":  # the response head
+                pass
+            assert json.loads(stream.readline())["event"] == "hello"
+            assert live.call(subscribers) == 1
+            stream.close()
+        deadline = time.monotonic() + 5
+        while live.call(subscribers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert live.call(subscribers) == 0
+        assert client.job(job_id)["state"] == which
 
 
 class TestQuotaEnforcement:

@@ -3,9 +3,39 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import routes
 
+#: Fragments that steer generated heads toward the parser's branches:
+#: request-line shapes, header separators and non-ASCII bytes.
+HEAD_FRAGMENTS = st.sampled_from(
+    [b"GET", b"POST", b" ", b"/", b"?", b":", b"\r\n", b"HTTP/1.1", b"HTTP/1.",
+     b"Content-Length", b"\x00", b"\xff"]
+)
+#: Request targets without spaces; an unbalanced "[" or "]" in a
+#: "//netloc" makes ``urlsplit`` raise ``ValueError``.
+TARGETS = st.builds(
+    bytes.__add__,
+    st.sampled_from([b"", b"/", b"//", b"http://"]),
+    st.lists(
+        st.sampled_from(
+            [b"/", b"?", b"&", b"=", b"%", b"#", b"[", b"]", b":", b"a", b"\xff"]
+        ),
+        max_size=12,
+    ).map(b"".join),
+)
+REQUEST_HEADS = st.one_of(
+    st.binary(max_size=200),
+    st.lists(HEAD_FRAGMENTS | st.binary(max_size=6), max_size=40).map(b"".join),
+    st.builds(
+        lambda method, target, rest: method + b" " + target + b" HTTP/1.1" + rest,
+        st.sampled_from([b"GET", b"POST", b"get"]),
+        TARGETS,
+        st.lists(HEAD_FRAGMENTS | st.binary(max_size=4), max_size=12).map(b"".join),
+    ),
+)
 
 class TestParseRequestHead:
     def test_request_line_and_headers(self):
@@ -30,11 +60,41 @@ class TestParseRequestHead:
 
     @pytest.mark.parametrize(
         "head",
-        [b"GARBAGE", b"GET /\r\n", b"GET / SPDY/3\r\n", b"GET / HTTP/1.1\r\nnocolon\r\n"],
+        [
+            b"GARBAGE",
+            b"GET /\r\n",
+            b"GET / SPDY/3\r\n",
+            b"GET / HTTP/1.1\r\nnocolon\r\n",
+            b"GET //[x/ HTTP/1.1\r\n",  # urlsplit: "Invalid IPv6 URL"
+        ],
     )
     def test_malformed_heads_raise_bad_request(self, head):
         with pytest.raises(routes.BadRequest):
             routes.parse_request_head(head)
+
+    @settings(max_examples=300, deadline=None)
+    @given(REQUEST_HEADS)
+    def test_any_head_parses_or_raises_bad_request(self, head):
+        try:
+            method, path, query, headers = routes.parse_request_head(head)
+        except routes.BadRequest:
+            return
+        assert method == method.upper() and path
+        assert all(name == name.lower() for name in headers)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "headers, length",
+        [({}, 0), ({"content-length": ""}, 0), ({"content-length": "12"}, 12)],
+    )
+    def test_plain_decimal_lengths(self, headers, length):
+        assert routes.content_length(headers) == length
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "+5", " 5", "1_0", "\u00b2"])
+    def test_anything_else_raises_bad_request(self, value):
+        with pytest.raises(routes.BadRequest):
+            routes.content_length({"content-length": value})
 
 
 class TestRequestResponse:
