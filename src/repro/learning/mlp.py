@@ -40,12 +40,37 @@ class MLPResult:
 
 
 def _views(flat: np.ndarray, d: int, h: int):
-    """``(w1, b1, w2, b2)`` views into one flat ``d*h + 2h + 1`` buffer."""
-    w1 = flat[: d * h].reshape(d, h)
-    b1 = flat[d * h : d * h + h]
-    w2 = flat[d * h + h : d * h + 2 * h]
-    b2 = flat[d * h + 2 * h :]
-    return w1, b1, w2, b2
+    """``(w1, w2, b1, b2)`` views into one flat ``d*h + 2h + 1`` buffer.
+
+    The weights lead (``w1 | w2 | b1 | b2``), so the L2 penalty covers
+    the one slice ``flat[: (d + 1) * h]``.
+    """
+    dh = d * h
+    w1 = flat[:dh].reshape(d, h)
+    w2 = flat[dh : dh + h]
+    b1 = flat[dh + h : dh + 2 * h]
+    b2 = flat[dh + 2 * h :]
+    return w1, w2, b1, b2
+
+
+def _scratch(rows: int, h: int):
+    """Forward/backward buffers for a minibatch of ``rows`` examples.
+
+    ``(hid, hid.T, z, sig, dscore, dscore[:, None], dtanh, back)``; the
+    transposed and column views are made once here, not per step.
+    """
+    hid = np.empty((rows, h))
+    dscore = np.empty(rows)
+    return (
+        hid,
+        hid.T,
+        np.empty(rows),
+        np.empty(rows),
+        dscore,
+        dscore[:, None],
+        np.empty((rows, h)),
+        np.empty((rows, h)),
+    )
 
 
 class MLPAttack:
@@ -61,12 +86,15 @@ class MLPAttack:
         The usual knobs.
 
     :meth:`fit` keeps all four parameter arrays as views into one flat
-    float64 buffer (``w1 | b1 | w2 | b2``), with matching flat gradient
-    and Adam-moment buffers, so each minibatch takes one fused Adam
-    step.  The update is elementwise, so the result is bit-identical to
-    the per-parameter loop frozen as
-    :func:`repro.kernels.reference.naive_mlp_fit`.  The returned
-    :class:`MLPResult` weights are views into that buffer.
+    float64 buffer (``w1 | w2 | b1 | b2``), with a matching flat
+    gradient and one ``(2, P)`` buffer for both Adam moments, so each
+    minibatch takes one fused Adam step.  Each epoch's shuffled data is
+    gathered once and cut into contiguous minibatches, and the forward
+    and backward passes write into buffers allocated once per fit.
+    Every operation is elementwise or the same BLAS product in the same
+    order, so the result is bit-identical to the per-parameter loop
+    frozen as ``naive_mlp_fit`` in ``tests/_reference.py``.  The
+    returned :class:`MLPResult` weights are views into that buffer.
     """
 
     def __init__(
@@ -102,59 +130,109 @@ class MLPAttack:
         rng = np.random.default_rng() if rng is None else rng
         m, d = feats.shape
         h = self.hidden
+        ridge = (d + 1) * h
 
-        # All parameters live in one flat buffer (w1 | b1 | w2 | b2) with
-        # named views into it, and so do their gradients and the Adam
-        # moments: one fused elementwise Adam step updates everything.
+        # All parameters live in one flat buffer (w1 | w2 | b1 | b2) with
+        # named views into it, and so does the gradient.  Row 0 of the
+        # (2, P) Adam buffers is the first moment, row 1 the second, so
+        # one call updates (or bias-corrects) both.
         theta = np.zeros(d * h + 2 * h + 1)
         grad = np.empty_like(theta)
-        w1, b1, w2, b2 = _views(theta, d, h)
-        g_w1, g_b1, g_w2, g_b2 = _views(grad, d, h)
+        w1, w2, b1, b2 = _views(theta, d, h)
+        g_w1, g_w2, g_b1, g_b2 = _views(grad, d, h)
         w1[...] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
         w2[...] = rng.normal(0.0, 1.0 / np.sqrt(h), size=h)
+        theta_ridge, grad_ridge = theta[:ridge], grad[:ridge]
+        ridge_term = np.empty(ridge)
 
-        mom1 = np.zeros_like(theta)
-        mom2 = np.zeros_like(theta)
         beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
+        decay = np.array([[beta1], [beta2]])
+        gain = np.array([[1 - beta1], [1 - beta2]])
+        correction = np.empty((2, 1))
+        moments = np.zeros((2, theta.size))
+        update = np.empty_like(moments)
+        corrected = np.empty_like(moments)
+        m_hat, v_hat = corrected
+        update_v = update[1]
         lr, l2 = self.learning_rate, self.l2
         step = 0
         loss = np.inf
-        last_start = ((m - 1) // self.batch_size) * self.batch_size
+
+        # The shuffled epoch lands in these buffers; each minibatch is a
+        # contiguous row slice of them, with its scratch made up front.
+        feats_ep = np.empty_like(feats)
+        y_ep = np.empty_like(y)
+        neg_y_ep = np.empty_like(y)
+        neg_y = -y
+        batch_size = min(self.batch_size, m)
+        sizes = {batch_size, m % batch_size} - {0}
+        scratch = {rows: _scratch(rows, h) for rows in sizes}
+        batches = []
+        for start in range(0, m, batch_size):
+            stop = min(start + batch_size, m)
+            xb = feats_ep[start:stop]
+            rows = stop - start
+            batches.append(
+                (stop == m, rows, xb, xb.T, y_ep[start:stop], neg_y_ep[start:stop])
+                + scratch[rows]
+            )
 
         # One span for the whole optimisation, not per epoch or batch.
         with trace("mlp.fit", examples=m, features=d, epochs=self.epochs):
             for epoch in range(self.epochs):
                 order = rng.permutation(m)
-                for start in range(0, m, self.batch_size):
-                    idx = order[start : start + self.batch_size]
-                    xb, yb = feats[idx], y[idx]
-                    # Forward.
-                    hid = np.tanh(xb @ w1 + b1)
-                    z = yb * (hid @ w2 + b2[0])
-                    if epoch == self.epochs - 1 and start == last_start:
+                np.take(feats, order, axis=0, out=feats_ep, mode="clip")
+                np.take(y, order, out=y_ep, mode="clip")
+                np.take(neg_y, order, out=neg_y_ep, mode="clip")
+                final_epoch = epoch == self.epochs - 1
+                for batch in batches:
+                    final_batch, rows, xb, xb_t, yb, neg_yb = batch[:6]
+                    hid, hid_t, z, sig, dscore, dscore_col, dtanh, back = batch[6:]
+                    # Forward: hid = tanh(xb @ w1 + b1), z = yb * score.
+                    np.matmul(xb, w1, out=hid)
+                    hid += b1
+                    np.tanh(hid, out=hid)
+                    np.matmul(hid, w2, out=z)
+                    z += b2
+                    z *= yb
+                    if final_epoch and final_batch:
                         # Only the last minibatch's loss is reported.
                         loss = float(
                             np.mean(np.logaddexp(0.0, -z))
                             + 0.5 * l2 * (np.sum(w1**2) + np.sum(w2**2))
                         )
-                    # Backward.
-                    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
-                    dscore = -yb * sig / xb.shape[0]
-                    back = (dscore[:, None] * w2[None, :]) * (1 - hid**2)
-                    g_w1[...] = xb.T @ back
-                    g_w1 += l2 * w1
-                    g_b1[...] = np.sum(back, axis=0)
-                    g_w2[...] = hid.T @ dscore
-                    g_w2 += l2 * w2
-                    g_b2[0] = np.sum(dscore)
+                    # Backward: sig = 1 / (1 + exp(clip(z, -500, 500))).
+                    np.maximum(z, -500.0, out=sig)
+                    np.minimum(sig, 500.0, out=sig)
+                    np.exp(sig, out=sig)
+                    sig += 1.0
+                    np.divide(1.0, sig, out=sig)
+                    np.multiply(neg_yb, sig, out=dscore)
+                    dscore /= rows
+                    np.square(hid, out=dtanh)
+                    np.subtract(1.0, dtanh, out=dtanh)
+                    np.multiply(dscore_col, w2, out=back)
+                    back *= dtanh
+                    np.matmul(xb_t, back, out=g_w1)
+                    np.matmul(hid_t, dscore, out=g_w2)
+                    np.add.reduce(back, axis=0, out=g_b1)
+                    g_b2[0] = np.add.reduce(dscore)
+                    np.multiply(l2, theta_ridge, out=ridge_term)
+                    grad_ridge += ridge_term
+                    # Adam, both moments at once.
                     step += 1
-                    mom1 *= beta1
-                    mom1 += (1 - beta1) * grad
-                    mom2 *= beta2
-                    mom2 += (1 - beta2) * grad * grad
-                    m_hat = mom1 / (1 - beta1**step)
-                    v_hat = mom2 / (1 - beta2**step)
-                    theta -= lr * m_hat / (np.sqrt(v_hat) + eps_adam)
+                    np.multiply(gain, grad, out=update)
+                    update_v *= grad
+                    moments *= decay
+                    moments += update
+                    correction[0, 0] = 1 - beta1**step
+                    correction[1, 0] = 1 - beta2**step
+                    np.divide(moments, correction, out=corrected)
+                    np.sqrt(v_hat, out=v_hat)
+                    v_hat += eps_adam
+                    m_hat *= lr
+                    m_hat /= v_hat
+                    theta -= m_hat
 
         result = MLPResult(
             w1=w1,

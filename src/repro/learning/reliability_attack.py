@@ -124,9 +124,7 @@ class ReliabilityAttack:
         challenges = (1 - 2 * rng.integers(0, 2, size=(self.crps, n))).astype(
             np.int8
         )
-        measurements = np.stack(
-            [puf.eval_noisy(challenges, rng) for _ in range(self.repetitions)]
-        )
+        measurements = puf.eval_noisy_repeated(challenges, self.repetitions, rng)
         reliability = np.abs(measurements.sum(axis=0)) / self.repetitions
         responses = np.where(measurements.sum(axis=0) >= 0, 1, -1).astype(np.int8)
         phi = parity_transform(challenges)
@@ -231,9 +229,9 @@ def cma_fitness(
     against the centred reliability columns ``rel_matrix`` (each divided
     by its entry of ``rel_norms``), minus ``distinct_penalty`` times its
     largest |overlap| with the rows of ``found`` (the profiles of the
-    chains already recovered; no rows for no penalty).  Equal
-    to :func:`repro.kernels.reference.naive_cma_fitness` per row up to
-    BLAS rounding.
+    chains already recovered; no rows for no penalty).  Equal to the
+    per-individual loop frozen as ``naive_cma_fitness`` in
+    ``tests/_reference.py``, per row up to BLAS rounding.
     """
     hc = _profiles(phi, x)
     corr = np.mean(np.abs(hc @ rel_matrix) / rel_norms, axis=1)
@@ -351,9 +349,7 @@ class CMAReliabilityAttack:
         challenges = (1 - 2 * rng.integers(0, 2, size=(self.crps, n))).astype(
             np.int8
         )
-        measurements = np.stack(
-            [puf.eval_noisy(challenges, rng) for _ in range(self.repetitions)]
-        )
+        measurements = puf.eval_noisy_repeated(challenges, self.repetitions, rng)
         from repro.telemetry.meter import record as _record
 
         _record(

@@ -112,6 +112,32 @@ class XORArbiterPUF(PUF):
         signs = np.where(margins >= 0, 1, -1).astype(np.int8)
         return np.prod(signs, axis=1).astype(np.int8)
 
+    def eval_noisy_repeated(
+        self,
+        challenges: np.ndarray,
+        repetitions: int,
+        rng: Optional[np.random.Generator] = None,
+    ) -> np.ndarray:
+        """``repetitions`` noisy measurements of each challenge, ``(R, m)`` int8.
+
+        Equal, bit for bit and in ``rng``'s state afterwards, to stacking
+        ``repetitions`` sequential :meth:`eval_noisy` calls: the chain
+        margins are computed once and the noise is one
+        ``(repetitions, m, k)`` normal draw, which ``Generator.normal``
+        fills in C order from the same stream as that many ``(m, k)``
+        draws.  Subclasses inherit it through :meth:`chain_margins`.
+        """
+        challenges = self._check(challenges)
+        rng = np.random.default_rng() if rng is None else rng
+        margins = self.chain_margins(challenges)
+        shape = (repetitions,) + margins.shape
+        if self.noise_sigma > 0:
+            margins = margins + rng.normal(0.0, self.noise_sigma, size=shape)
+        else:
+            margins = np.broadcast_to(margins, shape)
+        signs = np.where(margins >= 0, 1, -1).astype(np.int8)
+        return np.prod(signs, axis=2).astype(np.int8)
+
     @classmethod
     def rocknroll(
         cls,

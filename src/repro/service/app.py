@@ -423,6 +423,9 @@ class ReproService:
             )
         except asyncio.TimeoutError:
             return
+        except asyncio.LimitOverrunError:
+            await self._refuse_overrun_head(reader, writer)
+            return
         if len(head) > routes.MAX_HEAD_BYTES:
             writer.write(routes.error_response(413, "request head too large").encode())
             await writer.drain()
@@ -443,6 +446,31 @@ class ReproService:
             await writer.drain()
             return
         await self._dispatch(request, reader, writer)
+
+    async def _refuse_overrun_head(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer 413 to a head that outgrew the reader's buffer limit.
+
+        Closing a socket over unread input resets the connection, which
+        can destroy the answer before the client reads it.  So the rest
+        of the head is read and dropped first, up to its blank line, EOF
+        or the head timeout.
+        """
+
+        async def skip_head() -> None:
+            tail = b""
+            while chunk := await reader.read(1 << 16):
+                if b"\r\n\r\n" in tail + chunk:
+                    return
+                tail = chunk[-3:]
+
+        try:
+            await asyncio.wait_for(skip_head(), timeout=30.0)
+        except asyncio.TimeoutError:
+            return
+        writer.write(routes.error_response(413, "request head too large").encode())
+        await writer.drain()
 
     async def _dispatch(
         self,

@@ -160,7 +160,7 @@ class Job:
 class JobStore:
     """Directory-backed persistence for jobs (one subdir per job).
 
-    ``save`` writes ``job.json`` atomically (mkstemp + ``os.replace``)
+    ``save`` writes ``job.json`` atomically (temp file + ``os.replace``)
     so a SIGKILL between transitions leaves either the old record or the
     new one, never a torn file; ``load_all`` is the restart-adoption
     scan.

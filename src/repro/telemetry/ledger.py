@@ -23,9 +23,9 @@ write so readers need nothing but the standard library.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -53,19 +53,8 @@ def shard_ledger_name(shard_id: int) -> str:
     return f"ledger-shard{shard_id:02d}.jsonl"
 
 
-def _umask() -> int:
-    """The process umask, read without changing it where Linux allows."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("Umask:"):
-                    return int(line.split()[1], 8)
-    except (OSError, ValueError):
-        pass
-    # Elsewhere os.umask is the only reader; the brief 0o077 errs private.
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
+#: Suffixes that keep concurrent temp files of one process apart.
+_TMP_SEQUENCE = itertools.count()
 
 
 def atomic_write_text(
@@ -73,20 +62,28 @@ def atomic_write_text(
 ) -> None:
     """Replace ``path`` with ``text``: readers see the old file or the new one.
 
-    The text goes to a :func:`tempfile.mkstemp` file in ``path``'s
-    directory, which :func:`os.replace` then renames over ``path``.  Any
-    failure (a full disk, a file-size limit, a signal) unlinks the temp
-    file and leaves ``path`` as it was.  There is no fsync: the rename is
-    atomic against a killed process, not against power loss.
+    The text goes to a new temp file in ``path``'s directory, which
+    :func:`os.replace` then renames over ``path``.  Any failure (a full
+    disk, a file-size limit, a signal) unlinks the temp file and leaves
+    ``path`` as it was.  There is no fsync: the rename is atomic against
+    a killed process, not against power loss.
 
     ``mode`` sets the permission bits; None gives what
-    :meth:`Path.write_text` would (``0o666`` less the umask).
+    :meth:`Path.write_text` would: the temp file is created ``0o666``
+    and the kernel applies the umask.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.stem + "-", suffix=".tmp", dir=path.parent)
+    while True:
+        tmp = path.parent / f"{path.stem}-{os.getpid()}-{next(_TMP_SEQUENCE)}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # left behind by a killed process
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.chmod(tmp, 0o666 & ~_umask() if mode is None else mode)
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -2,16 +2,20 @@
 
 ``MLPAttack.fit`` takes one fused Adam step over a flat parameter buffer
 and must be bit-identical to the per-parameter loop frozen as
-:func:`repro.kernels.reference.naive_mlp_fit`.  ``CMAReliabilityAttack``
+``naive_mlp_fit`` in :mod:`tests._reference`.  ``CMAReliabilityAttack``
 scores a whole ES generation in one call; that must match the
-one-call-per-individual :func:`repro.kernels.reference.naive_cma_fitness`
-up to BLAS rounding and rank the generation identically.
+one-call-per-individual ``naive_cma_fitness`` up to BLAS rounding and
+rank the generation identically.  Its repeated measurements come from
+one chain-margin pass and one normal draw, which must equal the
+per-measurement ``eval_noisy`` loop bit for bit, generator state
+included.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.kernels.reference import naive_cma_fitness, naive_mlp_fit
 from repro.learning import reliability_attack
 from repro.learning.mlp import MLPAttack
 from repro.learning.reliability_attack import (
@@ -20,7 +24,9 @@ from repro.learning.reliability_attack import (
     cma_fitness,
 )
 from repro.pufs.arbiter import parity_transform
+from repro.pufs.cdc_xor import CDCXORArbiterPUF
 from repro.pufs.xor_arbiter import XORArbiterPUF
+from tests._reference import naive_cma_fitness, naive_mlp_fit
 
 
 def _pm1(rng, m, n):
@@ -61,6 +67,68 @@ class TestMLPBitIdentity:
             batch_size=batch_size,
             learning_rate=0.02,
             l2=1e-4,
+        )
+        for name in ("w1", "b1", "w2"):
+            assert np.array_equal(getattr(fused, name), ref[name]), name
+        assert fused.b2 == ref["b2"]
+        assert fused.final_loss == ref["final_loss"]
+        assert fused.train_accuracy == ref["train_accuracy"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_property_matches_per_parameter_adam(self, data):
+        """Bit-identity over m, batch size, epochs, hidden, l2 and features.
+
+        The batch size is drawn above m, equal to m, below m without
+        dividing it, or anywhere in [1, m]; ``data=None`` is the atlas
+        smoke shape (400 examples, batches of 64, 15 epochs, 12 units).
+        """
+        if data is None:
+            m, batch_size, epochs, hidden, l2, parity, seed = (
+                400, 64, 15, 12, 1e-5, True, 0
+            )
+        else:
+            m = data.draw(st.integers(1, 120), label="m")
+            relation = data.draw(
+                st.sampled_from(["above", "equal", "ragged", "any"]), label="rel"
+            )
+            if relation == "above":
+                batch_size = data.draw(st.integers(m + 1, m + 40), label="batch")
+            elif relation == "equal":
+                batch_size = m
+            elif relation == "ragged" and m > 2:
+                batch_size = data.draw(
+                    st.integers(2, m - 1).filter(lambda b: m % b), label="batch"
+                )
+            else:
+                batch_size = data.draw(st.integers(1, m), label="batch")
+            epochs = data.draw(st.integers(1, 4), label="epochs")
+            hidden = data.draw(st.integers(1, 8), label="hidden")
+            l2 = data.draw(st.sampled_from([0.0, 1e-4, 0.05]), label="l2")
+            parity = data.draw(st.booleans(), label="parity")
+            seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        x = _pm1(rng, m, 9)
+        y = np.where(rng.normal(size=m) >= 0, 1, -1).astype(np.int8)
+        feature_map = parity_transform if parity else None
+        fused = MLPAttack(
+            hidden=hidden,
+            epochs=epochs,
+            batch_size=batch_size,
+            learning_rate=0.02,
+            l2=l2,
+            feature_map=feature_map,
+        ).fit(x, y, np.random.default_rng(seed + 1))
+        ref = naive_mlp_fit(
+            parity_transform(x) if parity else x,
+            y,
+            np.random.default_rng(seed + 1),
+            hidden=hidden,
+            epochs=epochs,
+            batch_size=batch_size,
+            learning_rate=0.02,
+            l2=l2,
         )
         for name in ("w1", "b1", "w2"):
             assert np.array_equal(getattr(fused, name), ref[name]), name
@@ -139,3 +207,24 @@ class TestCMABatchedFitness:
         # Two ES slots of (1 initial + 4 generations) calls; the second
         # slot is penalised against the first slot's profile.
         assert calls == {"generations": 10, "penalised": 5}
+
+
+class TestOneDrawMeasurements:
+    @pytest.mark.parametrize("family", [XORArbiterPUF, CDCXORArbiterPUF])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    def test_equals_the_eval_noisy_loop(self, family, k, sigma):
+        puf = family(16, k, np.random.default_rng(k), noise_sigma=sigma)
+        challenges = _pm1(np.random.default_rng(5), 300, 16)
+        one_draw_rng = np.random.default_rng(9)
+        loop_rng = np.random.default_rng(9)
+        one_draw = puf.eval_noisy_repeated(challenges, 9, one_draw_rng)
+        loop = np.stack([puf.eval_noisy(challenges, loop_rng) for _ in range(9)])
+        assert one_draw.dtype == loop.dtype == np.int8
+        assert np.array_equal(one_draw, loop)
+        # The generator is left where the loop leaves it.
+        assert one_draw_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert one_draw_rng.normal() == loop_rng.normal()
+        if sigma > 0:
+            # Noise near the threshold really does flip some answers.
+            assert np.any(loop != loop[0])

@@ -157,6 +157,18 @@ class TestHttpErrors:
         assert status == 413
         assert payload["error"]["message"] == "request head too large"
 
+    def test_head_over_the_stream_limit_is_413(self, live_service):
+        # A 3 MB header line outgrows the reader's buffer limit (twice
+        # MAX_BODY_BYTES), so the head read itself fails; the client
+        # still gets an answer, not a reset.
+        live = live_service()
+        filler = b"x" * (3 * routes.MAX_BODY_BYTES)
+        status, payload = raw_exchange(
+            live, b"GET /v1/healthz HTTP/1.1\r\nX-Filler: " + filler + b"\r\n\r\n"
+        )
+        assert status == 413
+        assert payload["error"]["message"] == "request head too large"
+
     def test_oversized_body_is_413(self, live_service):
         live = live_service()
         status, payload = raw_exchange(
