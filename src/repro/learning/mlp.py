@@ -53,26 +53,6 @@ def _views(flat: np.ndarray, d: int, h: int):
     return w1, w2, b1, b2
 
 
-def _scratch(rows: int, h: int):
-    """Forward/backward buffers for a minibatch of ``rows`` examples.
-
-    ``(hid, hid.T, z, sig, dscore, dscore[:, None], dtanh, back)``; the
-    transposed and column views are made once here, not per step.
-    """
-    hid = np.empty((rows, h))
-    dscore = np.empty(rows)
-    return (
-        hid,
-        hid.T,
-        np.empty(rows),
-        np.empty(rows),
-        dscore,
-        dscore[:, None],
-        np.empty((rows, h)),
-        np.empty((rows, h)),
-    )
-
-
 class MLPAttack:
     """One-hidden-layer tanh MLP with logistic loss and Adam.
 
@@ -159,22 +139,32 @@ class MLPAttack:
         loss = np.inf
 
         # The shuffled epoch lands in these buffers; each minibatch is a
-        # contiguous row slice of them, with its scratch made up front.
+        # contiguous row slice of them.  The forward/backward scratch is
+        # allocated once for a full batch; a ragged last batch uses its
+        # leading rows, which are contiguous too.  Every view (and
+        # transposed view) is made here, not per step.
         feats_ep = np.empty_like(feats)
         y_ep = np.empty_like(y)
         neg_y_ep = np.empty_like(y)
         neg_y = -y
         batch_size = min(self.batch_size, m)
-        sizes = {batch_size, m % batch_size} - {0}
-        scratch = {rows: _scratch(rows, h) for rows in sizes}
+        hid_full = np.empty((batch_size, h))
+        z_full = np.empty(batch_size)
+        sig_full = np.empty(batch_size)
+        dscore_full = np.empty(batch_size)
+        dtanh_full = np.empty((batch_size, h))
+        back_full = np.empty((batch_size, h))
         batches = []
         for start in range(0, m, batch_size):
             stop = min(start + batch_size, m)
-            xb = feats_ep[start:stop]
             rows = stop - start
+            xb = feats_ep[start:stop]
+            hid = hid_full[:rows]
+            dscore = dscore_full[:rows]
             batches.append(
                 (stop == m, rows, xb, xb.T, y_ep[start:stop], neg_y_ep[start:stop])
-                + scratch[rows]
+                + (hid, hid.T, z_full[:rows], sig_full[:rows], dscore)
+                + (dscore[:, None], dtanh_full[:rows], back_full[:rows])
             )
 
         # One span for the whole optimisation, not per epoch or batch.

@@ -104,13 +104,7 @@ class XORArbiterPUF(PUF):
         self, challenges: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Noisy measurement: each chain's margin is perturbed independently."""
-        challenges = self._check(challenges)
-        rng = np.random.default_rng() if rng is None else rng
-        margins = self.chain_margins(challenges)
-        if self.noise_sigma > 0:
-            margins = margins + rng.normal(0.0, self.noise_sigma, size=margins.shape)
-        signs = np.where(margins >= 0, 1, -1).astype(np.int8)
-        return np.prod(signs, axis=1).astype(np.int8)
+        return self.eval_noisy_repeated(challenges, 1, rng)[0]
 
     def eval_noisy_repeated(
         self,
@@ -125,7 +119,8 @@ class XORArbiterPUF(PUF):
         margins are computed once and the noise is one
         ``(repetitions, m, k)`` normal draw, which ``Generator.normal``
         fills in C order from the same stream as that many ``(m, k)``
-        draws.  Subclasses inherit it through :meth:`chain_margins`.
+        draws.  :meth:`eval_noisy` is the ``repetitions=1`` case, and
+        subclasses inherit both through :meth:`chain_margins`.
         """
         challenges = self._check(challenges)
         rng = np.random.default_rng() if rng is None else rng

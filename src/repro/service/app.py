@@ -69,6 +69,9 @@ SERVICE_INFO_NAME = "service.json"
 #: Terminal job states (never re-adopted, never re-queued).
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
+#: Seconds a client has to send its whole request head, overrun included.
+HEAD_TIMEOUT_S = 30.0
+
 
 # ----------------------------------------------------------------------
 # The synchronous job body (runs in the executor, inside a copied
@@ -401,11 +404,7 @@ class ReproService:
     ) -> None:
         try:
             await self._serve_one(reader, writer)
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             try:
@@ -418,15 +417,11 @@ class ReproService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=30.0
-            )
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(HEAD_TIMEOUT_S):
+                head = await self._read_head(reader)
+        except TimeoutError:
             return
-        except asyncio.LimitOverrunError:
-            await self._refuse_overrun_head(reader, writer)
-            return
-        if len(head) > routes.MAX_HEAD_BYTES:
+        if head is None or len(head) > routes.MAX_HEAD_BYTES:
             writer.write(routes.error_response(413, "request head too large").encode())
             await writer.drain()
             return
@@ -447,30 +442,26 @@ class ReproService:
             return
         await self._dispatch(request, reader, writer)
 
-    async def _refuse_overrun_head(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer 413 to a head that outgrew the reader's buffer limit.
+    @staticmethod
+    async def _read_head(reader: asyncio.StreamReader) -> Optional[bytes]:
+        """The request head through its blank line, or ``None`` if too long.
 
-        Closing a socket over unread input resets the connection, which
-        can destroy the answer before the client reads it.  So the rest
-        of the head is read and dropped first, up to its blank line, EOF
-        or the head timeout.
+        A head that outgrows the reader's buffer limit is read on and
+        dropped up to its blank line or EOF before ``None`` comes back:
+        closing a socket over unread input resets the connection, which
+        can destroy the 413 answer before the client reads it.  The
+        caller bounds both reads with one head deadline.
         """
-
-        async def skip_head() -> None:
-            tail = b""
-            while chunk := await reader.read(1 << 16):
-                if b"\r\n\r\n" in tail + chunk:
-                    return
-                tail = chunk[-3:]
-
         try:
-            await asyncio.wait_for(skip_head(), timeout=30.0)
-        except asyncio.TimeoutError:
-            return
-        writer.write(routes.error_response(413, "request head too large").encode())
-        await writer.drain()
+            return await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            pass
+        tail = b""
+        while chunk := await reader.read(1 << 16):
+            if b"\r\n\r\n" in tail + chunk:
+                break
+            tail = chunk[-3:]
+        return None
 
     async def _dispatch(
         self,
