@@ -78,7 +78,8 @@ def parity_features(challenges: np.ndarray, tier: str = "float64") -> np.ndarray
     constant 1 multiplying the bias weight.  All entries are ±1, so the
     products are taken in int8 (a cumprod of ±1 cannot overflow) and
     cast to the tier dtype once; ±1 is exact in binary32/binary64, so
-    every tier's features are value-identical to float64's.
+    every tier's features are value-identical to float64's.  The float64
+    tier is :func:`repro.pufs.arbiter.parity_transform`.
     """
     dtype = feature_dtype(tier)
     challenges = np.asarray(challenges)

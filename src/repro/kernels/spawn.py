@@ -7,9 +7,10 @@ per instance, almost all of it in ``SeedSequence``'s scalar mixing
 loop.  Children of one root differ only in their *last* spawn word, so
 this module runs NumPy's documented ``SeedSequence`` hash (NEP 19; the
 algorithm of O'Neill's ``seed_seq_fe``) once over the shared prefix and
-then mixes the last word and generates the four-word PCG64 seed for all
-children in one pass of uint32 array arithmetic.  Each state is handed
-to :class:`numpy.random.PCG64` through a preset
+then handles every child at once in two uint32 blocks: the last word is
+mixed into all four pool lanes as one ``(4, count)`` block, and the
+four-word PCG64 seed is generated as one ``(8, count)`` block.  Each
+state is handed to :class:`numpy.random.PCG64` through a preset
 :class:`~numpy.random.bit_generator.ISeedSequence`, so
 ``child_generators(root, start, count)[i]`` is bit-identical to
 ``np.random.default_rng(<child start + i>)``.
@@ -35,6 +36,8 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
+#: The pool lane each of generate_state's eight output words reads.
+_CYCLE = np.arange(8) % _POOL_SIZE
 
 
 def _words(value: object) -> List[int]:
@@ -75,6 +78,19 @@ class _HashMix:
         value = ((value ^ const) * self.const) & _MASK32
         return value ^ (value >> _XSHIFT)
 
+    def rows(self, values: np.ndarray, mult: int) -> np.ndarray:
+        """``len(values)`` successive calls as one block: row ``i`` of the
+        uint32 ``values`` hashed by the ``i``-th call's constants."""
+        consts = [self.const]
+        for _ in range(len(values)):
+            consts.append((consts[-1] * mult) & _MASK32)
+        self.const = consts[-1]
+        consts = np.array(consts, dtype=np.uint32)[:, None]
+        out = values ^ consts[:-1]
+        out *= consts[1:]
+        out ^= out >> _XSHIFT
+        return out
+
 
 def _mix(x, y):
     """``seed_seq_fe``'s two-word mix (Python ints or uint32 arrays)."""
@@ -88,8 +104,8 @@ def child_states(root: np.random.SeedSequence, start: int, count: int) -> np.nda
     Row ``i`` equals ``SeedSequence(root.entropy, spawn_key=
     tuple(root.spawn_key) + (start + i,)).generate_state(4, np.uint64)``.
     The root's entropy and spawn-key prefix are mixed into the pool once;
-    only the last spawn word varies, and it is mixed for every child at
-    once.  Child indices must fit one uint32 word.
+    only the last spawn word varies, and every child's lanes and output
+    words are computed together.  Child indices must fit one uint32 word.
     """
     if start < 0 or count < 0 or start + count > _MASK32 + 1:
         raise ValueError("child indices must lie in [0, 2**32)")
@@ -106,21 +122,17 @@ def child_states(root: np.random.SeedSequence, start: int, count: int) -> np.nda
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
     # The varying last word is always past the pool, so it is absorbed
-    # by the trailing loop's last pass: four hashes, one per pool word.
+    # by the trailing loop's last pass: four hashes, one per pool lane,
+    # computed as one (4, count) block of _mix(pool[dst], hash).
     last = np.arange(start, start + count, dtype=np.uint32)
-    lanes = [
-        _mix(np.full(count, pool[dst], dtype=np.uint32), hashmix(last))
-        for dst in range(_POOL_SIZE)
-    ]
-    # generate_state(4, uint64): eight uint32 words cycling the pool,
-    # paired little-endian into uint64.
-    hashmix = _HashMix(_INIT_B)
-    words = [
-        hashmix(lanes[i % _POOL_SIZE], _MULT_B).astype(np.uint64) for i in range(8)
-    ]
-    return np.stack(
-        [words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4)], axis=1
-    )
+    hashed = hashmix.rows(np.broadcast_to(last, (_POOL_SIZE, count)), _MULT_A)
+    lanes = np.array([(_MIX_MULT_L * p) & _MASK32 for p in pool], dtype=np.uint32)
+    lanes = lanes[:, None] - np.uint32(_MIX_MULT_R) * hashed
+    lanes ^= lanes >> _XSHIFT
+    # generate_state(4, uint64): eight uint32 words cycling the pool, as
+    # one (8, count) block, paired little-endian into uint64.
+    words = _HashMix(_INIT_B).rows(lanes[_CYCLE], _MULT_B)
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
 class _PresetSeed(ISeedSequence):

@@ -18,23 +18,19 @@ from typing import Optional
 import numpy as np
 
 from repro.booleanfuncs.ltf import LTF
+from repro.kernels.fleet import parity_features
 from repro.pufs.base import PUF
 
 
 def parity_transform(challenges: np.ndarray) -> np.ndarray:
-    """Map +/-1 challenges to the (m, n+1) arbiter feature vectors.
+    """Map +/-1 challenges to the (m, n+1) float64 arbiter feature vectors.
 
     Column ``i`` is ``prod_{j >= i} c_j`` and the last column is the
-    constant 1 (it multiplies the bias/threshold weight).
+    constant 1 (it multiplies the bias/threshold weight).  This is the
+    float64 tier of :func:`repro.kernels.fleet.parity_features`, which
+    takes the products in int8.
     """
-    challenges = np.asarray(challenges)
-    if challenges.ndim == 1:
-        challenges = challenges[None, :]
-    m, n = challenges.shape
-    phi = np.ones((m, n + 1), dtype=np.float64)
-    # Cumulative product from the right: phi[:, i] = prod_{j>=i} c_j.
-    phi[:, :n] = np.cumprod(challenges[:, ::-1], axis=1)[:, ::-1]
-    return phi
+    return parity_features(challenges)
 
 
 class ArbiterPUF(PUF):

@@ -36,7 +36,8 @@ Fleet evaluations are oracle calls against every instance at once:
 ``eval``/``eval_noisy`` record ``m x N`` EX queries and
 ``majority_vote`` records one query per noisy measurement
 (``m x N x repetitions``); ``vote_and_measure`` records exactly what
-``majority_vote`` then ``eval_noisy`` would.  Metric helpers in
+``majority_vote`` then ``eval_noisy`` would, and ``eval_vote_and_measure``
+exactly what ``eval`` then ``vote_and_measure`` would.  Metric helpers in
 :mod:`repro.pufs.metrics` wrap their draws in ``unmetered()`` — quality
 metrics are not adversary queries.
 """
@@ -412,15 +413,22 @@ class Fleet:
         chains combined as bool flags, traced as ``fleet.eval``.
         """
         challenges = self._check(challenges)
+        signs, _ = self._ideal(challenges)
+        return signs
+
+    def _ideal(self, challenges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(signs, margins)``: the metered :meth:`eval` of checked
+        ``challenges`` and the margins it was decided from."""
         with trace(
             "fleet.eval",
             family=self.spec.family,
             size=self.spec.size,
             m=challenges.shape[0],
         ):
-            signs = sign_responses(self.margins(challenges), self.chain_offsets)
+            margins = self.margins(challenges)
+            signs = sign_responses(margins, self.chain_offsets)
         self._meter(challenges, signs, repetitions=1)
-        return signs
+        return signs, margins
 
     def eval_noisy(
         self, challenges: np.ndarray, rng: Optional[np.random.Generator] = None
@@ -472,7 +480,36 @@ class Fleet:
         challenges = self._check(challenges)
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        negatives, (measured,) = self._measure(challenges, repetitions, 1, rng)
+        return self._vote_and_measure(challenges, repetitions, rng)
+
+    def eval_vote_and_measure(
+        self,
+        challenges: np.ndarray,
+        repetitions: int = 11,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ideal, voted, measured)`` from one margin GEMM.
+
+        The values, the rng consumption, the meter records and the spans
+        equal :meth:`eval` followed by :meth:`vote_and_measure` on the same
+        challenges and generator; the measurements reuse the margins the
+        ideal plane was decided from.  A fleet trial that needs its plane
+        and its reliability check runs this once.
+        """
+        challenges = self._check(challenges)
+        if repetitions <= 0:
+            raise ValueError("repetitions must be positive")
+        ideal, margins = self._ideal(challenges)
+        return (ideal, *self._vote_and_measure(challenges, repetitions, rng, margins))
+
+    def _vote_and_measure(
+        self,
+        challenges: np.ndarray,
+        repetitions: int,
+        rng: Optional[np.random.Generator],
+        margins: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        negatives, (measured,) = self._measure(challenges, repetitions, 1, rng, margins)
         voted = majority_from_negatives(negatives, repetitions)
         self._meter(challenges, voted, repetitions=repetitions)
         self._meter(challenges, measured, repetitions=1)
@@ -484,9 +521,11 @@ class Fleet:
         repetitions: int,
         extra: int,
         rng: Optional[np.random.Generator],
+        margins: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`noisy_measurements` over this fleet's margins, traced as
-        ``fleet.measure``; a default generator is made only if noise is drawn."""
+        """:func:`noisy_measurements` over this fleet's margins (built here
+        unless given), traced as ``fleet.measure``; a default generator is
+        made only if noise is drawn."""
         sigma = self.spec.noise_sigma
         if rng is None and sigma > 0:
             rng = np.random.default_rng()
@@ -497,13 +536,10 @@ class Fleet:
             m=challenges.shape[0],
             repetitions=repetitions + extra,
         ):
+            if margins is None:
+                margins = self.margins(challenges)
             return noisy_measurements(
-                self.margins(challenges),
-                sigma,
-                repetitions,
-                rng,
-                self.chain_offsets,
-                extra,
+                margins, sigma, repetitions, rng, self.chain_offsets, extra
             )
 
     def _meter(

@@ -475,22 +475,27 @@ def fleet_eval_trial(
     ``cache_dir`` is set; reliability needs fresh noisy measurements and
     is always computed live.
 
-    Work a store hit makes redundant is skipped, without changing any
-    value.  The fleet is built lazily, at most once: only when the plane
-    is generated (no store, or a store miss) or the noisy reliability
-    branch runs.  The build consumes only the fleet seed, so when it
-    happens does not matter.  The challenges are drawn only when the
-    plane is generated, or just before the noisy branch on a hit: the
-    measurement noise comes from the same generator right after the
-    challenge draw, so that branch must advance it past the draw.  A
-    noiseless store hit builds nothing and draws nothing, and, as
-    uniqueness is counted from the plane's row sums, runs no GEMM.
+    Each path computes the features and the margin GEMM at most once,
+    and work a store hit makes redundant is skipped, without changing any
+    value.  When the plane is generated (no store, or a store miss) and
+    the noisy reliability branch runs, the plane, the vote and the extra
+    measurement come from one :meth:`~repro.pufs.fleet.Fleet.eval_vote_and_measure`
+    pass: the measurement noise follows the challenge draw on the same
+    generator, and the store touches neither.  The fleet is built lazily,
+    at most once: only when the plane is generated or the noisy branch
+    runs on a hit.  The build consumes only the fleet seed, so when it
+    happens does not matter.  On a hit the challenges are drawn only
+    before the noisy branch, to advance the generator past the draw the
+    noise follows.  A noiseless store hit builds nothing and draws
+    nothing, and, as uniqueness is counted from the plane's row sums,
+    runs no GEMM.
     """
     fleet_seed, crp_seed = ctx.seed.spawn(2)
     fleet_spec = spec.fleet_spec()
     fleet: Optional[Fleet] = None
     rng = np.random.default_rng(crp_seed)
-    generated = False
+    noisy = spec.noise_sigma > 0 and spec.repetitions > 1
+    measured: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def built_fleet() -> Fleet:
         nonlocal fleet
@@ -499,10 +504,15 @@ def fleet_eval_trial(
         return fleet
 
     def generate():
-        nonlocal generated
-        generated = True
+        nonlocal measured
         challenges = uniform_challenges(spec.m, spec.n, rng)
-        return challenges, built_fleet().eval(challenges)
+        if not noisy:
+            return challenges, built_fleet().eval(challenges)
+        plane, voted, meas = built_fleet().eval_vote_and_measure(
+            challenges, spec.repetitions, rng
+        )
+        measured = voted, meas
+        return challenges, plane
 
     if cache_dir is not None:
         store = ArtifactStore(cache_dir, max_bytes=cache_max_bytes)
@@ -522,13 +532,14 @@ def fleet_eval_trial(
         response_plane_uniqueness(plane) if spec.size >= 2 else float("nan")
     )
     uniformity = plane_uniformity(plane)
-    if spec.noise_sigma > 0 and spec.repetitions > 1:
-        if not generated:
+    if noisy:
+        if measured is None:
             # A hit's rows are this draw; the noise must follow it.
             uniform_challenges(spec.m, spec.n, rng)
-        voted, meas = built_fleet().vote_and_measure(
-            challenges, spec.repetitions, rng
-        )
+            measured = built_fleet().vote_and_measure(
+                challenges, spec.repetitions, rng
+            )
+        voted, meas = measured
         reliability = np.count_nonzero(meas == voted) / meas.size
     else:
         reliability = 1.0

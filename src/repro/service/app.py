@@ -194,6 +194,7 @@ class ReproService:
         self._events: Dict[str, List[Dict[str, Any]]] = {}
         self._subscribers: Dict[str, Set["asyncio.Queue[Optional[dict]]"]] = {}
         self._finish_tasks: Set["asyncio.Task[None]"] = set()
+        self._connections: Set["asyncio.Task[Any]"] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_concurrent, thread_name_prefix="repro-job"
         )
@@ -241,9 +242,19 @@ class ReproService:
             await self._server.serve_forever()
 
     async def stop(self, cancel_running: bool = True) -> None:
-        """Stop accepting connections and wind down job execution."""
+        """Stop accepting connections and wind down job execution.
+
+        Open connections (a half-sent request, a live event stream) are
+        cancelled and awaited here, while the loop still runs, so none is
+        left to be torn down by the loop's close.
+        """
         if self._server is not None:
             self._server.close()
+        for task in self._connections:
+            task.cancel()
+        if self._connections:
+            await asyncio.gather(*tuple(self._connections), return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
         if cancel_running:
             for event in self._cancels.values():
@@ -305,11 +316,14 @@ class ReproService:
         satellite-4 fix: without the copy, concurrent jobs inherit the
         *same* ambient meter object through the executor threads and
         their query counts bleed into each other.
+
+        The ``running`` state is not persisted: ``job.json`` keeps the
+        ``queued`` record of submission (or adoption) until ``_finish``
+        saves the outcome, and adoption re-queues either state alike.
         """
         loop = asyncio.get_running_loop()
         job.state = "running"
         job.started_at = time.time()
-        self.store.save(job)
         self._publish(job.job_id, {"event": "status", "state": "running"})
         cancel = threading.Event()
         self._cancels[job.job_id] = cancel
@@ -402,11 +416,14 @@ class ReproService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             await self._serve_one(reader, writer)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -416,8 +433,9 @@ class ReproService:
     async def _serve_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        deadline = asyncio.get_running_loop().time() + HEAD_TIMEOUT_S
         try:
-            async with asyncio.timeout(HEAD_TIMEOUT_S):
+            async with asyncio.timeout_at(deadline):
                 head = await self._read_head(reader)
         except TimeoutError:
             return
@@ -433,6 +451,7 @@ class ReproService:
                     routes.error_response(413, "request body too large").encode()
                 )
                 await writer.drain()
+                await self._drop_body(reader, writer, length, deadline)
                 return
             body = await reader.readexactly(length) if length else b""
             request = routes.Request(method, path, query, headers, body)
@@ -462,6 +481,32 @@ class ReproService:
                 break
             tail = chunk[-3:]
         return None
+
+    @staticmethod
+    async def _drop_body(
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        length: int,
+        deadline: float,
+    ) -> None:
+        """Half-close, then read and drop up to ``length`` body bytes.
+
+        Closing over unread input resets the connection, which can
+        destroy the answer already sent before the client reads it.  The
+        body is read off until it ends, the client closes (the EOF sent
+        here tells a client that sent no body to), or the head deadline
+        passes; a trickling client gets no second window.
+        """
+        writer.write_eof()
+        try:
+            async with asyncio.timeout_at(deadline):
+                while length > 0:
+                    chunk = await reader.read(min(length, 1 << 16))
+                    if not chunk:
+                        break
+                    length -= len(chunk)
+        except TimeoutError:
+            pass
 
     async def _dispatch(
         self,

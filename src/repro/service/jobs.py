@@ -7,7 +7,9 @@ quota layer accounts under.  Each job owns a directory
 ``<data_dir>/jobs/<job_id>/`` holding
 
 * ``job.json`` — the job record (spec, state, progress, result), written
-  atomically on every transition so a killed server can re-adopt it;
+  atomically at submission, at adoption and when the job finishes, so a
+  killed server can re-adopt it (a job caught mid-run reads ``queued``,
+  which adoption re-queues as it would a ``running`` record);
 * ``ledger.jsonl`` / ``ledger-shardNN.jsonl`` + ``meta.json`` — the
   standard crash-safe :class:`~repro.telemetry.ledger.RunLedger` run
   directory the trials append to, which is exactly what makes restart
@@ -110,8 +112,10 @@ class JobSpec:
         )
 
     def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view (JSON-ready)."""
-        return dataclasses.asdict(self)
+        """Plain-dict view (JSON-ready), with a shallow copy of ``spec``."""
+        payload = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        payload["spec"] = dict(self.spec)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
@@ -142,9 +146,16 @@ class Job:
     result: Optional[Dict[str, Any]] = None
 
     def as_dict(self) -> Dict[str, Any]:
-        """The JSON view served by the API and persisted to ``job.json``."""
-        payload = dataclasses.asdict(self)
+        """The JSON view served by the API and persisted to ``job.json``.
+
+        Equal to ``dataclasses.asdict`` plus ``priority``, built without
+        its deep copy: ``spec`` and ``result`` are shallow copies, and the
+        values inside them are the record's own, which it never mutates.
+        """
+        payload = {name: getattr(self, name) for name in self.__dataclass_fields__}
         payload["spec"] = self.spec.as_dict()
+        if self.result is not None:
+            payload["result"] = dict(self.result)
         payload["priority"] = self.spec.effective_priority
         return payload
 

@@ -2,10 +2,11 @@
 
 ``child_states`` must reproduce ``SeedSequence(entropy, spawn_key=prefix
 + (start + i,)).generate_state(4, np.uint64)`` for every root a caller can
-hand a fleet: any non-negative entropy int (up to and past 128 bits), int
+hand a fleet: any non-negative entropy int (up to 256 bits), int
 sequences, freshly pooled ``SeedSequence()`` roots, and spawn-key prefixes
-that are empty, long, or hold words of 2**32 and above.  ``Fleet.build``
-weights must equal the frozen per-instance build loop of
+that are empty, short, long, or hold words of 2**32 and above; and for
+empty spans and spans that end at the last child index, 2**32 - 1.
+``Fleet.build`` weights must equal the frozen per-instance build loop of
 ``tests/_reference.py`` byte for byte for all four families, uniform
 and mixed-k XOR with correlation > 0, and weight sigmas other than 1
 (the stackers scale and mix one buffer of draws for the whole fleet).
@@ -23,7 +24,7 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 entropies = st.one_of(
     st.integers(0, 2**128 - 1),
-    st.integers(0, 2**200),
+    st.integers(0, 2**256 - 1),
     st.lists(st.integers(0, 2**70), min_size=0, max_size=6),
 )
 spawn_prefixes = st.lists(
@@ -46,15 +47,20 @@ def reference_states(root, start, count):
 @SETTINGS
 @given(
     entropy=entropies,
-    prefix=spawn_prefixes,
-    start=st.one_of(st.integers(0, 3), st.integers(2**32 - 9, 2**32 - 5)),
-    count=st.integers(0, 5),
+    prefix=st.one_of(spawn_prefixes, st.lists(st.integers(0, 2**32 - 1), max_size=3)),
+    span=st.one_of(
+        st.tuples(st.integers(0, 3), st.integers(0, 5)),
+        st.tuples(st.integers(2**32 - 9, 2**32 - 5), st.integers(0, 5)),
+        st.integers(0, 6).map(lambda count: (2**32 - count, count)),
+        st.tuples(st.integers(0, 2**32), st.just(0)),
+    ),
 )
-def test_child_states_equal_numpy_generate_state(entropy, prefix, start, count):
+def test_child_states_equal_numpy_generate_state(entropy, prefix, span):
+    start, count = span
     root = np.random.SeedSequence(entropy, spawn_key=tuple(prefix))
-    assert np.array_equal(
-        child_states(root, start, count), reference_states(root, start, count)
-    )
+    states = child_states(root, start, count)
+    assert states.shape == (count, 4) and states.dtype == np.uint64
+    assert np.array_equal(states, reference_states(root, start, count))
 
 
 @pytest.mark.parametrize(

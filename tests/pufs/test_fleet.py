@@ -264,6 +264,37 @@ def test_vote_and_measure_equals_vote_then_measurement(repetitions):
         fleet.vote_and_measure(c, 0, rng_b)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FleetSpec("xor", 12, 5, k=(2, 1, 3, 1, 2), noise_sigma=0.6),
+        FleetSpec("xor", 12, 6, k=4, noise_sigma=0.2),
+        FleetSpec("br", 8, 4, noise_sigma=0.3),
+        FleetSpec("arbiter", 12, 3, noise_sigma=0.0),
+    ],
+    ids=["mixed-xor", "xor4", "br", "noiseless"],
+)
+def test_eval_vote_and_measure_equals_eval_then_vote_and_measure(spec):
+    """Same values, rng consumption, meter records and spans from one GEMM."""
+    fleet = Fleet.build(spec, 17)
+    c = uniform_challenges(80, spec.n, np.random.default_rng(5))
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    with metered(QueryMeter()) as split_meter, recording() as split_spans:
+        ideal = fleet.eval(c)
+        voted, measured = fleet.vote_and_measure(c, 5, rng_a)
+    with metered(QueryMeter()) as fused_meter, recording() as fused_spans:
+        fused = fleet.eval_vote_and_measure(c, 5, rng_b)
+    for got, want in zip(fused, (ideal, voted, measured)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()
+    assert fused_meter.snapshot() == split_meter.snapshot()
+    assert [(s.name, s.attrs) for s in fused_spans.spans] == [
+        (s.name, s.attrs) for s in split_spans.spans
+    ]
+    with pytest.raises(ValueError):
+        fleet.eval_vote_and_measure(c, 0, rng_b)
+
+
 def test_measurements_record_fleet_measure_spans():
     fleet = Fleet.build(FleetSpec("ltf", 8, 3, noise_sigma=0.2), 1)
     c = uniform_challenges(16, 8, np.random.default_rng(0))

@@ -10,8 +10,9 @@ with exactly one complete entry surviving (winner-take-one); entries
 round-trip exactly through the flat bit-packed +/-1 codec, which rejects
 other values and discards a bit-flipped, truncated, mislabelled or
 older-format entry once;
-and a fleet trial builds its fleet only when a miss or the noisy
-reliability branch needs it.
+a fleet trial builds its fleet only when a miss or the noisy
+reliability branch needs it, and runs one margin GEMM on every path
+(none on a noiseless hit).
 """
 
 import dataclasses
@@ -676,6 +677,48 @@ class TestLazyFleetBuild:
             fleet_eval_trial, 3, 21, {"spec": spec}
         ).values()
         for a, b, c in zip(cold, warm, uncached):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
+
+
+# ----------------------------------------------------------------------
+# fleet_eval_trial computes its margins once on every path.
+# ----------------------------------------------------------------------
+class TestOneMarginPass:
+    @staticmethod
+    def run_counted(spec, cache_dir=None, trials=3):
+        from repro.kernels.backend import NumpyBackend, use_backend
+
+        class CountingBackend(NumpyBackend):
+            def __init__(self):
+                super().__init__()
+                self.calls = 0
+
+            def gemm(self, features, weights):
+                self.calls += 1
+                return super().gemm(features, weights)
+
+        kwargs = {"spec": spec}
+        if cache_dir is not None:
+            kwargs["cache_dir"] = str(cache_dir)
+        with use_backend(CountingBackend()) as backend:
+            report = TrialRunner(workers=1).run(fleet_eval_trial, trials, 21, kwargs)
+        report.raise_failures()
+        return report.values(), backend.calls
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("family", ["arbiter", "xor"])
+    def test_one_gemm_per_trial_on_every_path(self, tmp_path, family, noise_sigma):
+        spec = FleetEvalSpec(
+            family=family, n=16, size=8, k=2, m=120,
+            noise_sigma=noise_sigma, repetitions=3,
+        )
+        plain, plain_calls = self.run_counted(spec)
+        cold, miss_calls = self.run_counted(spec, tmp_path)
+        warm, hit_calls = self.run_counted(spec, tmp_path)
+        # A noiseless hit needs no margins: its plane comes from the store.
+        assert (plain_calls, miss_calls, hit_calls) == (3, 3, 3 if noise_sigma else 0)
+        for a, b, c in zip(plain, cold, warm):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
 

@@ -179,6 +179,20 @@ class TestHttpErrors:
         assert status == 413
         assert payload["error"]["message"] == "request body too large"
 
+    def test_oversized_body_sent_in_full_is_413_not_a_reset(self, live_service):
+        # The client has already sent its whole 3 MiB body when it reads;
+        # the server must read it off before closing, or the close resets
+        # the connection and the 413 is lost.
+        live = live_service()
+        body = b"x" * (3 * routes.MAX_BODY_BYTES)
+        status, payload = raw_exchange(
+            live,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body,
+        )
+        assert status == 413
+        assert payload["error"]["message"] == "request body too large"
+
 
 def raw_exchange(live, head: bytes):
     """Send ``head`` over a raw socket; return (status, JSON body) of the reply."""
@@ -418,6 +432,47 @@ class TestAdoption:
         client = live.client()
         assert client.job("job-olddone0000")["state"] == "done"
         assert live.call(len, live.service._queue) == 0
+
+
+class TestJobRecordWrites:
+    def test_served_job_writes_job_json_at_submit_and_finish(
+        self, live_service, monkeypatch
+    ):
+        saves = []
+        original = JobStore.save
+
+        def counted(store, job):
+            saves.append(job.state)
+            original(store, job)
+
+        monkeypatch.setattr(JobStore, "save", counted)
+        live = live_service()
+        client = live.client()
+        job = client.submit(workload="fleet", trials=3, seed=7, spec=FLEET_SPEC)
+        assert client.wait(job["job_id"], timeout=60)["state"] == "done"
+        assert saves == ["queued", "done"]
+
+
+class TestStop:
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_stop_closes_a_connection_mid_head(self, tmp_path):
+        import gc
+
+        from repro.service.app import ReproService
+        from tests.service.conftest import LiveService
+
+        live = LiveService(ReproService(tmp_path / "svc", port=0)).start()
+        with socket.create_connection(
+            (live.service.host, live.service.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nX-Half: ")
+            deadline = time.monotonic() + 10
+            while not live.call(lambda: len(live.service._connections)):
+                assert time.monotonic() < deadline, "connection never accepted"
+                time.sleep(0.01)
+            live.stop()
+            assert sock.recv(1024) == b""  # closed by the server, not reset
+        gc.collect()  # a handler left pending would be torn down here
 
 
 class TestServiceInfo:

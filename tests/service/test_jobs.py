@@ -1,5 +1,7 @@
 """The job model: workload registry, spec validation, persistence, queue."""
 
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -146,6 +148,63 @@ class TestJobPersistence:
     def test_as_dict_reports_effective_priority(self):
         job = Job(job_id="job-p", spec=JobSpec(workload="fleet", trials=500))
         assert job.as_dict()["priority"] == PRIORITY_BATCH
+
+
+def finished_job() -> Job:
+    """A job record with every field set, nested values included."""
+    spec = JobSpec(
+        workload="fleet",
+        spec={"size": 4, "k": [2, 1, 3, 1], "family": "xor"},
+        trials=2,
+        seed=9,
+        budget=10_000,
+        api_key="k-1",
+    )
+    return Job(
+        job_id="job-full",
+        spec=spec,
+        state="done",
+        created_at=1.5,
+        started_at=2.5,
+        finished_at=3.5,
+        completed_trials=2,
+        adopted=True,
+        result={"digest": "sha256:00", "values": [[0.5, 0.25, 1.0], [0.4, 0.5, 0.9]]},
+    )
+
+
+class TestJobRecordView:
+    """``as_dict`` builds the record directly instead of deep-copying it."""
+
+    def test_equals_the_dataclasses_asdict_view(self):
+        for job in (finished_job(), Job(job_id="job-q", spec=JobSpec("skew"))):
+            old = dataclasses.asdict(job)
+            old["spec"] = dataclasses.asdict(job.spec)
+            old["priority"] = job.spec.effective_priority
+            assert job.as_dict() == old
+            assert json.dumps(job.as_dict(), sort_keys=True) == json.dumps(
+                old, sort_keys=True
+            )
+            assert job.spec.as_dict() == dataclasses.asdict(job.spec)
+
+    def test_survives_a_from_dict_round_trip(self):
+        job = finished_job()
+        assert Job.from_dict(job.as_dict()) == job
+        assert Job.from_dict(json.loads(json.dumps(job.as_dict()))) == job
+
+    def test_shares_no_dict_with_the_job(self):
+        job = finished_job()
+        before = copy.deepcopy(job)
+        payload = job.as_dict()
+        assert payload["spec"]["spec"] is not job.spec.spec
+        assert payload["result"] is not job.result
+        payload["state"] = "failed"
+        payload["spec"]["trials"] = 99
+        payload["spec"]["spec"]["size"] = 99
+        payload["spec"]["spec"]["extra"] = 1
+        payload["result"]["digest"] = "sha256:ff"
+        payload["result"].pop("values")
+        assert job == before
 
 
 class TestValuesDigest:
