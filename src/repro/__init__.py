@@ -33,35 +33,73 @@ Quickstart::
         print(row.summary())
 """
 
-import importlib
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "automata",
-    "booleanfuncs",
-    "learning",
-    "locking",
-    "pac",
-    "property_testing",
-    "pufs",
-    "__version__",
-]
 
+def _lazy_exports(package, exports):
+    """PEP 562 hooks that import a package's public names on first use.
 
-_SUBPACKAGES = frozenset(__all__) - {"__version__"}
+    ``exports`` maps each submodule of ``package`` (relative name) to the
+    names it defines that the package re-exports, or to ``None`` when the
+    submodule itself is the export.  Returns ``(__all__, __getattr__,
+    __dir__)`` for the package's ``__init__``: importing the package loads
+    no submodule, the first access to a name imports its submodule and
+    binds all of that submodule's exports on the package (later accesses
+    bypass the hook), ``from package import *`` binds every name, and
+    ``dir(package)`` lists them before they are loaded.
 
-
-def __getattr__(name: str):
-    """Import the subpackage ``repro.<name>`` on first attribute access (PEP 562).
-
-    ``import repro`` loads no subpackage, so a process pays only for the
-    subpackages its command uses.  ``repro.pufs.ArbiterPUF`` and
-    ``from repro import *`` still work: the first access imports the
-    subpackage, which then binds itself as an attribute of ``repro`` and
-    bypasses this hook from then on.
+    A submodule that exports a name equal to its own is imported at once:
+    importing it later, by any route, would bind the package attribute to
+    the module rather than to the name it exports.
     """
-    if name in _SUBPACKAGES:
-        return importlib.import_module(f"repro.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    import sys
+
+    where = {}
+    for module, names in exports.items():
+        for name in (module,) if names is None else names:
+            where[name] = module
+
+    def bind(module):
+        # Importing a submodule binds it on its package; its exported
+        # names are bound here.
+        submodule = importlib.import_module(f"{package}.{module}")
+        namespace = vars(sys.modules[package])
+        for name in exports[module] or ():
+            namespace[name] = getattr(submodule, name)
+
+    def __getattr__(name):
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        bind(where[name])
+        return vars(sys.modules[package])[name]
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(where))
+
+    for module, names in exports.items():
+        if names is not None and module in names:
+            bind(module)
+    return list(where), __getattr__, __dir__
+
+
+# ``import repro`` loads no subpackage, so a process pays only for the
+# subpackages its command uses; ``repro.pufs.ArbiterPUF`` and ``from repro
+# import *`` import them on first use.
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        name: None
+        for name in (
+            "analysis",
+            "automata",
+            "booleanfuncs",
+            "learning",
+            "locking",
+            "pac",
+            "property_testing",
+            "pufs",
+        )
+    },
+)
+__all__.append("__version__")

@@ -897,6 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
             "src/repro/learning/reliability_attack.py",
             "src/repro/pufs/cdc_xor.py",
             "src/repro/analysis/atlas.py",
+            "src/repro/analysis/atlas_spec.py",
             "src/repro/tooling/bench.py",
         ],
         help="files or directories to measure",

@@ -4,7 +4,12 @@ Shared between the L* learner (:mod:`repro.learning.angluin`) and the
 sequential logic-locking substrate (:mod:`repro.locking.sequential`).
 """
 
-from repro.automata.dfa import DFA
-from repro.automata.mealy import MealyMachine
+from repro import _lazy_exports
 
-__all__ = ["DFA", "MealyMachine"]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "dfa": ("DFA",),
+        "mealy": ("MealyMachine",),
+    },
+)

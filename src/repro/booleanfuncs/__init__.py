@@ -10,91 +10,58 @@ All functions use the +/-1 encoding ``chi(0) = +1``, ``chi(1) = -1`` from
 Section III-A of the paper unless stated otherwise.
 """
 
-from repro.booleanfuncs.encoding import (
-    bits_to_pm1,
-    pm1_to_bits,
-    parity,
-    chi,
-    enumerate_cube,
-    random_pm1,
-    flip_noise,
-)
-from repro.booleanfuncs.function import BooleanFunction
-from repro.booleanfuncs.fourier import (
-    walsh_hadamard,
-    inverse_walsh_hadamard,
-    fourier_spectrum,
-    estimate_fourier_coefficient,
-    spectral_weight_by_degree,
-    low_degree_projection,
-)
-from repro.booleanfuncs.noise_sensitivity import (
-    noise_sensitivity_exact,
-    noise_sensitivity_mc,
-    noise_stability_exact,
-    ltf_noise_sensitivity_bound,
-    xor_of_ltfs_noise_sensitivity_bound,
-)
-from repro.booleanfuncs.influences import (
-    influence_exact,
-    influences_exact,
-    total_influence_exact,
-    influence_mc,
-    junta_coordinates,
-)
-from repro.booleanfuncs.ltf import (
-    LTF,
-    chow_parameters_exact,
-    estimate_chow_parameters,
-    ltf_from_chow_parameters,
-    integer_weight_approximation,
-    regularity,
-)
-from repro.booleanfuncs.polynomials import SparseF2Polynomial, XorOfTerms
-from repro.booleanfuncs.sensitivity import (
-    average_sensitivity,
-    block_sensitivity,
-    block_sensitivity_at,
-    max_sensitivity,
-    sensitivity_at,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BooleanFunction",
-    "LTF",
-    "SparseF2Polynomial",
-    "XorOfTerms",
-    "bits_to_pm1",
-    "pm1_to_bits",
-    "parity",
-    "chi",
-    "enumerate_cube",
-    "random_pm1",
-    "flip_noise",
-    "walsh_hadamard",
-    "inverse_walsh_hadamard",
-    "fourier_spectrum",
-    "estimate_fourier_coefficient",
-    "spectral_weight_by_degree",
-    "low_degree_projection",
-    "noise_sensitivity_exact",
-    "noise_sensitivity_mc",
-    "noise_stability_exact",
-    "ltf_noise_sensitivity_bound",
-    "xor_of_ltfs_noise_sensitivity_bound",
-    "influence_exact",
-    "influences_exact",
-    "total_influence_exact",
-    "influence_mc",
-    "junta_coordinates",
-    "sensitivity_at",
-    "max_sensitivity",
-    "average_sensitivity",
-    "block_sensitivity_at",
-    "block_sensitivity",
-    "chow_parameters_exact",
-    "estimate_chow_parameters",
-    "ltf_from_chow_parameters",
-    "integer_weight_approximation",
-    "regularity",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "encoding": (
+            "bits_to_pm1",
+            "pm1_to_bits",
+            "parity",
+            "chi",
+            "enumerate_cube",
+            "random_pm1",
+            "flip_noise",
+        ),
+        "function": ("BooleanFunction",),
+        "fourier": (
+            "walsh_hadamard",
+            "inverse_walsh_hadamard",
+            "fourier_spectrum",
+            "estimate_fourier_coefficient",
+            "spectral_weight_by_degree",
+            "low_degree_projection",
+        ),
+        "noise_sensitivity": (
+            "noise_sensitivity_exact",
+            "noise_sensitivity_mc",
+            "noise_stability_exact",
+            "ltf_noise_sensitivity_bound",
+            "xor_of_ltfs_noise_sensitivity_bound",
+        ),
+        "influences": (
+            "influence_exact",
+            "influences_exact",
+            "total_influence_exact",
+            "influence_mc",
+            "junta_coordinates",
+        ),
+        "ltf": (
+            "LTF",
+            "chow_parameters_exact",
+            "estimate_chow_parameters",
+            "ltf_from_chow_parameters",
+            "integer_weight_approximation",
+            "regularity",
+        ),
+        "polynomials": ("SparseF2Polynomial", "XorOfTerms"),
+        "sensitivity": (
+            "sensitivity_at",
+            "max_sensitivity",
+            "average_sensitivity",
+            "block_sensitivity_at",
+            "block_sensitivity",
+        ),
+    },
+)

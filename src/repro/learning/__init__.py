@@ -17,101 +17,54 @@ All example-based learners consume +/-1 challenge matrices and +/-1 labels;
 oracles live in :mod:`repro.learning.oracles`.
 """
 
-from repro.learning.oracles import (
-    ExampleOracle,
-    MembershipOracle,
-    QueryBudgetExceeded,
-    SimulatedEquivalenceOracle,
-    angluin_eq_sample_size,
-)
-from repro.learning.active import (
-    STRATEGY_NAMES,
-    ActiveRunResult,
-    CommitteeStrategy,
-    FastSlowStrategy,
-    PassiveStrategy,
-    Trajectory,
-    UncertaintyStrategy,
-    collect_trajectory,
-    evaluate_trajectory,
-    make_strategy,
-    run_active_attack,
-)
-from repro.learning.metrics import accuracy, error_rate, evaluate_hypothesis
-from repro.learning.perceptron import Perceptron, PerceptronResult
-from repro.learning.logistic import LogisticAttack, LogisticResult
-from repro.learning.lmn import LMNLearner, LMNResult
-from repro.learning.chow import ChowLearner, ChowResult
-from repro.learning.learn_poly import LearnPoly, LearnPolyResult
-from repro.learning.angluin import LStarLearner, LStarResult
-from repro.learning.boosting import AdaBoost, AdaBoostResult
-from repro.learning.evolution import ESResult, EvolutionStrategiesAttack
-from repro.learning.interpose_attack import (
-    InterposeAttackResult,
-    InterposeSplittingAttack,
-    attack_interpose_puf,
-)
-from repro.learning.kushilevitz_mansour import KushilevitzMansour, KMResult
-from repro.learning.mlp import MLPAttack, MLPResult
-from repro.learning.reliability_attack import (
-    CMAReliabilityAttack,
-    MultiReliabilityResult,
-    ReliabilityAttack,
-    ReliabilityAttackResult,
-)
-from repro.learning.statistical_query import SQChowLearner, SQChowResult, SQOracle
-from repro.learning.xor_logistic import XorLogisticAttack, XorLogisticResult
+from repro import _lazy_exports
 
-__all__ = [
-    "STRATEGY_NAMES",
-    "ActiveRunResult",
-    "CommitteeStrategy",
-    "FastSlowStrategy",
-    "PassiveStrategy",
-    "Trajectory",
-    "UncertaintyStrategy",
-    "collect_trajectory",
-    "evaluate_trajectory",
-    "make_strategy",
-    "run_active_attack",
-    "ExampleOracle",
-    "MembershipOracle",
-    "QueryBudgetExceeded",
-    "SimulatedEquivalenceOracle",
-    "angluin_eq_sample_size",
-    "accuracy",
-    "error_rate",
-    "evaluate_hypothesis",
-    "Perceptron",
-    "PerceptronResult",
-    "LogisticAttack",
-    "LogisticResult",
-    "LMNLearner",
-    "LMNResult",
-    "ChowLearner",
-    "ChowResult",
-    "LearnPoly",
-    "LearnPolyResult",
-    "LStarLearner",
-    "LStarResult",
-    "AdaBoost",
-    "AdaBoostResult",
-    "EvolutionStrategiesAttack",
-    "ESResult",
-    "InterposeSplittingAttack",
-    "InterposeAttackResult",
-    "attack_interpose_puf",
-    "KushilevitzMansour",
-    "KMResult",
-    "MLPAttack",
-    "MLPResult",
-    "XorLogisticAttack",
-    "XorLogisticResult",
-    "SQOracle",
-    "SQChowLearner",
-    "SQChowResult",
-    "ReliabilityAttack",
-    "ReliabilityAttackResult",
-    "CMAReliabilityAttack",
-    "MultiReliabilityResult",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "oracles": (
+            "ExampleOracle",
+            "MembershipOracle",
+            "QueryBudgetExceeded",
+            "SimulatedEquivalenceOracle",
+            "angluin_eq_sample_size",
+        ),
+        "active": (
+            "STRATEGY_NAMES",
+            "ActiveRunResult",
+            "CommitteeStrategy",
+            "FastSlowStrategy",
+            "PassiveStrategy",
+            "Trajectory",
+            "UncertaintyStrategy",
+            "collect_trajectory",
+            "evaluate_trajectory",
+            "make_strategy",
+            "run_active_attack",
+        ),
+        "metrics": ("accuracy", "error_rate", "evaluate_hypothesis"),
+        "perceptron": ("Perceptron", "PerceptronResult"),
+        "logistic": ("LogisticAttack", "LogisticResult"),
+        "lmn": ("LMNLearner", "LMNResult"),
+        "chow": ("ChowLearner", "ChowResult"),
+        "learn_poly": ("LearnPoly", "LearnPolyResult"),
+        "angluin": ("LStarLearner", "LStarResult"),
+        "boosting": ("AdaBoost", "AdaBoostResult"),
+        "evolution": ("EvolutionStrategiesAttack", "ESResult"),
+        "interpose_attack": (
+            "InterposeSplittingAttack",
+            "InterposeAttackResult",
+            "attack_interpose_puf",
+        ),
+        "kushilevitz_mansour": ("KushilevitzMansour", "KMResult"),
+        "mlp": ("MLPAttack", "MLPResult"),
+        "reliability_attack": (
+            "ReliabilityAttack",
+            "ReliabilityAttackResult",
+            "CMAReliabilityAttack",
+            "MultiReliabilityResult",
+        ),
+        "statistical_query": ("SQOracle", "SQChowLearner", "SQChowResult"),
+        "xor_logistic": ("XorLogisticAttack", "XorLogisticResult"),
+    },
+)

@@ -16,80 +16,38 @@ stack from scratch:
   L* learner of :mod:`repro.learning.angluin` (Section V-B).
 """
 
-from repro.locking.netlist import Gate, GateType, Netlist
-from repro.locking.bench_format import parse_bench, write_bench
-from repro.locking.circuits import (
-    array_multiplier,
-    c17,
-    comparator,
-    multiplexer_tree,
-    present_sbox,
-    random_circuit,
-    ripple_carry_adder,
-)
-from repro.locking.metrics import CorruptionReport, corruption_report
-from repro.locking.cnf import CNF, tseitin_encode
-from repro.locking.solver import SATSolver, Satisfiability
-from repro.locking.combinational import LockedCircuit, random_lock
-from repro.locking.antisat import antisat
-from repro.locking.compound import compound_lock
-from repro.locking.sarlock import sarlock
-from repro.locking.sat_attack import SATAttack, SATAttackResult
-from repro.locking.appsat import AppSAT, AppSATResult
-from repro.locking.sequential import (
-    LockedFSM,
-    harpoon_lock,
-    unlock_by_lstar,
-)
-from repro.locking.synthesis import synthesize_truth_table, minimize_cubes
-from repro.locking.unroll import (
-    LockedSequentialCircuit,
-    lock_sequential,
-    unroll,
-)
-from repro.locking.sequential_netlist import (
-    SequentialCircuit,
-    synthesize_mealy,
-    encode_alphabet,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Gate",
-    "GateType",
-    "Netlist",
-    "parse_bench",
-    "write_bench",
-    "c17",
-    "present_sbox",
-    "array_multiplier",
-    "multiplexer_tree",
-    "CorruptionReport",
-    "corruption_report",
-    "random_circuit",
-    "ripple_carry_adder",
-    "comparator",
-    "CNF",
-    "tseitin_encode",
-    "SATSolver",
-    "Satisfiability",
-    "LockedCircuit",
-    "random_lock",
-    "sarlock",
-    "antisat",
-    "compound_lock",
-    "SATAttack",
-    "SATAttackResult",
-    "AppSAT",
-    "AppSATResult",
-    "LockedFSM",
-    "harpoon_lock",
-    "unlock_by_lstar",
-    "synthesize_truth_table",
-    "minimize_cubes",
-    "SequentialCircuit",
-    "synthesize_mealy",
-    "encode_alphabet",
-    "LockedSequentialCircuit",
-    "lock_sequential",
-    "unroll",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "netlist": ("Gate", "GateType", "Netlist"),
+        "bench_format": ("parse_bench", "write_bench"),
+        "circuits": (
+            "c17",
+            "present_sbox",
+            "array_multiplier",
+            "multiplexer_tree",
+            "random_circuit",
+            "ripple_carry_adder",
+            "comparator",
+        ),
+        "metrics": ("CorruptionReport", "corruption_report"),
+        "cnf": ("CNF", "tseitin_encode"),
+        "solver": ("SATSolver", "Satisfiability"),
+        "combinational": ("LockedCircuit", "random_lock"),
+        "antisat": ("antisat",),
+        "compound": ("compound_lock",),
+        "sarlock": ("sarlock",),
+        "sat_attack": ("SATAttack", "SATAttackResult"),
+        "appsat": ("AppSAT", "AppSATResult"),
+        "sequential": ("LockedFSM", "harpoon_lock", "unlock_by_lstar"),
+        "synthesis": ("synthesize_truth_table", "minimize_cubes"),
+        "unroll": ("LockedSequentialCircuit", "lock_sequential", "unroll"),
+        "sequential_netlist": (
+            "SequentialCircuit",
+            "synthesize_mealy",
+            "encode_alphabet",
+        ),
+    },
+)

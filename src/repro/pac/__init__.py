@@ -16,100 +16,62 @@ Arbiter PUFs under each model — the verdicts the paper shows to disagree
 when the model is changed, which is exactly the "pitfall".
 """
 
-from repro.pac.framework import (
-    PACParameters,
-    Distribution,
-    AccessType,
-    HypothesisClass,
-    blumer_sample_bound,
-)
-from repro.pac.bounds import (
-    vc_dim_xor_arbiter,
-    perceptron_bound,
-    general_vc_bound,
-    lmn_bound_log10,
-    lmn_bound,
-    learnpoly_bound,
-    bourgain_junta_size,
-    TABLE1_SETTINGS,
-)
-from repro.pac.adversary import (
-    AdversaryModel,
-    PERCEPTRON_ADVERSARY,
-    GENERAL_UNIFORM_ADVERSARY,
-    LMN_ADVERSARY,
-    LEARNPOLY_ADVERSARY,
-    comparable,
-    dominates,
-)
-from repro.pac.audit import (
-    ClaimKind,
-    TransferAudit,
-    TransferVerdict,
-    audit_assessments,
-    audit_transfer,
-)
-from repro.pac.bounds import (
-    bound_with_noise,
-    km_query_bound,
-    noisy_sample_inflation,
-    sq_chow_example_bound,
-    sq_chow_query_count,
-)
-from repro.pac.circuit_bounds import (
-    CircuitClassAssessment,
-    ac0_distribution_free_time_log10,
-    ac0_uniform_lmn_sample_log10,
-    assess_circuit_learnability,
-    assess_netlist_learnability,
-)
-from repro.pac.assessment import (
-    XorArbiterSpec,
-    Assessment,
-    Verdict,
-    assess_xor_arbiter,
-    table1_rows,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "PACParameters",
-    "Distribution",
-    "AccessType",
-    "HypothesisClass",
-    "blumer_sample_bound",
-    "vc_dim_xor_arbiter",
-    "perceptron_bound",
-    "general_vc_bound",
-    "lmn_bound_log10",
-    "lmn_bound",
-    "learnpoly_bound",
-    "bourgain_junta_size",
-    "TABLE1_SETTINGS",
-    "AdversaryModel",
-    "comparable",
-    "dominates",
-    "ClaimKind",
-    "TransferAudit",
-    "TransferVerdict",
-    "audit_transfer",
-    "audit_assessments",
-    "bound_with_noise",
-    "km_query_bound",
-    "noisy_sample_inflation",
-    "sq_chow_example_bound",
-    "sq_chow_query_count",
-    "CircuitClassAssessment",
-    "ac0_distribution_free_time_log10",
-    "ac0_uniform_lmn_sample_log10",
-    "assess_circuit_learnability",
-    "assess_netlist_learnability",
-    "PERCEPTRON_ADVERSARY",
-    "GENERAL_UNIFORM_ADVERSARY",
-    "LMN_ADVERSARY",
-    "LEARNPOLY_ADVERSARY",
-    "XorArbiterSpec",
-    "Assessment",
-    "Verdict",
-    "assess_xor_arbiter",
-    "table1_rows",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "framework": (
+            "PACParameters",
+            "Distribution",
+            "AccessType",
+            "HypothesisClass",
+            "blumer_sample_bound",
+        ),
+        "bounds": (
+            "vc_dim_xor_arbiter",
+            "perceptron_bound",
+            "general_vc_bound",
+            "lmn_bound_log10",
+            "lmn_bound",
+            "learnpoly_bound",
+            "bourgain_junta_size",
+            "TABLE1_SETTINGS",
+            "bound_with_noise",
+            "km_query_bound",
+            "noisy_sample_inflation",
+            "sq_chow_example_bound",
+            "sq_chow_query_count",
+        ),
+        "adversary": (
+            "AdversaryModel",
+            "comparable",
+            "dominates",
+            "PERCEPTRON_ADVERSARY",
+            "GENERAL_UNIFORM_ADVERSARY",
+            "LMN_ADVERSARY",
+            "LEARNPOLY_ADVERSARY",
+        ),
+        "audit": (
+            "ClaimKind",
+            "TransferAudit",
+            "TransferVerdict",
+            "audit_transfer",
+            "audit_assessments",
+        ),
+        "circuit_bounds": (
+            "CircuitClassAssessment",
+            "ac0_distribution_free_time_log10",
+            "ac0_uniform_lmn_sample_log10",
+            "assess_circuit_learnability",
+            "assess_netlist_learnability",
+        ),
+        "assessment": (
+            "XorArbiterSpec",
+            "Assessment",
+            "Verdict",
+            "assess_xor_arbiter",
+            "table1_rows",
+        ),
+    },
+)

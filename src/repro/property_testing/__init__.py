@@ -5,29 +5,23 @@ used in the paper's Table III experiment, plus empirical distance
 estimators used to cross-check its verdicts.
 """
 
-from repro.property_testing.halfspace_tester import (
-    HalfspaceTester,
-    HalfspaceTestResult,
-    degree1_weight_ustat,
-    expected_degree1_weight,
-)
-from repro.property_testing.halfspace_tester import degree1_weight_coordinate
-from repro.property_testing.junta_tester import JuntaTester, JuntaTestResult
-from repro.property_testing.distance import (
-    best_ltf_agreement,
-    empirical_min_distance,
-    exact_min_distance_small_n,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "HalfspaceTester",
-    "HalfspaceTestResult",
-    "degree1_weight_ustat",
-    "expected_degree1_weight",
-    "degree1_weight_coordinate",
-    "JuntaTester",
-    "JuntaTestResult",
-    "best_ltf_agreement",
-    "empirical_min_distance",
-    "exact_min_distance_small_n",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "halfspace_tester": (
+            "HalfspaceTester",
+            "HalfspaceTestResult",
+            "degree1_weight_ustat",
+            "expected_degree1_weight",
+            "degree1_weight_coordinate",
+        ),
+        "junta_tester": ("JuntaTester", "JuntaTestResult"),
+        "distance": (
+            "best_ltf_agreement",
+            "empirical_min_distance",
+            "exact_min_distance_small_n",
+        ),
+    },
+)

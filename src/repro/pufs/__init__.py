@@ -21,87 +21,69 @@ literature:
 All PUFs share the :class:`PUF` interface: challenges and responses are
 +/-1 arrays (chi(0)=+1, chi(1)=-1), and every PUF exposes both a noise-free
 ideal evaluation and a noisy measurement model.
+
+Like the other subpackages, this one imports the module behind an
+exported name on first access to it, except the PUF family modules:
+they load with the package, so that after ``import repro.pufs``
+``PUF.__subclasses__()`` lists every family (tracers find the single-PUF
+``eval`` methods that way).  CRP sets, fleets, noise helpers, I/O and
+metrics load on first use.
 """
 
-from repro.pufs.base import PUF
-from repro.pufs.arbiter import ArbiterPUF, parity_transform
-from repro.pufs.xor_arbiter import XORArbiterPUF
-from repro.pufs.cdc_xor import (
-    CDCXORArbiterPUF,
-    default_shifts,
-    derive_component_challenges,
-)
-from repro.pufs.bistable_ring import BistableRingPUF
-from repro.pufs.feed_forward import FeedForwardArbiterPUF
-from repro.pufs.interpose import InterposePUF
-from repro.pufs.ring_oscillator import (
-    RingOscillatorPUF,
-    predict_from_scores,
-    sorting_attack,
-)
-from repro.pufs.crp import CRPSet, generate_crps, uniform_challenges, biased_challenges
-from repro.pufs.fleet import (
-    FLEET_FAMILIES,
-    Fleet,
-    FleetSpec,
-    eval_instance,
-    instance_margin,
-)
-from repro.pufs.noise import majority_vote, stable_challenge_mask, collect_stable_crps
-from repro.pufs.io import load_puf, save_puf
-from repro.pufs.metrics import (
-    uniformity,
-    response_bias,
-    reliability,
-    uniqueness,
-    expected_bias,
-    bit_aliasing,
-    fleet_bit_aliasing,
-    fleet_reliability,
-    fleet_uniformity,
-    fleet_uniqueness,
-    response_plane_uniqueness,
-    xor_reliability_prediction,
+from repro import _lazy_exports
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "base": ("PUF",),
+        "arbiter": ("ArbiterPUF", "parity_transform"),
+        "xor_arbiter": ("XORArbiterPUF",),
+        "cdc_xor": (
+            "CDCXORArbiterPUF",
+            "default_shifts",
+            "derive_component_challenges",
+        ),
+        "bistable_ring": ("BistableRingPUF",),
+        "feed_forward": ("FeedForwardArbiterPUF",),
+        "interpose": ("InterposePUF",),
+        "ring_oscillator": (
+            "RingOscillatorPUF",
+            "predict_from_scores",
+            "sorting_attack",
+        ),
+        "crp": ("CRPSet", "generate_crps", "uniform_challenges", "biased_challenges"),
+        "fleet": (
+            "FLEET_FAMILIES",
+            "Fleet",
+            "FleetSpec",
+            "eval_instance",
+            "instance_margin",
+        ),
+        "noise": ("majority_vote", "stable_challenge_mask", "collect_stable_crps"),
+        "io": ("load_puf", "save_puf"),
+        "metrics": (
+            "uniformity",
+            "response_bias",
+            "reliability",
+            "uniqueness",
+            "expected_bias",
+            "bit_aliasing",
+            "fleet_bit_aliasing",
+            "fleet_reliability",
+            "fleet_uniformity",
+            "fleet_uniqueness",
+            "response_plane_uniqueness",
+            "xor_reliability_prediction",
+        ),
+    },
 )
 
-__all__ = [
-    "PUF",
-    "ArbiterPUF",
-    "XORArbiterPUF",
-    "CDCXORArbiterPUF",
-    "default_shifts",
-    "derive_component_challenges",
-    "BistableRingPUF",
-    "FeedForwardArbiterPUF",
-    "InterposePUF",
-    "RingOscillatorPUF",
-    "predict_from_scores",
-    "sorting_attack",
-    "parity_transform",
-    "FLEET_FAMILIES",
-    "Fleet",
-    "FleetSpec",
-    "eval_instance",
-    "instance_margin",
-    "CRPSet",
-    "generate_crps",
-    "uniform_challenges",
-    "biased_challenges",
-    "majority_vote",
-    "stable_challenge_mask",
-    "collect_stable_crps",
-    "load_puf",
-    "save_puf",
-    "uniformity",
-    "response_bias",
-    "reliability",
-    "uniqueness",
-    "expected_bias",
-    "bit_aliasing",
-    "fleet_bit_aliasing",
-    "fleet_reliability",
-    "fleet_uniformity",
-    "fleet_uniqueness",
-    "response_plane_uniqueness",
-    "xor_reliability_prediction",
-]
+from repro.pufs import (  # noqa: E402  (the families load with the package)
+    arbiter,
+    bistable_ring,
+    cdc_xor,
+    feed_forward,
+    interpose,
+    ring_oscillator,
+    xor_arbiter,
+)

@@ -25,55 +25,31 @@ Picklable standard workloads live in :mod:`repro.runtime.workloads`
 (imported explicitly, not re-exported, to keep this package import-light).
 """
 
-from repro.runtime.chunking import (
-    DEFAULT_BLOCK_SIZE,
-    eval_blocked,
-    eval_noisy_blocked,
-    generate_crps_blocked,
-    iter_blocks,
-)
-from repro.runtime.runner import (
-    RetryPolicy,
-    TrialContext,
-    TrialError,
-    TrialFailure,
-    TrialReport,
-    TrialResult,
-    TrialRunner,
-    result_from_record,
-    trial_record,
-)
-from repro.runtime.seeding import as_seed_sequence, fan_out, trial_rng, trial_seed
-from repro.runtime.sharding import (
-    WorkStealingScheduler,
-    partition_items,
-    run_sharded,
-)
-from repro.runtime.store import ArtifactStore, artifact_digest, hash_challenges
+from repro import _lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "artifact_digest",
-    "hash_challenges",
-    "WorkStealingScheduler",
-    "partition_items",
-    "run_sharded",
-    "DEFAULT_BLOCK_SIZE",
-    "eval_blocked",
-    "eval_noisy_blocked",
-    "generate_crps_blocked",
-    "iter_blocks",
-    "RetryPolicy",
-    "TrialContext",
-    "TrialError",
-    "TrialFailure",
-    "TrialReport",
-    "TrialResult",
-    "TrialRunner",
-    "result_from_record",
-    "trial_record",
-    "as_seed_sequence",
-    "fan_out",
-    "trial_rng",
-    "trial_seed",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "chunking": (
+            "DEFAULT_BLOCK_SIZE",
+            "eval_blocked",
+            "eval_noisy_blocked",
+            "generate_crps_blocked",
+            "iter_blocks",
+        ),
+        "runner": (
+            "RetryPolicy",
+            "TrialContext",
+            "TrialError",
+            "TrialFailure",
+            "TrialReport",
+            "TrialResult",
+            "TrialRunner",
+            "result_from_record",
+            "trial_record",
+        ),
+        "seeding": ("as_seed_sequence", "fan_out", "trial_rng", "trial_seed"),
+        "sharding": ("WorkStealingScheduler", "partition_items", "run_sharded"),
+        "store": ("ArtifactStore", "artifact_digest", "hash_challenges"),
+    },
+)

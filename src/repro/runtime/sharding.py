@@ -53,8 +53,7 @@ import threading
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,6 +69,8 @@ from repro.runtime.runner import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.telemetry.ledger import RunLedger
 
 #: One schedulable unit: ``(trial index, its SeedSequence)``.
@@ -186,7 +187,13 @@ def _exit_with_parent(parent_pid: int) -> None:
 
 
 def _new_pool(workers: int) -> ProcessPoolExecutor:
-    """A process pool whose workers do not outlive this process."""
+    """A process pool whose workers do not outlive this process.
+
+    The pool machinery (``concurrent.futures.process``, which loads
+    ``multiprocessing``) is imported here, so a serial run never loads it.
+    """
+    from concurrent.futures.process import ProcessPoolExecutor
+
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_exit_with_parent,
@@ -375,6 +382,8 @@ class _ShardDriver:
             self._drain_serially([])
             return
         try:
+            from concurrent.futures.process import BrokenProcessPool
+
             pool = _new_pool(self.workers)
         except Exception as exc:  # no POSIX semaphores, fork failure, ...
             self.fallback = f"{type(exc).__name__}: {exc}"

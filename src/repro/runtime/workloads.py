@@ -7,11 +7,19 @@ by ``python -m repro trials``, the fleet and Chow trials the store
 benchmarks replay, the fault and skew trials the runtime tests drive —
 with all parameters passed as plain dataclasses.
 
-:data:`WORKLOADS` names every one of them (plus the atlas cell trial),
-and :func:`build_workload` turns a name and a dict of spec overrides
-into ``(trial_fn, spec)``.  ``python -m repro trials --spec KEY=VALUE``
-and the service's job ``spec`` object both go through it, so one
-workload description runs the same experiment from either entry point.
+:data:`WORKLOADS` names every one of them (plus the atlas cell trial of
+:mod:`repro.analysis.atlas_spec`), and :func:`build_workload` turns a
+name and a dict of spec overrides into ``(trial_fn, spec)``.  ``python
+-m repro trials --spec KEY=VALUE`` and the service's job ``spec`` object
+both go through it, so one workload description runs the same
+experiment from either entry point.
+
+Importing this module loads the PUF families, the challenge sampler and
+the atlas spec, and nothing a trial needs beyond them: each trial
+imports the rest of what it uses (learners, fleets and their metrics,
+the artifact store, the atlas grid, the character kernel, the chunked
+generator) in its body.  So listing the workloads, as ``trials --help``
+and the service do, loads none of it.
 """
 
 from __future__ import annotations
@@ -22,22 +30,21 @@ import os
 import time
 import typing
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.analysis import atlas as _atlas
-from repro.kernels import CharacterBasis, DEFAULT_CHARACTER_BLOCK
+from repro.analysis.atlas_spec import AtlasTrialSpec, atlas_trial, smoke_spec
+from repro.kernels.blocking import DEFAULT_BLOCK_SIZE, DEFAULT_CHARACTER_BLOCK
 from repro.pufs.arbiter import ArbiterPUF, parity_transform
 from repro.pufs.bistable_ring import BistableRingPUF
-from repro.pufs.crp import generate_crps, uniform_challenges
-from repro.pufs.fleet import Fleet, FleetSpec
-from repro.pufs.metrics import response_plane_uniqueness, uniformity as plane_uniformity
+from repro.pufs.crp import uniform_challenges
 from repro.pufs.xor_arbiter import XORArbiterPUF
-from repro.runtime.chunking import DEFAULT_BLOCK_SIZE, generate_crps_blocked
-from repro.runtime.store import ArtifactStore
 from repro.runtime.runner import TrialContext
 from repro.telemetry import unmetered
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.pufs.fleet import Fleet, FleetSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,6 +78,7 @@ def learning_curve_trial(ctx: TrialContext, spec: LearningCurveSpec) -> np.ndarr
     — the determinism contract of :class:`TrialRunner`.
     """
     from repro.learning.logistic import LogisticAttack
+    from repro.runtime.chunking import generate_crps_blocked
 
     rng = ctx.rng
     if spec.k == 1:
@@ -171,6 +179,7 @@ def active_trial(
         make_strategy,
     )
     from repro.pufs.crp import CRPSet
+    from repro.runtime.store import ArtifactStore
 
     instance_seed, select_seed, fit_seed, test_seed = ctx.seed.spawn(4)
     instance_rng = np.random.default_rng(instance_seed)
@@ -385,6 +394,10 @@ def chow_brpuf_trial(
     randomness, so cold and warm runs are bit-identical.
     ``cache_max_bytes`` caps the store with LRU eviction.
     """
+    from repro.kernels.character import CharacterBasis
+    from repro.runtime.chunking import generate_crps_blocked
+    from repro.runtime.store import ArtifactStore
+
     instance_rng, crp_rng = ctx.spawn_rngs(2)
     puf = BistableRingPUF(
         spec.n, instance_rng, interaction_scale=spec.interaction_scale
@@ -449,6 +462,8 @@ class FleetEvalSpec:
 
     def fleet_spec(self) -> FleetSpec:
         """The validated FleetSpec this trial builds."""
+        from repro.pufs.fleet import FleetSpec
+
         return FleetSpec(
             family=self.family,
             n=self.n,
@@ -490,6 +505,13 @@ def fleet_eval_trial(
     nothing, and, as uniqueness is counted from the plane's row sums,
     runs no GEMM.
     """
+    from repro.pufs.fleet import Fleet
+    from repro.pufs.metrics import (
+        response_plane_uniqueness,
+        uniformity as plane_uniformity,
+    )
+    from repro.runtime.store import ArtifactStore
+
     fleet_seed, crp_seed = ctx.seed.spawn(2)
     fleet_spec = spec.fleet_spec()
     fleet: Optional[Fleet] = None
@@ -746,10 +768,10 @@ WORKLOADS: Dict[str, Tuple[Callable[..., Any], type, Callable, Dict[str, Any]]] 
     "skew": (skewed_sleep_trial, SkewedSleepSpec, _draw_labels, {}),
     "fault": (fault_injection_trial, FaultInjectionSpec, _draw_labels, {}),
     "atlas": (
-        _atlas.atlas_trial,
-        _atlas.AtlasTrialSpec,
+        atlas_trial,
+        AtlasTrialSpec,
         lambda s: ["accuracy", "queries"],
-        dataclasses.asdict(_atlas.smoke_spec()),
+        dataclasses.asdict(smoke_spec()),
     ),
 }
 

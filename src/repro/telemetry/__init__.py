@@ -21,39 +21,22 @@ context-variable read when telemetry is off (asserted < 5% overhead by
 ``benchmarks/test_telemetry_overhead.py``).
 """
 
-from repro.telemetry.ledger import RunLedger, new_run_id
-from repro.telemetry.meter import (
-    QUERY_KINDS,
-    KindCounter,
-    QueryMeter,
-    current_meter,
-    incr,
-    metered,
-    record,
-    unmetered,
-)
-from repro.telemetry.spans import (
-    Span,
-    SpanRecorder,
-    current_recorder,
-    recording,
-    trace,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "RunLedger",
-    "new_run_id",
-    "QUERY_KINDS",
-    "KindCounter",
-    "QueryMeter",
-    "current_meter",
-    "incr",
-    "metered",
-    "record",
-    "unmetered",
-    "Span",
-    "SpanRecorder",
-    "current_recorder",
-    "recording",
-    "trace",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "ledger": ("RunLedger", "new_run_id"),
+        "meter": (
+            "QUERY_KINDS",
+            "KindCounter",
+            "QueryMeter",
+            "current_meter",
+            "incr",
+            "metered",
+            "record",
+            "unmetered",
+        ),
+        "spans": ("Span", "SpanRecorder", "current_recorder", "recording", "trace"),
+    },
+)

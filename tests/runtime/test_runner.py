@@ -1,6 +1,11 @@
 """TrialRunner: execution semantics and the worker-count determinism
 contract (the regression test the tentpole must honour)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,6 +78,42 @@ def test_unpicklable_fn_falls_back_to_serial_with_warning():
         lambda ctx: float(ctx.rng.random()), 3, master_seed=4
     )
     assert report.values() == reference.values()
+
+
+#: Block the process-pool module the way a host without it would, then run
+#: the same trials serially and with two workers.
+_NO_POOL_MODULE = """
+import sys, warnings
+sys.modules["concurrent.futures.process"] = None
+from repro.runtime.runner import TrialRunner
+from repro.runtime.workloads import FaultInjectionSpec, fault_injection_trial
+kwargs = {"spec": FaultInjectionSpec(size=2)}
+serial = TrialRunner(workers=1).run(fault_injection_trial, 3, 7, kwargs)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    pooled = TrialRunner(workers=2).run(fault_injection_trial, 3, 7, kwargs)
+assert (serial.executor, pooled.executor) == ("serial", "serial")
+assert [v.tolist() for v in serial.values()] == [v.tolist() for v in pooled.values()]
+warned = [str(w.message) for w in caught if w.category is RuntimeWarning]
+assert any("falling back to serial" in m for m in warned), warned
+print("NO-POOL OK")
+"""
+
+
+def test_serial_run_needs_no_process_pool_module():
+    """``workers=1`` never imports ``concurrent.futures.process``; with
+    two workers the missing module takes the serial fallback and its
+    warning, with the serial values."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_POOL_MODULE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "NO-POOL OK" in proc.stdout
 
 
 def test_trial_kwargs_are_passed(tmp_path):
