@@ -454,17 +454,16 @@ class FleetEvalSpec:
     repetitions: int = 5
 
     def __post_init__(self) -> None:
+        from repro.pufs.fleet import FleetSpec
+
         if self.m <= 0:
             raise ValueError("m must be positive")
         if self.repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        self.fleet_spec()  # validates family/n/size/k/tier eagerly
-
-    def fleet_spec(self) -> FleetSpec:
-        """The validated FleetSpec this trial builds."""
-        from repro.pufs.fleet import FleetSpec
-
-        return FleetSpec(
+        # Built once, which validates family/n/size/k/tier eagerly, and
+        # kept as a plain attribute, not a field: ``dataclasses.asdict``,
+        # equality, hashing and repr see the fields alone.
+        fleet_spec = FleetSpec(
             family=self.family,
             n=self.n,
             size=self.size,
@@ -473,6 +472,12 @@ class FleetEvalSpec:
             noise_sigma=self.noise_sigma,
             tier=self.tier,
         )
+        object.__setattr__(self, "_fleet_spec", fleet_spec)
+
+    def fleet_spec(self) -> FleetSpec:
+        """The validated FleetSpec this trial builds (the one instance
+        ``__post_init__`` built)."""
+        return self._fleet_spec
 
 
 def fleet_eval_trial(
@@ -485,8 +490,12 @@ def fleet_eval_trial(
 
     Seed layout: the trial seed's first spawn child builds the fleet
     (its own fan-out gives every instance a private line), the second
-    drives challenge draws and measurement noise.  The ideal response
-    plane is memoised by (fleet spec, seed, tier, shape) when
+    drives challenge draws and measurement noise.  Both children are
+    spawned together, and the generator made, on first use: a spawn
+    gives the same children whenever it happens, so misses and noisy
+    hits consume exactly the streams an eager spawn would, and a
+    noiseless hit, which needs neither, spawns nothing.  The ideal
+    response plane is memoised by (fleet spec, seed, tier, shape) when
     ``cache_dir`` is set; reliability needs fresh noisy measurements and
     is always computed live.
 
@@ -512,21 +521,30 @@ def fleet_eval_trial(
     )
     from repro.runtime.store import ArtifactStore
 
-    fleet_seed, crp_seed = ctx.seed.spawn(2)
     fleet_spec = spec.fleet_spec()
-    fleet: Optional[Fleet] = None
-    rng = np.random.default_rng(crp_seed)
     noisy = spec.noise_sigma > 0 and spec.repetitions > 1
     measured: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    fleet_seed: Optional[np.random.SeedSequence] = None
+    rng: Optional[np.random.Generator] = None
+    fleet: Optional[Fleet] = None
+
+    def generator() -> np.random.Generator:
+        nonlocal fleet_seed, rng
+        if rng is None:
+            fleet_seed, crp_seed = ctx.seed.spawn(2)
+            rng = np.random.default_rng(crp_seed)
+        return rng
 
     def built_fleet() -> Fleet:
         nonlocal fleet
         if fleet is None:
+            generator()  # spawns the fleet seed with the generator's
             fleet = Fleet.build(fleet_spec, fleet_seed)
         return fleet
 
     def generate():
         nonlocal measured
+        rng = generator()
         challenges = uniform_challenges(spec.m, spec.n, rng)
         if not noisy:
             return challenges, built_fleet().eval(challenges)
@@ -557,9 +575,9 @@ def fleet_eval_trial(
     if noisy:
         if measured is None:
             # A hit's rows are this draw; the noise must follow it.
-            uniform_challenges(spec.m, spec.n, rng)
+            uniform_challenges(spec.m, spec.n, generator())
             measured = built_fleet().vote_and_measure(
-                challenges, spec.repetitions, rng
+                challenges, spec.repetitions, generator()
             )
         voted, meas = measured
         reliability = np.count_nonzero(meas == voted) / meas.size

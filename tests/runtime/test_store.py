@@ -11,8 +11,9 @@ round-trip exactly through the flat bit-packed +/-1 codec, which rejects
 other values and discards a bit-flipped, truncated, mislabelled or
 older-format entry once;
 a fleet trial builds its fleet only when a miss or the noisy
-reliability branch needs it, and runs one margin GEMM on every path
-(none on a noiseless hit).
+reliability branch needs it, spawns its seeds only when it draws or
+builds, and runs one margin GEMM on every path (none on a noiseless
+hit); its spec builds one FleetSpec, outside its fields.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ from hypothesis.extra import numpy as hnp
 from repro.pufs.arbiter import ArbiterPUF
 from repro.pufs.crp import CRPSet, generate_crps
 from repro.runtime import TrialRunner
+from repro.runtime.runner import TrialContext
 from repro.runtime.store import (
     ARTIFACT_KINDS,
     ENTRY_MAGIC,
@@ -416,12 +418,13 @@ class TestEntryCodec:
     @given(
         data=st.data(),
         m=st.integers(1, 24),
-        n=st.integers(1, 21),
-        width=st.one_of(st.none(), st.integers(1, 19)),
+        n=st.integers(1, 150),
+        width=st.one_of(st.none(), st.integers(1, 140)),
     )
     def test_round_trip_both_kinds(self, data, m, n, width):
         """CRP vectors and response planes of any width (multiple of 8 or
-        not) survive a store/load round trip exactly, prefix take too."""
+        not, rows of one or several 64-bit words) survive a store/load
+        round trip exactly, prefix take too, as C-contiguous int8."""
         challenges = data.draw(pm1_arrays((m, n)))
         responses = data.draw(pm1_arrays((m,) if width is None else (m, width)))
         keep = data.draw(st.integers(1, m))
@@ -439,7 +442,8 @@ class TestEntryCodec:
                 loaded = ArtifactStore(root).load_fleet("k")
                 assert loaded is not None
                 got_c, got_r = loaded
-        assert got_c.dtype == np.int8 and got_r.dtype == np.int8
+        for got in (got_c, got_r):
+            assert got.dtype == np.int8 and got.flags.c_contiguous
         np.testing.assert_array_equal(got_c, challenges)
         np.testing.assert_array_equal(got_r, responses)
 
@@ -614,6 +618,53 @@ class TestEntryCodec:
         message = self._regenerates_once(tmp_path, kind, older_format)
         assert "b'PK\\x03\\x04" in message
 
+    @pytest.mark.parametrize("kind", ["crps", "fleet"])
+    def test_entry_removed_during_a_lookup_is_not_corrupt(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """An entry another process's ``clear()`` or eviction removes once
+        a lookup has found it (here: as the lookup's span opens, after the
+        lookup located the file and before it read it) is served whole
+        from the open file; one removed before the lookup is a plain miss.
+        Neither is warned about, counted or discarded as corrupt."""
+        import contextlib
+
+        from repro.runtime import store as store_module
+        from repro.telemetry.meter import QueryMeter, metered
+
+        challenges, responses = make_plane(seed=6)
+        store = ArtifactStore(tmp_path)
+        if kind == "crps":
+            responses = responses[:, 0]
+            store.store("k", CRPSet(challenges, responses))
+            load = store.load
+        else:
+            store.store_fleet("k", challenges, responses)
+            load = store.load_fleet
+        (path,) = store.entries()
+        real_trace = store_module.trace
+
+        @contextlib.contextmanager
+        def vanishing(name, **attrs):
+            if name == "artifact_store.load":
+                path.unlink()
+            with real_trace(name, **attrs):
+                yield
+
+        monkeypatch.setattr(store_module, "trace", vanishing)
+        meter = QueryMeter()
+        with warnings.catch_warnings(), metered(meter):
+            warnings.simplefilter("error")
+            loaded = load("k")
+            assert not path.exists()
+            assert load("k") is None
+        assert loaded is not None
+        got = (loaded.challenges, loaded.responses) if kind == "crps" else loaded
+        np.testing.assert_array_equal(got[0], challenges)
+        np.testing.assert_array_equal(got[1], responses)
+        assert store.corrupt == 0
+        assert "artifact_store.corrupt" not in meter.counters
+
     def test_load_and_publish_are_traced(self, tmp_path):
         from repro.telemetry.spans import recording
 
@@ -775,3 +826,60 @@ class TestLazyChallengeDraw:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(uncached_small, prefix):
             np.testing.assert_array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# fleet_eval_trial spawns its seeds only when it needs them, and its spec
+# builds one FleetSpec.
+# ----------------------------------------------------------------------
+class TestLazySeeding:
+    @staticmethod
+    def run_direct(spec, cache_dir=None):
+        """One trial called directly; its value and its seed's spawn count."""
+        seed = np.random.SeedSequence(21, spawn_key=(3,))
+        kwargs = {} if cache_dir is None else {"cache_dir": str(cache_dir)}
+        value = fleet_eval_trial(TrialContext(3, seed), spec, **kwargs)
+        return value, seed.n_children_spawned
+
+    @pytest.mark.parametrize(
+        "family, noise_sigma, repetitions, hit_spawns",
+        [("xor", 0.0, 1, 0), ("arbiter", 0.3, 3, 2)],
+    )
+    def test_only_a_hit_that_draws_spawns_seeds(
+        self, tmp_path, family, noise_sigma, repetitions, hit_spawns
+    ):
+        """A noiseless hit spawns no seed; a miss, a noisy hit and an
+        uncached run spawn the same two children and agree exactly."""
+        spec = FleetEvalSpec(
+            family=family, n=16, size=8, k=2, m=120,
+            noise_sigma=noise_sigma, repetitions=repetitions,
+        )
+        plain, plain_spawned = self.run_direct(spec)
+        cold, cold_spawned = self.run_direct(spec, tmp_path)
+        warm, warm_spawned = self.run_direct(spec, tmp_path)
+        assert (plain_spawned, cold_spawned, warm_spawned) == (2, 2, hit_spawns)
+        np.testing.assert_array_equal(plain, cold)
+        np.testing.assert_array_equal(plain, warm)
+
+    def test_spec_keeps_one_fleet_spec_outside_its_fields(self):
+        import json
+        import pickle
+
+        spec = FleetEvalSpec(
+            family="xor", n=16, size=4, k=(1, 2, 3, 2), m=50,
+            noise_sigma=0.1, repetitions=3,
+        )
+        assert spec.fleet_spec() is spec.fleet_spec()
+        assert spec.fleet_spec().k == (1, 2, 3, 2)
+        fields = [field.name for field in dataclasses.fields(spec)]
+        record = dataclasses.asdict(spec)
+        # run_job_sync writes this dict to meta.json as the job's spec.
+        assert list(record) == fields
+        json.dumps(record)
+        again = FleetEvalSpec(**record)
+        assert again == spec and hash(again) == hash(spec)
+        assert repr(again) == repr(spec) and "FleetSpec" not in repr(spec)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and clone.fleet_spec() == spec.fleet_spec()
+        resized = dataclasses.replace(spec, n=24)
+        assert resized.fleet_spec().n == 24 and spec.fleet_spec().n == 16
