@@ -455,6 +455,7 @@ def cmd_atlas(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis import atlas as atlas_mod
+    from repro.persist import write_atomic
 
     error = _run_flags_error(args)
     if error:
@@ -516,12 +517,9 @@ def cmd_atlas(args: argparse.Namespace) -> int:
     elif ledger is not None:
         out_dir = ledger.run_dir
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         map_path = out_dir / "boundary_map.json"
-        map_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        (out_dir / "atlas.md").write_text(atlas_mod.render_markdown(payload))
+        write_atomic(map_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_atomic(out_dir / "atlas.md", atlas_mod.render_markdown(payload))
         print(f"boundary map: {map_path}")
         print(f"heatmaps: {out_dir / 'atlas.md'}")
     if args.bench_out is not None:
@@ -530,8 +528,7 @@ def cmd_atlas(args: argparse.Namespace) -> int:
             "cases": atlas_mod.bench_cases(payload),
         }
         bench_path = Path(args.bench_out)
-        bench_path.parent.mkdir(parents=True, exist_ok=True)
-        bench_path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+        write_atomic(bench_path, json.dumps(bench, indent=2, sort_keys=True) + "\n")
         print(f"bench payload: {bench_path}")
     if ledger is not None:
         print(f"ledger: {ledger.path}")
@@ -554,6 +551,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_docs_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.persist import write_atomic
     from repro.tooling.benchdocs import render_benchmarks_markdown
 
     content = render_benchmarks_markdown(args.results)
@@ -568,8 +566,7 @@ def cmd_docs_bench(args: argparse.Namespace) -> int:
             return 1
         print(f"{out} is up to date with {args.results}")
         return 0
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(content)
+    write_atomic(out, content)
     print(f"wrote {out}")
     return 0
 

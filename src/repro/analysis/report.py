@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro.persist import write_atomic
+
 #: Preferred section order; anything unlisted is appended alphabetically.
 SECTION_ORDER = [
     "table1_bounds",
@@ -72,7 +74,7 @@ def write_report(
 ) -> Path:
     """Write the aggregated report; returns the output path."""
     output_path = Path(output_path)
-    output_path.write_text(aggregate_results(results_dir, title) + "\n")
+    write_atomic(output_path, aggregate_results(results_dir, title) + "\n")
     return output_path
 
 

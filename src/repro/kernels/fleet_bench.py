@@ -5,8 +5,8 @@ the per-instance Python loop (one feature build + one gemv per
 instance, the pre-fleet hot path) and the stacked
 ``(M, d) @ (d, N)`` GEMM of :mod:`repro.kernels.fleet` — checks the
 response planes are identical, and reports the speedup.  The default
-matrix covers the N >= 1024 population sizes ROADMAP item 2 needs plus
-the three dtype tiers; ``smoke_cases`` is the seconds-fast subset CI
+matrix covers the N >= 1024 population sizes of population-scale sweeps
+plus the three dtype tiers; ``smoke_cases`` is the seconds-fast subset CI
 asserts on (equivalence and speedup >= 1).
 
 Results serialise to ``benchmarks/results/BENCH_fleet.json``.

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import List, Union
 
 from repro.locking.netlist import Gate, GateType, Netlist
+from repro.persist import write_atomic
 
 _INPUT_RE = re.compile(r"^INPUT\s*\(\s*([^)]+?)\s*\)$", re.IGNORECASE)
 _OUTPUT_RE = re.compile(r"^OUTPUT\s*\(\s*([^)]+?)\s*\)$", re.IGNORECASE)
@@ -76,4 +77,4 @@ def write_bench(netlist: Netlist) -> str:
 
 def save_bench(netlist: Netlist, path: Union[str, Path]) -> None:
     """Write a ``.bench`` file."""
-    Path(path).write_text(write_bench(netlist))
+    write_atomic(path, write_bench(netlist))

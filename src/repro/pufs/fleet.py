@@ -1,8 +1,8 @@
 """Fleets: populations of PUF instances evaluated by stacked GEMMs.
 
 The paper's Section IV argument is about adversary models assessed over
-*populations* of devices, and every sweep in ROADMAP item 2 needs
-thousands of instances per cell.  Evaluating them as
+*populations* of devices, and a population-scale sweep needs thousands
+of instances per cell.  Evaluating them as
 ``[puf.eval(challenges) for puf in pufs]`` costs one feature build and
 one gemv per instance; a :class:`Fleet` stacks all N instances' weight
 vectors into one ``(d, N)`` matrix so the whole population is answered

@@ -36,12 +36,11 @@ Store layout and guarantees
   zip or the zlib int8 one before it — sits at the path a lookup
   reads, fails the magic check, and is discarded once and regenerated
   (see corrupt-entry-as-miss below).
-* **Atomic publication, winner-take-one.**  Writers stage into a private
-  ``tempfile.mkstemp`` file and publish with ``os.replace``; two
-  processes storing the same digest concurrently both succeed, and
-  exactly one complete entry survives (whichever ``replace`` lands
-  last).  Entries for one digest are byte-equivalent by construction —
-  the digest *is* the generation provenance — so which writer wins is
+* **Atomic publication, winner-take-one.**  Entries are written by
+  :func:`repro.persist.write_atomic`, so two processes storing the same
+  digest concurrently both succeed and exactly one complete entry
+  survives.  Entries for one digest are byte-equivalent by construction
+  — the digest *is* the generation provenance — so which writer wins is
   unobservable.
 * **Corrupt-entry-as-miss.**  An unreadable or malformed entry (killed
   writer, bad disk) is warned about, unlinked, and reported as a miss,
@@ -71,14 +70,14 @@ import json
 import math
 import os
 import struct
-import tempfile
 import warnings
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.persist import is_staging, write_atomic
 from repro.pufs.crp import CRPSet
 from repro.telemetry.meter import incr as _incr
 from repro.telemetry.meter import record as _record
@@ -166,11 +165,6 @@ def _pack_entry(challenges: np.ndarray, responses: np.ndarray) -> bytes:
         )
     )
     return body + _CRC.pack(zlib.crc32(body))
-
-
-def _write_entry(handle: BinaryIO, entry: bytes) -> None:
-    """Write the whole ``entry`` to the open staging file in one write."""
-    handle.write(entry)
 
 
 def _packed_rows(m: int, width: int) -> Tuple[int, ...]:
@@ -351,8 +345,6 @@ class ArtifactStore:
         if self.store_dir.exists():
             for kind in ARTIFACT_KINDS:
                 for path in self.store_dir.glob(f"{kind}-*.npz"):
-                    if path.name.endswith(".tmp.npz"):
-                        continue  # a writer's staging file, not an entry
                     try:
                         sizes[path] = path.stat().st_size
                     except OSError:
@@ -369,36 +361,18 @@ class ArtifactStore:
     def _publish(
         self, kind: str, key: str, challenges: np.ndarray, responses: np.ndarray
     ) -> Path:
-        """Pack, stage and publish entry ``key`` of ``kind`` atomically.
+        """Pack and publish entry ``key`` of ``kind`` atomically.
 
         The arrays are validated and bit-packed first, so a non-+/-1
-        value raises ``ValueError`` before any file exists.  The staging
-        file comes from ``tempfile.mkstemp`` in the store directory, so
-        concurrent writers of the same key never interleave into one tmp
-        path — each publishes its own complete entry via
-        ``os.replace`` and the last one wins whole (winner-take-one;
-        entries for one digest are byte-equivalent, so the winner is
-        unobservable).  Orphaned staging files from killed writers are
-        swept by :meth:`clear`.
+        value raises ``ValueError`` before any file exists.  Concurrent
+        writers of one key each publish a whole entry (winner-take-one).
         """
         path = self.entry_path(kind, key)
         entry = _pack_entry(challenges, responses)
         size = len(entry)
         packed = size - len(ENTRY_MAGIC) - _CRC.size  # shape + packed planes
         with trace("artifact_store.publish", kind=kind, bytes=packed):
-            self.store_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f"{path.name[: -len('.npz')]}-", suffix=".tmp.npz",
-                dir=self.store_dir,
-            )
-            tmp = Path(tmp_name)
-            try:
-                with open(fd, "wb") as handle:
-                    _write_entry(handle, entry)
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():  # only on a failed write/replace
-                    tmp.unlink()
+            write_atomic(path, entry)
             # The published file inherits the staging file's mtime, which
             # on a coarse-granularity (1s) filesystem can predate entries
             # touched during the write — making the *newest* entry look
@@ -667,17 +641,17 @@ class ArtifactStore:
     def clear(self) -> int:
         """Delete all entries; returns how many files were removed.
 
-        Sweeps CRP entries, fleet entries, and ``*.tmp.npz`` staging
-        orphans left by writers killed between ``mkstemp`` and
-        ``os.replace``.
+        Sweeps CRP entries, fleet entries, and the staging files
+        (:func:`repro.persist.is_staging`) of writers killed before
+        their publish.
         """
-        removed = 0
-        if self.store_dir.exists():
-            for kind in ARTIFACT_KINDS:
-                for path in self.store_dir.glob(f"{kind}-*.npz"):
-                    path.unlink()
-                    removed += 1
-        return removed
+        if not self.store_dir.exists():
+            return 0
+        staging = [path for path in self.store_dir.iterdir() if is_staging(path)]
+        doomed = [*self.entries(), *staging]
+        for path in doomed:
+            path.unlink()
+        return len(doomed)
 
     def stats(self) -> Dict[str, object]:
         """A JSON-ready summary of this store handle's activity.

@@ -22,10 +22,8 @@ into ``docs/BENCHMARKS.md`` via ``python -m repro docs-bench``.
 from __future__ import annotations
 
 import dataclasses
-import shutil
 import tempfile
 import time
-from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 import numpy as np
@@ -120,9 +118,8 @@ def _run_warm_start(case: WarmStartCase) -> Dict[str, object]:
         repetitions=1,
     )
     runner = TrialRunner(workers=1)
-    store_dir = Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
-    try:
-        kwargs = {"spec": spec, "cache_dir": str(store_dir)}
+    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as store_dir:
+        kwargs = {"spec": spec, "cache_dir": store_dir}
         t0 = time.perf_counter()
         cold = runner.run(fleet_eval_trial, case.trials, case.seed, kwargs)
         cold_s = time.perf_counter() - t0
@@ -130,8 +127,6 @@ def _run_warm_start(case: WarmStartCase) -> Dict[str, object]:
         warm = runner.run(fleet_eval_trial, case.trials, case.seed, kwargs)
         warm_s = time.perf_counter() - t0
         stats = ArtifactStore(store_dir).stats()
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
     cold.raise_failures()
     warm.raise_failures()
     identical = _values_identical(cold, warm)

@@ -47,8 +47,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from repro.persist import write_atomic
 from repro.runtime.runner import TrialResult, TrialRunner, trial_record
-from repro.telemetry.ledger import RunLedger, atomic_write_text
+from repro.telemetry.ledger import RunLedger
 from repro.telemetry.meter import QueryMeter, metered
 
 from . import routes
@@ -69,7 +70,8 @@ SERVICE_INFO_NAME = "service.json"
 #: Terminal job states (never re-adopted, never re-queued).
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
-#: Seconds a client has to send its whole request head, overrun included.
+#: Seconds from accept within which a client's request head must arrive;
+#: the input left unread after the answer is drained until then too.
 HEAD_TIMEOUT_S = 30.0
 
 
@@ -229,7 +231,7 @@ class ReproService:
             "pid": os.getpid(),
             "data_dir": str(self.data_dir),
         }
-        atomic_write_text(
+        write_atomic(
             self.data_dir / SERVICE_INFO_NAME,
             json.dumps(info, sort_keys=True, indent=2) + "\n",
         )
@@ -420,7 +422,7 @@ class ReproService:
         self._connections.add(task)
         try:
             await self._serve_one(reader, writer)
-        except (asyncio.IncompleteReadError, ConnectionError):
+        except (asyncio.IncompleteReadError, OSError):  # the peer went away
             pass
         finally:
             self._connections.discard(task)
@@ -440,71 +442,54 @@ class ReproService:
         except TimeoutError:
             return
         if head is None or len(head) > routes.MAX_HEAD_BYTES:
-            writer.write(routes.error_response(413, "request head too large").encode())
-            await writer.drain()
+            response = routes.error_response(413, "request head too large")
+        else:
+            try:
+                method, path, query, headers = routes.parse_request_head(head[:-4])
+                length = routes.content_length(headers)
+                if length > routes.MAX_BODY_BYTES:
+                    response = routes.error_response(413, "request body too large")
+                else:
+                    body = await reader.readexactly(length) if length else b""
+                    request = routes.Request(method, path, query, headers, body)
+                    response = await self._dispatch(request, reader, writer)
+            except routes.BadRequest as exc:
+                response = routes.error_response(400, str(exc))
+        if response is None:  # an event stream, written and ended
             return
-        try:
-            method, path, query, headers = routes.parse_request_head(head[:-4])
-            length = routes.content_length(headers)
-            if length > routes.MAX_BODY_BYTES:
-                writer.write(
-                    routes.error_response(413, "request body too large").encode()
-                )
-                await writer.drain()
-                await self._drop_body(reader, writer, length, deadline)
-                return
-            body = await reader.readexactly(length) if length else b""
-            request = routes.Request(method, path, query, headers, body)
-        except routes.BadRequest as exc:
-            writer.write(routes.error_response(400, str(exc)).encode())
-            await writer.drain()
-            return
-        await self._dispatch(request, reader, writer)
+        writer.write(response.encode())
+        await writer.drain()
+        await self._drain_input(reader, writer, deadline)
 
     @staticmethod
     async def _read_head(reader: asyncio.StreamReader) -> Optional[bytes]:
-        """The request head through its blank line, or ``None`` if too long.
-
-        A head that outgrows the reader's buffer limit is read on and
-        dropped up to its blank line or EOF before ``None`` comes back:
-        closing a socket over unread input resets the connection, which
-        can destroy the 413 answer before the client reads it.  The
-        caller bounds both reads with one head deadline.
-        """
+        """The request head through its blank line, or ``None`` if it
+        outgrows the reader's buffer limit (its rest is drained after
+        the 413, see :meth:`_drain_input`)."""
         try:
             return await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
-            pass
-        tail = b""
-        while chunk := await reader.read(1 << 16):
-            if b"\r\n\r\n" in tail + chunk:
-                break
-            tail = chunk[-3:]
-        return None
+            return None
 
     @staticmethod
-    async def _drop_body(
+    async def _drain_input(
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        length: int,
         deadline: float,
     ) -> None:
-        """Half-close, then read and drop up to ``length`` body bytes.
+        """Half-close, then read and drop input until EOF or ``deadline``.
 
-        Closing over unread input resets the connection, which can
-        destroy the answer already sent before the client reads it.  The
-        body is read off until it ends, the client closes (the EOF sent
-        here tells a client that sent no body to), or the head deadline
-        passes; a trickling client gets no second window.
+        Closing a socket over unread input (an oversized head or body,
+        a pipelined second request) resets the connection, which can
+        destroy the answer already sent before the client reads it.
+        The EOF sent here tells the client the answer is whole; its
+        close ends the read.  A trickling client gets no second window:
+        the head deadline bounds this read too.
         """
         writer.write_eof()
         try:
             async with asyncio.timeout_at(deadline):
-                while length > 0:
-                    chunk = await reader.read(min(length, 1 << 16))
-                    if not chunk:
-                        break
-                    length -= len(chunk)
+                await _read_to_eof(reader)
         except TimeoutError:
             pass
 
@@ -513,14 +498,17 @@ class ReproService:
         request: routes.Request,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> None:
-        # The event stream writes for as long as the job runs.
+    ) -> Optional[routes.Response]:
+        """The answer to ``request``, or None for an event stream, which
+        writes for as long as the job runs and ends itself."""
         events_match = None
         if request.path.startswith("/v1/jobs/") and request.path.endswith("/events"):
             events_match = request.path[len("/v1/jobs/") : -len("/events")]
         if events_match is not None and request.method == "GET":
+            if events_match not in self._jobs:
+                return routes.error_response(404, f"no such job: {events_match}")
             await self._handle_events(events_match, reader, writer)
-            return
+            return None
         handler, params, path_known = self._router.match(request.method, request.path)
         if handler is None:
             response = (
@@ -543,8 +531,7 @@ class ReproService:
                 response = routes.error_response(
                     500, f"{type(exc).__name__}: {exc}"
                 )
-        writer.write(response.encode())
-        await writer.drain()
+        return response
 
     # ------------------------------------------------------------------
     # Plain-HTTP handlers (synchronous: they only touch loop-thread state).
@@ -637,11 +624,7 @@ class ReproService:
         One ``json.dumps(event, sort_keys=True)`` line per event, no
         ``Content-Length``: the body ends when the connection closes.
         """
-        job = self._jobs.get(job_id)
-        if job is None:
-            writer.write(routes.error_response(404, f"no such job: {job_id}").encode())
-            await writer.drain()
-            return
+        job = self._jobs[job_id]
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -680,7 +663,7 @@ def _ndjson_line(event: Dict[str, Any]) -> bytes:
 async def _read_to_eof(reader: asyncio.StreamReader) -> None:
     """Discard whatever the peer sends until it closes its end."""
     try:
-        while await reader.read(4096):
+        while await reader.read(1 << 16):
             pass
     except (ConnectionError, OSError):
         pass

@@ -30,6 +30,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.persist import write_atomic
+
 # The one workload registry, shared with ``python -m repro trials``: a
 # job's ``spec`` object is exactly that command's ``--spec`` pairs.
 from repro.runtime.workloads import (  # noqa: F401  (re-exported)
@@ -37,7 +39,6 @@ from repro.runtime.workloads import (  # noqa: F401  (re-exported)
     UnknownWorkload,
     build_workload,
 )
-from repro.telemetry.ledger import atomic_write_text
 
 #: Jobs at or under this many trials default to the interactive priority
 #: tier (they preempt queued atlas-scale backlogs).
@@ -171,7 +172,7 @@ class Job:
 class JobStore:
     """Directory-backed persistence for jobs (one subdir per job).
 
-    ``save`` writes ``job.json`` atomically (temp file + ``os.replace``)
+    ``save`` writes ``job.json`` through :func:`repro.persist.write_atomic`
     so a SIGKILL between transitions leaves either the old record or the
     new one, never a torn file; ``load_all`` is the restart-adoption
     scan.
@@ -180,7 +181,6 @@ class JobStore:
     def __init__(self, data_dir: Path) -> None:
         self.data_dir = Path(data_dir)
         self.jobs_dir = self.data_dir / "jobs"
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
 
     def job_dir(self, job_id: str) -> Path:
         """The directory owning ``job_id`` (also its run/ledger directory)."""
@@ -188,10 +188,8 @@ class JobStore:
 
     def save(self, job: Job) -> None:
         """Persist ``job.json`` atomically inside the job's directory."""
-        job_dir = self.job_dir(job.job_id)
-        job_dir.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(job.as_dict(), sort_keys=True, indent=2)
-        atomic_write_text(job_dir / "job.json", payload + "\n", mode=0o600)
+        payload = json.dumps(job.as_dict(), sort_keys=True, indent=2) + "\n"
+        write_atomic(self.job_dir(job.job_id) / "job.json", payload, mode=0o600)
 
     def load(self, job_id: str) -> Optional[Job]:
         """The persisted job record, or None when absent/unreadable."""

@@ -28,7 +28,7 @@ import warnings
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.telemetry.ledger import atomic_write_text
+from repro.persist import write_atomic
 
 QUOTAS_NAME = "quotas.json"
 
@@ -159,4 +159,4 @@ class QuotaLedger:
     def _persist(self) -> None:
         """Atomically rewrite ``quotas.json`` with current settled usage."""
         payload = json.dumps({"usage": self._usage}, sort_keys=True, indent=2)
-        atomic_write_text(self.path, payload + "\n", mode=0o600)
+        write_atomic(self.path, payload + "\n", mode=0o600)

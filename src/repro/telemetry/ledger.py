@@ -23,15 +23,15 @@ write so readers need nothing but the standard library.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 import time
 import warnings
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
+
+from repro.persist import append_lines, write_atomic
 
 #: File names inside a run directory.
 LEDGER_NAME = "ledger.jsonl"
@@ -51,44 +51,6 @@ def shard_ledger_name(shard_id: int) -> str:
     if shard_id < 0:
         raise ValueError(f"shard id must be non-negative, got {shard_id}")
     return f"ledger-shard{shard_id:02d}.jsonl"
-
-
-#: Suffixes that keep concurrent temp files of one process apart.
-_TMP_SEQUENCE = itertools.count()
-
-
-def atomic_write_text(
-    path: Union[str, Path], text: str, mode: Optional[int] = None
-) -> None:
-    """Replace ``path`` with ``text``: readers see the old file or the new one.
-
-    The text goes to a new temp file in ``path``'s directory, which
-    :func:`os.replace` then renames over ``path``.  Any failure (a full
-    disk, a file-size limit, a signal) unlinks the temp file and leaves
-    ``path`` as it was.  There is no fsync: the rename is atomic against
-    a killed process, not against power loss.
-
-    ``mode`` sets the permission bits; None gives what
-    :meth:`Path.write_text` would: the temp file is created ``0o666``
-    and the kernel applies the umask.
-    """
-    path = Path(path)
-    while True:
-        tmp = path.parent / f"{path.stem}-{os.getpid()}-{next(_TMP_SEQUENCE)}.tmp"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:  # left behind by a killed process
-            continue
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            if mode is not None:
-                os.fchmod(fh.fileno(), mode)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _replayable(record: Dict[str, object]) -> bool:
@@ -159,7 +121,7 @@ class RunLedger:
     ----------
     run_dir:
         The run's directory (e.g. ``runs/curve-20260806-120000``).
-        Created on construction.
+        Made by the first write into it.
     filename:
         The JSONL file this handle appends to — ``ledger.jsonl`` (the
         main ledger) by default, or a per-shard file from
@@ -172,7 +134,6 @@ class RunLedger:
     ) -> None:
         self.run_dir = Path(run_dir)
         self.filename = filename
-        self.run_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
     @property
@@ -208,21 +169,18 @@ class RunLedger:
     # ------------------------------------------------------------------
     def append(self, record: Dict[str, object]) -> None:
         """Append one trial record as a single JSON line."""
-        line = json.dumps(record, default=_json_default, sort_keys=True)
-        with self.path.open("a") as fh:
-            fh.write(line + "\n")
+        self.append_many([record])
 
     def append_many(self, records: Iterable[Dict[str, object]]) -> None:
-        """Append several records in one file open."""
-        with self.path.open("a") as fh:
-            for record in records:
-                fh.write(
-                    json.dumps(record, default=_json_default, sort_keys=True) + "\n"
-                )
+        """Append several records in one file open and one write."""
+        append_lines(
+            self.path,
+            [json.dumps(r, default=_json_default, sort_keys=True) for r in records],
+        )
 
     def write_meta(self, meta: Dict[str, object]) -> None:
         """Write (replace) the run's ``meta.json`` atomically."""
-        atomic_write_text(
+        write_atomic(
             self.meta_path,
             json.dumps(meta, default=_json_default, sort_keys=True, indent=2) + "\n",
         )

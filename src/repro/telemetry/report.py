@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.persist import write_atomic
 from repro.telemetry.ledger import RunLedger
 
 #: workload -> the query kind its bound is stated in.
@@ -440,8 +441,9 @@ def generate_report(
     payload = build_report(run_dir)
     markdown = render_markdown(payload)
     if write:
-        (run_dir / "report.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+        write_atomic(
+            run_dir / "report.json",
+            json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n",
         )
-        (run_dir / "report.md").write_text(markdown)
+        write_atomic(run_dir / "report.md", markdown)
     return payload, markdown

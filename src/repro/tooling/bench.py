@@ -25,6 +25,8 @@ from typing import Any, Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
+from repro.persist import write_atomic
+
 #: Suite name -> the module holding its cases, ``run_case`` and ``gate``.
 SUITES: Dict[str, str] = {
     "active": "repro.learning.active_bench",
@@ -94,6 +96,4 @@ def failures(suite: str, payload: Dict[str, object], smoke: bool) -> List[str]:
 
 def write_payload(payload: Dict[str, object], path: Union[str, Path]) -> None:
     """Write ``payload`` as indented JSON, creating parent directories."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2) + "\n")

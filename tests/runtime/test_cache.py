@@ -8,9 +8,10 @@ the digest schema, LRU eviction and cross-process races are pinned in
 import numpy as np
 import pytest
 
+from repro import persist
+from repro.persist import is_staging
 from repro.pufs.arbiter import ArbiterPUF
 from repro.pufs.crp import CRPSet, generate_crps
-from repro.runtime import store as store_module
 from repro.runtime.store import ArtifactStore, artifact_digest
 
 
@@ -176,20 +177,27 @@ def test_corrupt_entry_is_a_miss_and_regenerates(tmp_path):
 def test_store_leaves_no_staging_files(tmp_path):
     cache = ArtifactStore(tmp_path)
     cache.store(cache_key("a", 8, "uniform"), make_crps(m=10))
-    assert list(tmp_path.glob("*.tmp.npz")) == []
+    assert [p.name for p in tmp_path.iterdir()] == [
+        cache.path_for(cache_key("a", 8, "uniform")).name
+    ]
+    assert not any(is_staging(p) for p in tmp_path.iterdir())
 
 
 def test_failed_store_cleans_its_staging_file(tmp_path, monkeypatch):
     cache = ArtifactStore(tmp_path)
     crps = make_crps(m=10)
 
-    def boom(path, arrays):
+    staged = []
+
+    def boom(fd, data):
+        staged.extend(tmp_path.iterdir())
         raise OSError("disk full")
 
-    monkeypatch.setattr(store_module, "_write_entry", boom)
+    monkeypatch.setattr(persist, "_write_all", boom)
     with pytest.raises(OSError, match="disk full"):
         cache.store("deadbeef", crps)
-    assert list(tmp_path.glob("*.tmp.npz")) == []
+    assert len(staged) == 1 and is_staging(staged[0])  # staged, then cleaned
+    assert list(tmp_path.iterdir()) == []
     assert not cache.path_for("deadbeef").exists()
 
 
@@ -199,14 +207,15 @@ def test_clear_sweeps_orphaned_staging_files(tmp_path):
         puf_spec="a", seed=9, distribution="uniform", m=10,
         generate=lambda: make_crps(m=10),
     )
-    orphan = tmp_path / "crps-deadbeef-x1y2z3.tmp.npz"
+    orphan = tmp_path / "crps-deadbeef.npz.4242-0.tmp"
     orphan.write_bytes(b"partial write from a killed process")
+    assert is_staging(orphan) and cache.entries().keys().isdisjoint([orphan])
     assert cache.clear() == 2
     assert not orphan.exists()
 
 
 def test_concurrent_writers_never_corrupt_the_entry(tmp_path):
-    """Racing writers of one key each stage in a private mkstemp file and
+    """Racing writers of one key each stage in a private staging file and
     publish atomically — the surviving entry is always whole."""
     import threading
 
@@ -224,7 +233,7 @@ def test_concurrent_writers_never_corrupt_the_entry(tmp_path):
         t.join()
     loaded = cache.load(key)
     assert loaded is not None and len(loaded) == 30
-    assert list(tmp_path.glob("*.tmp.npz")) == []
+    assert not any(is_staging(p) for p in tmp_path.iterdir())
 
 
 def test_roundtrip_preserves_dtypes(tmp_path):

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.persist import is_staging
 from repro.pufs.arbiter import ArbiterPUF
 from repro.pufs.crp import CRPSet, generate_crps
 from repro.runtime import TrialRunner
@@ -322,7 +323,7 @@ class TestSameKeyRace:
             assert p.exitcode == 0
         store = ArtifactStore(tmp_path)
         assert list(store.entries()) == [store.path_for(key)]
-        assert not list(tmp_path.glob("*.tmp.npz"))  # no staging orphans
+        assert not any(is_staging(p) for p in tmp_path.iterdir())
         # The surviving archive is complete and serves hits.
         cached = store.get_or_generate(
             puf_spec="race-spec", seed=0, distribution="uniform", m=120,
@@ -462,7 +463,7 @@ class TestEntryCodec:
             else:
                 store.store_fleet("k", **planes)
         assert store.entries() == {}
-        assert list(tmp_path.glob("*.tmp.npz")) == []
+        assert list(tmp_path.iterdir()) == []  # no entry, no staging file
         assert store.bytes_stored == 0
 
     def test_flipped_bit_is_a_warned_miss_and_regenerates(self, tmp_path):

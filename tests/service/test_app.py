@@ -12,6 +12,8 @@ import socket
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.runner import TrialRunner
 from repro.service import routes
@@ -20,6 +22,11 @@ from repro.service.jobs import Job, JobSpec, JobStore, build_workload, values_di
 from repro.telemetry.ledger import RunLedger
 
 FLEET_SPEC = {"size": 4, "m": 64, "n": 16}
+#: Requests answered 200 without a body, for the pipelining property.
+PIPELINE_REQUESTS = [
+    b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"GET /v1/quota HTTP/1.1\r\nX-API-Key: alice\r\n\r\n",
+]
 #: A deliberately slow job used to occupy the single concurrency slot.
 SLOW_SPEC = {"slow_count": 50, "slow_seconds": 0.15, "fast_seconds": 0.0}
 
@@ -192,6 +199,31 @@ class TestHttpErrors:
         )
         assert status == 413
         assert payload["error"]["message"] == "request body too large"
+
+    def test_pipelined_tail_after_a_request_is_not_a_reset(self, live_service):
+        # One request plus arbitrary trailing bytes (a pipelined second
+        # request, garbage, or more than the transport reads at once) in
+        # one sendall: the server answers the first request and closes.
+        # The unread tail must not reset the connection and destroy the
+        # answer, and the service must keep serving.
+        live = live_service()
+        tails = st.one_of(
+            st.binary(max_size=512),
+            st.builds(
+                bytes.__mul__,
+                st.binary(min_size=1, max_size=16) | st.just(b"GET / HTTP/1.1\r\n\r\n"),
+                st.integers(1, 1 << 16),
+            ),
+        )
+
+        @settings(max_examples=40, deadline=None)
+        @given(request=st.sampled_from(PIPELINE_REQUESTS), tail=tails)
+        def exchange(request, tail):
+            status, payload = raw_exchange(live, request + tail)
+            assert status == 200 and payload
+            assert raw_exchange(live, PIPELINE_REQUESTS[0])[0] == 200
+
+        exchange()
 
 
 def raw_exchange(live, head: bytes):

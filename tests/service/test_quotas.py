@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.persist import is_staging
 from repro.service.quotas import QuotaExceeded, QuotaLedger
 
 
@@ -131,6 +132,6 @@ class TestPersistence:
         q = QuotaLedger(tmp_path, default_limit=None)
         q.settle("job-1", "alice", 5)
         q.settle("job-2", "alice", 5)
-        residue = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert residue == []
+        residue = [p.name for p in tmp_path.iterdir() if is_staging(p)]
+        assert residue == [] and (tmp_path / "quotas.json").exists()
         assert q.usage("alice") == 10
