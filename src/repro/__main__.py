@@ -1062,7 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--data-dir",
         type=str,
         default="runs/service",
-        help="service state root: jobs/, quotas.json, service.json",
+        help="service state root: jobs/ and service.json",
     )
     serve.add_argument(
         "--max-concurrent",

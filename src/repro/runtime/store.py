@@ -55,8 +55,7 @@ Store layout and guarantees
   until the store fits; the entry just published is never evicted.
 * **Telemetry.**  Hits, misses, evictions, corrupt discards and byte
   counts go to the ambient :mod:`repro.telemetry` meter under
-  ``artifact_store.*`` (plus the legacy ``crp_cache.*`` /
-  ``fleet_cache.*`` names), so per-trial ledger records carry the
+  ``artifact_store.*``, so per-trial ledger records carry the
   store's behaviour and ``repro trials --cache-stats`` can aggregate it.
   Lookups and publishes run in ``artifact_store.load`` /
   ``artifact_store.publish`` spans (attributes ``kind`` and ``bytes``),
@@ -86,8 +85,8 @@ from repro.telemetry.spans import trace
 #: The artifact kinds the store recognises (the filename prefixes).
 ARTIFACT_KINDS = ("crps", "fleet")
 
-#: Per kind, the warning label and legacy counter prefix of a discard.
-_LEGACY_NAMES = {"crps": ("CRP", "crp_cache"), "fleet": ("fleet", "fleet_cache")}
+#: Per kind, the label a corrupt-entry warning names it by.
+_LABELS = {"crps": "CRP", "fleet": "fleet"}
 
 #: The first 8 bytes of every entry file (format version 1).
 ENTRY_MAGIC = b"REPROPM1"
@@ -413,9 +412,7 @@ class ArtifactStore:
                 try:
                     entry = _read_entry(handle.readall(), vector=(kind == "crps"))
                 except Exception as exc:
-                    label, legacy = _LEGACY_NAMES[kind]
-                    self._discard_corrupt(Path(path), label, exc)
-                    _incr(f"{legacy}.corrupt")
+                    self._discard_corrupt(Path(path), _LABELS[kind], exc)
                     return None
                 self._touch(handle.fileno())
         return entry
@@ -527,7 +524,6 @@ class ArtifactStore:
         cached = self.load(key)
         if cached is not None and len(cached) >= m:
             self.hits += 1
-            _incr("crp_cache.hits")
             _incr("artifact_store.hits")
             taken = cached.take(m)
             served = taken.challenges.nbytes + taken.responses.nbytes
@@ -545,7 +541,6 @@ class ArtifactStore:
             )
             return taken
         self.misses += 1
-        _incr("crp_cache.misses")
         _incr("artifact_store.misses")
         crps = generate()
         if len(crps) < m:
@@ -607,7 +602,6 @@ class ArtifactStore:
         cached = self.load_fleet(key)
         if cached is not None and cached[0].shape[0] >= m:
             self.hits += 1
-            _incr("fleet_cache.hits")
             _incr("artifact_store.hits")
             challenges, responses = cached[0][:m], cached[1][:m]
             served = challenges.nbytes + responses.nbytes
@@ -624,7 +618,6 @@ class ArtifactStore:
             )
             return challenges, responses
         self.misses += 1
-        _incr("fleet_cache.misses")
         _incr("artifact_store.misses")
         challenges, responses = generate()
         if challenges.shape[0] < m:

@@ -8,14 +8,14 @@ Start one with ``python -m repro serve --data-dir runs/service``; see
 * :class:`~repro.service.jobs.JobSpec` / :class:`~repro.service.jobs.Job`
   — the job model, plus the :data:`~repro.service.jobs.WORKLOADS`
   registry mapping workload names to trial functions.
-* :class:`~repro.service.quotas.QuotaLedger` — per-API-key cumulative
-  oracle-query budgets (HTTP 429 on overdraw).
+* :mod:`~repro.service.quotas` — per-API-key cumulative oracle-query
+  budgets (HTTP 429 on overdraw), folded over the job records.
 """
 
 from .app import ReproService, run_serve
 from .client import ServiceClient, ServiceError, client_from_data_dir
 from .jobs import WORKLOADS, Job, JobSpec, JobStore, build_workload
-from .quotas import QuotaExceeded, QuotaLedger
+from .quotas import QuotaExceeded
 from .queue import PriorityJobQueue
 
 __all__ = [
@@ -30,6 +30,5 @@ __all__ = [
     "JobStore",
     "build_workload",
     "QuotaExceeded",
-    "QuotaLedger",
     "PriorityJobQueue",
 ]

@@ -26,11 +26,12 @@ Design invariants
   :class:`~repro.telemetry.meter.QueryMeter` inside it, so two jobs
   running concurrently in the executor can never share (or clobber) an
   ambient meter inherited from the loop thread.
-* **Quota enforcement is admission control.**  A job declares an
-  oracle-query budget; :class:`~repro.service.quotas.QuotaLedger`
-  rejects submissions that would overdraw the key (HTTP 429) and
-  settles actual metered spend — summed from the job's per-trial meter
-  snapshots and recorded into its ``meta.json`` — on completion.
+* **Quota enforcement is admission control over the job records.**  A
+  job declares an oracle-query budget; :func:`~repro.service.quotas.admit`
+  rejects submissions that would overdraw the key (HTTP 429).  Usage is
+  a fold over ``_jobs``: a live job reserves its declared budget, a
+  finished one charges its result's ``total_queries`` — summed from its
+  per-trial meter snapshots and persisted once, in its ``job.json``.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ from repro.runtime.runner import TrialResult, TrialRunner, trial_record
 from repro.telemetry.ledger import RunLedger
 from repro.telemetry.meter import QueryMeter, metered
 
-from . import routes
+from . import quotas, routes
 from .jobs import (
     ANONYMOUS_KEY,
+    TERMINAL_STATES,
     Job,
     JobSpec,
     JobStore,
@@ -63,12 +65,9 @@ from .jobs import (
     values_digest,
 )
 from .queue import PriorityJobQueue
-from .quotas import QuotaExceeded, QuotaLedger
+from .quotas import QuotaExceeded
 
 SERVICE_INFO_NAME = "service.json"
-
-#: Terminal job states (never re-adopted, never re-queued).
-TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 #: Seconds from accept within which a client's request head must arrive;
 #: the input left unread after the answer is drained until then too.
@@ -131,15 +130,6 @@ def run_job_sync(
     values = [trial_record(r)["value"] for r in report.results]
     digest = values_digest(values)
 
-    meta = ledger.read_meta() or {}
-    meta["quota"] = {
-        "api_key": spec.api_key,
-        "declared_budget": spec.budget,
-        "metered_queries": meter.total_queries,
-        "crp_bytes": meter.crp_bytes,
-    }
-    ledger.write_meta(meta)
-
     return {
         "cancelled": report.cancelled,
         "completed": len(report.results),
@@ -159,9 +149,9 @@ class ReproService:
     Parameters
     ----------
     data_dir:
-        Service state root: ``jobs/`` (one run directory per job),
-        ``quotas.json``, and ``service.json`` (written on start with the
-        bound host/port/pid so tools can discover a ``--port 0`` server).
+        Service state root: ``jobs/`` (one run directory per job) and
+        ``service.json`` (written on start with the bound host/port/pid
+        so tools can discover a ``--port 0`` server).
     host, port:
         Bind address; port 0 picks a free port.
     max_concurrent:
@@ -171,7 +161,8 @@ class ReproService:
         Cumulative oracle-query limit per API key (None disables
         enforcement, usage is still metered and recorded).
     resume:
-        Re-adopt incomplete (queued/running) persisted jobs on start.
+        Re-queue incomplete (queued/running) persisted jobs on start;
+        finished ones are registered either way, so their spend counts.
     """
 
     def __init__(
@@ -188,8 +179,8 @@ class ReproService:
         self.port = port
         self.max_concurrent = max(1, int(max_concurrent))
         self.resume = resume
+        self.default_quota = default_quota
         self.store = JobStore(self.data_dir)
-        self.quotas = QuotaLedger(self.data_dir, default_limit=default_quota)
         self._jobs: Dict[str, Job] = {}
         self._queue = PriorityJobQueue()
         self._cancels: Dict[str, threading.Event] = {}
@@ -215,8 +206,7 @@ class ReproService:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Adopt persisted jobs, bind the listener, write service.json."""
-        if self.resume:
-            self._adopt_jobs()
+        self._adopt_jobs()
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -266,31 +256,44 @@ class ReproService:
         self._executor.shutdown(wait=True)
 
     def _adopt_jobs(self) -> None:
-        """Re-register persisted jobs; re-queue the incomplete ones.
+        """Register persisted jobs; with ``resume``, re-queue the rest.
 
-        Queued and running jobs from a previous (possibly SIGKILLed)
-        server go back into the priority queue flagged ``adopted``;
-        their quota reservations are rebuilt from the declared budgets.
-        Terminal jobs are registered read-only so their records and
-        event streams stay servable.
+        Terminal jobs are registered read-only, so their records and
+        event streams stay servable and their spend counts against
+        their keys.  Queued and running jobs from a previous (possibly
+        SIGKILLed) server go back into the priority queue flagged
+        ``adopted``, each admitted against the usage registered before
+        it; one that no longer fits is failed instead.
         """
-        for job_id, job in sorted(self.store.load_all().items()):
-            self._jobs[job_id] = job
-            self._events.setdefault(job_id, [])
+        incomplete = []
+        for _, job in sorted(self.store.load_all().items()):
             if job.state in TERMINAL_STATES:
-                continue
+                self._register(job)
+            elif self.resume:
+                incomplete.append(job)
+        for job in incomplete:
             job.adopted = True
-            job.state = "queued"
             try:
-                self.quotas.reserve(job_id, job.spec.api_key, job.spec.budget or 0)
+                quotas.admit(
+                    self._jobs.values(),
+                    job.spec.api_key,
+                    job.spec.budget or 0,
+                    self.default_quota,
+                )
             except QuotaExceeded as exc:
                 job.state = "failed"
                 job.error = f"quota exceeded at adoption: {exc}"
                 job.finished_at = time.time()
-                self.store.save(job)
-                continue
+            else:
+                job.state = "queued"
+                self._queue.push(job.job_id, job.spec.effective_priority)
+            self._register(job)
             self.store.save(job)
-            self._queue.push(job_id, job.spec.effective_priority)
+
+    def _register(self, job: Job) -> None:
+        """Make ``job`` servable: its record and its event buffer."""
+        self._jobs[job.job_id] = job
+        self._events.setdefault(job.job_id, [])
 
     # ------------------------------------------------------------------
     # Scheduling and execution.
@@ -364,8 +367,7 @@ class ReproService:
         )
 
     async def _finish(self, job: Job, future: "asyncio.Future[Dict[str, Any]]") -> None:
-        """Settle a finished job: state, quota, persistence, events."""
-        spent = 0
+        """Record a finished job: state, persistence, events."""
         try:
             result = await future
         except Exception as exc:  # config errors, executor teardown
@@ -374,7 +376,6 @@ class ReproService:
         else:
             job.result = result
             job.completed_trials = result["completed"]
-            spent = int(result.get("total_queries") or 0)
             if result["cancelled"]:
                 job.state = "cancelled"
             elif result["failed"]:
@@ -383,7 +384,6 @@ class ReproService:
             else:
                 job.state = "done"
         job.finished_at = time.time()
-        self.quotas.settle(job.job_id, job.spec.api_key, spent)
         self._cancels.pop(job.job_id, None)
         self.store.save(job)
         self._publish(job.job_id, {"event": "done", "job": self._job_summary(job)})
@@ -553,7 +553,9 @@ class ReproService:
 
     def _handle_quota(self, request: routes.Request) -> routes.Response:
         api_key = request.header("x-api-key") or ANONYMOUS_KEY
-        return routes.json_response(200, self.quotas.status(api_key))
+        return routes.json_response(
+            200, quotas.status(self._jobs.values(), api_key, self.default_quota)
+        )
 
     def _handle_submit(self, request: routes.Request) -> routes.Response:
         payload = request.json_body()
@@ -565,10 +567,11 @@ class ReproService:
             spec = JobSpec.from_dict(payload)
         except TypeError as exc:
             raise routes.BadRequest(str(exc)) from exc
+        quotas.admit(  # QuotaExceeded: 429
+            self._jobs.values(), api_key, spec.budget or 0, self.default_quota
+        )
         job = Job(job_id=new_job_id(), spec=spec)
-        self.quotas.reserve(job.job_id, api_key, spec.budget or 0)  # 429 on exceed
-        self._jobs[job.job_id] = job
-        self._events[job.job_id] = []
+        self._register(job)
         self.store.save(job)
         self._queue.push(job.job_id, spec.effective_priority)
         self._publish(job.job_id, {"event": "status", "state": "queued"})
@@ -601,13 +604,12 @@ class ReproService:
         if job.state == "queued" and self._queue.remove(job_id):
             job.state = "cancelled"
             job.finished_at = time.time()
-            self.quotas.release(job_id)
             self.store.save(job)
             self._publish(job_id, {"event": "done", "job": self._job_summary(job)})
             for queue in self._subscribers.get(job_id, set()):
                 queue.put_nowait(None)
         elif job_id in self._cancels:
-            self._cancels[job_id].set()  # _finish settles state + quota
+            self._cancels[job_id].set()  # _finish records the outcome
         return routes.json_response(200, self._job_summary(job))
 
     # ------------------------------------------------------------------

@@ -9,7 +9,9 @@ quota layer accounts under.  Each job owns a directory
 * ``job.json`` — the job record (spec, state, progress, result), written
   atomically at submission, at adoption and when the job finishes, so a
   killed server can re-adopt it (a job caught mid-run reads ``queued``,
-  which adoption re-queues as it would a ``running`` record);
+  which adoption re-queues as it would a ``running`` record).  Its
+  result's ``total_queries`` is the job's one record of spend, which the
+  quota folds over;
 * ``ledger.jsonl`` / ``ledger-shardNN.jsonl`` + ``meta.json`` — the
   standard crash-safe :class:`~repro.telemetry.ledger.RunLedger` run
   directory the trials append to, which is exactly what makes restart
@@ -50,6 +52,9 @@ PRIORITY_BATCH = 10
 
 #: The job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: Terminal job states (never re-adopted, never re-queued).
+TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 #: Default client identity when no ``X-API-Key`` header is sent.
 ANONYMOUS_KEY = "anonymous"

@@ -12,25 +12,21 @@ limit, a job must *declare* a budget at submission, and the service
    jobs can never overdraw a key;
 2. holds the declared budget as a *reservation* while the job is queued
    or running;
-3. on completion *settles* the reservation against the actual metered
-   spend (summed from the job's per-trial snapshots) — clients are
+3. on completion charges the actual metered spend (the job result's
+   ``total_queries``, summed from its per-trial snapshots) — clients are
    charged what they used, not what they declared.
 
-Settled usage persists to ``<data_dir>/quotas.json`` (atomic write), so
-a restarted server keeps charging the same keys; reservations are
-in-memory only and are reconstructed by job adoption.
+There is no quota state of its own: both figures are folds over the
+service's job records, computed when asked.  A job's spend is stored
+once, in its ``job.json``, so a restarted server charges each job
+exactly once however many times it was adopted.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.persist import write_atomic
-
-QUOTAS_NAME = "quotas.json"
+from .jobs import TERMINAL_STATES, Job
 
 
 class QuotaExceeded(Exception):
@@ -59,104 +55,49 @@ class QuotaExceeded(Exception):
         }
 
 
-class QuotaLedger:
-    """Cumulative per-API-key query accounting with reservations.
+def usage(jobs: Iterable[Job], api_key: str) -> Tuple[int, int]:
+    """``(settled, reserved)`` queries of ``api_key`` over ``jobs``.
 
-    Parameters
-    ----------
-    data_dir:
-        Where ``quotas.json`` lives; existing usage is loaded eagerly.
-    default_limit:
-        Per-key cumulative query limit; None disables enforcement (usage
-        is still tracked and settled, so enabling limits later works).
+    A terminal job settles its result's ``total_queries`` (0 without a
+    result); a queued or running one reserves its declared budget.
     """
+    used = reserved = 0
+    for job in jobs:
+        if job.spec.api_key != api_key:
+            continue
+        if job.state not in TERMINAL_STATES:
+            reserved += job.spec.budget or 0
+        elif job.result is not None:
+            used += int(job.result.get("total_queries") or 0)
+    return used, reserved
 
-    def __init__(self, data_dir: Path, default_limit: Optional[int] = None) -> None:
-        self.data_dir = Path(data_dir)
-        self.default_limit = default_limit
-        self.path = self.data_dir / QUOTAS_NAME
-        self._usage: Dict[str, int] = {}
-        self._reservations: Dict[str, Dict[str, int]] = {}  # job_id -> {key, amount}
-        if self.path.exists():
-            try:
-                payload = json.loads(self.path.read_text())
-                self._usage = {
-                    str(k): int(v) for k, v in (payload.get("usage") or {}).items()
-                }
-            except (ValueError, TypeError, AttributeError) as exc:
-                # A torn quotas.json must not brick the server, so every
-                # key's settled usage restarts at zero.  Nothing rebuilds
-                # it from the job records yet; the warning makes the
-                # reset visible.
-                warnings.warn(
-                    f"unreadable {self.path} ({exc}); settled quota usage "
-                    "restarts at zero for every key",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._usage = {}
 
-    # ------------------------------------------------------------------
-    def usage(self, api_key: str) -> int:
-        """Settled (actually metered) queries charged to ``api_key``."""
-        return self._usage.get(api_key, 0)
+def admit(
+    jobs: Iterable[Job], api_key: str, budget: int, limit: Optional[int]
+) -> None:
+    """Admit a job declaring ``budget`` queries against ``jobs``' usage.
 
-    def reserved(self, api_key: str) -> int:
-        """Outstanding declared budgets held for ``api_key``'s live jobs."""
-        return sum(
-            r["amount"] for r in self._reservations.values() if r["key"] == api_key
-        )
+    Raises :class:`QuotaExceeded` when settled usage + outstanding
+    reservations + ``budget`` would exceed ``limit`` (None: no limit).
+    """
+    if budget < 0:
+        raise ValueError("declared budget must be non-negative")
+    if limit is None:
+        return
+    used, reserved = usage(jobs, api_key)
+    if used + reserved + budget > limit:
+        raise QuotaExceeded(api_key, limit, used, reserved, budget)
 
-    def limit(self, api_key: str) -> Optional[int]:
-        """The key's limit (currently the service-wide default)."""
-        return self.default_limit
 
-    def status(self, api_key: str) -> Dict[str, object]:
-        """The quota view served by ``GET /v1/quota``."""
-        limit = self.limit(api_key)
-        used, reserved = self.usage(api_key), self.reserved(api_key)
-        return {
-            "api_key": api_key,
-            "limit": limit,
-            "used": used,
-            "reserved": reserved,
-            "remaining": None if limit is None else max(0, limit - used - reserved),
-        }
-
-    # ------------------------------------------------------------------
-    def reserve(self, job_id: str, api_key: str, declared_budget: int) -> None:
-        """Admit a job, holding ``declared_budget`` against the key's limit.
-
-        Raises :class:`QuotaExceeded` when settled usage + outstanding
-        reservations + the declared budget would exceed the limit.
-        Idempotent per job id (re-adoption re-reserves safely).
-        """
-        if declared_budget < 0:
-            raise ValueError("declared budget must be non-negative")
-        existing = self._reservations.get(job_id)
-        if existing is not None and existing["key"] == api_key:
-            existing["amount"] = declared_budget
-            return
-        limit = self.limit(api_key)
-        if limit is not None:
-            used, reserved = self.usage(api_key), self.reserved(api_key)
-            if used + reserved + declared_budget > limit:
-                raise QuotaExceeded(api_key, limit, used, reserved, declared_budget)
-        self._reservations[job_id] = {"key": api_key, "amount": declared_budget}
-
-    def settle(self, job_id: str, api_key: str, actual_spent: int) -> None:
-        """Release the job's reservation and charge the metered spend."""
-        self._reservations.pop(job_id, None)
-        if actual_spent > 0:
-            self._usage[api_key] = self._usage.get(api_key, 0) + int(actual_spent)
-        self._persist()
-
-    def release(self, job_id: str) -> None:
-        """Drop a reservation without charging (job rejected pre-run)."""
-        self._reservations.pop(job_id, None)
-
-    # ------------------------------------------------------------------
-    def _persist(self) -> None:
-        """Atomically rewrite ``quotas.json`` with current settled usage."""
-        payload = json.dumps({"usage": self._usage}, sort_keys=True, indent=2)
-        write_atomic(self.path, payload + "\n", mode=0o600)
+def status(
+    jobs: Iterable[Job], api_key: str, limit: Optional[int]
+) -> Dict[str, object]:
+    """The quota view served by ``GET /v1/quota``."""
+    used, reserved = usage(jobs, api_key)
+    return {
+        "api_key": api_key,
+        "limit": limit,
+        "used": used,
+        "reserved": reserved,
+        "remaining": None if limit is None else max(0, limit - used - reserved),
+    }

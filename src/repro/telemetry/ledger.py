@@ -24,6 +24,7 @@ write so readers need nothing but the standard library.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from pathlib import Path
@@ -105,6 +106,16 @@ def _json_default(obj: object) -> object:
     raise TypeError(f"not JSON-serialisable: {type(obj).__name__}")
 
 
+def _torn_tail(path: Path) -> bool:
+    """Whether ``path`` exists and its last byte is not a newline."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) != b"\n"
+    except OSError:  # missing, or empty (the seek fails)
+        return False
+
+
 def new_run_id(prefix: str = "run") -> str:
     """A sortable run id: ``<prefix>-YYYYmmdd-HHMMSS``.
 
@@ -134,6 +145,7 @@ class RunLedger:
     ) -> None:
         self.run_dir = Path(run_dir)
         self.filename = filename
+        self._tail_checked = False
 
     # ------------------------------------------------------------------
     @property
@@ -172,11 +184,20 @@ class RunLedger:
         self.append_many([record])
 
     def append_many(self, records: Iterable[Dict[str, object]]) -> None:
-        """Append several records in one file open and one write."""
-        append_lines(
-            self.path,
-            [json.dumps(r, default=_json_default, sort_keys=True) for r in records],
-        )
+        """Append several records in one file open and one write.
+
+        The handle's first append to a file whose last line a killed
+        writer tore starts on a new line, so the fragment stays the one
+        unparseable line and the record after it stays whole.
+        """
+        lines = [
+            json.dumps(r, default=_json_default, sort_keys=True) for r in records
+        ]
+        if lines and not self._tail_checked:
+            self._tail_checked = True
+            if _torn_tail(self.path):
+                lines[0] = "\n" + lines[0]
+        append_lines(self.path, lines)
 
     def write_meta(self, meta: Dict[str, object]) -> None:
         """Write (replace) the run's ``meta.json`` atomically."""

@@ -177,6 +177,27 @@ class TestResume:
         assert all(r.ok for r in resumed.results)
         assert executions(markers, 2) == 2
 
+    def test_record_after_a_torn_last_line_starts_a_new_line(self, tmp_path):
+        # A killed run leaves its last line without a newline; the re-run
+        # trial's record must not be glued onto that fragment and lost.
+        spec = FaultInjectionSpec()
+        ledger = RunLedger(tmp_path / "run")
+        TrialRunner(workers=1).run(
+            fault_injection_trial, 4, 3, {"spec": spec}, ledger=ledger
+        )
+        data = ledger.path.read_bytes()
+        last = data.splitlines()[-1]
+        ledger.path.write_bytes(data[: len(data) - 1 - len(last) // 2])
+        resumed_ledger = RunLedger(tmp_path / "run")  # as a restarted process
+        with pytest.warns(RuntimeWarning, match="torn write"):
+            TrialRunner(workers=1).run(
+                fault_injection_trial, 4, 3, {"spec": spec},
+                ledger=resumed_ledger, resume_from=resumed_ledger,
+            )
+        with pytest.warns(RuntimeWarning, match=":4: skipping unparseable"):
+            assert sorted(RunLedger(tmp_path / "run").read_latest()) == [0, 1, 2, 3]
+        assert len(ledger.path.read_bytes().splitlines()) == 5  # fragment + 4
+
     def test_master_seed_mismatch_refused(self, tmp_path):
         ledger = RunLedger(tmp_path / "run")
         ledger.write_meta({"master_seed": 1})

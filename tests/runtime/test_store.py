@@ -235,6 +235,32 @@ class TestTierIsolation:
         assert store.misses == 2
 
 
+class TestMeterCounters:
+    def test_lookups_count_only_under_artifact_store(self, tmp_path):
+        from repro.telemetry.meter import QueryMeter, metered
+
+        store = ArtifactStore(tmp_path)
+        args = TestTierIsolation().fleet_args("int8")
+        crp_args = dict(puf_spec="arbiter(n=12)", seed=1, distribution="uniform")
+        meter = QueryMeter()
+        with metered(meter):
+            for _ in range(2):  # a miss, then a hit, of each kind
+                store.get_or_generate_fleet(**args, generate=make_plane)
+                store.get_or_generate(**crp_args, m=50, generate=make_crps)
+            for path in store.entries():
+                path.write_bytes(b"torn")
+            with pytest.warns(RuntimeWarning, match="unreadable"):
+                store.get_or_generate_fleet(**args, generate=make_plane)
+                store.get_or_generate(**crp_args, m=50, generate=make_crps)
+        counters = {k: v for k, v in meter.counters.items() if "bytes" not in k}
+        assert counters == {
+            "artifact_store.hits": 2,
+            "artifact_store.misses": 4,
+            "artifact_store.corrupt": 2,
+            "artifact_store.stores": 4,
+        }
+
+
 # ----------------------------------------------------------------------
 # Warm-start determinism: cold and warm runs are byte-equal.
 # ----------------------------------------------------------------------

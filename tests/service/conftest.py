@@ -39,6 +39,8 @@ class LiveService:
         return self
 
     def stop(self) -> None:
+        if self.loop.is_closed():  # stopped already
+            return
         future = asyncio.run_coroutine_threadsafe(self.service.stop(), self.loop)
         future.result(60)
         self.loop.call_soon_threadsafe(self.loop.stop)

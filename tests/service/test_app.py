@@ -9,12 +9,15 @@ the HTTP bytes and the ``TrialRunner`` underneath.
 import http.client
 import json
 import socket
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import persist
 from repro.runtime.runner import TrialRunner
 from repro.service import routes
 from repro.service.client import ServiceError
@@ -82,19 +85,34 @@ class TestSubmitAndComplete:
         assert on_disk["state"] == "done"
         assert on_disk["result"]["digest"] == final["result"]["digest"]
 
-    def test_meta_json_records_quota_accounting(self, live_service):
-        live = live_service()
+    def test_data_dir_holds_one_record_of_spend(self, live_service, monkeypatch):
+        live = live_service(default_quota=10**9)
+        data_dir = live.service.data_dir
+        writes = []
+        original = persist.write_atomic
+
+        def counted(path, data, mode=None):
+            writes.append(Path(path).relative_to(data_dir).as_posix())
+            original(path, data, mode)
+
+        for module_name, module in list(sys.modules.items()):
+            bound = vars(module).get("write_atomic")
+            if module_name.startswith("repro") and bound is original:
+                monkeypatch.setattr(module, "write_atomic", counted)
         client = live.client(api_key="alice")
         job = client.submit(
             workload="fleet", trials=2, seed=5, spec=FLEET_SPEC, budget=10**6
         )
         final = client.wait(job["job_id"], timeout=60)
-        meta = json.loads(
-            (live.service.data_dir / "jobs" / job["job_id"] / "meta.json").read_text()
-        )
-        assert meta["quota"]["api_key"] == "alice"
-        assert meta["quota"]["declared_budget"] == 10**6
-        assert meta["quota"]["metered_queries"] == final["result"]["total_queries"]
+        job_dir = f"jobs/{job['job_id']}"
+        # meta.json once, job.json at submit and at finish; no quotas.json
+        names = ("job.json", "meta.json", "job.json")
+        assert writes == [f"{job_dir}/{name}" for name in names]
+        assert sorted(p.name for p in data_dir.iterdir()) == ["jobs", "service.json"]
+        meta = json.loads((data_dir / job_dir / "meta.json").read_text())
+        assert "quota" not in meta
+        assert meta["api_key"] == "alice" and meta["declared_budget"] == 10**6
+        assert client.quota()["used"] == final["result"]["total_queries"]
 
 
 class TestHttpErrors:
@@ -335,6 +353,48 @@ class TestQuotaEnforcement:
         status = client.quota()
         assert status["reserved"] == 300
         assert status["remaining"] == 700
+
+
+class TestQuotaAcrossRestarts:
+    """Usage is a fold over the job records, so each job is charged once."""
+
+    def _finish_one_job(self, live_service):
+        live = live_service(default_quota=10**9)
+        client = live.client(api_key="alice")
+        job = client.submit(
+            workload="fleet", trials=3, seed=7, spec=FLEET_SPEC, budget=10**6
+        )
+        final = client.wait(job["job_id"], timeout=60)
+        assert final["state"] == "done"
+        assert client.quota()["used"] == final["result"]["total_queries"]
+        live.stop()
+        return live.service.data_dir, final
+
+    def test_job_adopted_after_a_kill_before_its_final_save_is_charged_once(
+        self, live_service
+    ):
+        data_dir, final = self._finish_one_job(live_service)
+        # A kill after the job's spend was counted but before its final
+        # save leaves a complete ledger under a submit-time job.json.
+        store = JobStore(data_dir)
+        done = store.load(final["job_id"])
+        store.save(
+            Job(job_id=done.job_id, spec=done.spec, created_at=done.created_at)
+        )
+        client = live_service(default_quota=10**9).client(api_key="alice")
+        adopted = client.wait(final["job_id"], timeout=60)
+        assert adopted["state"] == "done" and adopted["adopted"] is True
+        spent = final["result"]["total_queries"]
+        assert adopted["result"]["total_queries"] == spent
+        assert client.quota()["used"] == spent
+
+    def test_finished_jobs_count_after_a_restart_without_resume(self, live_service):
+        _, final = self._finish_one_job(live_service)
+        client = live_service(default_quota=10**9, resume=False).client(
+            api_key="alice"
+        )
+        assert client.job(final["job_id"])["state"] == "done"
+        assert client.quota()["used"] == final["result"]["total_queries"]
 
 
 class TestCancellation:

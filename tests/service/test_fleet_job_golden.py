@@ -83,9 +83,7 @@ def test_service_example_job_digest_and_ledger_snapshots(tmp_path, seed):
     assert result["completed"] == 8 and result["failed"] == 0
     assert result["digest"] == SERVICE_DIGESTS[seed]
     assert result["total_queries"] == 8 * SERVICE_SNAPSHOT["total_queries"]
-    quota = RunLedger(job_dir).read_meta()["quota"]
-    assert quota["metered_queries"] == 8 * SERVICE_SNAPSHOT["total_queries"]
-    assert quota["crp_bytes"] == 8 * SERVICE_SNAPSHOT["crp_bytes"]
+    assert "quota" not in RunLedger(job_dir).read_meta()  # job.json holds spend
     records = sorted(RunLedger(job_dir).read(), key=lambda r: r["index"])
     assert [r["index"] for r in records] == list(range(8))
     for record in records:

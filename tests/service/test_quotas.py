@@ -1,25 +1,33 @@
-"""Quota admission control: reserve, settle, persist, 429 semantics."""
-
-import json
+"""Quota admission control: usage folded over job records, 429 semantics."""
 
 import pytest
 
-from repro.persist import is_staging
-from repro.service.quotas import QuotaExceeded, QuotaLedger
+from repro.service.jobs import Job, JobSpec, JobStore
+from repro.service.quotas import QuotaExceeded, admit, status, usage
+
+
+def job(key, budget=None, state="queued", spent=None):
+    """A job record of ``key``; ``spent`` sets its result's total_queries."""
+    record = Job(
+        job_id=f"job-{key}-{budget}-{state}-{spent}",
+        spec=JobSpec(workload="fleet", budget=budget, api_key=key),
+        state=state,
+    )
+    if spent is not None:
+        record.result = {"total_queries": spent}
+    return record
 
 
 class TestReserve:
-    def test_admits_within_limit(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=1000)
-        q.reserve("job-1", "alice", 400)
-        q.reserve("job-2", "alice", 500)
-        assert q.reserved("alice") == 900
+    def test_admits_within_limit(self):
+        jobs = [job("alice", 400)]
+        admit(jobs, "alice", 500, limit=1000)
+        jobs.append(job("alice", 500))
+        assert usage(jobs, "alice") == (0, 900)
 
-    def test_rejects_when_reservations_would_overdraw(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=1000)
-        q.reserve("job-1", "alice", 800)
+    def test_rejects_when_reservations_would_overdraw(self):
         with pytest.raises(QuotaExceeded) as exc:
-            q.reserve("job-2", "alice", 300)
+            admit([job("alice", 800)], "alice", 300, limit=1000)
         payload = exc.value.as_dict()
         assert payload == {
             "limit": 1000,
@@ -28,58 +36,47 @@ class TestReserve:
             "requested": 300,
         }
 
-    def test_settled_usage_counts_against_later_admissions(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=1000)
-        q.reserve("job-1", "alice", 100)
-        q.settle("job-1", "alice", 950)  # spent more than declared
+    def test_settled_usage_counts_against_later_admissions(self):
+        spent_more = job("alice", 100, state="done", spent=950)  # declared 100
         with pytest.raises(QuotaExceeded):
-            q.reserve("job-2", "alice", 100)
+            admit([spent_more], "alice", 100, limit=1000)
 
-    def test_keys_are_independent(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=100)
-        q.reserve("job-1", "alice", 100)
-        q.reserve("job-2", "bob", 100)  # bob's limit is his own
+    def test_keys_are_independent(self):
+        admit([job("alice", 100)], "bob", 100, limit=100)  # bob's limit is his own
 
-    def test_no_limit_means_no_rejection_but_usage_tracked(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=None)
-        q.reserve("job-1", "alice", 10**9)
-        q.settle("job-1", "alice", 12345)
-        assert q.usage("alice") == 12345
+    def test_no_limit_means_no_rejection_but_usage_tracked(self):
+        jobs = [job("alice", 10**9, state="done", spent=12345)]
+        admit(jobs, "alice", 10**9, limit=None)
+        assert usage(jobs, "alice") == (12345, 0)
 
-    def test_reserve_is_idempotent_per_job(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=100)
-        q.reserve("job-1", "alice", 60)
-        q.reserve("job-1", "alice", 60)  # re-adoption path
-        assert q.reserved("alice") == 60
-
-    def test_negative_budget_rejected(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=None)
+    def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            q.reserve("job-1", "alice", -1)
+            admit([], "alice", -1, limit=None)
 
 
 class TestSettleAndRelease:
-    def test_settle_releases_reservation_and_charges_actuals(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=1000)
-        q.reserve("job-1", "alice", 900)
-        q.settle("job-1", "alice", 250)
-        assert q.reserved("alice") == 0
-        assert q.usage("alice") == 250
-        q.reserve("job-2", "alice", 700)  # frees 900, charges 250
+    def test_settle_releases_reservation_and_charges_actuals(self):
+        record = job("alice", 900)
+        assert usage([record], "alice") == (0, 900)
+        record.state, record.result = "done", {"total_queries": 250}
+        assert usage([record], "alice") == (250, 0)
+        admit([record], "alice", 700, limit=1000)  # frees 900, charges 250
 
-    def test_release_drops_without_charging(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=100)
-        q.reserve("job-1", "alice", 100)
-        q.release("job-1")
-        assert q.reserved("alice") == 0
-        assert q.usage("alice") == 0
+    def test_release_drops_without_charging(self):
+        record = job("alice", 100)
+        record.state = "cancelled"  # cancelled while queued: no result
+        assert usage([record], "alice") == (0, 0)
 
-    def test_status_view(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=1000)
-        q.reserve("job-1", "alice", 300)
-        q.settle("job-1", "alice", 200)
-        q.reserve("job-2", "alice", 100)
-        assert q.status("alice") == {
+    def test_running_job_still_reserves(self):
+        assert usage([job("alice", 60, state="running")], "alice") == (0, 60)
+
+    @pytest.mark.parametrize("state", ["done", "failed", "cancelled"])
+    def test_every_terminal_state_charges_its_result(self, state):
+        assert usage([job("alice", 60, state=state, spent=40)], "alice") == (40, 0)
+
+    def test_status_view(self):
+        jobs = [job("alice", 300, state="done", spent=200), job("alice", 100)]
+        assert status(jobs, "alice", limit=1000) == {
             "api_key": "alice",
             "limit": 1000,
             "used": 200,
@@ -90,48 +87,8 @@ class TestSettleAndRelease:
 
 class TestPersistence:
     def test_settled_usage_survives_restart(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=500)
-        q.reserve("job-1", "alice", 100)
-        q.settle("job-1", "alice", 450)
-        q2 = QuotaLedger(tmp_path, default_limit=500)
-        assert q2.usage("alice") == 450
+        JobStore(tmp_path).save(job("alice", 100, state="done", spent=450))
+        jobs = JobStore(tmp_path).load_all().values()  # what a restart loads
+        assert usage(jobs, "alice") == (450, 0)
         with pytest.raises(QuotaExceeded):
-            q2.reserve("job-2", "alice", 100)
-
-    def test_reservations_do_not_persist(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=500)
-        q.reserve("job-1", "alice", 400)
-        q2 = QuotaLedger(tmp_path, default_limit=500)
-        assert q2.reserved("alice") == 0  # rebuilt by job adoption instead
-
-    def test_torn_quotas_json_does_not_brick_the_ledger(self, tmp_path):
-        (tmp_path / "quotas.json").write_text('{"usage": {"alice": 12')
-        with pytest.warns(RuntimeWarning, match="quotas.json"):
-            q = QuotaLedger(tmp_path, default_limit=500)
-        assert q.usage("alice") == 0
-        q.reserve("job-1", "alice", 10)
-        q.settle("job-1", "alice", 10)
-        assert json.loads((tmp_path / "quotas.json").read_text()) == {
-            "usage": {"alice": 10}
-        }
-
-    @pytest.mark.parametrize("keep", [0, 1, 9, 20])
-    def test_truncated_quotas_json_warns_and_resets_to_zero(self, tmp_path, keep):
-        q = QuotaLedger(tmp_path, default_limit=None)
-        q.settle("job-1", "alice", 12)
-        path = tmp_path / "quotas.json"
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.warns(RuntimeWarning) as caught:
-            q2 = QuotaLedger(tmp_path, default_limit=None)
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert str(path) in message and "restarts at zero" in message
-        assert q2.usage("alice") == 0
-
-    def test_quotas_file_written_atomically(self, tmp_path):
-        q = QuotaLedger(tmp_path, default_limit=None)
-        q.settle("job-1", "alice", 5)
-        q.settle("job-2", "alice", 5)
-        residue = [p.name for p in tmp_path.iterdir() if is_staging(p)]
-        assert residue == [] and (tmp_path / "quotas.json").exists()
-        assert q.usage("alice") == 10
+            admit(jobs, "alice", 100, limit=500)

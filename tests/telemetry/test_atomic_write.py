@@ -6,9 +6,9 @@ write stops at the limit and the next one raises ``EFBIG``.
 
 * ``RunLedger.write_meta`` (``meta.json``, read by ``trials --resume``
   and job adoption), ``JobStore.save`` (``job.json``),
-  ``QuotaLedger._persist`` (``quotas.json``), ``ArtifactStore.store``
-  (a store entry) and the atlas CLI (``boundary_map.json``) replace a
-  whole file: the previous file must stay byte for byte.
+  ``ArtifactStore.store`` (a store entry) and the atlas CLI
+  (``boundary_map.json``) replace a whole file: the previous file must
+  stay byte for byte.
 * ``RunLedger.append`` appends: the limit lands inside the new line, so
   the earlier lines must survive and ``read()`` must skip the torn last
   line with its warning.
@@ -30,7 +30,6 @@ from repro.persist import append_lines, is_staging, write_atomic
 from repro.pufs.crp import CRPSet
 from repro.runtime.store import ArtifactStore
 from repro.service.jobs import Job, JobSpec, JobStore
-from repro.service.quotas import QuotaLedger
 from repro.telemetry import RunLedger
 
 resource = pytest.importorskip("resource")
@@ -52,7 +51,6 @@ from repro.__main__ import main
 from repro.pufs.crp import CRPSet
 from repro.runtime.store import ArtifactStore
 from repro.service.jobs import Job, JobSpec, JobStore
-from repro.service.quotas import QuotaLedger
 from repro.telemetry import RunLedger
 
 kind, data_dir, limit = sys.argv[1], Path(sys.argv[2]), int(sys.argv[3])
@@ -62,7 +60,6 @@ rewrite = {
     "job": lambda: JobStore(data_dir).save(
         Job(job_id="job-x", spec=JobSpec(workload="fleet"), error=pad)
     ),
-    "quotas": lambda: QuotaLedger(data_dir).settle("job-2", pad, 5),
     "store": lambda: ArtifactStore(data_dir).store(
         "k", CRPSet(-np.ones((512, 64), np.int8), np.ones(512, np.int8))
     ),
@@ -95,10 +92,6 @@ def _write_previous(kind, data_dir):
         store = JobStore(data_dir)
         store.save(Job(job_id="job-x", spec=JobSpec(workload="fleet")))
         return store.job_dir("job-x") / "job.json"
-    if kind == "quotas":
-        quotas = QuotaLedger(data_dir)
-        quotas.settle("job-1", "alice-" + "y" * 80, 12)
-        return quotas.path
     if kind == "store":
         rng = np.random.default_rng(0)
         crps = CRPSet(
@@ -133,7 +126,7 @@ def _staging(root):
     return [p.name for p in Path(root).rglob("*") if is_staging(p)]
 
 
-@pytest.mark.parametrize("kind", ["meta", "job", "quotas", "store", "atlas"])
+@pytest.mark.parametrize("kind", ["meta", "job", "store", "atlas"])
 def test_failed_rewrite_keeps_previous_file(tmp_path, kind):
     path = _write_previous(kind, tmp_path)
     before = path.read_bytes()
@@ -143,7 +136,7 @@ def test_failed_rewrite_keeps_previous_file(tmp_path, kind):
     if kind == "store":
         assert ArtifactStore(tmp_path).load("k") is not None
     else:
-        json.loads(path.read_text())  # read_meta / load / QuotaLedger all parse it
+        json.loads(path.read_text())  # read_meta and load both parse it
     assert _staging(tmp_path) == []
 
 
@@ -166,12 +159,10 @@ def test_permissions_match_the_previous_writers(tmp_path):
     try:
         meta = _write_previous("meta", tmp_path / "run")
         job = _write_previous("job", tmp_path / "svc")
-        quotas = _write_previous("quotas", tmp_path / "svc")
     finally:
         os.umask(umask)
     assert meta.stat().st_mode & 0o777 == 0o644  # as Path.write_text gave
     assert job.stat().st_mode & 0o777 == 0o600  # as mkstemp gave
-    assert quotas.stat().st_mode & 0o777 == 0o600
 
 
 def test_explicit_mode_and_replace(tmp_path):
