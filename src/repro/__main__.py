@@ -19,9 +19,7 @@ Subcommands:
   ``--ledger`` additionally writes a query-accounting run directory,
   ``--retries``/``--trial-timeout`` configure the retry policy for
   infrastructure failures, and ``--resume`` replays a killed run's
-  ledger so only missing trials re-execute.  ``--shards N`` runs N
-  work-stealing process pools with per-shard mergeable ledgers;
-  ``--cache-dir`` memoises workload artifacts in an ``ArtifactStore``
+  ledger so only missing trials re-execute.  ``--cache-dir`` memoises workload artifacts in an ``ArtifactStore``
   (``--cache-max-bytes`` caps it, ``--cache-stats`` prints and records
   hit/miss/bytes counters)::
 
@@ -29,7 +27,7 @@ Subcommands:
       python -m repro trials --spec n=24 --spec 'budgets=[50,200]'
       python -m repro trials --workload lmn --trials 4 --ledger
       python -m repro trials --ledger --run-id demo --resume
-      python -m repro trials --workload fleet --shards 2 --smoke
+      python -m repro trials --workload fleet --workers 2 --smoke
 
 * ``report`` — aggregate a run ledger into ``report.md``/``report.json``
   comparing the measured query counts against the ``pac.bounds``
@@ -48,7 +46,7 @@ Subcommands:
 
 * ``bench`` — time one benchmark suite (``kernels``: the character
   kernel vs the per-subset loops; ``fleet``: the stacked-GEMM fleet vs
-  the per-instance loop; ``store``: warm-start replay and shard
+  the per-instance loop; ``store``: warm-start replay and pool
   scaling; ``active``: the adaptive-vs-passive query atlas), check
   every case against its reference path, and regenerate the suite's
   machine-readable baseline::
@@ -236,8 +234,8 @@ def _open_ledger(args: argparse.Namespace, spec, trials: int, **meta):
     """``(ledger, status)`` for a ``--ledger`` or ``--resume`` run.
 
     The ledger is None without either flag.  A fresh run writes
-    ``meta.json``: workload, spec, trial count, workers, shards, master
-    seed, then ``meta``.  ``--resume`` keeps an existing ``meta.json``,
+    ``meta.json``: workload, spec, trial count, workers, master seed,
+    then ``meta``.  ``--resume`` keeps an existing ``meta.json``,
     and when it disagrees with this invocation prints the differing
     fields and returns status 2, the exit status; otherwise status is 0.
     """
@@ -270,7 +268,6 @@ def _open_ledger(args: argparse.Namespace, spec, trials: int, **meta):
             "spec": dataclasses.asdict(spec),
             "trials": trials,
             "workers": args.workers,
-            "shards": args.shards,
             "master_seed": args.seed,
             **meta,
         }
@@ -299,8 +296,7 @@ def _aggregate_cache_stats(results) -> dict:
     but each handle's hits/misses landed on that trial's ambient
     :class:`QueryMeter` and travelled home in
     ``TrialResult.telemetry["queries"]["counters"]`` — so the run-wide
-    totals are a plain sum over results, regardless of worker or shard
-    count.
+    totals are a plain sum over results, regardless of worker count.
 
     Trials are heterogeneous: a cached trial carries the full
     ``artifact_store.*`` counter set, an uncached one only some of it,
@@ -368,7 +364,7 @@ def cmd_trials(args: argparse.Namespace) -> int:
             trial_fn, args.trials, args.seed, kwargs, retry=retry
         )
         print(f"serial:   {serial.summary()}")
-    parallel = TrialRunner(workers=args.workers, shards=args.shards).run(
+    parallel = TrialRunner(workers=args.workers).run(
         trial_fn,
         args.trials,
         args.seed,
@@ -482,7 +478,6 @@ def cmd_atlas(args: argparse.Namespace) -> int:
         spec,
         master_seed=args.seed,
         workers=args.workers,
-        shards=args.shards,
         ledger=ledger,
         resume=args.resume,
         cache_dir=args.cache_dir,
@@ -758,14 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="worker processes for the parallel run (per shard with --shards)",
-    )
-    trials.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="independent work-stealing process pools; each writes its own "
-        "ledger-shardNN.jsonl, merged transparently on read/resume",
+        help="worker processes for the parallel run",
     )
     _add_spec_flag(
         trials, "the workload's spec dataclass (e.g. --spec n=24 "
@@ -924,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=sorted(SUITES),
         help="kernels: character kernel vs per-subset loops; fleet: stacked "
-        "GEMM vs per-instance loop; store: warm start and shard scaling; "
+        "GEMM vs per-instance loop; store: warm start and pool scaling; "
         "active: adaptive-vs-passive query atlas",
     )
     bench.add_argument(
@@ -956,13 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     atlas_p.add_argument("--seed", type=int, default=0, help="master seed")
     atlas_p.add_argument(
-        "--workers", type=int, default=1, help="worker processes per shard"
-    )
-    atlas_p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="independent work-stealing pools (per-shard crash-safe ledgers)",
+        "--workers", type=int, default=1, help="worker processes"
     )
     atlas_p.add_argument(
         "--retries", type=int, default=0, help="retries per infra failure"

@@ -5,7 +5,7 @@ learner, challenge representation, n, k, noise sigma, and sample budget
 m — into one flat sequence of
 :class:`~repro.runtime.runner.TrialRunner` trials (cell-major, replicate
 minor), runs them with the standard crash-safe ledger / ``--resume`` /
-sharding / ``ArtifactStore`` warm-start machinery, and reduces the
+process-pool / ``ArtifactStore`` warm-start machinery, and reduces the
 per-trial accuracies into per-cell **boundary maps**: for every
 (family, learner, representation, n, sigma) slice, a (k x m) grid of
 mean held-out accuracy plus the *accuracy frontier* — the smallest
@@ -178,7 +178,7 @@ def reduce_atlas(
     (missing indices — failed or not-yet-run trials — leave their cell
     with fewer replicates and are counted in ``missing_trials``).  The
     reduction is a pure function of the *set* of (index, value) pairs:
-    arrival order never matters, so a sharded, killed-and-resumed run
+    arrival order never matters, so a pooled, killed-and-resumed run
     reduces to the same ``digest`` as a serial one.
     """
     check_frontier(frontier)
@@ -365,7 +365,6 @@ def run_atlas(
     spec: AtlasTrialSpec,
     master_seed: int = 0,
     workers: int = 1,
-    shards: int = 1,
     ledger=None,
     resume: bool = False,
     cache_dir: Optional[str] = None,
@@ -385,7 +384,7 @@ def run_atlas(
     if cache_dir is not None:
         kwargs["cache_dir"] = cache_dir
         kwargs["cache_max_bytes"] = cache_max_bytes
-    report = TrialRunner(workers=workers, shards=shards).run(
+    report = TrialRunner(workers=workers).run(
         atlas_trial,
         trials,
         master_seed,

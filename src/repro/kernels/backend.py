@@ -2,7 +2,7 @@
 
 Every stacked (fleet) GEMM in :mod:`repro.kernels.fleet` is issued
 through the backend installed here instead of calling ``np.matmul``
-directly.  That one level of indirection buys three things:
+directly.  That one level of indirection buys two things:
 
 * **Swappability** — a numba/C/BLIS backend can drop in later by
   subclassing :class:`KernelBackend` and calling :func:`set_backend`
@@ -12,10 +12,6 @@ directly.  That one level of indirection buys three things:
   :func:`use_backend` proves that learner/workload code paths really
   route their GEMMs through the seam (see
   ``tests/kernels/test_backend.py``).
-* **Thread-level parallelism** — the default :class:`NumpyBackend`
-  can tile the row dimension of a stacked GEMM over a thread pool
-  *inside* a trial; NumPy releases the GIL in BLAS, so slabs multiply
-  concurrently.
 
 Dtype tiers
 -----------
@@ -47,18 +43,12 @@ from __future__ import annotations
 import abc
 import contextlib
 import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Optional
 
 import numpy as np
 
 #: The supported dtype tiers, fastest-reference-first.
 DTYPE_TIERS = ("float64", "float32", "int8")
-
-#: Row count below which thread tiling is never worth the dispatch cost.
-_MIN_ROWS_PER_THREAD = 256
-
 
 def validate_tier(tier: str) -> str:
     """Return ``tier`` unchanged, or raise ``ValueError`` for unknowns."""
@@ -107,29 +97,10 @@ class KernelBackend(abc.ABC):
 
 
 class NumpyBackend(KernelBackend):
-    """The default backend: BLAS ``matmul`` with optional row tiling.
+    """The default backend: one BLAS ``matmul``."""
 
-    Parameters
-    ----------
-    threads:
-        Worker threads for row-slab tiling.  ``None`` reads
-        ``$REPRO_KERNEL_THREADS`` (default 1).  With ``threads > 1``
-        and enough rows, the (M, d) feature matrix is split into
-        contiguous row slabs multiplied concurrently; each output row
-        is still produced by one ordinary ``matmul`` over the full
-        inner dimension, so exact-integer GEMMs stay bit-identical to
-        the single-threaded result.
-    """
+    name = "numpy"
 
-    def __init__(self, threads: Optional[int] = None) -> None:
-        if threads is None:
-            threads = int(os.environ.get("REPRO_KERNEL_THREADS", "1"))
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        self.threads = threads
-        self.name = f"numpy[threads={threads}]"
-
-    # ------------------------------------------------------------------
     def gemm(self, features: np.ndarray, weights: np.ndarray) -> np.ndarray:
         features = np.asarray(features)
         weights = np.asarray(weights)
@@ -149,30 +120,7 @@ class NumpyBackend(KernelBackend):
             cast = features.astype(out_dtype, copy=False)
         else:
             cast = features
-        rows = cast.shape[0]
-        if self.threads == 1 or rows < _MIN_ROWS_PER_THREAD * 2:
-            return cast @ weights
-        return self._tiled(cast, weights)
-
-    def _tiled(self, features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Row-slab tiled matmul over a private thread pool."""
-        rows = features.shape[0]
-        slabs = min(self.threads, max(1, rows // _MIN_ROWS_PER_THREAD))
-        bounds = np.linspace(0, rows, slabs + 1, dtype=np.int64)
-        out = np.empty((rows, weights.shape[1]), dtype=weights.dtype)
-
-        def work(lo: int, hi: int) -> None:
-            np.matmul(features[lo:hi], weights, out=out[lo:hi])
-
-        with ThreadPoolExecutor(max_workers=slabs) as pool:
-            futures = [
-                pool.submit(work, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for future in futures:
-                future.result()
-        return out
+        return cast @ weights
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +133,7 @@ _DEFAULT = NumpyBackend()
 
 
 def get_backend() -> KernelBackend:
-    """The installed backend, defaulting to a single-thread NumpyBackend."""
+    """The installed backend, defaulting to :class:`NumpyBackend`."""
     backend = _BACKEND.get()
     return _DEFAULT if backend is None else backend
 

@@ -153,7 +153,7 @@ def fleet_margins(
     """``(M, d) @ (d, N)`` margins for N stacked instances (or chains).
 
     Routed through the installed :class:`KernelBackend` (or the one
-    passed explicitly), which owns dtype upcasting and thread tiling.
+    passed explicitly), which owns dtype upcasting.
     """
     backend = get_backend() if backend is None else backend
     return backend.gemm(np.asarray(features), np.asarray(weights))

@@ -15,11 +15,10 @@ The pieces compose into the standard experiment loop:
   memoisation of generated artifacts (CRP sets, fleet response planes,
   one flat bit-packed file each) keyed by :func:`artifact_digest`, with
   LRU eviction and hit/miss/bytes stats;
-* :mod:`repro.runtime.sharding` — the one dispatch loop behind every
-  ``TrialRunner`` run: serial, a single process pool, or work-stealing
-  shards (``TrialRunner(shards=N)``) with per-shard mergeable ledgers;
-  worker-death retry, per-trial timeouts with pool rebuild, and the
-  serial fallback live here.
+* :mod:`repro.runtime.pool` — the one dispatch loop behind every
+  ``TrialRunner`` run: serial, or one process pool of ``workers``
+  processes; worker-death retry, per-trial timeouts with pool rebuild,
+  and the serial fallback live here.
 
 Picklable standard workloads live in :mod:`repro.runtime.workloads`
 (imported explicitly, not re-exported, to keep this package import-light).
@@ -37,6 +36,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "generate_crps_blocked",
             "iter_blocks",
         ),
+        "pool": ("default_chunk", "run_pool"),
         "runner": (
             "RetryPolicy",
             "TrialContext",
@@ -49,7 +49,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "trial_record",
         ),
         "seeding": ("as_seed_sequence", "fan_out", "trial_rng", "trial_seed"),
-        "sharding": ("WorkStealingScheduler", "partition_items", "run_sharded"),
         "store": ("ArtifactStore", "artifact_digest", "hash_challenges"),
     },
 )

@@ -9,7 +9,7 @@ scaling point for the whole reproduction.
 Determinism contract
 --------------------
 ``TrialRunner.run(fn, num_trials, master_seed)`` yields *bit-identical*
-results for any ``workers`` and ``shards`` setting: every trial's
+results for any ``workers`` setting: every trial's
 randomness comes from its own :class:`~numpy.random.SeedSequence` child
 (see :mod:`repro.runtime.seeding`), results are re-ordered by trial
 index, and nothing a trial computes may depend on shared mutable state.  Trial
@@ -38,8 +38,7 @@ back to in-process serial execution instead.  A trial whose retry budget
 is exhausted is recorded as a ``category="infra"`` / ``"timeout"``
 :class:`TrialError` rather than crashing the run.  This module defines
 the trial, result and retry types; the one dispatch loop that applies
-the policy — serial, single-pool and sharded alike — is
-:mod:`repro.runtime.sharding`.
+the policy — serial and pooled alike — is :mod:`repro.runtime.pool`.
 
 With a ledger attached, each record is appended as its trial completes
 (parent-side), so a killed run can be restarted with
@@ -275,7 +274,7 @@ class TrialReport:
     workers: int
     wall_seconds: float
     #: What ran: "serial", "process-pool", "mixed" (pool, then a serial
-    #: fallback), "sharded(SxW[, steals=N])[-mixed]" or "replay".
+    #: fallback) or "replay".
     executor: str
     cancelled: bool = False
 
@@ -467,53 +466,37 @@ def _execute_trial(
 
 
 class TrialRunner:
-    """Fan independent trials out over process pools, deterministically.
+    """Fan independent trials out over a process pool, deterministically.
 
     Every executing run goes through one driver loop,
-    :func:`repro.runtime.sharding.run_sharded`; the constructor arguments
-    only pick its shape.
+    :func:`repro.runtime.pool.run_pool`; the constructor arguments only
+    pick its shape.
 
     Parameters
     ----------
     workers:
-        Worker processes per shard.  ``1`` (the default) with
-        ``shards=1`` runs serially in the current process — no pool, no
-        pickling requirements, ``on_result`` in index order.
+        Worker processes.  ``1`` (the default) runs serially in the
+        current process — no pool, no pickling requirements,
+        ``on_result`` in index order; more runs one process pool.
     chunk_size:
         Trials per pool task.  Defaults to
-        :func:`~repro.runtime.sharding.default_shard_chunk`,
-        ``ceil(num_trials / (8 * shards * workers))``, so every worker
-        slot turns over several times.  Results do not depend on it.
-        Retry and timeout act at chunk granularity: a smaller
-        ``chunk_size`` narrows the blast radius of a dead or hung worker.
-        At most ``workers`` chunks per pool are in flight at once (the
-        rest wait in the scheduler), so a chunk's ``trial_timeout``
-        deadline starts when it starts executing, not when the run was
-        launched.
-    shards:
-        Number of independent process pools.  ``1`` (the default) is the
-        single pool (or the serial run); more splits the trials across
-        shards whose idle drivers steal queued trials from the tail of
-        busy ones, and with a ledger attached each shard appends to its
-        own ``ledger-shardNN.jsonl`` instead of ``ledger.jsonl``.
-        Results stay bit-identical to the serial run for any shard count.
+        :func:`~repro.runtime.pool.default_chunk`,
+        ``ceil(num_trials / (8 * workers))``, so every worker turns over
+        several times.  Results do not depend on it.  Retry and timeout
+        act at chunk granularity: a smaller ``chunk_size`` narrows the
+        blast radius of a dead or hung worker.  At most ``workers``
+        chunks are in flight at once (the rest wait in the queue), so a
+        chunk's ``trial_timeout`` deadline starts when it starts
+        executing, not when the run was launched.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        shards: int = 1,
-    ) -> None:
+    def __init__(self, workers: int = 1, chunk_size: Optional[int] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.shards = shards
 
     # ------------------------------------------------------------------
     def run(
@@ -552,14 +535,12 @@ class TrialRunner:
         ``on_result`` is called in the parent process as each trial
         completes — replayed results first (in index order), then
         executed ones in completion order — which is the progress hook
-        the assessment service streams its job events from.  With
-        ``shards > 1`` it also fires from shard driver threads, so the
-        callback must be thread-safe (the service marshals onto its event
-        loop with ``call_soon_threadsafe``).  ``cancel`` is a cooperative
-        stop: once the event is set no further trials start, in-flight
-        pool chunks finish and are recorded, and the report comes back
-        with ``cancelled=True`` holding only the completed results —
-        a later ``resume_from`` run finishes exactly the missing trials.
+        the assessment service streams its job events from.  ``cancel``
+        is a cooperative stop: once the event is set no further trials
+        start, in-flight pool chunks finish and are recorded, and the
+        report comes back with ``cancelled=True`` holding only the
+        completed results — a later ``resume_from`` run finishes exactly
+        the missing trials.
         """
         if trial_timeout is not None and trial_timeout <= 0:
             raise ValueError(f"trial_timeout must be positive, got {trial_timeout}")
@@ -583,13 +564,12 @@ class TrialRunner:
         if not items or (cancel is not None and cancel.is_set()):
             executor = "serial" if items and not replayed else "replay"
         else:
-            from repro.runtime.sharding import run_sharded
+            from repro.runtime.pool import run_pool
 
-            run = run_sharded(
+            executed, executor = run_pool(
                 trial_fn,
                 items,
                 kwargs,
-                shards=self.shards,
                 workers=self.workers,
                 chunk_size=self.chunk_size,
                 retry=retry,
@@ -598,7 +578,6 @@ class TrialRunner:
                 on_result=on_result,
                 cancel=cancel,
             )
-            executed, executor = run.results, run.executor
 
         results = executed + list(replayed.values())
         results.sort(key=lambda r: r.index)

@@ -1,6 +1,6 @@
-"""Artifact-store and sharding benchmarks behind ``python -m repro bench store``.
+"""Artifact-store and process-pool benchmarks behind ``python -m repro bench store``.
 
-Two case families, matching the two halves of the store/scheduler layer:
+Two case families, matching the two halves of the store/runner layer:
 
 * **Warm start** — run a generation-heavy fleet sweep twice against one
   :class:`~repro.runtime.store.ArtifactStore`: the cold pass pays full
@@ -8,12 +8,12 @@ Two case families, matching the two halves of the store/scheduler layer:
   entries.  Reports the wall-clock speedup and checks the two
   passes' trial values are bit-identical (the store hit path consumes no
   randomness, so they must be).
-* **Sharding** — run a skewed sleep-bound trial mix (all slow trials
-  clustered at the front, the adversarial case for static partitioning)
-  on one pool and on four work-stealing shards, and report the scaling.
-  Sleeps overlap across pools regardless of core count, so the case is
-  meaningful on single-CPU CI hosts too.  Values must again be
-  bit-identical across shard counts.
+* **Pooling** — run a skewed sleep-bound trial mix (all slow trials
+  clustered at the front) serially and on one pool of four workers at
+  one trial per chunk, and report the scaling.  Sleeps overlap across
+  workers regardless of core count, so the case is meaningful on
+  single-CPU CI hosts too.  Values must again be bit-identical across
+  worker counts.
 
 Results serialise to ``benchmarks/results/BENCH_store.json`` and render
 into ``docs/BENCHMARKS.md`` via ``python -m repro docs-bench``.
@@ -51,15 +51,15 @@ class WarmStartCase:
 
 
 @dataclasses.dataclass(frozen=True)
-class ShardingCase:
-    """One 1-pool-vs-4-shard run of the skewed sleep mix."""
+class PoolCase:
+    """One serial-vs-pool run of the skewed sleep mix."""
 
     name: str
     trials: int = 16
     slow_count: int = 4
     slow_seconds: float = 0.5
     fast_seconds: float = 0.01
-    shards: int = 4
+    workers: int = 4
     seed: int = 12
 
 
@@ -67,8 +67,8 @@ def default_cases() -> List[object]:
     """The full benchmark matrix (sweep-scale generation costs)."""
     return [
         WarmStartCase(name="warm_start_fleet_br"),
-        ShardingCase(
-            name="sharded_skewed_sleep",
+        PoolCase(
+            name="pooled_skewed_sleep",
             trials=16,
             slow_count=4,
             slow_seconds=0.5,
@@ -81,13 +81,13 @@ def smoke_cases() -> List[object]:
     """Seconds-fast subset for CI: asserts equivalence and speedup >= 1."""
     return [
         WarmStartCase(name="warm_start_fleet_br_smoke", trials=3, n=32, size=48, m=600),
-        ShardingCase(
-            name="sharded_skewed_sleep_smoke",
+        PoolCase(
+            name="pooled_skewed_sleep_smoke",
             trials=8,
             slow_count=2,
             slow_seconds=0.25,
             fast_seconds=0.01,
-            shards=2,
+            workers=2,
         ),
     ]
 
@@ -153,12 +153,11 @@ def _run_warm_start(case: WarmStartCase) -> Dict[str, object]:
     }
 
 
-def _run_sharding(case: ShardingCase) -> Dict[str, object]:
-    """Time the skewed sleep mix on one pool vs ``case.shards`` shards.
+def _run_pool(case: PoolCase) -> Dict[str, object]:
+    """Time the skewed sleep mix serially vs on ``case.workers`` workers.
 
-    ``chunk_size=1`` gives the scheduler trial-level stealing
-    granularity — the whole point of the skewed mix is that shard 0
-    starts owning every slow trial and the others must steal them.
+    ``chunk_size=1`` hands out one trial at a time, so the slow trials
+    at the front spread over the workers instead of sharing a chunk.
     """
     spec = SkewedSleepSpec(
         slow_count=case.slow_count,
@@ -167,18 +166,18 @@ def _run_sharding(case: ShardingCase) -> Dict[str, object]:
     )
     kwargs = {"spec": spec}
     t0 = time.perf_counter()
-    single = TrialRunner(workers=1).run(
+    serial = TrialRunner(workers=1).run(
         skewed_sleep_trial, case.trials, case.seed, kwargs
     )
-    single_s = time.perf_counter() - t0
+    serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sharded = TrialRunner(workers=1, shards=case.shards, chunk_size=1).run(
+    pooled = TrialRunner(workers=case.workers, chunk_size=1).run(
         skewed_sleep_trial, case.trials, case.seed, kwargs
     )
-    sharded_s = time.perf_counter() - t0
-    single.raise_failures()
-    sharded.raise_failures()
-    identical = _values_identical(single, sharded)
+    pool_s = time.perf_counter() - t0
+    serial.raise_failures()
+    pooled.raise_failures()
+    identical = _values_identical(serial, pooled)
     return {
         "name": case.name,
         "params": {
@@ -186,35 +185,35 @@ def _run_sharding(case: ShardingCase) -> Dict[str, object]:
             "slow_count": case.slow_count,
             "slow_seconds": case.slow_seconds,
             "fast_seconds": case.fast_seconds,
-            "shards": case.shards,
+            "workers": case.workers,
         },
-        "sharding": {
-            "shards1_s": single_s,
-            "shardsN_s": sharded_s,
-            "speedup": single_s / max(sharded_s, 1e-12),
+        "pooling": {
+            "serial_s": serial_s,
+            "pool_s": pool_s,
+            "speedup": serial_s / max(pool_s, 1e-12),
         },
-        "executor": sharded.executor,
+        "executor": pooled.executor,
         "bit_identical": identical,
         "equivalent": identical,
     }
 
 
-def run_case(case: Union[WarmStartCase, ShardingCase]) -> Dict[str, object]:
-    """Time one warm-start or sharding case and check bit-identity."""
+def run_case(case: Union[WarmStartCase, PoolCase]) -> Dict[str, object]:
+    """Time one warm-start or pool case and check bit-identity."""
     if isinstance(case, WarmStartCase):
         return _run_warm_start(case)
-    if isinstance(case, ShardingCase):
-        return _run_sharding(case)
+    if isinstance(case, PoolCase):
+        return _run_pool(case)
     raise TypeError(f"unknown bench case type {type(case).__name__}")
 
 
 def gate(records: Sequence[Dict[str, object]], smoke: bool) -> List[str]:
-    """Under ``--smoke``, a warm pass or a sharded run with no speedup fails."""
+    """Under ``--smoke``, a warm pass or a pooled run with no speedup fails."""
     if not smoke:
         return []
     found = []
     for rec in records:
-        speedup = (rec.get("warm_start") or rec.get("sharding"))["speedup"]
+        speedup = (rec.get("warm_start") or rec.get("pooling"))["speedup"]
         if speedup < 1.0:
             found.append(f"{rec['name']}: no speedup ({speedup:.2f}x)")
     return found

@@ -330,18 +330,16 @@ def fault_injection_trial(ctx: TrialContext, spec: FaultInjectionSpec) -> np.nda
 class SkewedSleepSpec:
     """A sleep-bound trial mix with all the slow trials clustered up front.
 
-    The adversarial case for static partitioning: contiguous sharding
-    hands every slow trial to shard 0, so without stealing the run's
-    wall clock is shard 0's serial grind while the other shards idle.
-    The work-stealing scheduler must rebalance it — this is the trial
-    mix behind the ``--shards`` scaling case of ``BENCH_store.json``.
-    Trials sleep (they do not spin), so shard scaling is observable even
-    on a single-CPU host.
+    A static split by index would hand every slow trial to one worker;
+    a pool that hands out one trial per chunk spreads them over its
+    workers instead.  This is the trial mix behind the pool scaling
+    case of ``BENCH_store.json``.  Trials sleep (they do not spin), so
+    pool scaling is observable even on a single-CPU host.
 
     ``slow_count`` leading trial indices sleep ``slow_seconds``; the
     rest sleep ``fast_seconds``.  The returned draw is a pure function
     of the trial's seed (sleeps consume no randomness), preserving
-    bit-identical replay across shard counts.
+    bit-identical replay across worker counts.
     """
 
     slow_count: int = 4

@@ -5,7 +5,7 @@ submit assessment jobs over plain HTTP (``POST /v1/jobs``), poll them
 (``GET /v1/jobs/{id}``), and stream per-trial progress as
 newline-delimited JSON (``GET /v1/jobs/{id}/events``).  Everything is
 standard library: the HTTP layer is :mod:`repro.service.routes`, and job
-execution is the existing fault-tolerant sharded
+execution is the existing fault-tolerant
 :class:`~repro.runtime.runner.TrialRunner` running in a thread-pool
 executor.
 
@@ -103,13 +103,12 @@ def run_job_sync(
                 "spec": dataclasses.asdict(workload_spec),
                 "trials": spec.trials,
                 "workers": spec.workers,
-                "shards": spec.shards,
                 "master_seed": spec.seed,
                 "api_key": spec.api_key,
                 "declared_budget": spec.budget,
             }
         )
-    runner = TrialRunner(workers=spec.workers, shards=spec.shards)
+    runner = TrialRunner(workers=spec.workers)
     with metered(QueryMeter()):
         report = runner.run(
             trial_fn,

@@ -12,7 +12,7 @@ quota layer accounts under.  Each job owns a directory
   which adoption re-queues as it would a ``running`` record).  Its
   result's ``total_queries`` is the job's one record of spend, which the
   quota folds over;
-* ``ledger.jsonl`` / ``ledger-shardNN.jsonl`` + ``meta.json`` — the
+* ``ledger.jsonl`` + ``meta.json`` — the
   standard crash-safe :class:`~repro.telemetry.ledger.RunLedger` run
   directory the trials append to, which is exactly what makes restart
   recovery free: re-adoption is just ``TrialRunner.run(...,
@@ -85,7 +85,6 @@ class JobSpec:
     trials: int = 4
     seed: int = 0
     workers: int = 1
-    shards: int = 1
     priority: Optional[int] = None
     budget: Optional[int] = None
     api_key: str = ANONYMOUS_KEY
@@ -93,8 +92,8 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1 or self.shards < 1:
-            raise ValueError("workers and shards must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.budget is not None and self.budget < 0:
             raise ValueError(f"budget must be non-negative, got {self.budget}")
         if not isinstance(self.spec, dict):
@@ -167,10 +166,16 @@ class Job:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Job":
-        """Reconstruct a job from a persisted ``job.json`` payload."""
+        """Reconstruct a job from a persisted ``job.json`` payload.
+
+        A record written by an older version may carry a ``shards`` spec
+        field, which is dropped: those jobs now run on one pool.
+        """
         fields = {f.name for f in dataclasses.fields(cls)}
         data = {k: v for k, v in payload.items() if k in fields}
-        data["spec"] = JobSpec.from_dict(data["spec"])
+        spec = dict(data["spec"])
+        spec.pop("shards", None)
+        data["spec"] = JobSpec.from_dict(spec)
         return cls(**data)
 
 

@@ -38,20 +38,9 @@ from repro.persist import append_lines, write_atomic
 LEDGER_NAME = "ledger.jsonl"
 META_NAME = "meta.json"
 
-#: Glob matching per-shard ledger files inside a run directory.
-SHARD_LEDGER_GLOB = "ledger-shard*.jsonl"
-
-
-def shard_ledger_name(shard_id: int) -> str:
-    """The ledger filename for shard ``shard_id`` (``ledger-shard03.jsonl``).
-
-    Two digits keep shard files lexicographically ordered by id for any
-    realistic shard count, which fixes the merge order used by
-    :meth:`RunLedger.read_latest`.
-    """
-    if shard_id < 0:
-        raise ValueError(f"shard id must be non-negative, got {shard_id}")
-    return f"ledger-shard{shard_id:02d}.jsonl"
+#: Per-shard ledger files that runs written by older versions may hold;
+#: :meth:`RunLedger.read_latest` still folds them in.
+LEGACY_SHARD_GLOB = "ledger-shard*.jsonl"
 
 
 def _replayable(record: Dict[str, object]) -> bool:
@@ -59,9 +48,9 @@ def _replayable(record: Dict[str, object]) -> bool:
 
     Successful trials and deterministic *trial* errors are pure functions
     of ``(master_seed, index)``; infrastructure failures and timeouts are
-    not.  The shard-merge in :meth:`RunLedger.read_latest` prefers
-    replayable records so a shard's infra hiccup can never shadow another
-    record of the same trial that actually finished.
+    not.  :meth:`RunLedger.read_latest` prefers replayable records so an
+    infra hiccup can never shadow another record of the same trial that
+    actually finished.
     """
     if record.get("status") == "ok":
         return True
@@ -133,25 +122,17 @@ class RunLedger:
     run_dir:
         The run's directory (e.g. ``runs/curve-20260806-120000``).
         Made by the first write into it.
-    filename:
-        The JSONL file this handle appends to — ``ledger.jsonl`` (the
-        main ledger) by default, or a per-shard file from
-        :meth:`shard`.  All handles share the run directory and
-        ``meta.json``.
     """
 
-    def __init__(
-        self, run_dir: Union[str, Path], filename: str = LEDGER_NAME
-    ) -> None:
+    def __init__(self, run_dir: Union[str, Path]) -> None:
         self.run_dir = Path(run_dir)
-        self.filename = filename
         self._tail_checked = False
 
     # ------------------------------------------------------------------
     @property
     def path(self) -> Path:
-        """The JSONL file this handle appends to (main or shard)."""
-        return self.run_dir / self.filename
+        """The ``ledger.jsonl`` this handle appends to."""
+        return self.run_dir / LEDGER_NAME
 
     @property
     def meta_path(self) -> Path:
@@ -163,20 +144,9 @@ class RunLedger:
         """The run id (the directory name)."""
         return self.run_dir.name
 
-    def shard(self, shard_id: int) -> "RunLedger":
-        """A ledger handle appending to this run's shard ``shard_id`` file.
-
-        Sharded execution gives each shard its own append-only file
-        (``ledger-shardNN.jsonl``) so shards never contend on one file
-        handle and a torn write can only tear its own shard.  The main
-        handle's :meth:`read_latest` merges every shard back by trial
-        index.
-        """
-        return RunLedger(self.run_dir, filename=shard_ledger_name(shard_id))
-
-    def shard_paths(self) -> List[Path]:
-        """All per-shard ledger files present, sorted by shard id."""
-        return sorted(self.run_dir.glob(SHARD_LEDGER_GLOB))
+    def _legacy_paths(self) -> List[Path]:
+        """Per-shard ledger files an older version left, sorted by name."""
+        return sorted(self.run_dir.glob(LEGACY_SHARD_GLOB))
 
     # ------------------------------------------------------------------
     def append(self, record: Dict[str, object]) -> None:
@@ -238,35 +208,33 @@ class RunLedger:
         return records
 
     def read_latest(self) -> Dict[int, Dict[str, object]]:
-        """The winning record per trial index, merged across shard files.
+        """The winning record per trial index.
 
         A resumed run appends fresh records for re-executed trials after
         the originals (e.g. an infrastructure failure followed by a clean
         rerun), so readers — resume itself and ``repro report`` — must
-        take one record per index, never double-count.  On the main
-        handle this also folds in every ``ledger-shardNN.jsonl`` present,
-        making shard merge invisible to readers.
+        take one record per index, never double-count.  Runs written by
+        older versions may also hold per-shard files
+        (``ledger-shardNN.jsonl``); those are folded in after the main
+        file, in name order.
 
         Merge rule, per index: a *replayable* record (status ``ok`` or a
         deterministic trial error) beats a non-replayable one (infra
-        failure, timeout); at equal rank the later record wins, reading
-        the main file first and then shards in id order.  Replayable
-        records for one index are bit-identical by construction — they
-        are pure functions of ``(master_seed, index)`` — so which one
-        wins is unobservable; preferring them merely stops a shard's
-        infra hiccup from shadowing a completed trial.  Torn-line
-        tolerance applies to *every* file read (main and each shard):
-        each file drops only its own unparseable lines.  When two files
-        hold replayable records for one index whose replay payloads
-        *differ* — which the determinism contract forbids — the merge
-        warns (naming the index) instead of silently dropping one, and
-        the later record still wins.  Records without an integer
-        ``index`` are ignored.
+        failure, timeout); at equal rank the later record wins.
+        Replayable records for one index are bit-identical by
+        construction — they are pure functions of ``(master_seed,
+        index)`` — so which one wins is unobservable; preferring them
+        merely stops an infra hiccup from shadowing a completed trial.
+        Torn-line tolerance applies to *every* file read: each file drops
+        only its own unparseable lines.  When two records hold replayable
+        payloads for one index that *differ* — which the determinism
+        contract forbids — the merge warns (naming the index) instead of
+        silently dropping one, and the later record still wins.  Records
+        without an integer ``index`` are ignored.
         """
         records = list(self.read())
-        if self.filename == LEDGER_NAME:
-            for path in self.shard_paths():
-                records.extend(self._read_file(path))
+        for path in self._legacy_paths():
+            records.extend(self._read_file(path))
         latest: Dict[int, Dict[str, object]] = {}
         rank: Dict[int, int] = {}
         for record in records:
@@ -304,19 +272,15 @@ class RunLedger:
     def open_existing(cls, run_dir: Union[str, Path]) -> "RunLedger":
         """Open a run directory that must already contain ledger data.
 
-        Accepts a directory holding a main ``ledger.jsonl`` *or* only
-        per-shard files — a sharded run killed before any shard merge is
-        still a resumable run directory.
+        Accepts a directory holding ``ledger.jsonl`` *or* only the
+        per-shard files of a run written by an older version.
         """
-        run_dir = Path(run_dir)
-        if not (run_dir / LEDGER_NAME).exists() and not list(
-            run_dir.glob(SHARD_LEDGER_GLOB)
-        ):
+        ledger = cls(run_dir)
+        if not ledger.path.exists() and not ledger._legacy_paths():
             raise FileNotFoundError(
-                f"no {LEDGER_NAME} (or shard ledgers) under {run_dir} "
-                "— not a run directory"
+                f"no {LEDGER_NAME} under {ledger.run_dir} — not a run directory"
             )
-        return cls(run_dir)
+        return ledger
 
     def __repr__(self) -> str:
         return f"RunLedger({str(self.run_dir)!r})"

@@ -140,10 +140,10 @@ class TestRunAtlas:
         assert "replayed" in report.summary()
         assert resumed["digest"] == clean["digest"]
 
-    def test_sharding_does_not_change_the_digest(self):
+    def test_pool_does_not_change_the_digest(self):
         serial, _ = run_atlas(TINY, master_seed=5)
-        sharded, _ = run_atlas(TINY, master_seed=5, workers=2, shards=2)
-        assert sharded["digest"] == serial["digest"]
+        pooled, _ = run_atlas(TINY, master_seed=5, workers=2)
+        assert pooled["digest"] == serial["digest"]
 
 
 class TestServiceRegistration:

@@ -2,8 +2,8 @@
 
 The seam only earns its keep if *every* stacked GEMM actually goes
 through :func:`repro.kernels.backend.get_backend` — a single hard-coded
-``np.matmul`` in the fleet layer would silently defeat backend swapping
-and the thread-tiling path.  Two fakes enforce that:
+``np.matmul`` in the fleet layer would silently defeat backend
+swapping.  Two fakes enforce that:
 
 * a **recording** backend (delegates to numpy, logs every call) shows
   the Fleet API, the batched metrics, and the ``fleet_eval`` workload
@@ -40,7 +40,7 @@ class RecordingBackend(KernelBackend):
 
     def __init__(self):
         self.calls = []
-        self._inner = NumpyBackend(threads=1)
+        self._inner = NumpyBackend()
 
     def gemm(self, features, weights):
         self.calls.append(
@@ -204,34 +204,8 @@ def test_tier_validation():
 
 
 def test_gemm_validates_shapes():
-    backend = NumpyBackend(threads=1)
+    backend = NumpyBackend()
     with pytest.raises(ValueError):
         backend.gemm(np.ones(4), np.ones((4, 2)))
     with pytest.raises(ValueError):
         backend.gemm(np.ones((3, 4)), np.ones((5, 2)))
-
-
-# ----------------------------------------------------------------------
-# Thread tiling
-# ----------------------------------------------------------------------
-def test_threaded_gemm_is_bit_identical_on_integer_data():
-    rng = np.random.default_rng(3)
-    features = rng.integers(-1, 2, size=(2048, 33)).astype(np.float64)
-    weights = rng.integers(-8, 9, size=(33, 17)).astype(np.float64)
-    serial = NumpyBackend(threads=1).gemm(features, weights)
-    tiled = NumpyBackend(threads=4).gemm(features, weights)
-    assert np.array_equal(serial, tiled)
-
-
-def test_small_inputs_skip_tiling():
-    backend = NumpyBackend(threads=8)
-    out = backend.gemm(np.ones((4, 3)), np.ones((3, 2)))
-    assert np.array_equal(out, np.full((4, 2), 3.0))
-
-
-def test_threads_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-    assert NumpyBackend().threads == 3
-    assert NumpyBackend().name == "numpy[threads=3]"
-    with pytest.raises(ValueError):
-        NumpyBackend(threads=0)

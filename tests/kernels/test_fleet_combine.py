@@ -133,7 +133,7 @@ class RecordingBackend(NumpyBackend):
     """The numpy backend, logging each gemm's operand dtype."""
 
     def __init__(self):
-        super().__init__(threads=1)
+        super().__init__()
         self.dtypes = []
 
     def gemm(self, features, weights):

@@ -8,7 +8,7 @@ Three runtime contracts layer on top of the strategy-level tests:
   stays an honest account of the access model;
 * trial telemetry carries the adaptive query counts home through worker
   processes;
-* a killed sharded run resumes from its ledger with every adaptive
+* a killed pooled run resumes from its ledger with every adaptive
   trial replayed or re-executed bit-identically.
 """
 
@@ -24,11 +24,11 @@ SPEC = ActiveTrialSpec(
 )
 
 
-def run_trials(tmp_path, trials=2, cache=True, workers=1, shards=1, **kwargs):
+def run_trials(tmp_path, trials=2, cache=True, workers=1, **kwargs):
     trial_kwargs = {"spec": kwargs.pop("spec", SPEC)}
     if cache:
         trial_kwargs["cache_dir"] = str(tmp_path / "cache")
-    return TrialRunner(workers=workers, shards=shards).run(
+    return TrialRunner(workers=workers).run(
         active_trial, trials, master_seed=0, trial_kwargs=trial_kwargs, **kwargs
     )
 
@@ -92,12 +92,12 @@ class TestStoreMemoisation:
         assert kinds["mq"]["queries"] == 0
 
 
-class TestShardedResume:
+class TestPooledResume:
     def truncate(self, ledger, keep):
         lines = ledger.path.read_text().splitlines()
         ledger.path.write_text("\n".join(lines[:keep]) + "\n")
 
-    def test_resumed_sharded_run_matches_serial_reference(self, tmp_path):
+    def test_resumed_pooled_run_matches_serial_reference(self, tmp_path):
         ledger = RunLedger(tmp_path / "run")
         full = run_trials(tmp_path, trials=4, ledger=ledger)
         self.truncate(ledger, keep=2)
@@ -105,7 +105,6 @@ class TestShardedResume:
             tmp_path,
             trials=4,
             workers=2,
-            shards=2,
             ledger=ledger,
             resume_from=ledger,
         )

@@ -42,13 +42,6 @@ class TestOnResult:
         )
         assert sorted(seen) == list(range(9))
 
-    def test_fires_for_every_trial_on_the_sharded_path(self):
-        seen = []
-        TrialRunner(workers=2, shards=2).run(
-            draw_trial, 8, master_seed=5, on_result=lambda r: seen.append(r.index)
-        )
-        assert sorted(seen) == list(range(8))
-
     def test_fires_after_ledger_append(self, tmp_path):
         ledger = RunLedger(tmp_path / "run")
         recorded_at_callback = []
@@ -156,15 +149,3 @@ class TestCancel:
         reference = TrialRunner(workers=1).run(draw_trial, 8, master_seed=13)
         for a, b in zip(resumed.values(), reference.values()):
             np.testing.assert_array_equal(a, b)
-
-    def test_sharded_path_cancel_stops_early(self):
-        cancel = threading.Event()
-
-        def stop_soon(result):
-            cancel.set()
-
-        report = TrialRunner(workers=2, shards=2).run(
-            draw_trial, 40, master_seed=2, cancel=cancel, on_result=stop_soon
-        )
-        assert report.cancelled is True
-        assert len(report.results) < 40

@@ -3,14 +3,13 @@
 Pins the failure taxonomy the runner promises: a raising trial becomes a
 structured ``category="trial"`` :class:`TrialError` (never retried, never
 misreported as a pool failure), a SIGKILL'd worker is retried under the
-:class:`RetryPolicy` after a pool rebuild, and a hung worker is killed at
-``trial_timeout`` — all without perturbing a single surviving trial's
-bits.
+:class:`RetryPolicy` after a pool rebuild, a hung worker is killed at
+``trial_timeout``, and a pickling failure drains serially — all without
+perturbing a single surviving trial's bits.
 """
 
 import contextlib
 import os
-import re
 import threading
 import time
 import warnings as _warnings
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import RetryPolicy, TrialError, TrialFailure, TrialRunner
-from repro.runtime import sharding as sharding_module
+from repro.runtime import pool as pool_module
 from repro.runtime.workloads import FaultInjectionSpec, fault_injection_trial
 
 
@@ -30,20 +29,6 @@ def warnings_as_errors():
     with _warnings.catch_warnings():
         _warnings.simplefilter("error")
         yield
-
-
-#: Pool-path fault tests run on one shard (the single pool) and on two:
-#: a test class sets ``shards = 1`` and its ``...TwoShards`` subclass
-#: reruns it with ``shards = 2``; a lone test takes this parametrisation.
-SHARDS = pytest.mark.parametrize("shards", [1, 2])
-
-
-def assert_pooled(report, shards):
-    """The executor label of a healthy pooled run with ``workers=2``."""
-    if shards == 1:
-        assert report.executor == "process-pool"
-    else:
-        assert re.fullmatch(r"sharded\(2x2(, steals=\d+)?\)", report.executor)
 
 
 def clean_values(num_trials, master_seed, size=2):
@@ -147,8 +132,6 @@ class TestTrialErrors:
 # Infrastructure failures: retried, pool rebuilt, survivors untouched.
 # ----------------------------------------------------------------------
 class TestWorkerDeath:
-    shards = 1
-
     def test_killed_worker_is_retried_and_survivors_keep_their_bits(
         self, tmp_path
     ):
@@ -159,14 +142,14 @@ class TestWorkerDeath:
             size=2, exit_indices=(1,), once_dir=str(tmp_path)
         )
         with pytest.warns(RuntimeWarning, match="worker process died"):
-            report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
+            report = TrialRunner(workers=2, chunk_size=1).run(
                 fault_injection_trial,
                 4,
                 master_seed=17,
                 trial_kwargs={"spec": spec},
                 retry=RetryPolicy(max_attempts=3, base_delay=0.0),
             )
-        assert_pooled(report, self.shards)
+        assert report.executor == "process-pool"
         assert all(r.ok for r in report.results)
         assert report.results[1].attempts >= 2
         assert report.retried_count >= 1
@@ -178,7 +161,7 @@ class TestWorkerDeath:
         ``category="infra"`` error, not a crash of the whole run."""
         spec = FaultInjectionSpec(size=2, exit_indices=(0,))  # fires every time
         with pytest.warns(RuntimeWarning, match="worker process died"):
-            report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
+            report = TrialRunner(workers=2, chunk_size=1).run(
                 fault_injection_trial,
                 1,
                 master_seed=0,
@@ -192,12 +175,6 @@ class TestWorkerDeath:
         assert failed.attempts == 2
 
 
-class TestWorkerDeathTwoShards(TestWorkerDeath):
-    """The same worker-death contract when the pool is one of two shards."""
-
-    shards = 2
-
-
 def fast_or_exit_trial(ctx, exit_index, size=2):
     """Picklable: the chosen trial kills its worker late, others are instant."""
     if ctx.index == exit_index:
@@ -207,8 +184,6 @@ def fast_or_exit_trial(ctx, exit_index, size=2):
 
 
 class TestBrokenPoolHarvest:
-    shards = 1
-
     def test_completed_chunks_survive_a_broken_pool(self, monkeypatch):
         """A chunk whose future already completed when another chunk broke
         the pool keeps its result: it must never be discarded, re-executed,
@@ -223,10 +198,8 @@ class TestBrokenPoolHarvest:
             ordered = sorted(done, key=lambda f: f.exception() is None)
             return ordered, not_done
 
-        monkeypatch.setattr(sharding_module, "wait", wait_broken_first)
-        # Four trials, so that with two shards the first shard's pool
-        # still holds both trial 0 and the dying trial 1.
-        report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
+        monkeypatch.setattr(pool_module, "wait", wait_broken_first)
+        report = TrialRunner(workers=2, chunk_size=1).run(
             fast_or_exit_trial,
             4,
             master_seed=29,
@@ -247,21 +220,13 @@ class TestBrokenPoolHarvest:
             np.testing.assert_array_equal(result.value, value)
 
 
-class TestBrokenPoolHarvestTwoShards(TestBrokenPoolHarvest):
-    """The harvest contract when the pool is one of two shards."""
-
-    shards = 2
-
-
 class TestHungWorkers:
-    shards = 1
-
     def test_hung_worker_is_killed_and_retried(self, tmp_path):
         spec = FaultInjectionSpec(
             size=2, hang_indices=(0,), hang_seconds=60.0, once_dir=str(tmp_path)
         )
         with pytest.warns(RuntimeWarning, match="worker hung past"):
-            report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
+            report = TrialRunner(workers=2, chunk_size=1).run(
                 fault_injection_trial,
                 3,
                 master_seed=23,
@@ -276,7 +241,7 @@ class TestHungWorkers:
 
     def test_persistent_hang_records_timeout_error(self):
         spec = FaultInjectionSpec(size=2, hang_indices=(0,), hang_seconds=60.0)
-        report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
+        report = TrialRunner(workers=2, chunk_size=1).run(
             fault_injection_trial,
             2,
             master_seed=0,
@@ -302,7 +267,7 @@ class TestHungWorkers:
         submit-everything-upfront time)."""
         spec = FaultInjectionSpec(size=2, sleep_seconds=0.4)
         with warnings_as_errors():
-            report = TrialRunner(workers=2, chunk_size=1, shards=self.shards).run(
+            report = TrialRunner(workers=2, chunk_size=1).run(
                 fault_injection_trial,
                 8,
                 master_seed=1,
@@ -325,14 +290,8 @@ class TestHungWorkers:
             )
 
 
-class TestHungWorkersTwoShards(TestHungWorkers):
-    """The timeout contract when the pool is one of two shards."""
-
-    shards = 2
-
-
 # ----------------------------------------------------------------------
-# Pickling failures: deterministic, so the shard drains serially.
+# Pickling failures: deterministic, so the run drains serially.
 # ----------------------------------------------------------------------
 def unpicklable(fn):
     """``fn`` as a closure, which the pool cannot pickle."""
@@ -347,45 +306,36 @@ def unpicklable_result_trial(ctx):
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 class TestPicklingFallback:
-    @SHARDS
-    def test_unpicklable_trial_falls_back_to_serial(self, shards):
+    def test_unpicklable_trial_falls_back_to_serial(self):
         spec = FaultInjectionSpec(size=2)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            report = TrialRunner(workers=2, shards=shards).run(
+            report = TrialRunner(workers=2).run(
                 unpicklable(fault_injection_trial),
                 6,
                 master_seed=8,
                 trial_kwargs={"spec": spec},
             )
-        if shards == 1:
-            assert report.executor == "serial"
-        else:
-            assert re.fullmatch(
-                r"sharded\(2x2(, steals=\d+)?\)-mixed", report.executor
-            )
+        assert report.executor == "serial"
         assert [r.index for r in report.results] == list(range(6))
         for value, reference in zip(report.values(), clean_values(6, 8)):
             np.testing.assert_array_equal(value, reference)
 
-    @SHARDS
-    def test_unpicklable_result_drains_serially(self, shards):
-        """The pool runs, a result fails to cross back, the shard shuts its
-        pool down and drains the rest in-thread."""
+    def test_unpicklable_result_drains_serially(self):
+        """The pool runs, a result fails to cross back, the run shuts the
+        pool down and drains the rest in the calling thread."""
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            report = TrialRunner(workers=2, shards=shards).run(
+            report = TrialRunner(workers=2).run(
                 unpicklable_result_trial, 6, master_seed=8
             )
         assert [r.index for r in report.results] == list(range(6))
         assert [value() for value in report.values()] == list(range(6))
 
-    @SHARDS
-    def test_serial_drain_honours_cancel_before_every_trial(self, shards):
-        """Cancel set on the first result stops every shard's serial
-        drain, leftover chunks from the dead pool included: each shard
-        may finish at most the one trial it had already started."""
+    def test_serial_drain_honours_cancel_before_every_trial(self):
+        """Cancel set on the first result stops the serial drain: the run
+        finishes only the one trial it had already started."""
         cancel = threading.Event()
         with pytest.warns(RuntimeWarning):
-            report = TrialRunner(workers=2, shards=shards).run(
+            report = TrialRunner(workers=2).run(
                 unpicklable(fault_injection_trial),
                 64,
                 master_seed=3,
@@ -394,7 +344,7 @@ class TestPicklingFallback:
                 cancel=cancel,
             )
         assert report.cancelled
-        assert len(report.results) <= shards
+        assert len(report.results) == 1
 
 
 # ----------------------------------------------------------------------

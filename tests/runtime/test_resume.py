@@ -298,3 +298,35 @@ class TestResume:
         )
         assert [r.index for r in resumed.results] == [0, 1]
         assert resumed.replayed_count == 2
+
+
+class TestRunsOfOlderVersions:
+    def test_shard_files_of_an_older_run_resume_and_report(self, tmp_path, capsys):
+        """An older version wrote a pooled run's records into per-shard
+        files.  Hand-split a ledger into two of them, lose two records,
+        and drop the main file: ``trials --resume`` replays the shard
+        records, runs only the lost trials, and ``report`` counts every
+        trial once."""
+        from repro.__main__ import main
+
+        args = [
+            "trials", "--workload", "fault", "--trials", "6", "--workers", "1",
+            "--spec", "sleep_seconds=0", "--ledger", "--run-id", "old",
+            "--runs-dir", str(tmp_path),
+        ]
+        assert main(args + ["--skip-serial"]) == 0
+        run_dir = tmp_path / "old"
+        lines = (run_dir / "ledger.jsonl").read_text().splitlines()
+        (run_dir / "ledger-shard00.jsonl").write_text("\n".join(lines[:2]) + "\n")
+        (run_dir / "ledger-shard01.jsonl").write_text("\n".join(lines[3:5]) + "\n")
+        (run_dir / "ledger.jsonl").unlink()
+        meta = json.loads((run_dir / "meta.json").read_text())
+        (run_dir / "meta.json").write_text(json.dumps({**meta, "shards": 2}))
+        capsys.readouterr()
+
+        assert main(args + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "4 replayed" in out
+        assert "bit-identical results across worker counts: True" in out
+        assert main(["report", str(run_dir), "--no-write"]) == 0
+        assert "6 of 6 trials completed clean" in capsys.readouterr().out

@@ -9,8 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.runtime import TrialContext, TrialRunner
-from repro.runtime.workloads import LearningCurveSpec, learning_curve_trial
+from repro.runtime import RetryPolicy, TrialContext, TrialRunner
+from repro.runtime.pool import default_chunk
+from repro.runtime.workloads import (
+    FaultInjectionSpec,
+    LearningCurveSpec,
+    fault_injection_trial,
+    learning_curve_trial,
+)
 
 
 def draw_trial(ctx: TrialContext, size: int = 8) -> np.ndarray:
@@ -149,3 +155,50 @@ def test_invalid_construction():
         TrialRunner(workers=2, chunk_size=0)
     with pytest.raises(ValueError):
         TrialRunner().run(draw_trial, 0)
+
+
+def test_pool_matches_serial_bit_for_bit():
+    kwargs = {"spec": FaultInjectionSpec(size=3)}
+    pooled = TrialRunner(workers=3).run(
+        fault_injection_trial, 8, master_seed=21, trial_kwargs=kwargs
+    )
+    serial = TrialRunner(workers=1).run(
+        fault_injection_trial, 8, master_seed=21, trial_kwargs=kwargs
+    )
+    assert (pooled.executor, serial.executor) == ("process-pool", "serial")
+    assert [r.index for r in pooled.results] == list(range(8))
+    for a, b in zip(pooled.values(), serial.values()):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_more_workers_than_trials():
+    kwargs = {"spec": FaultInjectionSpec(size=2)}
+    report = TrialRunner(workers=5).run(
+        fault_injection_trial, 3, master_seed=4, trial_kwargs=kwargs
+    )
+    reference = TrialRunner(workers=1).run(
+        fault_injection_trial, 3, master_seed=4, trial_kwargs=kwargs
+    )
+    assert all(r.ok for r in report.results)
+    for a, b in zip(report.values(), reference.values()):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_deterministic_trial_error_surfaces_once_on_a_pool():
+    kwargs = {"spec": FaultInjectionSpec(size=2, fail_indices=(2,))}
+    report = TrialRunner(workers=2).run(
+        fault_injection_trial, 4, master_seed=1, trial_kwargs=kwargs,
+        retry=RetryPolicy(max_attempts=4, base_delay=0.0),
+    )
+    failed = report.results[2]
+    assert not failed.ok
+    assert failed.error.category == "trial"
+    assert failed.attempts == 1  # deterministic errors are never retried
+    assert all(r.ok for i, r in enumerate(report.results) if i != 2)
+
+
+def test_default_chunk_turns_every_worker_over():
+    assert default_chunk(0, 4) == 1
+    assert default_chunk(800, 8) == 13  # ceil(800 / 64)
+    # Small enough that every worker takes several chunks.
+    assert default_chunk(800, 8) * 8 * 8 >= 800

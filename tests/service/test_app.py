@@ -397,6 +397,41 @@ class TestQuotaAcrossRestarts:
         assert client.quota()["used"] == final["result"]["total_queries"]
 
 
+class TestRecordsFromOlderVersions:
+    def test_job_record_with_shards_is_adopted_and_charged_once(
+        self, live_service, tmp_path
+    ):
+        """``job.json`` of an older version carries ``shards`` in its spec;
+        the record still loads, is adopted, runs on one pool and is
+        charged once."""
+        job_dir = tmp_path / "svc" / "jobs" / "job-oldshards01"
+        job_dir.mkdir(parents=True)
+        spec = {
+            "workload": "fleet", "spec": FLEET_SPEC, "trials": 3, "seed": 7,
+            "workers": 1, "shards": 2, "priority": None, "budget": 10**6,
+            "api_key": "alice",
+        }
+        record = {
+            "job_id": "job-oldshards01", "spec": spec, "state": "queued",
+            "created_at": time.time(), "started_at": None, "finished_at": None,
+            "completed_trials": 0, "adopted": False, "error": None,
+            "result": None, "priority": 0,
+        }
+        (job_dir / "job.json").write_text(json.dumps(record))
+        client = live_service(default_quota=10**9).client(api_key="alice")
+        adopted = client.wait("job-oldshards01", timeout=60)
+        assert adopted["state"] == "done" and adopted["adopted"] is True
+        assert "shards" not in adopted["spec"]
+        assert client.quota()["used"] == adopted["result"]["total_queries"] > 0
+
+    def test_new_submission_with_shards_is_400(self, live_service):
+        client = live_service().client()
+        with pytest.raises(ServiceError) as exc:
+            client.submit(workload="fleet", trials=1, spec=FLEET_SPEC, shards=2)
+        assert exc.value.status == 400
+        assert "shards" in str(exc.value)
+
+
 class TestCancellation:
     def test_cancel_queued_job(self, live_service):
         live = live_service(max_concurrent=1)

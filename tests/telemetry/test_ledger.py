@@ -80,8 +80,21 @@ def test_runner_without_ledger_writes_nothing(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Shard ledger files and the read_latest merge rule.
+# Per-shard files of older runs and the read_latest merge rule.
 # ----------------------------------------------------------------------
+def legacy_shard(ledger, shard_id):
+    """The per-shard ledger path an older version wrote for ``shard_id``."""
+    return ledger.run_dir / f"ledger-shard{shard_id:02d}.jsonl"
+
+
+def write_legacy_shard(ledger, shard_id, record):
+    """Append ``record`` to a per-shard file, as older versions did."""
+    path = legacy_shard(ledger, shard_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 class TestShardLedgerMerge:
     def ok(self, index, value):
         return {"index": index, "status": "ok", "value": value}
@@ -93,38 +106,25 @@ class TestShardLedgerMerge:
             "error": {"exc_type": "BrokenProcessPool", "category": "infra"},
         }
 
-    def test_shard_handle_names_and_validation(self, tmp_path):
-        from repro.telemetry.ledger import shard_ledger_name
-
-        ledger = RunLedger(tmp_path / "run")
-        assert ledger.shard(0).path.name == "ledger-shard00.jsonl"
-        assert ledger.shard(11).path.name == "ledger-shard11.jsonl"
-        assert ledger.shard(3).run_dir == ledger.run_dir
-        with pytest.raises(ValueError, match="non-negative"):
-            shard_ledger_name(-1)
-
     def test_read_latest_folds_in_shard_files(self, tmp_path):
         ledger = RunLedger(tmp_path / "run")
-        ledger.shard(0).append(self.ok(0, [1.0]))
-        ledger.shard(1).append(self.ok(1, [2.0]))
+        write_legacy_shard(ledger, 0, self.ok(0, [1.0]))
+        write_legacy_shard(ledger, 1, self.ok(1, [2.0]))
         ledger.append(self.ok(2, [3.0]))
         merged = ledger.read_latest()
         assert sorted(merged) == [0, 1, 2]
         assert merged[1]["value"] == [2.0]
-        # A shard handle reads only its own file — the merge is the main
-        # handle's job.
-        assert sorted(ledger.shard(0).read_latest()) == [0]
 
     def test_replayable_record_beats_infra_failure_across_shards(self, tmp_path):
-        """A shard's infra hiccup must never shadow the same trial completed
-        by another shard, in either read order."""
+        """An infra hiccup in one file must never shadow the same trial
+        completed in another, in either read order."""
         ledger = RunLedger(tmp_path / "run")
-        ledger.shard(0).append(self.ok(4, [0.5]))
-        ledger.shard(1).append(self.infra(4))
+        write_legacy_shard(ledger, 0, self.ok(4, [0.5]))
+        write_legacy_shard(ledger, 1, self.infra(4))
         assert ledger.read_latest()[4]["status"] == "ok"
         other = RunLedger(tmp_path / "run2")
-        other.shard(0).append(self.infra(4))
-        other.shard(1).append(self.ok(4, [0.5]))
+        write_legacy_shard(other, 0, self.infra(4))
+        write_legacy_shard(other, 1, self.ok(4, [0.5]))
         assert other.read_latest()[4]["status"] == "ok"
 
     def test_equal_rank_takes_the_later_record(self, tmp_path):
@@ -138,12 +138,12 @@ class TestShardLedgerMerge:
         second = self.infra(0)
         second["attempts"] = 2
         ledger.append(first)
-        ledger.shard(0).append(second)
+        write_legacy_shard(ledger, 0, second)
         assert ledger.read_latest()[0]["attempts"] == 2
 
     def test_open_existing_accepts_shard_only_directories(self, tmp_path):
         run_dir = tmp_path / "run"
-        RunLedger(run_dir).shard(1).append(self.ok(0, [1.0]))
+        write_legacy_shard(RunLedger(run_dir), 1, self.ok(0, [1.0]))
         reopened = RunLedger.open_existing(run_dir)
         assert sorted(reopened.read_latest()) == [0]
         with pytest.raises(FileNotFoundError, match="not a run directory"):
@@ -153,11 +153,11 @@ class TestShardLedgerMerge:
 class TestShardMergeRobustness:
     """Torn tails and conflicting provenances across shard files.
 
-    A SIGKILLed sharded run can tear the final line of *any* shard file;
-    each file must drop only its own torn line.  And when two files hold
-    replayable records for one index whose replay payloads differ — which
-    the determinism contract forbids — the merge must warn loudly, not
-    silently let read order pick a winner."""
+    A SIGKILLed run of an older version could tear the final line of
+    *any* of its shard files; each file must drop only its own torn line.
+    And when two files hold replayable records for one index whose replay
+    payloads differ — which the determinism contract forbids — the merge
+    must warn loudly, not silently let read order pick a winner."""
 
     def ok(self, index, value, meta=None):
         record = {"index": index, "status": "ok", "value": value}
@@ -167,12 +167,12 @@ class TestShardMergeRobustness:
 
     def test_two_shards_with_torn_tails_keep_their_good_records(self, tmp_path):
         ledger = RunLedger(tmp_path / "run")
-        ledger.shard(0).append(self.ok(0, [1.0]))
-        ledger.shard(1).append(self.ok(1, [2.0]))
+        write_legacy_shard(ledger, 0, self.ok(0, [1.0]))
+        write_legacy_shard(ledger, 1, self.ok(1, [2.0]))
         # Tear both shard tails mid-record (killed mid-append).
         for shard_id, torn in ((0, '{"index": 2, "status": "o'),
                                (1, '{"index": 3, "val')):
-            with ledger.shard(shard_id).path.open("a") as fh:
+            with legacy_shard(ledger, shard_id).open("a") as fh:
                 fh.write(torn)
         with pytest.warns(RuntimeWarning, match="torn write") as caught:
             merged = ledger.read_latest()
@@ -192,8 +192,8 @@ class TestShardMergeRobustness:
         self, tmp_path
     ):
         ledger = RunLedger(tmp_path / "run")
-        ledger.shard(0).append(self.ok(5, [1.0]))
-        ledger.shard(1).append(self.ok(5, [2.0]))  # forbidden: same index
+        write_legacy_shard(ledger, 0, self.ok(5, [1.0]))
+        write_legacy_shard(ledger, 1, self.ok(5, [2.0]))  # forbidden: same index
         with pytest.warns(RuntimeWarning, match="conflicting") as caught:
             merged = ledger.read_latest()
         assert merged[5]["value"] == [2.0]  # later (higher shard) wins
@@ -204,8 +204,8 @@ class TestShardMergeRobustness:
         # bit-identically — replayable beats nothing, no conflict.
         ledger = RunLedger(tmp_path / "run")
         ledger.append(self.ok(5, [1.0], meta={"dtype": "float64", "shape": [1]}))
-        ledger.shard(0).append(
-            self.ok(5, [1.0], meta={"dtype": "float64", "shape": [1]})
+        write_legacy_shard(
+            ledger, 0, self.ok(5, [1.0], meta={"dtype": "float64", "shape": [1]})
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -235,7 +235,7 @@ class TestShardMergeRobustness:
         b = self.ok(7, [4.0])
         b.update(seconds=9.9, attempts=3)
         ledger.append(a)
-        ledger.shard(0).append(b)
+        write_legacy_shard(ledger, 0, b)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ledger.read_latest()[7]["attempts"] == 3

@@ -18,7 +18,7 @@ def _timing_key(suite, case):
     if suite == "kernels":
         return "transform" if case.kind == "fwht" else "fit"
     if suite == "store":
-        return "sharding" if hasattr(case, "shards") else "warm_start"
+        return "pooling" if hasattr(case, "workers") else "warm_start"
     return "eval"
 
 

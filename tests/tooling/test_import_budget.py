@@ -170,7 +170,7 @@ def test_serial_fleet_run_loads_no_process_pool():
         ").raise_failures()\n"
         f"{_DUMP}\n"
     )
-    assert "repro.runtime.sharding" in modules  # the run went through it
+    assert "repro.runtime.pool" in modules  # the run went through it
     _assert_none_loaded(
         modules, log, ("multiprocessing", "concurrent.futures.process")
     )
