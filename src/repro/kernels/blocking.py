@@ -1,14 +1,14 @@
-"""Block iteration shared by the character kernel and the CRP runtime.
+"""Block iteration shared by the character kernel and the CRP generator.
 
 One implementation of the ``(start, stop)`` block walk serves both the
-chunked CRP evaluation in :mod:`repro.runtime.chunking` (which re-exports
-these names) and the character-kernel GEMMs in
-:mod:`repro.kernels.character`.  The two consumers use different default
-block sizes because their working sets differ:
+noiseless evaluation in :func:`repro.pufs.crp.generate_crps` and the
+character-kernel GEMMs in :mod:`repro.kernels.character`.  The two
+consumers use different default block sizes because their working sets
+differ:
 
-* :data:`DEFAULT_BLOCK_SIZE` — rows per block for CRP generation and PUF
-  evaluation, where the per-row working set is one ``(n+1)``-float feature
-  vector (8192 x 65 floats ~ 4 MB);
+* :data:`DEFAULT_BLOCK_SIZE` — rows per block for ideal PUF evaluation
+  during CRP generation, where the per-row working set is one
+  ``(n+1)``-float feature vector (8192 x 65 floats ~ 4 MB);
 * :data:`DEFAULT_CHARACTER_BLOCK` — columns per block for the character
   matrix, where the working set is ``N`` rows of ``block_size`` floats and
   ``N`` (the number of degree-<=d subsets) can reach the thousands, so a

@@ -24,7 +24,7 @@ from repro.booleanfuncs.ltf import (
     estimate_chow_parameters,
     ltf_from_chow_parameters,
 )
-from repro.pufs.crp import CRPSet
+from repro.pufs.crp import CRPSet, uniform_challenges
 
 
 @dataclasses.dataclass
@@ -109,9 +109,7 @@ class ChowLearner:
     def _hypothesis_chow(
         self, ltf: LTF, rng: np.random.Generator
     ) -> np.ndarray:
-        x = (1 - 2 * rng.integers(0, 2, size=(self.estimation_sample, ltf.n))).astype(
-            np.int8
-        )
+        x = uniform_challenges(self.estimation_sample, ltf.n, rng)
         return estimate_chow_parameters(x, ltf(x))
 
     def _residual(

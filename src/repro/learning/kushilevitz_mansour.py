@@ -31,6 +31,7 @@ import numpy as np
 from repro.booleanfuncs.function import BooleanFunction
 from repro.kernels import CharacterBasis, character_column
 from repro.kernels import sign_of_expansion as _kernel_sign_of_expansion
+from repro.pufs.crp import uniform_challenges
 from repro.telemetry import QueryMeter, current_meter, metered, trace
 from repro.telemetry import meter as _meter
 
@@ -151,7 +152,7 @@ class KushilevitzMansour:
                     for alpha in buckets
                 ]
                 m = self.coefficient_samples
-                x = (1 - 2 * rng.integers(0, 2, size=(m, n))).astype(np.int8)
+                x = uniform_challenges(m, n, rng)
                 y = self._query(x)
                 basis = CharacterBasis.from_subsets(n, subsets)
                 estimates = basis.estimate_coefficients(x, y)
@@ -183,9 +184,9 @@ class KushilevitzMansour:
         """Estimate W(k, alpha) with the pairwise-prefix estimator."""
         k = len(alpha)
         m = self.bucket_samples
-        z1 = (1 - 2 * rng.integers(0, 2, size=(m, k))).astype(np.int8)
-        z2 = (1 - 2 * rng.integers(0, 2, size=(m, k))).astype(np.int8)
-        x = (1 - 2 * rng.integers(0, 2, size=(m, n - k))).astype(np.int8)
+        z1 = uniform_challenges(m, k, rng)
+        z2 = uniform_challenges(m, k, rng)
+        x = uniform_challenges(m, n - k, rng)
         subset = tuple(i for i, flag in enumerate(alpha) if flag)
         chi1 = character_column(z1, subset)
         chi2 = character_column(z2, subset)

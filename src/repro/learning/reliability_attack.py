@@ -39,6 +39,7 @@ import numpy as np
 from repro.learning.logistic import LogisticAttack
 from repro.pufs.arbiter import parity_transform
 from repro.pufs.cdc_xor import derive_component_challenges
+from repro.pufs.crp import uniform_challenges
 from repro.pufs.xor_arbiter import XORArbiterPUF
 from repro.telemetry import trace
 
@@ -121,9 +122,7 @@ class ReliabilityAttack:
             )
         rng = np.random.default_rng() if rng is None else rng
         n = puf.n
-        challenges = (1 - 2 * rng.integers(0, 2, size=(self.crps, n))).astype(
-            np.int8
-        )
+        challenges = uniform_challenges(self.crps, n, rng)
         measurements = puf.eval_noisy_repeated(challenges, self.repetitions, rng)
         reliability = np.abs(measurements.sum(axis=0)) / self.repetitions
         responses = np.where(measurements.sum(axis=0) >= 0, 1, -1).astype(np.int8)
@@ -346,9 +345,7 @@ class CMAReliabilityAttack:
             )
         rng = np.random.default_rng() if rng is None else rng
         n, k = puf.n, puf.k
-        challenges = (1 - 2 * rng.integers(0, 2, size=(self.crps, n))).astype(
-            np.int8
-        )
+        challenges = uniform_challenges(self.crps, n, rng)
         measurements = puf.eval_noisy_repeated(challenges, self.repetitions, rng)
         from repro.telemetry.meter import record as _record
 

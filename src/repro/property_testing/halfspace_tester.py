@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.pufs.crp import CRPSet
+from repro.pufs.crp import CRPSet, uniform_challenges
 
 
 def expected_degree1_weight(nu: float) -> float:
@@ -190,6 +190,6 @@ class HalfspaceTester:
         if m < 4:
             raise ValueError("need at least four examples")
         rng = np.random.default_rng() if rng is None else rng
-        x = (1 - 2 * rng.integers(0, 2, size=(m, n))).astype(np.int8)
+        x = uniform_challenges(m, n, rng)
         y = np.asarray(target(x), dtype=np.int8)
         return self.test_crps(CRPSet(x, y), rng)

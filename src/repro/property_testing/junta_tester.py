@@ -18,6 +18,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.pufs.crp import uniform_challenges
+
 Target = Callable[[np.ndarray], np.ndarray]
 
 
@@ -96,7 +98,7 @@ class JuntaTester:
         influences = np.zeros(n)
         m = self.influence_samples
         for i in range(n):
-            x = (1 - 2 * rng.integers(0, 2, size=(m, n))).astype(np.int8)
+            x = uniform_challenges(m, n, rng)
             x_flip = x.copy()
             x_flip[:, i] = -x_flip[:, i]
             influences[i] = float(np.mean(target(x) != target(x_flip)))
@@ -108,12 +110,9 @@ class JuntaTester:
         mask = np.ones(n, dtype=bool)
         mask[candidate] = False
         mr = self.residual_samples
-        x = (1 - 2 * rng.integers(0, 2, size=(mr, n))).astype(np.int8)
+        x = uniform_challenges(mr, n, rng)
         y = x.copy()
-        resampled = (1 - 2 * rng.integers(0, 2, size=(mr, int(mask.sum())))).astype(
-            np.int8
-        )
-        y[:, mask] = resampled
+        y[:, mask] = uniform_challenges(mr, int(mask.sum()), rng)
         residual = float(np.mean(target(x) != target(y)))
         queries += 2 * mr
 

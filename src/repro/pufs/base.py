@@ -68,6 +68,27 @@ class PUF(abc.ABC):
             margin = margin + rng.normal(0.0, self.noise_sigma, size=margin.shape)
         return np.where(margin >= 0, 1, -1).astype(np.int8)
 
+    def eval_noisy_repeated(
+        self,
+        challenges: np.ndarray,
+        repetitions: int,
+        rng: Optional[np.random.Generator] = None,
+    ) -> np.ndarray:
+        """``repetitions`` noisy measurements of each challenge, ``(R, m)`` int8.
+
+        Row ``r`` is the ``r``-th of ``repetitions`` sequential
+        :meth:`eval_noisy` calls on ``rng``: the repeated-measurement
+        protocol behind majority voting, stable-CRP filtering and the
+        reliability metrics.  A family may override it with a faster path
+        that gives the same rows and leaves ``rng`` in the same state.
+        """
+        if repetitions <= 0:
+            raise ValueError("repetitions must be positive")
+        rng = np.random.default_rng() if rng is None else rng
+        return np.stack(
+            [self.eval_noisy(challenges, rng) for _ in range(repetitions)], axis=0
+        )
+
     def as_boolean_function(self) -> BooleanFunction:
         """The ideal response function as a :class:`BooleanFunction`."""
         return BooleanFunction(

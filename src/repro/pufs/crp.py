@@ -14,6 +14,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.kernels.blocking import iter_blocks
 from repro.pufs.base import PUF
 
 ChallengeSampler = Callable[[int, int, np.random.Generator], np.ndarray]
@@ -194,6 +195,14 @@ def generate_crps(
     With ``noisy=True`` each response is a single noisy measurement (the
     realistic CRP-collection setting); otherwise the ideal response is
     recorded.
+
+    The challenges are one sampler call.  Ideal responses are evaluated
+    in blocks of :data:`~repro.kernels.blocking.DEFAULT_BLOCK_SIZE` rows,
+    so the ``(rows, n + 1)`` float64 features ``puf.eval`` builds stay
+    cache-sized however large ``m`` is; each row's response does not
+    depend on its block, so the result is that of one ``puf.eval`` call.
+    Noisy responses are one :meth:`~repro.pufs.base.PUF.eval_noisy` call,
+    which fixes the order the noise is drawn in.
     """
     if m <= 0:
         raise ValueError("CRP count must be positive")
@@ -202,7 +211,9 @@ def generate_crps(
     if noisy:
         responses = puf.eval_noisy(challenges, rng)
     else:
-        responses = puf.eval(challenges)
+        responses = np.empty(m, dtype=np.int8)
+        for start, stop in iter_blocks(m):
+            responses[start:stop] = puf.eval(challenges[start:stop])
     from repro.telemetry.meter import record as _record
 
     _record(

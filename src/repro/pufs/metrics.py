@@ -16,7 +16,6 @@ from repro.kernels.fleet import noisy_measurements
 from repro.pufs.base import PUF
 from repro.pufs.crp import uniform_challenges
 from repro.pufs.fleet import Fleet
-from repro.pufs.noise import repeated_measurements
 from repro.telemetry.meter import unmetered
 
 _INT16_MAX = int(np.iinfo(np.int16).max)
@@ -53,7 +52,7 @@ def reliability(
     """
     rng = np.random.default_rng() if rng is None else rng
     challenges = uniform_challenges(m, puf.n, rng)
-    meas = repeated_measurements(puf, challenges, repetitions, rng)
+    meas = puf.eval_noisy_repeated(challenges, repetitions, rng)
     sums = np.sum(meas.astype(np.int32), axis=0)
     majority = np.where(sums >= 0, 1, -1)
     return float(np.mean(meas == majority[None, :]))
@@ -266,5 +265,5 @@ def expected_bias(
     """
     rng = np.random.default_rng() if rng is None else rng
     challenges = uniform_challenges(m, puf.n, rng)
-    meas = repeated_measurements(puf, challenges, repetitions, rng)
+    meas = puf.eval_noisy_repeated(challenges, repetitions, rng)
     return float(np.mean(meas))

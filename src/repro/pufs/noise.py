@@ -3,7 +3,9 @@
 The paper's Table II/III experiments use "noiseless and stable CRPs"
 collected from hardware — in practice one measures each challenge several
 times and keeps only challenges whose response never flips.  These helpers
-reproduce that collection protocol against our noisy simulators.
+reproduce that collection protocol against our noisy simulators; every
+repeated measurement is one :meth:`~repro.pufs.base.PUF.eval_noisy_repeated`
+call.
 """
 
 from __future__ import annotations
@@ -16,21 +18,6 @@ from repro.pufs.base import PUF
 from repro.pufs.crp import ChallengeSampler, CRPSet, uniform_challenges
 
 
-def repeated_measurements(
-    puf: PUF,
-    challenges: np.ndarray,
-    repetitions: int,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """An (repetitions, m) array of noisy response measurements."""
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    rng = np.random.default_rng() if rng is None else rng
-    return np.stack(
-        [puf.eval_noisy(challenges, rng) for _ in range(repetitions)], axis=0
-    )
-
-
 def majority_vote(
     puf: PUF,
     challenges: np.ndarray,
@@ -41,7 +28,7 @@ def majority_vote(
 
     Odd repetition counts avoid ties; even counts break ties toward +1.
     """
-    meas = repeated_measurements(puf, challenges, repetitions, rng)
+    meas = puf.eval_noisy_repeated(challenges, repetitions, rng)
     sums = np.sum(meas.astype(np.int32), axis=0)
     return np.where(sums >= 0, 1, -1).astype(np.int8)
 
@@ -53,7 +40,7 @@ def stable_challenge_mask(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Boolean mask of challenges whose response never flips across measurements."""
-    meas = repeated_measurements(puf, challenges, repetitions, rng)
+    meas = puf.eval_noisy_repeated(challenges, repetitions, rng)
     return np.all(meas == meas[0], axis=0)
 
 
@@ -82,7 +69,7 @@ def collect_stable_crps(
     for _ in range(max_batches):
         batch = sampler(max(target, 1024), puf.n, rng)
         drawn += batch.shape[0]
-        meas = repeated_measurements(puf, batch, repetitions, rng)
+        meas = puf.eval_noisy_repeated(batch, repetitions, rng)
         stable = np.all(meas == meas[0], axis=0)
         kept_challenges.append(batch[stable])
         kept_responses.append(meas[0][stable])

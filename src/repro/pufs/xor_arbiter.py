@@ -122,6 +122,8 @@ class XORArbiterPUF(PUF):
         draws.  :meth:`eval_noisy` is the ``repetitions=1`` case, and
         subclasses inherit both through :meth:`chain_margins`.
         """
+        if repetitions <= 0:
+            raise ValueError("repetitions must be positive")
         challenges = self._check(challenges)
         rng = np.random.default_rng() if rng is None else rng
         margins = self.chain_margins(challenges)

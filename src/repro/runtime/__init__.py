@@ -1,5 +1,5 @@
-"""Parallel experiment runtime: deterministic trial fan-out, chunked CRP
-evaluation, and on-disk artifact memoisation.
+"""Parallel experiment runtime: deterministic trial fan-out and on-disk
+artifact memoisation.
 
 The pieces compose into the standard experiment loop:
 
@@ -9,8 +9,6 @@ The pieces compose into the standard experiment loop:
   independent trials: per-trial timing, structured :class:`TrialError`
   capture, infrastructure-only retries (:class:`RetryPolicy`), and
   crash-safe resume from a run ledger;
-* :mod:`repro.runtime.chunking` — blocked CRP generation/evaluation that
-  keeps the working set cache-resident;
 * :mod:`repro.runtime.store` — :class:`ArtifactStore`, content-addressed
   memoisation of generated artifacts (CRP sets, fleet response planes,
   one flat bit-packed file each) keyed by :func:`artifact_digest`, with
@@ -29,13 +27,6 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        "chunking": (
-            "DEFAULT_BLOCK_SIZE",
-            "eval_blocked",
-            "eval_noisy_blocked",
-            "generate_crps_blocked",
-            "iter_blocks",
-        ),
         "pool": ("default_chunk", "run_pool"),
         "runner": (
             "RetryPolicy",

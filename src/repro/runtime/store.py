@@ -321,22 +321,9 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Directory layout.
     # ------------------------------------------------------------------
-    @property
-    def cache_dir(self) -> Path:
-        """Alias for :attr:`store_dir` (the pre-ArtifactStore name)."""
-        return self.store_dir
-
     def entry_path(self, kind: str, key: str) -> Path:
         """The ``.npz`` file backing entry ``key`` of ``kind``."""
         return self.store_dir / f"{kind}-{key}.npz"
-
-    def path_for(self, key: str) -> Path:
-        """The ``.npz`` file backing CRP-set entry ``key``."""
-        return self.entry_path("crps", key)
-
-    def fleet_path_for(self, key: str) -> Path:
-        """The ``.npz`` file backing fleet-plane entry ``key``."""
-        return self.entry_path("fleet", key)
 
     def entries(self) -> Dict[Path, int]:
         """Current entries mapped to their on-disk sizes (bytes)."""

@@ -17,7 +17,7 @@ experiment from either entry point.
 Importing this module loads the PUF families, the challenge sampler and
 the atlas spec, and nothing a trial needs beyond them: each trial
 imports the rest of what it uses (learners, fleets and their metrics,
-the artifact store, the atlas grid, the character kernel, the chunked
+the artifact store, the atlas grid, the character kernel, the CRP
 generator) in its body.  So listing the workloads, as ``trials --help``
 and the service do, loads none of it.
 """
@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.analysis.atlas_spec import AtlasTrialSpec, atlas_trial, smoke_spec
-from repro.kernels.blocking import DEFAULT_BLOCK_SIZE, DEFAULT_CHARACTER_BLOCK
 from repro.pufs.arbiter import ArbiterPUF, parity_transform
 from repro.pufs.bistable_ring import BistableRingPUF
 from repro.pufs.crp import uniform_challenges
@@ -78,7 +77,7 @@ def learning_curve_trial(ctx: TrialContext, spec: LearningCurveSpec) -> np.ndarr
     — the determinism contract of :class:`TrialRunner`.
     """
     from repro.learning.logistic import LogisticAttack
-    from repro.runtime.chunking import generate_crps_blocked
+    from repro.pufs.crp import generate_crps
 
     rng = ctx.rng
     if spec.k == 1:
@@ -86,11 +85,11 @@ def learning_curve_trial(ctx: TrialContext, spec: LearningCurveSpec) -> np.ndarr
     else:
         puf = XORArbiterPUF(spec.n, spec.k, rng)
     budgets = spec.sorted_budgets
-    pool = generate_crps_blocked(puf, budgets[-1], rng)
+    pool = generate_crps(puf, budgets[-1], rng)
     # Held-out evaluation is not an adversary query: suspend the meter so
     # the ledger's EX count equals the attack budget exactly.
     with unmetered():
-        test = generate_crps_blocked(puf, spec.test_size, rng)
+        test = generate_crps(puf, spec.test_size, rng)
     accuracies = np.empty(len(budgets))
     for i, budget in enumerate(budgets):
         result = LogisticAttack(feature_map=parity_transform).fit(
@@ -374,7 +373,6 @@ class ChowTrialSpec:
     n: int = 64
     m: int = 20_000
     interaction_scale: float = 0.55
-    block_size: int = DEFAULT_BLOCK_SIZE
 
 
 def chow_brpuf_trial(
@@ -393,7 +391,7 @@ def chow_brpuf_trial(
     ``cache_max_bytes`` caps the store with LRU eviction.
     """
     from repro.kernels.character import CharacterBasis
-    from repro.runtime.chunking import generate_crps_blocked
+    from repro.pufs.crp import generate_crps
     from repro.runtime.store import ArtifactStore
 
     instance_rng, crp_rng = ctx.spawn_rngs(2)
@@ -405,9 +403,7 @@ def chow_brpuf_trial(
     )
 
     def generate():
-        return generate_crps_blocked(
-            puf, spec.m, crp_rng, block_size=spec.block_size
-        )
+        return generate_crps(puf, spec.m, crp_rng)
 
     if cache_dir is not None:
         crps = ArtifactStore(cache_dir, max_bytes=cache_max_bytes).get_or_generate(
@@ -424,9 +420,7 @@ def chow_brpuf_trial(
     # column order — one blocked GEMM, bit-identical to the former
     # explicit ``x.T @ y / m`` (integer-valued partial sums are exact).
     basis = CharacterBasis.low_degree(spec.n, 1)
-    return basis.estimate_coefficients(
-        crps.challenges, crps.responses, block_size=spec.block_size
-    )
+    return basis.estimate_coefficients(crps.challenges, crps.responses)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -599,7 +593,6 @@ class LMNTrialSpec:
     degree: int = 3
     m: int = 25_000
     test_size: int = 5_000
-    block_size: int = DEFAULT_CHARACTER_BLOCK
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.k <= 0:

@@ -169,12 +169,21 @@ class Job:
         """Reconstruct a job from a persisted ``job.json`` payload.
 
         A record written by an older version may carry a ``shards`` spec
-        field, which is dropped: those jobs now run on one pool.
+        field, which is dropped: those jobs now run on one pool.  Its
+        ``chow`` or ``lmn`` workload spec may carry a ``block_size``,
+        which is dropped too: neither trial has one any more, and it never
+        changed a value.
         """
         fields = {f.name for f in dataclasses.fields(cls)}
         data = {k: v for k, v in payload.items() if k in fields}
         spec = dict(data["spec"])
         spec.pop("shards", None)
+        if spec.get("workload") in ("chow", "lmn") and isinstance(
+            spec.get("spec"), dict
+        ):
+            spec["spec"] = {
+                k: v for k, v in spec["spec"].items() if k != "block_size"
+            }
         data["spec"] = JobSpec.from_dict(spec)
         return cls(**data)
 

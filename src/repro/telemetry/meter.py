@@ -15,7 +15,7 @@ Query kinds
 ``"ex"``
     Labelled examples drawn from a distribution (the passive setting):
     :class:`repro.learning.oracles.ExampleOracle` draws and the CRP
-    generators in :mod:`repro.pufs.crp` / :mod:`repro.runtime.chunking`.
+    generator :func:`repro.pufs.crp.generate_crps`.
 ``"mq"``
     Membership queries on attacker-chosen challenges:
     :class:`repro.learning.oracles.MembershipOracle`, the internal query

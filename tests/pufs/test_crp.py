@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.conformance.pytest_plugin import statistical_test
+from repro.kernels.blocking import DEFAULT_BLOCK_SIZE
 from repro.pufs.arbiter import ArbiterPUF
 from repro.pufs.crp import (
     CRPSet,
@@ -134,3 +135,51 @@ class TestGenerateCRPs:
         puf = ArbiterPUF(8, rng)
         crps = generate_crps(puf, 100, rng, sampler=low_weight_challenges(1))
         assert np.all(np.sum(crps.challenges == -1, axis=1) <= 1)
+
+    def test_respects_biased_sampler(self):
+        rng = np.random.default_rng(4)
+        puf = ArbiterPUF(12, rng)
+        crps = generate_crps(
+            puf, 400, np.random.default_rng(5), sampler=biased_challenges(1.0)
+        )
+        assert (crps.challenges == -1).all()
+
+    def test_prefix_property(self):
+        """A longer draw starts with the shorter draw, across a block
+        boundary — the property the CRP store's prefix reuse relies on."""
+        puf = ArbiterPUF(16, np.random.default_rng(9))
+        short = generate_crps(puf, 200, np.random.default_rng(10))
+        long = generate_crps(puf, DEFAULT_BLOCK_SIZE + 500, np.random.default_rng(10))
+        np.testing.assert_array_equal(long.challenges[:200], short.challenges)
+        np.testing.assert_array_equal(long.responses[:200], short.responses)
+
+    def test_ideal_evaluation_is_blocked_and_equals_one_eval(self):
+        puf = ArbiterPUF(10, np.random.default_rng(11))
+        m = 2 * DEFAULT_BLOCK_SIZE + 123
+        rows = []
+
+        def recording_eval(challenges):
+            rows.append(challenges.shape[0])
+            return ArbiterPUF.eval(puf, challenges)
+
+        puf.eval = recording_eval
+        crps = generate_crps(puf, m, np.random.default_rng(12))
+        assert rows == [DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE, 123]
+        np.testing.assert_array_equal(
+            crps.challenges, uniform_challenges(m, 10, np.random.default_rng(12))
+        )
+        np.testing.assert_array_equal(
+            crps.responses, ArbiterPUF.eval(puf, crps.challenges)
+        )
+
+    def test_noisy_generation_is_one_draw_then_one_measurement(self):
+        puf = ArbiterPUF(16, np.random.default_rng(13), noise_sigma=0.4)
+        m = DEFAULT_BLOCK_SIZE + 77
+        crps_rng, reference_rng = np.random.default_rng(14), np.random.default_rng(14)
+        crps = generate_crps(puf, m, crps_rng, noisy=True)
+        challenges = uniform_challenges(m, 16, reference_rng)
+        np.testing.assert_array_equal(crps.challenges, challenges)
+        np.testing.assert_array_equal(
+            crps.responses, puf.eval_noisy(challenges, reference_rng)
+        )
+        assert crps_rng.bit_generator.state == reference_rng.bit_generator.state

@@ -7,6 +7,8 @@ from repro.booleanfuncs.encoding import random_pm1
 from repro.conformance.pytest_plugin import statistical_test
 from repro.pufs.arbiter import ArbiterPUF
 from repro.pufs.bistable_ring import BistableRingPUF
+from repro.pufs.cdc_xor import CDCXORArbiterPUF
+from repro.pufs.interpose import InterposePUF
 from repro.pufs.metrics import (
     expected_bias,
     reliability,
@@ -17,23 +19,53 @@ from repro.pufs.metrics import (
 from repro.pufs.noise import (
     collect_stable_crps,
     majority_vote,
-    repeated_measurements,
     stable_challenge_mask,
 )
+from repro.pufs.xor_arbiter import XORArbiterPUF
+
+#: One noisy device per family: XOR and CDC-XOR take the one-draw override
+#: of ``eval_noisy_repeated``, interpose its own ``eval_noisy``, arbiter and
+#: BR the base class's methods.
+DEVICES = {
+    "arbiter": lambda rng: ArbiterPUF(8, rng, noise_sigma=0.5),
+    "xor": lambda rng: XORArbiterPUF(8, 3, rng, noise_sigma=0.5),
+    "cdc-xor": lambda rng: CDCXORArbiterPUF(8, 2, rng, noise_sigma=0.5),
+    "interpose": lambda rng: InterposePUF(8, 1, 2, rng, noise_sigma=0.5),
+    "br": lambda rng: BistableRingPUF(8, rng, noise_sigma=0.5),
+}
 
 
 class TestNoiseHelpers:
     def test_repeated_measurements_shape(self):
         puf = ArbiterPUF(8, np.random.default_rng(0), noise_sigma=0.5)
         c = random_pm1(8, 30, np.random.default_rng(1))
-        meas = repeated_measurements(puf, c, 7, np.random.default_rng(2))
-        assert meas.shape == (7, 30)
+        meas = puf.eval_noisy_repeated(c, 7, np.random.default_rng(2))
+        assert meas.shape == (7, 30) and meas.dtype == np.int8
 
     def test_repeated_measurements_validates(self):
-        puf = ArbiterPUF(8, np.random.default_rng(0))
+        """Every family, and ``reliability`` through it, rejects a
+        non-positive repetition count."""
         c = random_pm1(8, 5, np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            repeated_measurements(puf, c, 0)
+        for make in DEVICES.values():
+            puf = make(np.random.default_rng(0))
+            for repetitions in (0, -1):
+                with pytest.raises(ValueError, match="repetitions"):
+                    puf.eval_noisy_repeated(c, repetitions)
+                with pytest.raises(ValueError, match="repetitions"):
+                    reliability(puf, m=5, repetitions=repetitions)
+
+    @pytest.mark.parametrize("family", ["arbiter", "interpose"])
+    def test_base_repeated_measurements_stack_eval_noisy(self, family):
+        """The base method is ``repetitions`` sequential ``eval_noisy``
+        calls: same rows, and the generator left in the same state."""
+        puf = DEVICES[family](np.random.default_rng(3))
+        c = random_pm1(8, 40, np.random.default_rng(4))
+        method_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+        meas = puf.eval_noisy_repeated(c, 6, method_rng)
+        stacked = np.stack([puf.eval_noisy(c, loop_rng) for _ in range(6)])
+        np.testing.assert_array_equal(meas, stacked)
+        assert meas.dtype == np.int8
+        assert method_rng.bit_generator.state == loop_rng.bit_generator.state
 
     @statistical_test(alpha=2e-8)
     def test_majority_vote_denoises(self, stat):

@@ -49,7 +49,7 @@ def test_miss_generates_and_stores(tmp_path):
     assert len(crps) == 100
     assert calls == [1]
     assert cache.misses == 1 and cache.hits == 0
-    assert cache.path_for(cache_key("arbiter(n=12)", 0, "uniform")).exists()
+    assert cache.entry_path("crps", cache_key("arbiter(n=12)", 0, "uniform")).exists()
 
 
 def test_hit_skips_generation(tmp_path):
@@ -144,7 +144,7 @@ def test_clear_removes_entries(tmp_path):
 def test_env_var_default_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
     cache = ArtifactStore()
-    assert cache.cache_dir == tmp_path / "envcache"
+    assert cache.store_dir == tmp_path / "envcache"
 
 
 def test_corrupt_entry_is_a_miss_and_regenerates(tmp_path):
@@ -156,7 +156,7 @@ def test_corrupt_entry_is_a_miss_and_regenerates(tmp_path):
         generate=lambda: make_crps(m=20),
     )
     key = cache_key("a", 7, "uniform")
-    cache.path_for(key).write_bytes(b"this is not an npz archive")
+    cache.entry_path("crps", key).write_bytes(b"this is not an npz archive")
     calls = []
 
     def regenerate():
@@ -178,7 +178,7 @@ def test_store_leaves_no_staging_files(tmp_path):
     cache = ArtifactStore(tmp_path)
     cache.store(cache_key("a", 8, "uniform"), make_crps(m=10))
     assert [p.name for p in tmp_path.iterdir()] == [
-        cache.path_for(cache_key("a", 8, "uniform")).name
+        cache.entry_path("crps", cache_key("a", 8, "uniform")).name
     ]
     assert not any(is_staging(p) for p in tmp_path.iterdir())
 
@@ -198,7 +198,7 @@ def test_failed_store_cleans_its_staging_file(tmp_path, monkeypatch):
         cache.store("deadbeef", crps)
     assert len(staged) == 1 and is_staging(staged[0])  # staged, then cleaned
     assert list(tmp_path.iterdir()) == []
-    assert not cache.path_for("deadbeef").exists()
+    assert not cache.entry_path("crps", "deadbeef").exists()
 
 
 def test_clear_sweeps_orphaned_staging_files(tmp_path):
@@ -312,7 +312,7 @@ def test_corrupt_fleet_entry_is_a_miss_and_regenerates(tmp_path):
         "s", 7, "uniform", "float64", (10, 6), 40, lambda: plane
     )
     key = fleet_cache_key("s", 7, "uniform", "float64", (10, 6))
-    cache.fleet_path_for(key).write_bytes(b"truncated garbage")
+    cache.entry_path("fleet", key).write_bytes(b"truncated garbage")
     with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
         got_c, got_r = cache.get_or_generate_fleet(
             "s", 7, "uniform", "float64", (10, 6), 40, lambda: plane
@@ -328,15 +328,15 @@ def test_malformed_fleet_entry_is_discarded(tmp_path):
     miss too, not just an unreadable one."""
     cache = ArtifactStore(tmp_path)
     key = fleet_cache_key("s", 8, "uniform", "float64", (10, 6))
-    cache.cache_dir.mkdir(parents=True, exist_ok=True)
+    cache.store_dir.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(
-        cache.fleet_path_for(key),
+        cache.entry_path("fleet", key),
         challenges=np.ones((5, 10), dtype=np.int8),
         responses=np.ones((7, 6), dtype=np.int8),
     )
     with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
         assert cache.load_fleet(key) is None
-    assert not cache.fleet_path_for(key).exists()
+    assert not cache.entry_path("fleet", key).exists()
 
 
 def test_fleet_short_generator_output_rejected(tmp_path):

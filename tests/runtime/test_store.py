@@ -348,7 +348,7 @@ class TestSameKeyRace:
             p.join(timeout=60)
             assert p.exitcode == 0
         store = ArtifactStore(tmp_path)
-        assert list(store.entries()) == [store.path_for(key)]
+        assert list(store.entries()) == [store.entry_path("crps", key)]
         assert not any(is_staging(p) for p in tmp_path.iterdir())
         # The surviving archive is complete and serves hits.
         cached = store.get_or_generate(
@@ -403,7 +403,7 @@ class TestCoarseMtimeEviction:
 
         capped = ArtifactStore(tmp_path, max_bytes=cap)
         fresh_key = artifact_digest("crps", "fresh", 99)
-        fresh_path = capped.path_for(fresh_key)
+        fresh_path = capped.entry_path("crps", fresh_key)
         # Adversarial clock: the fresh entry reports an *earlier* stamp
         # than everything already present (staging-file inheritance).
         monkeypatch.setattr(
@@ -528,7 +528,7 @@ class TestEntryCodec:
         store = ArtifactStore(tmp_path)
         key = artifact_digest("crps", "a", 3)
         np.savez_compressed(
-            store.path_for(key),
+            store.entry_path("crps", key),
             challenges=crps.challenges.astype(np.int8),
             responses=crps.responses.astype(np.int8),
         )
@@ -540,7 +540,7 @@ class TestEntryCodec:
         assert len(unreadable) == 1 and len(caught) == 1
         assert store.corrupt == 1 and store.misses == 1
         np.testing.assert_array_equal(got.responses, crps.responses)
-        assert store.path_for(key).read_bytes().startswith(ENTRY_MAGIC)
+        assert store.entry_path("crps", key).read_bytes().startswith(ENTRY_MAGIC)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             again = store.get_or_generate(

@@ -431,6 +431,49 @@ class TestRecordsFromOlderVersions:
         assert exc.value.status == 400
         assert "shards" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "workload, workload_spec",
+        [
+            ("chow", {"n": 16, "m": 500, "block_size": 8192}),
+            ("lmn", {"n": 8, "m": 400, "test_size": 200, "block_size": 4096}),
+        ],
+    )
+    def test_job_record_with_block_size_is_adopted_and_charged_once(
+        self, live_service, tmp_path, workload, workload_spec
+    ):
+        """An older ``chow`` or ``lmn`` record carries ``block_size`` in
+        its workload spec; the record still loads without it, is adopted
+        and is charged once."""
+        job_id = f"job-old{workload}block"
+        job_dir = tmp_path / "svc" / "jobs" / job_id
+        job_dir.mkdir(parents=True)
+        spec = {
+            "workload": workload, "spec": workload_spec, "trials": 2,
+            "seed": 7, "workers": 1, "priority": None, "budget": 10**6,
+            "api_key": "alice",
+        }
+        record = {
+            "job_id": job_id, "spec": spec, "state": "queued",
+            "created_at": time.time(), "started_at": None, "finished_at": None,
+            "completed_trials": 0, "adopted": False, "error": None,
+            "result": None, "priority": 0,
+        }
+        (job_dir / "job.json").write_text(json.dumps(record))
+        client = live_service(default_quota=10**9).client(api_key="alice")
+        adopted = client.wait(job_id, timeout=60)
+        assert adopted["state"] == "done" and adopted["adopted"] is True
+        assert "block_size" not in adopted["spec"]["spec"]
+        assert client.quota()["used"] == adopted["result"]["total_queries"] > 0
+
+    def test_new_submission_with_block_size_is_400(self, live_service):
+        client = live_service().client()
+        with pytest.raises(ServiceError) as exc:
+            client.submit(
+                workload="chow", trials=1, spec={"n": 16, "m": 500, "block_size": 64}
+            )
+        assert exc.value.status == 400
+        assert "block_size" in str(exc.value)
+
 
 class TestCancellation:
     def test_cancel_queued_job(self, live_service):
