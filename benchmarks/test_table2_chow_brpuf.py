@@ -38,25 +38,27 @@ def run_table2(cache=None):
         pool_size = max(CRP_BUDGETS) + TEST_SIZE
 
         def collect(n=n, puf=puf, pool_size=pool_size):
-            return collect_stable_crps(
+            pool = collect_stable_crps(
                 puf,
                 pool_size,
                 repetitions=7,
                 rng=np.random.default_rng(2020 + n),
             )[0]
+            return pool.challenges, pool.responses
 
         if cache is not None:
-            pool = cache.get_or_generate(
-                puf_spec=f"BistableRingPUF(n={n}, sigma=0.4, stable, reps=7)",
-                seed=2020 + n,
+            challenges, responses = cache.get_or_generate(
+                "crps",
+                f"BistableRingPUF(n={n}, sigma=0.4, stable, reps=7)",
+                2020 + n,
+                pool_size,
+                collect,
                 distribution="uniform-stable",
-                m=pool_size,
-                generate=collect,
             )
         else:
-            pool = collect()
-        test = pool.take(TEST_SIZE)
-        train_all = pool.challenges[TEST_SIZE:], pool.responses[TEST_SIZE:]
+            challenges, responses = collect()
+        test_x, test_y = challenges[:TEST_SIZE], responses[:TEST_SIZE]
+        train_all = challenges[TEST_SIZE:], responses[TEST_SIZE:]
         fit_rng = np.random.default_rng(7000 + n)
         for budget in CRP_BUDGETS:
             x = train_all[0][:budget]
@@ -68,7 +70,7 @@ def run_table2(cache=None):
             labels = f_prime(x)
             result = Perceptron(max_epochs=25).fit(x, labels, fit_rng)
             acc = float(
-                np.mean(result.predict(test.challenges) == test.responses)
+                np.mean(result.predict(test_x) == test_y)
             )
             accuracies[(n, budget)] = 100.0 * acc
     return accuracies

@@ -145,8 +145,8 @@ def atlas_trial(
     from repro.learning.reliability_attack import CMAReliabilityAttack
     from repro.learning.xor_logistic import XorLogisticAttack
     from repro.pufs.arbiter import parity_transform
-    from repro.pufs.crp import CRPSet, generate_crps, uniform_challenges
-    from repro.runtime.store import ArtifactStore
+    from repro.pufs.crp import generate_crps, uniform_challenges
+    from repro.runtime.store import trial_artifact
     from repro.telemetry import unmetered
 
     cell, _replicate = cell_of_trial(spec, ctx.index)
@@ -169,27 +169,22 @@ def atlas_trial(
     else:
         noisy = cell.noise_sigma > 0
 
-        def generate() -> CRPSet:
-            return generate_crps(
+        def generate():
+            pool = generate_crps(
                 puf, cell.m, np.random.default_rng(draw_seed), noisy=noisy
             )
+            return pool.challenges, pool.responses
 
-        if cache_dir is not None:
-            pool = ArtifactStore(
-                cache_dir, max_bytes=cache_max_bytes
-            ).get_or_generate(
-                puf_spec=(
-                    f"{cell.family}(n={cell.n}, k={cell.k}, "
-                    f"noise_sigma={cell.noise_sigma})"
-                ),
-                seed=(ctx.seed.entropy, tuple(ctx.seed.spawn_key), ctx.index),
-                distribution="uniform",
-                m=cell.m,
-                generate=generate,
-                noisy=noisy,
-            )
-        else:
-            pool = generate()
+        challenges, responses = trial_artifact(
+            ctx,
+            "crps",
+            f"{cell.family}(n={cell.n}, k={cell.k}, noise_sigma={cell.noise_sigma})",
+            cell.m,
+            generate,
+            cache_dir,
+            cache_max_bytes,
+            noisy=noisy,
+        )
         feature_map = (
             parity_transform if cell.representation == "parity" else None
         )
@@ -212,9 +207,7 @@ def atlas_trial(
                 l2=LR_L2,
                 feature_map=feature_map,
             )
-        model = learner.fit(
-            pool.challenges, pool.responses, np.random.default_rng(fit_seed)
-        )
+        model = learner.fit(challenges, responses, np.random.default_rng(fit_seed))
         queries = cell.m
         predict = model.predict
 

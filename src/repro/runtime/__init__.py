@@ -12,7 +12,9 @@ The pieces compose into the standard experiment loop:
 * :mod:`repro.runtime.store` — :class:`ArtifactStore`, content-addressed
   memoisation of generated artifacts (CRP sets, fleet response planes,
   one flat bit-packed file each) keyed by :func:`artifact_digest`, with
-  LRU eviction and hit/miss/bytes stats;
+  one ``get_or_generate`` lookup for every kind, LRU eviction and
+  hit/miss/bytes stats; trials reach it through
+  :func:`repro.runtime.store.trial_artifact`;
 * :mod:`repro.runtime.pool` — the one dispatch loop behind every
   ``TrialRunner`` run: serial, or one process pool of ``workers``
   processes; worker-death retry, per-trial timeouts with pool rebuild,
@@ -40,6 +42,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "trial_record",
         ),
         "seeding": ("as_seed_sequence", "fan_out", "trial_rng", "trial_seed"),
-        "store": ("ArtifactStore", "artifact_digest", "hash_challenges"),
+        "store": ("ArtifactStore", "artifact_digest"),
     },
 )

@@ -3,12 +3,20 @@
 Every expensive artifact this codebase produces — a CRP pool, a fleet
 response plane — is a pure function of its generation provenance: the
 artifact *kind*, the PUF/fleet spec, the seed identity, the challenge-set
-identity (a distribution name or an explicit challenge hash), and the
-dtype tier.  :class:`ArtifactStore` turns that observation into a shared
+identity (a distribution name or a generation recipe), and the dtype
+tier.  :class:`ArtifactStore` turns that observation into a shared
 on-disk cache: artifacts are keyed by a canonical digest of exactly that
 tuple (:func:`artifact_digest`), deduplicated across workloads, and
 reusable across *runs* — a Table-I rerun or an atlas re-sweep hits the
 store instead of regenerating.
+
+Both kinds go through one lookup, :meth:`ArtifactStore.get_or_generate`,
+which returns a ``(challenges, responses)`` pair: ``(m, n)`` challenges
+with an ``m``-vector of CRP responses or an ``(m, N)`` fleet plane.
+:meth:`~ArtifactStore.load` and :meth:`~ArtifactStore.store` read and
+publish one entry of either kind.  A trial reaches the store through
+:func:`trial_artifact`, which keys the entry by the trial's seed
+identity and calls the generator directly when the run has no store.
 
 Store layout and guarantees
 ---------------------------
@@ -72,15 +80,17 @@ import struct
 import warnings
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.persist import is_staging, write_atomic
-from repro.pufs.crp import CRPSet
 from repro.telemetry.meter import incr as _incr
 from repro.telemetry.meter import record as _record
 from repro.telemetry.spans import trace
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.runtime.runner import TrialContext
 
 #: The artifact kinds the store recognises (the filename prefixes).
 ARTIFACT_KINDS = ("crps", "fleet")
@@ -94,9 +104,6 @@ ENTRY_MAGIC = b"REPROPM1"
 #: An entry's header (magic, then ``m, n, width``) and CRC-32 trailer.
 _HEADER = struct.Struct("<8s3q")
 _CRC = struct.Struct("<I")
-
-#: Environment variable supplying the default store directory.
-STORE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable supplying the default size cap (bytes).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
@@ -210,32 +217,6 @@ def _read_entry(data: bytes, vector: bool) -> Tuple[np.ndarray, np.ndarray]:
     return challenges, responses
 
 
-def _canonical_seed_material(seed: object) -> str:
-    """A stable string identity for a seed-like object.
-
-    ``repr`` is stable for the seed shapes the runtime passes around —
-    ints, strings, and tuples of ``(entropy, spawn_key, index)`` — and
-    intentionally distinguishes ``1`` from ``"1"``: different launch
-    forms are different provenance.
-    """
-    return repr(seed)
-
-
-def hash_challenges(challenges: np.ndarray) -> str:
-    """A digest identifying an explicit challenge set (shape, dtype, bytes).
-
-    For callers that hold a concrete challenge matrix instead of a
-    distribution name: pass ``hash_challenges(x)`` as the
-    ``distribution`` of :func:`artifact_digest` and the artifact is keyed
-    by the exact challenge content.
-    """
-    x = np.ascontiguousarray(challenges)
-    h = hashlib.sha256()
-    h.update(str((x.shape, str(x.dtype))).encode("utf-8"))
-    h.update(x.tobytes())
-    return "sha256:" + h.hexdigest()[:32]
-
-
 def artifact_digest(
     kind: str,
     spec: str,
@@ -251,12 +232,16 @@ def artifact_digest(
     identity, dtype tier, shape, noisy)`` — exactly the tuple that
     determines the artifact's bytes.  ``distribution`` names the
     challenge-set identity: a distribution spec string for seeded draws,
-    or a :func:`hash_challenges` digest for explicit challenge matrices.
-    The row count is deliberately *not* key material (prefix reuse; see
-    the module docstring).  Material is canonicalised through sorted-key
-    JSON so semantically equal keys digest equally regardless of call
-    order, and the kind doubles as a namespace: a ``crps`` artifact can
-    never collide with a ``fleet`` artifact of the same spec.
+    or a recipe string for a generated sequence.  The seed enters as its
+    ``repr``, which is stable for the seed shapes the runtime passes
+    around — ints, strings, and ``(entropy, spawn_key, index)`` tuples —
+    and tells ``1`` from ``"1"``: different launch forms are different
+    provenance.  The row count is deliberately *not* key material
+    (prefix reuse; see the module docstring).  Material is canonicalised
+    through sorted-key JSON so semantically equal keys digest equally
+    regardless of call order, and the kind doubles as a namespace: a
+    ``crps`` artifact can never collide with a ``fleet`` artifact of the
+    same spec.
     """
     if kind not in ARTIFACT_KINDS:
         raise ValueError(f"unknown artifact kind {kind!r}; expected {ARTIFACT_KINDS}")
@@ -264,7 +249,7 @@ def artifact_digest(
         {
             "kind": kind,
             "spec": str(spec),
-            "seed": _canonical_seed_material(seed),
+            "seed": repr(seed),
             "challenges": str(distribution),
             "tier": str(tier),
             "shape": [int(v) for v in shape],
@@ -289,8 +274,6 @@ class ArtifactStore:
     ----------
     store_dir:
         Where the entry files live; created on first store.
-        Defaults to ``$REPRO_CACHE_DIR`` or ``.repro_cache`` in the
-        working directory.
     max_bytes:
         Size cap for LRU eviction.  ``None`` reads
         ``$REPRO_CACHE_MAX_BYTES``; a missing/empty variable means
@@ -301,11 +284,9 @@ class ArtifactStore:
 
     def __init__(
         self,
-        store_dir: Optional[Union[str, Path]] = None,
+        store_dir: Union[str, Path],
         max_bytes: Optional[int] = None,
     ) -> None:
-        if store_dir is None:
-            store_dir = os.environ.get(STORE_DIR_ENV, ".repro_cache")
         if max_bytes is None:
             raw = os.environ.get(MAX_BYTES_ENV, "")
             max_bytes = int(raw) if raw.strip() else None
@@ -342,9 +323,9 @@ class ArtifactStore:
         return sum(self.entries().values())
 
     # ------------------------------------------------------------------
-    # Publication and loading primitives.
+    # Publication and loading.
     # ------------------------------------------------------------------
-    def _publish(
+    def store(
         self, kind: str, key: str, challenges: np.ndarray, responses: np.ndarray
     ) -> Path:
         """Pack and publish entry ``key`` of ``kind`` atomically.
@@ -371,9 +352,7 @@ class ArtifactStore:
             self._evict_over_cap(protect=path)
         return path
 
-    def _load_entry(
-        self, kind: str, key: str
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def load(self, kind: str, key: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The (challenges, responses) of entry ``key`` of ``kind``, or None.
 
         An entry the reader rejects — a truncated or corrupt file left
@@ -410,7 +389,7 @@ class ArtifactStore:
             f"discarding unreadable {label} cache entry {path.name} "
             f"({type(exc).__name__}: {exc}); regenerating",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
         self.corrupt += 1
         _incr("artifact_store.corrupt")
@@ -462,131 +441,56 @@ class ArtifactStore:
         return removed
 
     # ------------------------------------------------------------------
-    # CRP-set entries.
+    # The lookup: one path for CRP sets and fleet planes.
     # ------------------------------------------------------------------
-    def load(self, key: str) -> Optional[CRPSet]:
-        """The cached CRP set for ``key``, or None (an unreadable entry is
-        discarded as a miss; see :meth:`_load_entry`)."""
-        entry = self._load_entry("crps", key)
-        return None if entry is None else CRPSet(*entry)
-
-    def store(self, key: str, crps: CRPSet) -> Path:
-        """Persist ``crps`` under ``key`` (atomic replace, winner-take-one).
-
-        Concurrent writers of the same key both succeed; exactly one
-        complete entry survives — see :meth:`_publish`.
-        """
-        return self._publish("crps", key, crps.challenges, crps.responses)
-
     def get_or_generate(
         self,
-        puf_spec: str,
+        kind: str,
+        spec: str,
         seed: object,
-        distribution: str,
-        m: int,
-        generate: Callable[[], CRPSet],
-        noisy: bool = False,
-        record_kind: str = "ex",
-    ) -> CRPSet:
-        """The first ``m`` CRPs for this provenance, generating on miss.
-
-        On a hit with at least ``m`` cached CRPs the prefix is returned
-        without calling ``generate``.  On a miss (or a cached set that is
-        too short) ``generate()`` runs and its output replaces the cached
-        file, so the store monotonically grows to the largest request.
-
-        ``record_kind`` names the query kind the hit path records the
-        replayed CRPs under: ``"ex"`` for distribution draws (the
-        default), ``"mq"`` for memoised adaptive trajectories whose rows
-        were originally attacker-chosen membership queries — replayed
-        answers are accountable under the access model that produced
-        them, not the one the cache happens to resemble.
-        """
-        if m <= 0:
-            raise ValueError("CRP count must be positive")
-        # CRP sets are always int8, so no tier; ``m`` is not key material.
-        key = artifact_digest(
-            "crps", puf_spec, seed, distribution=distribution, noisy=noisy
-        )
-        cached = self.load(key)
-        if cached is not None and len(cached) >= m:
-            self.hits += 1
-            _incr("artifact_store.hits")
-            taken = cached.take(m)
-            served = taken.challenges.nbytes + taken.responses.nbytes
-            self.bytes_served += served
-            _incr("artifact_store.bytes_served", served)
-            # A cache hit replays CRPs the adversary is still accountable
-            # for; record them under the kind their original collection
-            # used (the generator inside `generate` records the miss path).
-            _record(
-                record_kind,
-                queries=m,
-                examples=m if record_kind == "ex" else 0,
-                challenges=taken.challenges,
-                response_bytes=taken.responses.nbytes,
-            )
-            return taken
-        self.misses += 1
-        _incr("artifact_store.misses")
-        crps = generate()
-        if len(crps) < m:
-            raise ValueError(
-                f"generator produced {len(crps)} CRPs, fewer than requested {m}"
-            )
-        self.store(key, crps)
-        return crps.take(m)
-
-    # ------------------------------------------------------------------
-    # Fleet response planes: (m, n) challenges against an (m, N) response
-    # matrix; the dtype tier and the fleet shape are digest material.
-    # ------------------------------------------------------------------
-    def load_fleet(self, key: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The cached (challenges, responses) plane for ``key``, or None.
-
-        Same corrupt-entry policy as :meth:`load`: an unreadable or
-        malformed entry is warned about, unlinked, and reported as a
-        miss, so one killed writer cannot poison every later run.
-        """
-        return self._load_entry("fleet", key)
-
-    def store_fleet(
-        self, key: str, challenges: np.ndarray, responses: np.ndarray
-    ) -> Path:
-        """Persist a fleet response plane under ``key`` (atomic replace)."""
-        return self._publish("fleet", key, challenges, responses)
-
-    def get_or_generate_fleet(
-        self,
-        fleet_spec: str,
-        seed: object,
-        distribution: str,
-        tier: str,
-        shape: Sequence[int],
         m: int,
         generate: Callable[[], Tuple[np.ndarray, np.ndarray]],
+        distribution: str = "uniform",
+        tier: str = "int8",
+        shape: Sequence[int] = (),
         noisy: bool = False,
+        record_kind: str = "ex",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The first ``m`` rows of this fleet plane, generating on miss.
+        """The first ``m`` rows of this artifact, generating on miss.
 
-        Prefix reuse works row-wise exactly as for CRP sets: challenge
-        draws are sequential, so the first ``m`` rows of a larger cached
-        plane equal an ``m``-row generation from the same seed.
+        The entry is keyed by :func:`artifact_digest` of ``kind``,
+        ``spec``, ``seed`` and the remaining provenance; a CRP set
+        passes no ``tier`` or ``shape``, a fleet plane passes its dtype
+        tier and ``(n, N)`` shape, so an int8-tier run is never served a
+        float64 entry, nor a resized fleet a stale plane.  On a hit with
+        at least ``m`` cached rows the prefix is returned without calling
+        ``generate``.  On a miss (or a cached entry that is too short)
+        ``generate()`` returns ``(challenges, responses)`` and its output
+        replaces the cached file, so the store monotonically grows to the
+        largest request.
+
+        A hit replays answers the adversary is still accountable for: it
+        records ``responses.size`` queries (``m`` for a CRP vector,
+        ``m * N`` for a plane) under ``record_kind``, with as many
+        examples when that is ``"ex"`` (distribution draws, the default).
+        Memoised adaptive trajectories pass ``"mq"``: their rows were
+        attacker-chosen membership queries, and replayed answers are
+        accountable under the access model that produced them, not the
+        one the cache happens to resemble.  The generator inside
+        ``generate`` records the miss path itself.
         """
         if m <= 0:
-            raise ValueError("challenge count must be positive")
-        # Tier and shape are key material: an int8-tier run is never
-        # served a float64 entry, nor a resized fleet a stale plane.
+            raise ValueError("row count must be positive")
         key = artifact_digest(
-            "fleet",
-            fleet_spec,
+            kind,
+            spec,
             seed,
             distribution=distribution,
             tier=tier,
             shape=shape,
             noisy=noisy,
         )
-        cached = self.load_fleet(key)
+        cached = self.load(kind, key)
         if cached is not None and cached[0].shape[0] >= m:
             self.hits += 1
             _incr("artifact_store.hits")
@@ -594,12 +498,10 @@ class ArtifactStore:
             served = challenges.nbytes + responses.nbytes
             self.bytes_served += served
             _incr("artifact_store.bytes_served", served)
-            # Replayed oracle answers are still adversary queries, per
-            # instance (mirrors the CRP hit path above).
             _record(
-                "ex",
-                queries=m * responses.shape[1],
-                examples=m * responses.shape[1],
+                record_kind,
+                queries=responses.size,
+                examples=responses.size if record_kind == "ex" else 0,
                 challenges=challenges,
                 response_bytes=responses.nbytes,
             )
@@ -612,7 +514,7 @@ class ArtifactStore:
                 f"generator produced {challenges.shape[0]} rows, "
                 f"fewer than requested {m}"
             )
-        self.store_fleet(key, challenges, responses)
+        self.store(kind, key, challenges, responses)
         return challenges[:m], responses[:m]
 
     # ------------------------------------------------------------------
@@ -657,3 +559,29 @@ class ArtifactStore:
             f"{type(self).__name__}(dir={str(self.store_dir)!r}, "
             f"hits={self.hits}, misses={self.misses})"
         )
+
+
+def trial_artifact(
+    ctx: "TrialContext",
+    kind: str,
+    spec: str,
+    m: int,
+    generate: Callable[[], Tuple[np.ndarray, np.ndarray]],
+    cache_dir: Optional[Union[str, Path]] = None,
+    cache_max_bytes: Optional[int] = None,
+    **provenance: object,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A trial's ``(challenges, responses)``: ``generate()``, memoised when
+    ``cache_dir`` is set.
+
+    The entry's seed identity is the trial's ``(entropy, spawn_key,
+    index)``, which reading spawns nothing; ``provenance`` is the rest
+    of :meth:`ArtifactStore.get_or_generate`'s key material and its
+    ``record_kind``.  Without ``cache_dir`` no store is made and
+    ``generate()`` is returned as it is.
+    """
+    if cache_dir is None:
+        return generate()
+    seed = (ctx.seed.entropy, tuple(ctx.seed.spawn_key), ctx.index)
+    store = ArtifactStore(cache_dir, max_bytes=cache_max_bytes)
+    return store.get_or_generate(kind, spec, seed, m, generate, **provenance)

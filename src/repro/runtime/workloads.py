@@ -177,8 +177,7 @@ def active_trial(
         evaluate_trajectory,
         make_strategy,
     )
-    from repro.pufs.crp import CRPSet
-    from repro.runtime.store import ArtifactStore
+    from repro.runtime.store import trial_artifact
 
     instance_seed, select_seed, fit_seed, test_seed = ctx.seed.spawn(4)
     instance_rng = np.random.default_rng(instance_seed)
@@ -206,7 +205,7 @@ def active_trial(
         f":pool={spec.pool_size}:noise={spec.noise_rate}:total={total}"
     )
 
-    def generate() -> CRPSet:
+    def generate() -> Tuple[np.ndarray, np.ndarray]:
         trajectory = collect_trajectory(
             spec.n,
             puf.eval,
@@ -217,27 +216,27 @@ def active_trial(
             rng=np.random.default_rng(select_seed),
             noise_rate=spec.noise_rate,
         )
-        return CRPSet(trajectory.challenges, trajectory.responses)
+        return trajectory.challenges, trajectory.responses
 
-    if cache_dir is not None:
-        crps = ArtifactStore(cache_dir, max_bytes=cache_max_bytes).get_or_generate(
-            puf_spec=puf_spec,
-            seed=(ctx.seed.entropy, tuple(ctx.seed.spawn_key), ctx.index),
-            distribution=trajectory_id,
-            m=total,
-            generate=generate,
-            noisy=spec.noise_rate > 0,
-            record_kind=strategy.kind,
-        )
-    else:
-        crps = generate()
+    challenges, responses = trial_artifact(
+        ctx,
+        "crps",
+        puf_spec,
+        total,
+        generate,
+        cache_dir,
+        cache_max_bytes,
+        distribution=trajectory_id,
+        noisy=spec.noise_rate > 0,
+        record_kind=strategy.kind,
+    )
     with unmetered():
         test_rng = np.random.default_rng(test_seed)
         test_x = uniform_challenges(spec.test_size, spec.n, test_rng)
         test_y = puf.eval(test_x)
     accuracies = evaluate_trajectory(
-        crps.challenges,
-        crps.responses,
+        challenges,
+        responses,
         budgets,
         test_x,
         test_y,
@@ -392,7 +391,7 @@ def chow_brpuf_trial(
     """
     from repro.kernels.character import CharacterBasis
     from repro.pufs.crp import generate_crps
-    from repro.runtime.store import ArtifactStore
+    from repro.runtime.store import trial_artifact
 
     instance_rng, crp_rng = ctx.spawn_rngs(2)
     puf = BistableRingPUF(
@@ -403,24 +402,18 @@ def chow_brpuf_trial(
     )
 
     def generate():
-        return generate_crps(puf, spec.m, crp_rng)
+        crps = generate_crps(puf, spec.m, crp_rng)
+        return crps.challenges, crps.responses
 
-    if cache_dir is not None:
-        crps = ArtifactStore(cache_dir, max_bytes=cache_max_bytes).get_or_generate(
-            puf_spec=puf_spec,
-            seed=(ctx.seed.entropy, tuple(ctx.seed.spawn_key), ctx.index),
-            distribution="uniform",
-            m=spec.m,
-            generate=generate,
-        )
-    else:
-        crps = generate()
+    challenges, responses = trial_artifact(
+        ctx, "crps", puf_spec, spec.m, generate, cache_dir, cache_max_bytes
+    )
     # Chow parameters are exactly the degree-<=1 Fourier coefficients
     # E[f(x)] and E[f(x) x_i], in the kernel's [(), (0,), ..., (n-1,)]
     # column order — one blocked GEMM, bit-identical to the former
     # explicit ``x.T @ y / m`` (integer-valued partial sums are exact).
     basis = CharacterBasis.low_degree(spec.n, 1)
-    return basis.estimate_coefficients(crps.challenges, crps.responses)
+    return basis.estimate_coefficients(challenges, responses)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -511,7 +504,7 @@ def fleet_eval_trial(
         response_plane_uniqueness,
         uniformity as plane_uniformity,
     )
-    from repro.runtime.store import ArtifactStore
+    from repro.runtime.store import trial_artifact
 
     fleet_spec = spec.fleet_spec()
     noisy = spec.noise_sigma > 0 and spec.repetitions > 1
@@ -546,19 +539,17 @@ def fleet_eval_trial(
         measured = voted, meas
         return challenges, plane
 
-    if cache_dir is not None:
-        store = ArtifactStore(cache_dir, max_bytes=cache_max_bytes)
-        challenges, plane = store.get_or_generate_fleet(
-            fleet_spec=fleet_spec.describe(),
-            seed=(ctx.seed.entropy, tuple(ctx.seed.spawn_key), ctx.index),
-            distribution="uniform",
-            tier=spec.tier,
-            shape=(spec.n, spec.size),
-            m=spec.m,
-            generate=generate,
-        )
-    else:
-        challenges, plane = generate()
+    challenges, plane = trial_artifact(
+        ctx,
+        "fleet",
+        fleet_spec.describe(),
+        spec.m,
+        generate,
+        cache_dir,
+        cache_max_bytes,
+        tier=spec.tier,
+        shape=(spec.n, spec.size),
+    )
 
     uniqueness = (
         response_plane_uniqueness(plane) if spec.size >= 2 else float("nan")

@@ -1,8 +1,8 @@
 """ArtifactStore entries: hit/miss, prefix reuse, atomic publish, clear.
 
-The entry-level behaviour of the store's CRP-set and fleet-plane paths;
-the digest schema, LRU eviction and cross-process races are pinned in
-``test_store.py``.
+The entry-level behaviour of the store's one lookup, for CRP sets and
+fleet planes alike; the digest schema, LRU eviction and cross-process
+races are pinned in ``test_store.py``.
 """
 
 import numpy as np
@@ -11,8 +11,14 @@ import pytest
 from repro import persist
 from repro.persist import is_staging
 from repro.pufs.arbiter import ArbiterPUF
-from repro.pufs.crp import CRPSet, generate_crps
+from repro.pufs.crp import generate_crps
 from repro.runtime.store import ArtifactStore, artifact_digest
+
+#: Per kind, the provenance this file's lookups key their entries by,
+#: beyond ``(kind, spec, seed)``, and the label a corrupt entry's
+#: warning names the kind by.
+PROVENANCE = {"crps": {}, "fleet": {"tier": "float64", "shape": (10, 6)}}
+LABELS = {"crps": "CRP", "fleet": "fleet"}
 
 
 def cache_key(puf_spec, seed, distribution, noisy=False):
@@ -31,8 +37,27 @@ def fleet_cache_key(fleet_spec, seed, distribution, tier, shape, noisy=False):
 
 
 def make_crps(seed=0, m=100, n=12):
+    """The ``(challenges, responses)`` of ``m`` CRPs of a fresh arbiter PUF."""
     puf = ArbiterPUF(n, np.random.default_rng(seed))
-    return generate_crps(puf, m, np.random.default_rng(seed + 1))
+    crps = generate_crps(puf, m, np.random.default_rng(seed + 1))
+    return crps.challenges, crps.responses
+
+
+def make_fleet_plane(seed=0, m=40, n=10, size=6):
+    rng = np.random.default_rng(seed)
+    challenges = (1 - 2 * rng.integers(0, 2, size=(m, n))).astype(np.int8)
+    responses = (1 - 2 * rng.integers(0, 2, size=(m, size))).astype(np.int8)
+    return challenges, responses
+
+
+def make_artifact(kind, seed=0, m=40):
+    """An ``m``-row ``(challenges, responses)`` pair of ``kind``."""
+    return (make_crps if kind == "crps" else make_fleet_plane)(seed=seed, m=m)
+
+
+def lookup(cache, kind, seed, m, generate):
+    """``cache.get_or_generate`` of this file's ``kind`` entry for ``seed``."""
+    return cache.get_or_generate(kind, "s", seed, m, generate, **PROVENANCE[kind])
 
 
 def test_miss_generates_and_stores(tmp_path):
@@ -43,10 +68,10 @@ def test_miss_generates_and_stores(tmp_path):
         calls.append(1)
         return make_crps()
 
-    crps = cache.get_or_generate(
-        puf_spec="arbiter(n=12)", seed=0, distribution="uniform", m=100, generate=gen
+    challenges, responses = cache.get_or_generate(
+        "crps", "arbiter(n=12)", 0, 100, gen, distribution="uniform"
     )
-    assert len(crps) == 100
+    assert len(challenges) == len(responses) == 100
     assert calls == [1]
     assert cache.misses == 1 and cache.hits == 0
     assert cache.entry_path("crps", cache_key("arbiter(n=12)", 0, "uniform")).exists()
@@ -54,47 +79,36 @@ def test_miss_generates_and_stores(tmp_path):
 
 def test_hit_skips_generation(tmp_path):
     cache = ArtifactStore(tmp_path)
-    first = cache.get_or_generate(
-        puf_spec="a", seed=1, distribution="uniform", m=50, generate=make_crps
-    )
+    first = cache.get_or_generate("crps", "a", 1, 50, make_crps)
 
     def must_not_run():
         raise AssertionError("generator called on a cache hit")
 
-    second = cache.get_or_generate(
-        puf_spec="a", seed=1, distribution="uniform", m=50, generate=must_not_run
-    )
-    np.testing.assert_array_equal(first.challenges, second.challenges)
-    np.testing.assert_array_equal(first.responses, second.responses)
+    second = cache.get_or_generate("crps", "a", 1, 50, must_not_run)
+    np.testing.assert_array_equal(first[0], second[0])
+    np.testing.assert_array_equal(first[1], second[1])
     assert cache.hits == 1
 
 
-def test_prefix_served_from_larger_cached_set(tmp_path):
+@pytest.mark.parametrize("kind", ["crps", "fleet"])
+def test_prefix_served_from_larger_cached_set(tmp_path, kind):
     cache = ArtifactStore(tmp_path)
-    full = cache.get_or_generate(
-        puf_spec="a", seed=2, distribution="uniform", m=100, generate=make_crps
+    challenges, responses = make_artifact(kind, m=50)
+    lookup(cache, kind, 3, 50, lambda: (challenges, responses))
+    got_c, got_r = lookup(
+        cache, kind, 3, 20, lambda: pytest.fail("prefix request must hit")
     )
-    prefix = cache.get_or_generate(
-        puf_spec="a",
-        seed=2,
-        distribution="uniform",
-        m=30,
-        generate=lambda: pytest.fail("prefix request must hit"),
-    )
-    np.testing.assert_array_equal(prefix.challenges, full.challenges[:30])
+    assert cache.hits == 1
+    np.testing.assert_array_equal(got_c, challenges[:20])
+    np.testing.assert_array_equal(got_r, responses[:20])
+    assert got_c.dtype == np.int8 and got_r.dtype == np.int8
 
 
 def test_larger_request_regenerates(tmp_path):
     cache = ArtifactStore(tmp_path)
-    cache.get_or_generate(
-        puf_spec="a", seed=3, distribution="uniform", m=50,
-        generate=lambda: make_crps(m=50),
-    )
-    bigger = cache.get_or_generate(
-        puf_spec="a", seed=3, distribution="uniform", m=80,
-        generate=lambda: make_crps(m=80),
-    )
-    assert len(bigger) == 80
+    cache.get_or_generate("crps", "a", 3, 50, lambda: make_crps(m=50))
+    bigger = cache.get_or_generate("crps", "a", 3, 80, lambda: make_crps(m=80))
+    assert len(bigger[0]) == 80
     assert cache.misses == 2
 
 
@@ -109,74 +123,63 @@ def test_distinct_provenance_distinct_entries(tmp_path):
     ]
     for spec, seed, distribution, noisy in provenances:
         cache.get_or_generate(
-            puf_spec=spec, seed=seed, distribution=distribution, m=10,
-            generate=lambda: make_crps(m=10), noisy=noisy,
+            "crps", spec, seed, 10, lambda: make_crps(m=10),
+            distribution=distribution, noisy=noisy,
         )
     assert cache.misses == 5
     assert len(cache.entries()) == 5
     # m is deliberately NOT part of the key (prefix reuse).
     cache.get_or_generate(
-        puf_spec="a", seed=0, distribution="uniform", m=5,
-        generate=lambda: pytest.fail("a smaller request must hit"),
+        "crps", "a", 0, 5, lambda: pytest.fail("a smaller request must hit")
     )
     assert cache.hits == 1
 
 
-def test_short_generator_output_rejected(tmp_path):
+@pytest.mark.parametrize("kind", ["crps", "fleet"])
+def test_short_generator_output_rejected(tmp_path, kind):
     cache = ArtifactStore(tmp_path)
     with pytest.raises(ValueError, match="fewer than requested"):
-        cache.get_or_generate(
-            puf_spec="a", seed=4, distribution="uniform", m=100,
-            generate=lambda: make_crps(m=10),
-        )
+        lookup(cache, kind, 4, 100, lambda: make_artifact(kind, m=10))
 
 
 def test_clear_removes_entries(tmp_path):
     cache = ArtifactStore(tmp_path)
-    cache.get_or_generate(
-        puf_spec="a", seed=5, distribution="uniform", m=10,
-        generate=lambda: make_crps(m=10),
-    )
+    cache.get_or_generate("crps", "a", 5, 10, lambda: make_crps(m=10))
     assert cache.clear() == 1
-    assert cache.load(cache_key("a", 5, "uniform")) is None
+    assert cache.load("crps", cache_key("a", 5, "uniform")) is None
 
 
-def test_env_var_default_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-    cache = ArtifactStore()
-    assert cache.store_dir == tmp_path / "envcache"
-
-
-def test_corrupt_entry_is_a_miss_and_regenerates(tmp_path):
-    """A truncated/corrupt .npz (killed writer, bad disk) must not poison
-    every future read: warn, unlink, regenerate."""
+@pytest.mark.parametrize("kind", ["crps", "fleet"])
+def test_corrupt_entry_is_a_miss_and_regenerates(tmp_path, kind):
+    """A truncated/corrupt entry (killed writer, bad disk) must not poison
+    every future read: warn, unlink, regenerate — in this process or the
+    next."""
     cache = ArtifactStore(tmp_path)
-    cache.get_or_generate(
-        puf_spec="a", seed=7, distribution="uniform", m=20,
-        generate=lambda: make_crps(m=20),
-    )
-    key = cache_key("a", 7, "uniform")
-    cache.entry_path("crps", key).write_bytes(b"this is not an npz archive")
+    plane = make_artifact(kind, seed=7, m=20)
+    lookup(cache, kind, 7, 20, lambda: plane)
+    (entry,) = cache.entries()
+    entry.write_bytes(b"this is not an entry")
     calls = []
 
     def regenerate():
         calls.append(1)
-        return make_crps(m=20)
+        return plane
 
-    with pytest.warns(RuntimeWarning, match="unreadable CRP cache entry"):
-        crps = cache.get_or_generate(
-            puf_spec="a", seed=7, distribution="uniform", m=20,
-            generate=regenerate,
-        )
+    fresh = ArtifactStore(tmp_path)
+    with pytest.warns(RuntimeWarning, match=f"unreadable {LABELS[kind]} cache entry"):
+        got_c, got_r = lookup(fresh, kind, 7, 20, regenerate)
     assert calls == [1]
-    assert len(crps) == 20
+    assert fresh.corrupt == 1 and fresh.misses == 1
+    np.testing.assert_array_equal(got_c, plane[0])
+    np.testing.assert_array_equal(got_r, plane[1])
     # The poisoned file was replaced with a readable one.
-    assert cache.load(key) is not None
+    key = artifact_digest(kind, "s", 7, **PROVENANCE[kind])
+    assert fresh.load(kind, key) is not None
 
 
 def test_store_leaves_no_staging_files(tmp_path):
     cache = ArtifactStore(tmp_path)
-    cache.store(cache_key("a", 8, "uniform"), make_crps(m=10))
+    cache.store("crps", cache_key("a", 8, "uniform"), *make_crps(m=10))
     assert [p.name for p in tmp_path.iterdir()] == [
         cache.entry_path("crps", cache_key("a", 8, "uniform")).name
     ]
@@ -195,7 +198,7 @@ def test_failed_store_cleans_its_staging_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(persist, "_write_all", boom)
     with pytest.raises(OSError, match="disk full"):
-        cache.store("deadbeef", crps)
+        cache.store("crps", "deadbeef", *crps)
     assert len(staged) == 1 and is_staging(staged[0])  # staged, then cleaned
     assert list(tmp_path.iterdir()) == []
     assert not cache.entry_path("crps", "deadbeef").exists()
@@ -203,10 +206,7 @@ def test_failed_store_cleans_its_staging_file(tmp_path, monkeypatch):
 
 def test_clear_sweeps_orphaned_staging_files(tmp_path):
     cache = ArtifactStore(tmp_path)
-    cache.get_or_generate(
-        puf_spec="a", seed=9, distribution="uniform", m=10,
-        generate=lambda: make_crps(m=10),
-    )
+    cache.get_or_generate("crps", "a", 9, 10, lambda: make_crps(m=10))
     orphan = tmp_path / "crps-deadbeef.npz.4242-0.tmp"
     orphan.write_bytes(b"partial write from a killed process")
     assert is_staging(orphan) and cache.entries().keys().isdisjoint([orphan])
@@ -223,7 +223,7 @@ def test_concurrent_writers_never_corrupt_the_entry(tmp_path):
     key = cache_key("a", 10, "uniform")
     sets = [make_crps(seed=s, m=30) for s in range(4)]
     threads = [
-        threading.Thread(target=cache.store, args=(key, crps))
+        threading.Thread(target=cache.store, args=("crps", key, *crps))
         for crps in sets
         for _ in range(3)
     ]
@@ -231,36 +231,25 @@ def test_concurrent_writers_never_corrupt_the_entry(tmp_path):
         t.start()
     for t in threads:
         t.join()
-    loaded = cache.load(key)
-    assert loaded is not None and len(loaded) == 30
+    loaded = cache.load("crps", key)
+    assert loaded is not None and len(loaded[0]) == len(loaded[1]) == 30
     assert not any(is_staging(p) for p in tmp_path.iterdir())
 
 
 def test_roundtrip_preserves_dtypes(tmp_path):
     cache = ArtifactStore(tmp_path)
-    crps = cache.get_or_generate(
-        puf_spec="a", seed=6, distribution="uniform", m=20,
-        generate=lambda: make_crps(m=20),
-    )
+    cache.get_or_generate("crps", "a", 6, 20, lambda: make_crps(m=20))
     reloaded = cache.get_or_generate(
-        puf_spec="a", seed=6, distribution="uniform", m=20,
-        generate=lambda: pytest.fail("must hit"),
+        "crps", "a", 6, 20, lambda: pytest.fail("must hit")
     )
-    assert isinstance(reloaded, CRPSet)
-    assert reloaded.challenges.dtype == np.int8
-    assert reloaded.responses.dtype == np.int8
+    assert isinstance(reloaded, tuple) and len(reloaded) == 2
+    assert reloaded[0].dtype == np.int8
+    assert reloaded[1].dtype == np.int8
 
 
 # ----------------------------------------------------------------------
 # Fleet response-plane entries
 # ----------------------------------------------------------------------
-def make_fleet_plane(seed=0, m=40, n=10, size=6):
-    rng = np.random.default_rng(seed)
-    challenges = (1 - 2 * rng.integers(0, 2, size=(m, n))).astype(np.int8)
-    responses = (1 - 2 * rng.integers(0, 2, size=(m, size))).astype(np.int8)
-    return challenges, responses
-
-
 def test_fleet_key_includes_tier_and_shape():
     """An int8-tier run can never be served a float64 hit, and a resized
     fleet can never alias a stale plane — tier and shape are key material."""
@@ -275,54 +264,6 @@ def test_fleet_key_includes_tier_and_shape():
     assert fleet_cache_key("spec", 0, "uniform", "float64", np.array([64, 256])) == base
 
 
-def test_fleet_cross_tier_requests_never_share_an_entry(tmp_path):
-    cache = ArtifactStore(tmp_path)
-    f64_plane = make_fleet_plane(seed=1)
-    i8_plane = make_fleet_plane(seed=2)
-    served_f64 = cache.get_or_generate_fleet(
-        "s", 0, "uniform", "float64", (10, 6), 40, lambda: f64_plane
-    )
-    served_i8 = cache.get_or_generate_fleet(
-        "s", 0, "uniform", "int8", (10, 6), 40, lambda: i8_plane
-    )
-    assert cache.misses == 2 and cache.hits == 0
-    assert not np.array_equal(served_f64[1], served_i8[1])
-
-
-def test_fleet_hit_serves_row_prefix(tmp_path):
-    cache = ArtifactStore(tmp_path)
-    challenges, responses = make_fleet_plane(m=50)
-    cache.get_or_generate_fleet(
-        "s", 3, "uniform", "float64", (10, 6), 50, lambda: (challenges, responses)
-    )
-    got_c, got_r = cache.get_or_generate_fleet(
-        "s", 3, "uniform", "float64", (10, 6), 20,
-        lambda: pytest.fail("prefix request must hit"),
-    )
-    assert cache.hits == 1
-    assert np.array_equal(got_c, challenges[:20])
-    assert np.array_equal(got_r, responses[:20])
-    assert got_c.dtype == np.int8 and got_r.dtype == np.int8
-
-
-def test_corrupt_fleet_entry_is_a_miss_and_regenerates(tmp_path):
-    cache = ArtifactStore(tmp_path)
-    plane = make_fleet_plane(seed=7)
-    cache.get_or_generate_fleet(
-        "s", 7, "uniform", "float64", (10, 6), 40, lambda: plane
-    )
-    key = fleet_cache_key("s", 7, "uniform", "float64", (10, 6))
-    cache.entry_path("fleet", key).write_bytes(b"truncated garbage")
-    with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
-        got_c, got_r = cache.get_or_generate_fleet(
-            "s", 7, "uniform", "float64", (10, 6), 40, lambda: plane
-        )
-    assert cache.misses == 2
-    assert np.array_equal(got_r, plane[1])
-    # the regenerated entry is whole again
-    assert cache.load_fleet(key) is not None
-
-
 def test_malformed_fleet_entry_is_discarded(tmp_path):
     """A structurally wrong archive (mismatched row counts) degrades to a
     miss too, not just an unreadable one."""
@@ -335,28 +276,14 @@ def test_malformed_fleet_entry_is_discarded(tmp_path):
         responses=np.ones((7, 6), dtype=np.int8),
     )
     with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
-        assert cache.load_fleet(key) is None
+        assert cache.load("fleet", key) is None
     assert not cache.entry_path("fleet", key).exists()
-
-
-def test_fleet_short_generator_output_rejected(tmp_path):
-    cache = ArtifactStore(tmp_path)
-    with pytest.raises(ValueError, match="fewer than requested"):
-        cache.get_or_generate_fleet(
-            "s", 9, "uniform", "float64", (10, 6), 100,
-            lambda: make_fleet_plane(m=40),
-        )
 
 
 def test_clear_sweeps_fleet_entries_too(tmp_path):
     cache = ArtifactStore(tmp_path)
-    cache.get_or_generate(
-        puf_spec="a", seed=1, distribution="uniform", m=10,
-        generate=lambda: make_crps(m=10),
-    )
-    cache.get_or_generate_fleet(
-        "s", 1, "uniform", "float64", (10, 6), 40, lambda: make_fleet_plane()
-    )
+    lookup(cache, "crps", 1, 10, lambda: make_crps(m=10))
+    lookup(cache, "fleet", 1, 40, make_fleet_plane)
     assert cache.clear() == 2
     assert list(tmp_path.glob("*.npz")) == []
 
@@ -365,13 +292,72 @@ def test_fleet_hit_meters_per_instance_queries(tmp_path):
     from repro.telemetry.meter import QueryMeter, metered
 
     cache = ArtifactStore(tmp_path)
-    cache.get_or_generate_fleet(
-        "s", 2, "uniform", "float64", (10, 6), 40, lambda: make_fleet_plane()
-    )
+    lookup(cache, "fleet", 2, 40, make_fleet_plane)
     meter = QueryMeter()
     with metered(meter):
-        cache.get_or_generate_fleet(
-            "s", 2, "uniform", "float64", (10, 6), 30,
-            lambda: pytest.fail("must hit"),
-        )
+        lookup(cache, "fleet", 2, 30, lambda: pytest.fail("must hit"))
     assert meter.total_queries == 30 * 6
+
+
+# ----------------------------------------------------------------------
+# A replayed artifact costs the adversary what generating it would.
+# ----------------------------------------------------------------------
+def _generator(kind):
+    """A function of ``m`` that generates ``m`` rows of ``kind`` the way the
+    trials do: CRPs through ``generate_crps``, a plane through
+    ``Fleet.eval``; both meter their own queries."""
+    from repro.pufs.crp import uniform_challenges
+    from repro.pufs.fleet import Fleet, FleetSpec
+
+    if kind == "crps":
+        puf = ArbiterPUF(12, np.random.default_rng(0))
+
+        def generate(m):
+            crps = generate_crps(puf, m, np.random.default_rng(1))
+            return crps.challenges, crps.responses
+
+    else:
+        fleet = Fleet.build(FleetSpec(family="arbiter", n=12, size=5), 0)
+
+        def generate(m):
+            challenges = uniform_challenges(m, 12, np.random.default_rng(1))
+            return challenges, fleet.eval(challenges)
+
+    return generate
+
+
+@pytest.mark.parametrize("kind", ["crps", "fleet"])
+def test_full_and_prefix_hits_meter_a_cold_generation(tmp_path, kind):
+    from repro.telemetry.meter import QueryMeter, metered
+
+    generate = _generator(kind)
+    cache = ArtifactStore(tmp_path)
+    provenance = {} if kind == "crps" else {"tier": "int8", "shape": (12, 5)}
+
+    def metered_snapshot(call):
+        meter = QueryMeter()
+        with metered(meter):
+            call()
+        snap = meter.snapshot()
+        return {
+            "queries": snap["queries"],
+            "crp_bytes": snap["crp_bytes"],
+            "distinct_challenges": snap["distinct_challenges"],
+        }
+
+    def hit(m):
+        cache.get_or_generate(
+            kind, "s", 0, m, lambda: pytest.fail("must hit"), **provenance
+        )
+
+    cold = metered_snapshot(
+        lambda: cache.get_or_generate(
+            kind, "s", 0, 60, lambda: generate(60), **provenance
+        )
+    )
+    assert cold == metered_snapshot(lambda: generate(60))
+    assert metered_snapshot(lambda: hit(60)) == cold
+    assert metered_snapshot(lambda: hit(25)) == metered_snapshot(lambda: generate(25))
+    assert cache.misses == 1 and cache.hits == 2
+    ex = cold["queries"]["ex"]
+    assert ex["queries"] == ex["examples"] == 60 * (1 if kind == "crps" else 5)

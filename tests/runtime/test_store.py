@@ -30,24 +30,30 @@ from hypothesis.extra import numpy as hnp
 
 from repro.persist import is_staging
 from repro.pufs.arbiter import ArbiterPUF
-from repro.pufs.crp import CRPSet, generate_crps
+from repro.pufs.crp import generate_crps
 from repro.runtime import TrialRunner
 from repro.runtime.runner import TrialContext
 from repro.runtime.store import (
     ARTIFACT_KINDS,
     ENTRY_MAGIC,
     MAX_BYTES_ENV,
-    STORE_DIR_ENV,
     ArtifactStore,
     artifact_digest,
-    hash_challenges,
 )
 from repro.runtime.workloads import FleetEvalSpec, fleet_eval_trial
 
 
 def make_crps(seed=0, m=100, n=12):
+    """The ``(challenges, responses)`` of ``m`` CRPs of a fresh arbiter PUF."""
     puf = ArbiterPUF(n, np.random.default_rng(seed))
-    return generate_crps(puf, m, np.random.default_rng(seed + 1))
+    crps = generate_crps(puf, m, np.random.default_rng(seed + 1))
+    return crps.challenges, crps.responses
+
+
+def store_crps(store, spec, seed, m):
+    """Publish ``make_crps(seed, m)`` as the CRP entry of ``(spec, seed)``."""
+    key = artifact_digest("crps", spec, seed)
+    return store.store("crps", key, *make_crps(seed, m=m))
 
 
 def make_plane(seed=0, m=40, n=8, size=3):
@@ -101,31 +107,12 @@ class TestArtifactDigest:
         """The digest takes no ``m``: a smaller request resolves to the same
         entry as a larger draw from the same state (prefix reuse)."""
         store = ArtifactStore(tmp_path)
-        full = store.get_or_generate(
-            puf_spec="s", seed=0, distribution="uniform", m=80,
-            generate=lambda: make_crps(m=80),
-        )
+        full = store.get_or_generate("crps", "s", 0, 80, lambda: make_crps(m=80))
         prefix = store.get_or_generate(
-            puf_spec="s", seed=0, distribution="uniform", m=30,
-            generate=lambda: pytest.fail("prefix request must hit"),
+            "crps", "s", 0, 30, lambda: pytest.fail("prefix request must hit")
         )
         assert len(store.entries()) == 1
-        np.testing.assert_array_equal(prefix.challenges, full.challenges[:30])
-
-    def test_hash_challenges_covers_content_shape_dtype(self):
-        x = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-        assert hash_challenges(x).startswith("sha256:")
-        assert hash_challenges(x) == hash_challenges(x.copy())
-        assert hash_challenges(x) != hash_challenges(-x)
-        assert hash_challenges(x) != hash_challenges(x.reshape(4, 1))
-        assert hash_challenges(x) != hash_challenges(x.astype(np.int16))
-
-    def test_hash_challenges_keys_explicit_challenge_sets(self, tmp_path):
-        """Passing hash_challenges(x) as the distribution keys the entry by
-        challenge content: different matrices never alias."""
-        x, y = make_plane(seed=1)[0], make_plane(seed=2)[0]
-        assert artifact_digest("crps", "s", 0, distribution=hash_challenges(x)) != \
-            artifact_digest("crps", "s", 0, distribution=hash_challenges(y))
+        np.testing.assert_array_equal(prefix[0], full[0][:30])
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +122,7 @@ class TestLRUEviction:
     def fill(self, store, count, m=80):
         paths = []
         for i in range(count):
-            key = artifact_digest("crps", f"spec-{i}", i)
-            paths.append(store.store(key, make_crps(seed=i, m=m)))
+            paths.append(store_crps(store, f"spec-{i}", i, m))
         return paths
 
     def test_unbounded_store_never_evicts(self, tmp_path):
@@ -154,8 +140,7 @@ class TestLRUEviction:
         os.utime(b, (2_000, 2_000))
 
         capped = ArtifactStore(tmp_path, max_bytes=cap)
-        key_c = artifact_digest("crps", "spec-c", 99)
-        c = capped.store(key_c, make_crps(seed=99, m=10))  # small; one evict
+        c = store_crps(capped, "spec-c", 99, 10)  # small; one evict
         assert capped.evictions == 1
         assert not a.exists()  # oldest went first
         assert b.exists() and c.exists()
@@ -169,8 +154,8 @@ class TestLRUEviction:
 
         capped = ArtifactStore(tmp_path, max_bytes=cap)
         key_a = artifact_digest("crps", "spec-0", 0)
-        assert capped.load(key_a) is not None  # touches a: now the newest
-        capped.store(artifact_digest("crps", "spec-c", 99), make_crps(99, m=10))
+        assert capped.load("crps", key_a) is not None  # touches a: now the newest
+        store_crps(capped, "spec-c", 99, 10)
         assert a.exists()  # survived because the hit refreshed it
         assert not b.exists()
 
@@ -184,10 +169,9 @@ class TestLRUEviction:
         assert store.evictions == 1
 
     def test_cap_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "env-store"))
         monkeypatch.setenv(MAX_BYTES_ENV, "12345")
-        store = ArtifactStore()
-        assert store.store_dir == tmp_path / "env-store"
+        store = ArtifactStore(tmp_path / "store")
+        assert store.store_dir == tmp_path / "store"
         assert store.max_bytes == 12345
 
 
@@ -195,43 +179,53 @@ class TestLRUEviction:
 # Tier isolation: the dtype tier is key material for fleet planes.
 # ----------------------------------------------------------------------
 class TestTierIsolation:
-    def fleet_args(self, tier):
+    @staticmethod
+    def fleet_args(tier):
         return dict(
-            fleet_spec="fleet(arbiter, n=8, size=3)",
+            kind="fleet",
+            spec="fleet(arbiter, n=8, size=3)",
             seed=5,
-            distribution="uniform",
+            m=40,
             tier=tier,
             shape=(8, 3),
-            m=40,
         )
 
-    def test_int8_request_never_served_float64_entry(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["crps", "fleet"])
+    def test_int8_request_never_served_float64_entry(self, tmp_path, kind):
         store = ArtifactStore(tmp_path)
         calls = []
+        planes = {"float64": make_plane(seed=1), "int8": make_plane(seed=2)}
+        if kind == "crps":
+            planes = {tier: (c, r[:, 0]) for tier, (c, r) in planes.items()}
 
-        def gen():
-            calls.append(1)
-            return make_plane(seed=5)
+        def args(tier):
+            return {**self.fleet_args(tier), "kind": kind}
 
-        store.get_or_generate_fleet(**self.fleet_args("float64"), generate=gen)
-        store.get_or_generate_fleet(**self.fleet_args("int8"), generate=gen)
+        def gen(tier):
+            def generate():
+                calls.append(1)
+                return planes[tier]
+
+            return generate
+
+        served_f64 = store.get_or_generate(**args("float64"), generate=gen("float64"))
+        served_i8 = store.get_or_generate(**args("int8"), generate=gen("int8"))
         assert len(calls) == 2  # second tier missed; no cross-tier serving
         assert store.misses == 2 and store.hits == 0
+        assert not np.array_equal(served_f64[1], served_i8[1])
 
         def must_not_run():
             raise AssertionError("same-tier request must hit")
 
-        store.get_or_generate_fleet(
-            **self.fleet_args("int8"), generate=must_not_run
-        )
+        store.get_or_generate(**args("int8"), generate=must_not_run)
         assert store.hits == 1
 
     def test_shape_is_key_material(self, tmp_path):
         store = ArtifactStore(tmp_path)
         args = self.fleet_args("int8")
-        store.get_or_generate_fleet(**args, generate=lambda: make_plane(seed=5))
+        store.get_or_generate(**args, generate=lambda: make_plane(seed=5))
         args["shape"] = (8, 4)
-        store.get_or_generate_fleet(**args, generate=lambda: make_plane(seed=5))
+        store.get_or_generate(**args, generate=lambda: make_plane(seed=5))
         assert store.misses == 2
 
 
@@ -240,18 +234,18 @@ class TestMeterCounters:
         from repro.telemetry.meter import QueryMeter, metered
 
         store = ArtifactStore(tmp_path)
-        args = TestTierIsolation().fleet_args("int8")
-        crp_args = dict(puf_spec="arbiter(n=12)", seed=1, distribution="uniform")
+        args = TestTierIsolation.fleet_args("int8")
+        crp_args = dict(kind="crps", spec="arbiter(n=12)", seed=1, m=50)
         meter = QueryMeter()
         with metered(meter):
             for _ in range(2):  # a miss, then a hit, of each kind
-                store.get_or_generate_fleet(**args, generate=make_plane)
-                store.get_or_generate(**crp_args, m=50, generate=make_crps)
+                store.get_or_generate(**args, generate=make_plane)
+                store.get_or_generate(**crp_args, generate=make_crps)
             for path in store.entries():
                 path.write_bytes(b"torn")
             with pytest.warns(RuntimeWarning, match="unreadable"):
-                store.get_or_generate_fleet(**args, generate=make_plane)
-                store.get_or_generate(**crp_args, m=50, generate=make_crps)
+                store.get_or_generate(**args, generate=make_plane)
+                store.get_or_generate(**crp_args, generate=make_crps)
         counters = {k: v for k, v in meter.counters.items() if "bytes" not in k}
         assert counters == {
             "artifact_store.hits": 2,
@@ -281,33 +275,10 @@ class TestWarmStartDeterminism:
         probe = ArtifactStore(tmp_path)
         assert len(probe.entries()) == 3
 
-    def test_corrupt_fleet_entry_is_a_miss_and_regenerates(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        args = dict(
-            fleet_spec="f", seed=0, distribution="uniform",
-            tier="int8", shape=(8, 3), m=40,
-        )
-        store.get_or_generate_fleet(**args, generate=lambda: make_plane(seed=3))
-        (entry,) = store.entries()
-        entry.write_bytes(b"not a zip archive")
-        fresh = ArtifactStore(tmp_path)
-        with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
-            challenges, responses = fresh.get_or_generate_fleet(
-                **args, generate=lambda: make_plane(seed=3)
-            )
-        assert fresh.corrupt == 1 and fresh.misses == 1
-        np.testing.assert_array_equal(challenges, make_plane(seed=3)[0][:40])
-
     def test_stats_reports_counters_and_disk_state(self, tmp_path):
         store = ArtifactStore(tmp_path, max_bytes=10**9)
-        store.get_or_generate(
-            puf_spec="a", seed=0, distribution="uniform", m=50,
-            generate=lambda: make_crps(m=50),
-        )
-        store.get_or_generate(
-            puf_spec="a", seed=0, distribution="uniform", m=50,
-            generate=lambda: pytest.fail("must hit"),
-        )
+        store.get_or_generate("crps", "a", 0, 50, lambda: make_crps(m=50))
+        store.get_or_generate("crps", "a", 0, 50, lambda: pytest.fail("must hit"))
         stats = store.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["evictions"] == 0 and stats["corrupt"] == 0
@@ -325,7 +296,7 @@ def _race_writer(store_dir, key, barrier):
     store = ArtifactStore(store_dir)
     crps = make_crps(seed=0, m=120)  # same provenance => same bytes
     barrier.wait()
-    store.store(key, crps)
+    store.store("crps", key, *crps)
 
 
 class TestSameKeyRace:
@@ -352,12 +323,12 @@ class TestSameKeyRace:
         assert not any(is_staging(p) for p in tmp_path.iterdir())
         # The surviving archive is complete and serves hits.
         cached = store.get_or_generate(
-            puf_spec="race-spec", seed=0, distribution="uniform", m=120,
-            generate=lambda: pytest.fail("race survivor must serve the hit"),
+            "crps", "race-spec", 0, 120,
+            lambda: pytest.fail("race survivor must serve the hit"),
         )
         reference = make_crps(seed=0, m=120)
-        np.testing.assert_array_equal(cached.challenges, reference.challenges)
-        np.testing.assert_array_equal(cached.responses, reference.responses)
+        np.testing.assert_array_equal(cached[0], reference[0])
+        np.testing.assert_array_equal(cached[1], reference[1])
 
 
 # ----------------------------------------------------------------------
@@ -380,14 +351,12 @@ class TestCoarseMtimeEviction:
         # sort order degenerates to filesystem enumeration order.
         monkeypatch.setattr(store_mod, "_entry_mtime", lambda path: 1_000.0)
         seed_store = ArtifactStore(tmp_path)
-        seed_store.store(artifact_digest("crps", "old-a", 0), make_crps(0, m=80))
-        seed_store.store(artifact_digest("crps", "old-b", 1), make_crps(1, m=80))
+        store_crps(seed_store, "old-a", 0, 80)
+        store_crps(seed_store, "old-b", 1, 80)
         cap = seed_store.total_bytes()
 
         capped = ArtifactStore(tmp_path, max_bytes=cap)
-        fresh = capped.store(
-            artifact_digest("crps", "fresh", 99), make_crps(99, m=80)
-        )
+        fresh = store_crps(capped, "fresh", 99, 80)
         assert fresh.exists(), "the entry just published was evicted"
         assert capped.evictions >= 1  # the cap was enforced on the others
 
@@ -397,8 +366,8 @@ class TestCoarseMtimeEviction:
         from repro.runtime import store as store_mod
 
         seed_store = ArtifactStore(tmp_path)
-        seed_store.store(artifact_digest("crps", "old-a", 0), make_crps(0, m=80))
-        seed_store.store(artifact_digest("crps", "old-b", 1), make_crps(1, m=80))
+        store_crps(seed_store, "old-a", 0, 80)
+        store_crps(seed_store, "old-b", 1, 80)
         cap = seed_store.total_bytes()
 
         capped = ArtifactStore(tmp_path, max_bytes=cap)
@@ -411,12 +380,12 @@ class TestCoarseMtimeEviction:
             "_entry_mtime",
             lambda path: 0.0 if path == fresh_path else 1_000.0,
         )
-        capped.store(fresh_key, make_crps(99, m=80))
+        capped.store("crps", fresh_key, *make_crps(99, m=80))
         assert fresh_path.exists(), "protect must override LRU order"
 
     def test_fresh_entry_larger_than_the_cap_is_kept(self, tmp_path):
         store = ArtifactStore(tmp_path, max_bytes=1)  # everything oversizes
-        path = store.store(artifact_digest("crps", "big", 0), make_crps(0, m=80))
+        path = store_crps(store, "big", 0, 80)
         assert path.exists()  # the caller is about to read it
 
     def test_publish_stamps_mtime_fresh(self, tmp_path):
@@ -424,9 +393,9 @@ class TestCoarseMtimeEviction:
         time: after an old entry is backdated, a new store must sort
         strictly newer than it."""
         store = ArtifactStore(tmp_path)
-        old = store.store(artifact_digest("crps", "old", 0), make_crps(0, m=20))
+        old = store_crps(store, "old", 0, 20)
         os.utime(old, (1_000, 1_000))
-        new = store.store(artifact_digest("crps", "new", 1), make_crps(1, m=20))
+        new = store_crps(store, "new", 1, 20)
         from repro.runtime.store import _entry_mtime
 
         assert _entry_mtime(new) > _entry_mtime(old)
@@ -455,20 +424,20 @@ class TestEntryCodec:
         challenges = data.draw(pm1_arrays((m, n)))
         responses = data.draw(pm1_arrays((m,) if width is None else (m, width)))
         keep = data.draw(st.integers(1, m))
+        kind = "crps" if width is None else "fleet"
         with tempfile.TemporaryDirectory() as root:
-            if width is None:
-                ArtifactStore(root).store("k", CRPSet(challenges, responses))
-                loaded = ArtifactStore(root).load("k")
-                assert loaded is not None
-                taken = loaded.take(keep)
-                np.testing.assert_array_equal(taken.challenges, challenges[:keep])
-                np.testing.assert_array_equal(taken.responses, responses[:keep])
-                got_c, got_r = loaded.challenges, loaded.responses
-            else:
-                ArtifactStore(root).store_fleet("k", challenges, responses)
-                loaded = ArtifactStore(root).load_fleet("k")
-                assert loaded is not None
-                got_c, got_r = loaded
+            ArtifactStore(root).store(kind, "k", challenges, responses)
+            loaded = ArtifactStore(root).load(kind, "k")
+            assert loaded is not None
+            got_c, got_r = loaded
+            store = ArtifactStore(root)
+            store.get_or_generate(kind, "s", 0, m, lambda: (challenges, responses))
+            taken = store.get_or_generate(
+                kind, "s", 0, keep, lambda: pytest.fail("prefix must hit")
+            )
+            assert store.hits == 1
+        np.testing.assert_array_equal(taken[0], challenges[:keep])
+        np.testing.assert_array_equal(taken[1], responses[:keep])
         for got in (got_c, got_r):
             assert got.dtype == np.int8 and got.flags.c_contiguous
         np.testing.assert_array_equal(got_c, challenges)
@@ -484,22 +453,16 @@ class TestEntryCodec:
         planes[bad][3] = 0
         store = ArtifactStore(tmp_path)
         with pytest.raises(ValueError, match=r"\+/-1"):
-            if kind == "crps":
-                store.store("k", CRPSet(**planes))
-            else:
-                store.store_fleet("k", **planes)
+            store.store(kind, "k", **planes)
         assert store.entries() == {}
         assert list(tmp_path.iterdir()) == []  # no entry, no staging file
         assert store.bytes_stored == 0
 
     def test_flipped_bit_is_a_warned_miss_and_regenerates(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        args = dict(
-            fleet_spec="f", seed=0, distribution="uniform",
-            tier="int8", shape=(8, 3), m=40,
-        )
+        args = dict(kind="fleet", spec="f", seed=0, m=40, tier="int8", shape=(8, 3))
         plane = make_plane(seed=4)
-        store.get_or_generate_fleet(**args, generate=lambda: plane)
+        store.get_or_generate(**args, generate=lambda: plane)
         (entry,) = store.entries()
         raw = bytearray(entry.read_bytes())
         at = raw.find(np.packbits(plane[0] > 0, axis=-1).tobytes())
@@ -514,11 +477,11 @@ class TestEntryCodec:
 
         fresh = ArtifactStore(tmp_path)
         with pytest.warns(RuntimeWarning, match="unreadable fleet.*CRC-32 mismatch"):
-            challenges, _ = fresh.get_or_generate_fleet(**args, generate=regenerate)
+            challenges, _ = fresh.get_or_generate(**args, generate=regenerate)
         assert calls == [1] and fresh.corrupt == 1
         np.testing.assert_array_equal(challenges, plane[0])
-        assert fresh.load_fleet(
-            artifact_digest("fleet", "f", 0, tier="int8", shape=(8, 3))
+        assert fresh.load(
+            "fleet", artifact_digest("fleet", "f", 0, tier="int8", shape=(8, 3))
         ) is not None
 
     def test_pre_bit_packing_entry_is_discarded_once(self, tmp_path):
@@ -528,18 +491,16 @@ class TestEntryCodec:
         store = ArtifactStore(tmp_path)
         key = artifact_digest("crps", "a", 3)
         np.savez_compressed(
-            store.entry_path("crps", key),
-            challenges=crps.challenges.astype(np.int8),
-            responses=crps.responses.astype(np.int8),
+            store.entry_path("crps", key), challenges=crps[0], responses=crps[1]
         )
-        request = dict(puf_spec="a", seed=3, distribution="uniform", m=30)
+        request = dict(kind="crps", spec="a", seed=3, m=30)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = store.get_or_generate(**request, generate=lambda: crps)
         unreadable = [w for w in caught if "unreadable" in str(w.message)]
         assert len(unreadable) == 1 and len(caught) == 1
         assert store.corrupt == 1 and store.misses == 1
-        np.testing.assert_array_equal(got.responses, crps.responses)
+        np.testing.assert_array_equal(got[1], crps[1])
         assert store.entry_path("crps", key).read_bytes().startswith(ENTRY_MAGIC)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -547,7 +508,7 @@ class TestEntryCodec:
                 **request, generate=lambda: pytest.fail("must hit")
             )
         assert store.hits == 1
-        np.testing.assert_array_equal(again.challenges, crps.challenges)
+        np.testing.assert_array_equal(again[0], crps[0])
 
     @staticmethod
     def _regenerates_once(tmp_path, kind, damage):
@@ -557,18 +518,13 @@ class TestEntryCodec:
         lookup hits — with that entry the only file left on disk."""
         store = ArtifactStore(tmp_path)
         challenges, responses = make_plane(seed=5, m=21, n=11, size=5)
+        request = dict(kind=kind, spec="p", seed=1, m=21)
         if kind == "crps":
             responses = responses[:, 0]
-            request = dict(puf_spec="p", seed=1, distribution="uniform", m=21)
-            lookup = store.get_or_generate
-            plane = CRPSet(challenges, responses)
         else:
-            request = dict(
-                fleet_spec="f", seed=1, distribution="uniform",
-                tier="int8", shape=(11, 5), m=21,
-            )
-            lookup = store.get_or_generate_fleet
-            plane = (challenges, responses)
+            request.update(tier="int8", shape=(11, 5))
+        plane = (challenges, responses)
+        lookup = store.get_or_generate
         lookup(**request, generate=lambda: plane)
         (path,) = store.entries()
         damage(path, challenges, responses)
@@ -663,11 +619,7 @@ class TestEntryCodec:
         store = ArtifactStore(tmp_path)
         if kind == "crps":
             responses = responses[:, 0]
-            store.store("k", CRPSet(challenges, responses))
-            load = store.load
-        else:
-            store.store_fleet("k", challenges, responses)
-            load = store.load_fleet
+        store.store(kind, "k", challenges, responses)
         (path,) = store.entries()
         real_trace = store_module.trace
 
@@ -682,13 +634,12 @@ class TestEntryCodec:
         meter = QueryMeter()
         with warnings.catch_warnings(), metered(meter):
             warnings.simplefilter("error")
-            loaded = load("k")
+            loaded = store.load(kind, "k")
             assert not path.exists()
-            assert load("k") is None
+            assert store.load(kind, "k") is None
         assert loaded is not None
-        got = (loaded.challenges, loaded.responses) if kind == "crps" else loaded
-        np.testing.assert_array_equal(got[0], challenges)
-        np.testing.assert_array_equal(got[1], responses)
+        np.testing.assert_array_equal(loaded[0], challenges)
+        np.testing.assert_array_equal(loaded[1], responses)
         assert store.corrupt == 0
         assert "artifact_store.corrupt" not in meter.counters
 
@@ -698,9 +649,9 @@ class TestEntryCodec:
         store = ArtifactStore(tmp_path)
         challenges, responses = make_plane(seed=2)
         with recording() as recorder:
-            store.store_fleet("k", challenges, responses)
-            store.load_fleet("k")
-            store.load_fleet("absent")
+            store.store("fleet", "k", challenges, responses)
+            store.load("fleet", "k")
+            store.load("fleet", "absent")
         spans = recorder.roots()
         assert [s.name for s in spans] == [
             "artifact_store.publish", "artifact_store.load",

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.persist import append_lines, is_staging, write_atomic
-from repro.pufs.crp import CRPSet
 from repro.runtime.store import ArtifactStore
 from repro.service.jobs import Job, JobSpec, JobStore
 from repro.telemetry import RunLedger
@@ -48,7 +47,6 @@ import resource, signal, sys
 from pathlib import Path
 import numpy as np
 from repro.__main__ import main
-from repro.pufs.crp import CRPSet
 from repro.runtime.store import ArtifactStore
 from repro.service.jobs import Job, JobSpec, JobStore
 from repro.telemetry import RunLedger
@@ -61,7 +59,7 @@ rewrite = {
         Job(job_id="job-x", spec=JobSpec(workload="fleet"), error=pad)
     ),
     "store": lambda: ArtifactStore(data_dir).store(
-        "k", CRPSet(-np.ones((512, 64), np.int8), np.ones(512, np.int8))
+        "crps", "k", -np.ones((512, 64), np.int8), np.ones(512, np.int8)
     ),
     "atlas": lambda: main([*sys.argv[4:], "--out", str(data_dir)]),
     "ledger": lambda: RunLedger(data_dir).append({"index": 2, "pad": pad}),
@@ -94,11 +92,12 @@ def _write_previous(kind, data_dir):
         return store.job_dir("job-x") / "job.json"
     if kind == "store":
         rng = np.random.default_rng(0)
-        crps = CRPSet(
+        return ArtifactStore(data_dir).store(
+            "crps",
+            "k",
             rng.choice(np.array([-1, 1], np.int8), (512, 64)),
             rng.choice(np.array([-1, 1], np.int8), 512),
         )
-        return ArtifactStore(data_dir).store("k", crps)
     if kind == "atlas":
         path = data_dir / "boundary_map.json"
         write_atomic(path, json.dumps({"digest": "previous", "maps": ["y" * 80]}))
@@ -134,7 +133,7 @@ def test_failed_rewrite_keeps_previous_file(tmp_path, kind):
     assert _rewrite(kind, tmp_path, 64) == ["errno", str(errno.EFBIG)]
     assert path.read_bytes() == before
     if kind == "store":
-        assert ArtifactStore(tmp_path).load("k") is not None
+        assert ArtifactStore(tmp_path).load("crps", "k") is not None
     else:
         json.loads(path.read_text())  # read_meta and load both parse it
     assert _staging(tmp_path) == []
