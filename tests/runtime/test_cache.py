@@ -264,6 +264,35 @@ def test_fleet_key_includes_tier_and_shape():
     assert fleet_cache_key("spec", 0, "uniform", "float64", np.array([64, 256])) == base
 
 
+def test_fleet_cross_tier_requests_never_share_an_entry(tmp_path):
+    cache = ArtifactStore(tmp_path)
+    f64_plane = make_fleet_plane(seed=1)
+    i8_plane = make_fleet_plane(seed=2)
+    served_f64 = cache.get_or_generate(
+        "fleet", "s", 0, 40, lambda: f64_plane, tier="float64", shape=(10, 6)
+    )
+    served_i8 = cache.get_or_generate(
+        "fleet", "s", 0, 40, lambda: i8_plane, tier="int8", shape=(10, 6)
+    )
+    assert cache.misses == 2 and cache.hits == 0
+    assert not np.array_equal(served_f64[1], served_i8[1])
+
+
+def test_corrupt_fleet_entry_is_a_miss_and_regenerates(tmp_path):
+    """The same handle that published an entry treats its later corruption
+    as a miss, and the regenerated entry is whole again."""
+    cache = ArtifactStore(tmp_path)
+    plane = make_fleet_plane(seed=7)
+    lookup(cache, "fleet", 7, 40, lambda: plane)
+    key = fleet_cache_key("s", 7, "uniform", "float64", (10, 6))
+    cache.entry_path("fleet", key).write_bytes(b"truncated garbage")
+    with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
+        got_c, got_r = lookup(cache, "fleet", 7, 40, lambda: plane)
+    assert cache.misses == 2
+    assert np.array_equal(got_r, plane[1])
+    assert cache.load("fleet", key) is not None
+
+
 def test_malformed_fleet_entry_is_discarded(tmp_path):
     """A structurally wrong archive (mismatched row counts) degrades to a
     miss too, not just an unreadable one."""

@@ -190,8 +190,9 @@ class TestTierIsolation:
             shape=(8, 3),
         )
 
-    @pytest.mark.parametrize("kind", ["crps", "fleet"])
-    def test_int8_request_never_served_float64_entry(self, tmp_path, kind):
+    def check_tier_is_key_material(self, tmp_path, kind):
+        """Each tier of a ``kind`` request misses once, is served only its
+        own entry, and hits on a same-tier repeat."""
         store = ArtifactStore(tmp_path)
         calls = []
         planes = {"float64": make_plane(seed=1), "int8": make_plane(seed=2)}
@@ -219,6 +220,12 @@ class TestTierIsolation:
 
         store.get_or_generate(**args("int8"), generate=must_not_run)
         assert store.hits == 1
+
+    def test_int8_request_never_served_float64_entry(self, tmp_path):
+        self.check_tier_is_key_material(tmp_path, "fleet")
+
+    def test_crp_tier_is_key_material(self, tmp_path):
+        self.check_tier_is_key_material(tmp_path, "crps")
 
     def test_shape_is_key_material(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -274,6 +281,22 @@ class TestWarmStartDeterminism:
         # Separate run() calls share the on-disk entries: cross-run reuse.
         probe = ArtifactStore(tmp_path)
         assert len(probe.entries()) == 3
+
+    def test_corrupt_fleet_entry_is_a_miss_and_regenerate(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        args = dict(
+            kind="fleet", spec="f", seed=0, m=40, tier="int8", shape=(8, 3),
+        )
+        store.get_or_generate(**args, generate=lambda: make_plane(seed=3))
+        (entry,) = store.entries()
+        entry.write_bytes(b"not a zip archive")
+        fresh = ArtifactStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
+            challenges, responses = fresh.get_or_generate(
+                **args, generate=lambda: make_plane(seed=3)
+            )
+        assert fresh.corrupt == 1 and fresh.misses == 1
+        np.testing.assert_array_equal(challenges, make_plane(seed=3)[0][:40])
 
     def test_stats_reports_counters_and_disk_state(self, tmp_path):
         store = ArtifactStore(tmp_path, max_bytes=10**9)
