@@ -392,7 +392,10 @@ def cmd_trials(args: argparse.Namespace) -> int:
     for failed in failures:
         print(f"FAILED {failed.error.summary()} (attempts={failed.attempts})")
     if args.cache_stats:
-        stats = _aggregate_cache_stats(parallel.results)
+        passes = [parallel] if serial is None else [serial, parallel]
+        stats = _aggregate_cache_stats(
+            [result for report in passes for result in report.results]
+        )
         print(
             "cache stats: "
             f"hits={stats['hits']} misses={stats['misses']} "
@@ -777,8 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
     trials.add_argument(
         "--cache-stats",
         action="store_true",
-        help="print artifact-store hit/miss/eviction/bytes counters after "
-        "the run and record them in the ledger meta.json",
+        help="print artifact-store hit/miss/eviction/bytes counters of "
+        "every pass (serial and parallel) after the run and record them in "
+        "the ledger meta.json",
     )
     trials.add_argument(
         "--smoke",

@@ -492,58 +492,32 @@ def _diff_fleet_br_ltf(ctx: RelationContext) -> Dict[str, object]:
     return details
 
 
-def _diff_fleet_tier_identity(ctx: RelationContext) -> Dict[str, object]:
-    """Dtype tiers keep their exactness promises.
+def _diff_fleet_integer_exact(ctx: RelationContext) -> Dict[str, object]:
+    """Fleet margins are exact on integer-valued weights.
 
-    The int8 tier stores ±1 features in int8 but multiplies against the
-    same float64 weights, so its margins must be *bit-identical* to the
-    float64 tier's for every family.  With integer-valued weights all
-    three tiers (float32 included: products and sums stay far below
-    2^24) must agree bit-exactly with an integer-arithmetic reference.
+    With small integer weights every product and partial sum of the
+    float64 GEMM is an exactly representable integer, so the fleet's
+    margins and signs must equal an int64-arithmetic reference bit for
+    bit.
     """
     from repro.pufs.arbiter import parity_transform
     from repro.pufs.fleet import Fleet, FleetSpec
 
-    cases = 0
-    for family, n, size, k in (
-        ("arbiter", 24, 8, 1),
-        ("xor", 16, 5, (1, 2, 3, 2, 4)),
-        ("br", 12, 4, 1),
-        ("ltf", 20, 6, 1),
-    ):
-        seed = _fleet_seed(ctx)
-        f64 = Fleet.build(FleetSpec(family, n, size, k=k), seed)
-        i8 = Fleet.build(FleetSpec(family, n, size, k=k, tier="int8"), seed)
-        c = _random_challenges(ctx.rng(), 512, n)
-        if not np.array_equal(f64.margins(c), i8.margins(c)):
-            raise ConformanceViolation(
-                f"int8-tier margins differ from float64's for family {family!r}"
-            )
-        if not np.array_equal(f64.eval(c), i8.eval(c)):
-            raise ConformanceViolation(
-                f"int8-tier responses differ from float64's for family {family!r}"
-            )
-        cases += 1
-
     n, size = 16, 6
     int_weights = ctx.rng().integers(-8, 9, size=(n + 1, size)).astype(np.float64)
     c = _random_challenges(ctx.rng(), 512, n)
-    root = np.random.SeedSequence(0)
     exact = parity_transform(c).astype(np.int64) @ int_weights.astype(np.int64)
-    exact_signs = np.where(exact >= 0, 1, -1).astype(np.int8)
-    for tier in ("float64", "float32", "int8"):
-        fl = Fleet(FleetSpec("arbiter", n, size, tier=tier), root, int_weights)
-        if not np.array_equal(fl.margins(c).astype(np.float64), exact):
-            raise ConformanceViolation(
-                f"{tier}-tier margins differ from exact integer arithmetic "
-                "on integer-valued weights"
-            )
-        if not np.array_equal(fl.eval(c), exact_signs):
-            raise ConformanceViolation(
-                f"{tier}-tier responses differ from exact integer arithmetic"
-            )
-        cases += 1
-    return {"cases": cases}
+    fleet = Fleet(FleetSpec("arbiter", n, size), np.random.SeedSequence(0), int_weights)
+    if not np.array_equal(fleet.margins(c), exact):
+        raise ConformanceViolation(
+            "fleet margins differ from exact integer arithmetic "
+            "on integer-valued weights"
+        )
+    if not np.array_equal(fleet.eval(c), np.where(exact >= 0, 1, -1)):
+        raise ConformanceViolation(
+            "fleet responses differ from exact integer arithmetic"
+        )
+    return {"rows": int(c.shape[0]), "instances": size}
 
 
 def _diff_fleet_majority_vote(ctx: RelationContext) -> Dict[str, object]:
@@ -559,8 +533,9 @@ def _diff_fleet_majority_vote(ctx: RelationContext) -> Dict[str, object]:
     """
     from repro.kernels.fleet import (
         NOISE_BAND,
-        batched_majority_vote,
-        noisy_sign_responses,
+        majority_from_negatives,
+        noisy_measurements,
+        sign_responses,
     )
     from repro.pufs.fleet import Fleet, FleetSpec
 
@@ -583,7 +558,7 @@ def _diff_fleet_majority_vote(ctx: RelationContext) -> Dict[str, object]:
     noise = np.random.default_rng(entropy).normal(
         0.0, spec.noise_sigma, size=margins.shape
     )
-    single = noisy_sign_responses(margins, noise, offsets)
+    single = sign_responses(margins + noise, offsets)
     if not np.array_equal(
         single, combine_loop(np.where(margins + noise >= 0, 1, -1))
     ):
@@ -592,13 +567,7 @@ def _diff_fleet_majority_vote(ctx: RelationContext) -> Dict[str, object]:
             "loop under the same noise tensor"
         )
 
-    voted = batched_majority_vote(
-        margins,
-        spec.noise_sigma,
-        repetitions,
-        np.random.default_rng(entropy),
-        offsets,
-    )
+    voted = fleet.majority_vote(c, repetitions, np.random.default_rng(entropy))
     band = np.abs(margins) < NOISE_BAND * spec.noise_sigma
     replay = np.random.default_rng(entropy)
     votes = np.zeros((c.shape[0], spec.size), dtype=np.int64)
@@ -611,11 +580,11 @@ def _diff_fleet_majority_vote(ctx: RelationContext) -> Dict[str, object]:
             "batched majority vote differs from the per-instance reference "
             "under the same noise stream"
         )
+    negatives, _ = noisy_measurements(
+        margins, 0.0, 3, np.random.default_rng(entropy), offsets
+    )
     if not np.array_equal(
-        batched_majority_vote(
-            margins, 0.0, 3, np.random.default_rng(entropy), offsets
-        ),
-        noisy_sign_responses(margins, None, offsets),
+        majority_from_negatives(negatives, 3), sign_responses(margins, offsets)
     ):
         raise ConformanceViolation(
             "zero-noise majority vote differs from the ideal response"
@@ -782,11 +751,11 @@ def differential_relations() -> List[Relation]:
             _diff_fleet_br_ltf,
         ),
         Relation(
-            "diff_fleet_tier_identity",
+            "diff_fleet_integer_exact",
             "differential",
-            "int8-tier fleet margins are bit-identical to float64's; all "
-            "tiers are exact on integer-valued weights",
-            _diff_fleet_tier_identity,
+            "fleet margins and signs equal exact int64 arithmetic on "
+            "integer-valued weights",
+            _diff_fleet_integer_exact,
         ),
         Relation(
             "diff_fleet_majority_vote",

@@ -17,7 +17,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
     {
         "blocking": ("DEFAULT_BLOCK_SIZE", "DEFAULT_CHARACTER_BLOCK", "iter_blocks"),
         "backend": (
-            "DTYPE_TIERS",
             "KernelBackend",
             "NumpyBackend",
             "get_backend",
@@ -25,16 +24,13 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "use_backend",
         ),
         "fleet": (
-            "batched_majority_vote",
             "br_features",
             "fleet_margins",
             "linear_features",
             "majority_from_negatives",
             "noisy_measurements",
-            "noisy_sign_responses",
             "parity_features",
             "sign_responses",
-            "xor_combine",
         ),
         "fwht": ("fwht", "fwht_inplace", "mobius_f2_inplace"),
         "character": (

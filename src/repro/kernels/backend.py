@@ -1,4 +1,4 @@
-"""The pluggable kernel-backend seam and the dtype-tier contract.
+"""The pluggable kernel-backend seam.
 
 Every stacked (fleet) GEMM in :mod:`repro.kernels.fleet` is issued
 through the backend installed here instead of calling ``np.matmul``
@@ -13,29 +13,10 @@ directly.  That one level of indirection buys two things:
   route their GEMMs through the seam (see
   ``tests/kernels/test_backend.py``).
 
-Dtype tiers
------------
-Fleet evaluation supports three dtype tiers, selected by name:
-
-``"float64"``
-    The reference tier: features and weights in binary64.
-``"float32"``
-    Features and weights demoted to binary32 — half the memory
-    traffic and roughly double BLAS throughput.  *Not* bit-identical
-    to float64 for Gaussian weights; the conformance relations check
-    it with fsum guard bands, and it is bit-identical whenever all
-    weights are integer-valued small enough for exact binary32 sums.
-``"int8"``
-    Features stay ±1 ``int8`` (8x smaller working set than float64);
-    the GEMM upcasts each feature slab to the weight dtype, so results
-    are **bit-identical to the float64 tier by construction** — ±1 is
-    exact in every float format.  A future integer-GEMM backend can
-    exploit the int8 storage directly through this same seam.
-
-The tier governs *storage and GEMM precision* only; responses are
-always ±1 ``int8`` and all sign-domain arithmetic (XOR combination,
-majority-vote counting, the uniqueness row counts) is exact integer work
-in every tier.
+Fleet features and weights are float64: every margin is the exact
+additive-delay sum in binary64.  Responses are ±1 ``int8`` and all
+sign-domain arithmetic (XOR combination, majority-vote counting, the
+uniqueness row counts) is exact integer work.
 """
 
 from __future__ import annotations
@@ -46,34 +27,6 @@ import contextvars
 from typing import Iterator, Optional
 
 import numpy as np
-
-#: The supported dtype tiers, fastest-reference-first.
-DTYPE_TIERS = ("float64", "float32", "int8")
-
-def validate_tier(tier: str) -> str:
-    """Return ``tier`` unchanged, or raise ``ValueError`` for unknowns."""
-    if tier not in DTYPE_TIERS:
-        raise ValueError(f"unknown dtype tier {tier!r}; expected one of {DTYPE_TIERS}")
-    return tier
-
-
-def feature_dtype(tier: str) -> np.dtype:
-    """Storage dtype for ±1 feature matrices under ``tier``."""
-    validate_tier(tier)
-    return np.dtype(
-        {"float64": np.float64, "float32": np.float32, "int8": np.int8}[tier]
-    )
-
-
-def weight_dtype(tier: str) -> np.dtype:
-    """Weight (and margin) dtype under ``tier``.
-
-    The ``int8`` tier keeps weights in float64 — its margins are
-    bit-identical to the float64 tier; only the feature storage shrinks.
-    """
-    validate_tier(tier)
-    return np.dtype(np.float32 if tier == "float32" else np.float64)
-
 
 class KernelBackend(abc.ABC):
     """One GEMM provider behind the fleet kernels.
@@ -88,12 +41,7 @@ class KernelBackend(abc.ABC):
 
     @abc.abstractmethod
     def gemm(self, features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``features (M, d) @ weights (d, N)`` in the weights' dtype.
-
-        ``features`` may be any real dtype (int8 feature slabs are
-        upcast to ``weights.dtype`` before multiplying, which keeps the
-        int8 tier bit-identical to float64).
-        """
+        """``features (M, d) @ weights (d, N)``."""
 
 
 class NumpyBackend(KernelBackend):
@@ -112,15 +60,7 @@ class NumpyBackend(KernelBackend):
             raise ValueError(
                 f"inner dimensions disagree: {features.shape} @ {weights.shape}"
             )
-        out_dtype = weights.dtype
-        if features.dtype != out_dtype:
-            # int8 (or mismatched float) feature slabs upcast to the
-            # weight dtype; ±1 is exact in every float format, so the
-            # int8 tier reproduces the float64 tier bit for bit.
-            cast = features.astype(out_dtype, copy=False)
-        else:
-            cast = features
-        return cast @ weights
+        return features @ weights
 
 
 # ----------------------------------------------------------------------

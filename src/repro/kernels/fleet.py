@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.backend import KernelBackend, feature_dtype, get_backend
+from repro.kernels.backend import KernelBackend, get_backend
 
 __all__ = [
     "parity_features",
@@ -48,11 +48,8 @@ __all__ = [
     "br_features",
     "fleet_margins",
     "sign_responses",
-    "xor_combine",
-    "noisy_sign_responses",
     "noisy_measurements",
     "majority_from_negatives",
-    "batched_majority_vote",
     "NOISE_DRAW_BYTES",
     "NOISE_BAND",
 ]
@@ -71,37 +68,34 @@ NOISE_BAND = 8.3
 # ----------------------------------------------------------------------
 # Feature construction — done once per challenge batch, not per instance.
 # ----------------------------------------------------------------------
-def parity_features(challenges: np.ndarray, tier: str = "float64") -> np.ndarray:
-    """The arbiter parity transform as an ``(M, n+1)`` tier-dtype matrix.
+def parity_features(challenges: np.ndarray) -> np.ndarray:
+    """The arbiter parity transform as an ``(M, n+1)`` float64 matrix.
 
     Column ``i`` is ``prod_{j >= i} c_j``; the last column is the
     constant 1 multiplying the bias weight.  All entries are ±1, so the
     products are taken in int8 (a cumprod of ±1 cannot overflow) and
-    cast to the tier dtype once; ±1 is exact in binary32/binary64, so
-    every tier's features are value-identical to float64's.  The float64
-    tier is :func:`repro.pufs.arbiter.parity_transform`.
+    cast to float64 once.  This is
+    :func:`repro.pufs.arbiter.parity_transform`.
     """
-    dtype = feature_dtype(tier)
     challenges = np.asarray(challenges)
     if challenges.ndim == 1:
         challenges = challenges[None, :]
     m, n = challenges.shape
-    phi = np.ones((m, n + 1), dtype=dtype)
+    phi = np.ones((m, n + 1), dtype=np.float64)
     flipped = np.asarray(challenges[:, ::-1], dtype=np.int8)
     phi[:, :n] = np.cumprod(flipped, axis=1, dtype=np.int8)[:, ::-1]
     return phi
 
 
-def linear_features(challenges: np.ndarray, tier: str = "float64") -> np.ndarray:
-    """``(M, n+1)`` features for plain LTF fleets: the challenge plus a
-    constant column carrying each instance's (negated) threshold."""
-    dtype = feature_dtype(tier)
+def linear_features(challenges: np.ndarray) -> np.ndarray:
+    """``(M, n+1)`` float64 features for plain LTF fleets: the challenge
+    plus a constant column carrying each instance's (negated) threshold."""
     challenges = np.asarray(challenges)
     if challenges.ndim == 1:
         challenges = challenges[None, :]
     m, n = challenges.shape
-    feats = np.ones((m, n + 1), dtype=dtype)
-    feats[:, :n] = np.ascontiguousarray(challenges).astype(dtype, copy=False)
+    feats = np.ones((m, n + 1), dtype=np.float64)
+    feats[:, :n] = challenges
     return feats
 
 
@@ -109,27 +103,25 @@ def br_features(
     challenges: np.ndarray,
     pair_indices: np.ndarray,
     triple_indices: np.ndarray,
-    tier: str = "float64",
 ) -> np.ndarray:
-    """``(M, 1 + n + P + T)`` monomial features for a BR fleet.
+    """``(M, 1 + n + P + T)`` float64 monomial features for a BR fleet.
 
     Layout: ``[1, c_0..c_{n-1}, c_i c_j for (i,j) in pairs,
     c_i c_j c_l for (i,j,l) in triples]``.  Every entry is a ±1
-    monomial, exact in all tiers.  The pair/triple index sets are a
+    monomial.  The pair/triple index sets are a
     *fleet-level* (design) property shared by all instances so the
     feature matrix can be built once — per-instance manufacturing
     variation lives entirely in the weight columns.
     """
-    dtype = feature_dtype(tier)
     challenges = np.asarray(challenges)
     if challenges.ndim == 1:
         challenges = challenges[None, :]
-    c = np.ascontiguousarray(challenges).astype(dtype, copy=False)
+    c = np.ascontiguousarray(challenges).astype(np.float64, copy=False)
     m, n = c.shape
     pair_indices = np.asarray(pair_indices, dtype=np.int64).reshape(-1, 2)
     triple_indices = np.asarray(triple_indices, dtype=np.int64).reshape(-1, 3)
     d = 1 + n + len(pair_indices) + len(triple_indices)
-    feats = np.ones((m, d), dtype=dtype)
+    feats = np.ones((m, d), dtype=np.float64)
     feats[:, 1 : 1 + n] = c
     lo = 1 + n
     if len(pair_indices):
@@ -153,7 +145,7 @@ def fleet_margins(
     """``(M, d) @ (d, N)`` margins for N stacked instances (or chains).
 
     Routed through the installed :class:`KernelBackend` (or the one
-    passed explicitly), which owns dtype upcasting.
+    passed explicitly).
     """
     backend = get_backend() if backend is None else backend
     return backend.gemm(np.asarray(features), np.asarray(weights))
@@ -172,41 +164,6 @@ def sign_responses(
     """
     flags = _negative_flags(~(np.asarray(margins) >= 0), chain_offsets)
     return _flags_to_signs(flags)
-
-
-def xor_combine(chain_signs: np.ndarray, chain_offsets: np.ndarray) -> np.ndarray:
-    """Combine per-chain signs into per-instance XOR responses.
-
-    ``chain_signs`` is ``(M, total_chains)`` ±1 int8 with instance i's
-    chains stored contiguously starting at ``chain_offsets[i]``; every
-    instance may have a different chain count (a *mixed-k* fleet).  An
-    instance answers -1 iff an odd number of its chains do, so this is
-    the ±1 product of each slice, computed as an XOR of -1 flags.
-    """
-    chain_signs = np.asarray(chain_signs)
-    if chain_signs.ndim != 2:
-        raise ValueError(f"chain_signs must be 2-D, got shape {chain_signs.shape}")
-    return _flags_to_signs(_negative_flags(chain_signs < 0, chain_offsets))
-
-
-def noisy_sign_responses(
-    margins: np.ndarray,
-    noise: Optional[np.ndarray] = None,
-    chain_offsets: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One noisy measurement of the whole fleet from explicit noise.
-
-    ``margins`` is ``(M, K)`` — K instances, or K chains for XOR fleets
-    (then ``chain_offsets`` selects the per-instance slices).  ``noise``
-    must broadcast against it; passing the noise explicitly is what lets
-    the conformance relations feed the *same* tensor to this batched
-    path and to the per-instance reference loop and demand bit-identical
-    votes.
-    """
-    margins = np.asarray(margins)
-    if noise is not None:
-        margins = margins + noise
-    return sign_responses(margins, chain_offsets)
 
 
 def noisy_measurements(
@@ -280,28 +237,6 @@ def majority_from_negatives(negatives: np.ndarray, repetitions: int) -> np.ndarr
     """±1 int8 majority over ``repetitions`` measurements with ``negatives``
     -1 answers; ties (even ``repetitions``) break toward +1."""
     return _flags_to_signs(2 * np.asarray(negatives) > repetitions)
-
-
-def batched_majority_vote(
-    margins: np.ndarray,
-    noise_sigma: float,
-    repetitions: int,
-    rng: np.random.Generator,
-    chain_offsets: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Majority vote over ``repetitions`` noisy fleet measurements.
-
-    One :func:`noisy_measurements` pass: the vote draws the same noise
-    stream as ``repetitions`` sequential ``(M, K)`` slabs and counts -1
-    answers per cell.  Ties (even counts) break toward +1, matching
-    :func:`repro.pufs.noise.majority_vote`.
-    """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    negatives, _ = noisy_measurements(
-        margins, noise_sigma, repetitions, rng, chain_offsets
-    )
-    return majority_from_negatives(negatives, repetitions)
 
 
 def _negative_flags(

@@ -5,9 +5,9 @@ the per-instance Python loop (one feature build + one gemv per
 instance, the pre-fleet hot path) and the stacked
 ``(M, d) @ (d, N)`` GEMM of :mod:`repro.kernels.fleet` — checks the
 response planes are identical, and reports the speedup.  The default
-matrix covers the N >= 1024 population sizes of population-scale sweeps
-plus the three dtype tiers; ``smoke_cases`` is the seconds-fast subset CI
-asserts on (equivalence and speedup >= 1).
+matrix covers the N >= 1024 population sizes of population-scale sweeps;
+``smoke_cases`` is the seconds-fast subset CI asserts on (equivalence and
+speedup >= 1).
 
 Results serialise to ``benchmarks/results/BENCH_fleet.json``.
 """
@@ -39,7 +39,6 @@ class FleetBenchCase:
     m: int
     k: Union[int, Tuple[int, ...]] = 1
     correlation: float = 0.0
-    tier: str = "float64"
     repeats: int = 3
     seed: int = 4
 
@@ -58,14 +57,6 @@ def default_cases() -> List[FleetBenchCase]:
         FleetBenchCase(
             name="arbiter_n64_N4096", family="arbiter", n=64, size=4096, m=1000,
             repeats=2,
-        ),
-        FleetBenchCase(
-            name="arbiter_n64_N1024_f32", family="arbiter", n=64, size=1024,
-            m=2000, tier="float32",
-        ),
-        FleetBenchCase(
-            name="arbiter_n64_N1024_i8", family="arbiter", n=64, size=1024,
-            m=2000, tier="int8",
         ),
         FleetBenchCase(
             name="xor_n64_k4_N1024", family="xor", n=64, size=1024, m=1000, k=4,
@@ -96,10 +87,6 @@ def smoke_cases() -> List[FleetBenchCase]:
             name="xor_n32_k1-4_N64_smoke", family="xor", n=32, size=64, m=256,
             k=mixed_k(64, 4), repeats=3,
         ),
-        FleetBenchCase(
-            name="arbiter_n32_N128_i8_smoke", family="arbiter", n=32, size=128,
-            m=512, tier="int8", repeats=3,
-        ),
     ]
 
 
@@ -111,7 +98,6 @@ def run_case(case: FleetBenchCase) -> Dict[str, object]:
         size=case.size,
         k=case.k if case.family == "xor" else 1,
         correlation=case.correlation,
-        tier=case.tier,
     )
     fleet = Fleet.build(spec, case.seed)
     challenges = uniform_challenges(
@@ -140,7 +126,6 @@ def run_case(case: FleetBenchCase) -> Dict[str, object]:
             "size": case.size,
             "m": case.m,
             "k": _describe_k(case.k),
-            "tier": case.tier,
             "repeats": case.repeats,
         },
         "eval": {

@@ -26,9 +26,9 @@ def parity_transform(challenges: np.ndarray) -> np.ndarray:
     """Map +/-1 challenges to the (m, n+1) float64 arbiter feature vectors.
 
     Column ``i`` is ``prod_{j >= i} c_j`` and the last column is the
-    constant 1 (it multiplies the bias/threshold weight).  This is the
-    float64 tier of :func:`repro.kernels.fleet.parity_features`, which
-    takes the products in int8.
+    constant 1 (it multiplies the bias/threshold weight).  This is
+    :func:`repro.kernels.fleet.parity_features`, which takes the products
+    in int8.
     """
     return parity_features(challenges)
 

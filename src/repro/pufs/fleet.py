@@ -49,7 +49,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.kernels.backend import validate_tier, weight_dtype
 from repro.kernels.spawn import child_generators
 from repro.kernels.fleet import (
     br_features,
@@ -118,10 +117,6 @@ class FleetSpec:
         sequence for a *mixed-k* fleet.
     correlation / weight_sigma / noise_sigma:
         As in the standalone constructors.
-    tier:
-        Dtype tier (see :mod:`repro.kernels.backend`): ``"float64"``
-        (reference), ``"float32"`` (fast, guard-banded), ``"int8"``
-        (int8 feature storage, bit-identical margins to float64).
     interaction_scale / pair_density / triple_density:
         BR fleets only; as in :class:`BistableRingPUF`.
     """
@@ -133,7 +128,6 @@ class FleetSpec:
     correlation: float = 0.0
     weight_sigma: float = 1.0
     noise_sigma: float = 0.0
-    tier: str = "float64"
     interaction_scale: float = 0.55
     pair_density: float = 0.25
     triple_density: float = 1.0
@@ -149,7 +143,6 @@ class FleetSpec:
             raise ValueError(f"fleet size must be positive, got {self.size}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
-        validate_tier(self.tier)
         k = self.k
         if not isinstance(k, int):
             k = tuple(int(v) for v in k)
@@ -178,9 +171,8 @@ class FleetSpec:
     def describe(self) -> str:
         """Canonical spec string — the fleet's cache-key identity.
 
-        Everything that changes the evaluated bits is included; the dtype
-        tier is included too so cross-tier cache collisions are impossible
-        (see :func:`repro.runtime.store.artifact_digest`).
+        Everything that changes the evaluated bits is included (see
+        :func:`repro.runtime.store.artifact_digest`).
         """
         counts = self.chain_counts
         k_repr = counts[0] if len(set(counts)) == 1 else counts
@@ -189,8 +181,7 @@ class FleetSpec:
             f"k={k_repr}, correlation={self.correlation:g}, "
             f"weight_sigma={self.weight_sigma:g}, noise_sigma={self.noise_sigma:g}, "
             f"interaction={self.interaction_scale:g}, "
-            f"pairs={self.pair_density:g}, triples={self.triple_density:g}, "
-            f"tier={self.tier})"
+            f"pairs={self.pair_density:g}, triples={self.triple_density:g})"
         )
 
 
@@ -328,7 +319,7 @@ class Fleet:
     ) -> None:
         self.spec = spec
         self.seed = seed
-        self.weights = np.ascontiguousarray(weights, dtype=weight_dtype(spec.tier))
+        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
         self.chain_offsets = chain_offsets
         self.pair_indices = pair_indices
         self.triple_indices = triple_indices
@@ -391,14 +382,13 @@ class Fleet:
         return challenges
 
     def features(self, challenges: np.ndarray) -> np.ndarray:
-        """The tier-dtype ``(M, d)`` feature matrix, built once per batch."""
+        """The float64 ``(M, d)`` feature matrix, built once per batch."""
         challenges = self._check(challenges)
-        tier = self.spec.tier
         if self.spec.family in ("arbiter", "xor"):
-            return parity_features(challenges, tier)
+            return parity_features(challenges)
         if self.spec.family == "br":
-            return br_features(challenges, self.pair_indices, self.triple_indices, tier)
-        return linear_features(challenges, tier)
+            return br_features(challenges, self.pair_indices, self.triple_indices)
+        return linear_features(challenges)
 
     def margins(self, challenges: np.ndarray) -> np.ndarray:
         """The stacked GEMM: ``(M, size)`` margins, or ``(M, total_chains)``

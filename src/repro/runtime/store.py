@@ -3,8 +3,8 @@
 Every expensive artifact this codebase produces — a CRP pool, a fleet
 response plane — is a pure function of its generation provenance: the
 artifact *kind*, the PUF/fleet spec, the seed identity, the challenge-set
-identity (a distribution name or a generation recipe), and the dtype
-tier.  :class:`ArtifactStore` turns that observation into a shared
+identity (a distribution name or a generation recipe), the shape and the
+noise flag.  :class:`ArtifactStore` turns that observation into a shared
 on-disk cache: artifacts are keyed by a canonical digest of exactly that
 tuple (:func:`artifact_digest`), deduplicated across workloads, and
 reusable across *runs* — a Table-I rerun or an atlas re-sweep hits the
@@ -222,14 +222,13 @@ def artifact_digest(
     spec: str,
     seed: object,
     distribution: str = "uniform",
-    tier: str = "int8",
     shape: Sequence[int] = (),
     noisy: bool = False,
 ) -> str:
     """The canonical content digest for one artifact's provenance.
 
     The digest covers ``(kind, spec, seed identity, challenge-set
-    identity, dtype tier, shape, noisy)`` — exactly the tuple that
+    identity, shape, noisy)`` — exactly the tuple that
     determines the artifact's bytes.  ``distribution`` names the
     challenge-set identity: a distribution spec string for seeded draws,
     or a recipe string for a generated sequence.  The seed enters as its
@@ -251,7 +250,6 @@ def artifact_digest(
             "spec": str(spec),
             "seed": repr(seed),
             "challenges": str(distribution),
-            "tier": str(tier),
             "shape": [int(v) for v in shape],
             "noisy": bool(noisy),
         },
@@ -451,7 +449,6 @@ class ArtifactStore:
         m: int,
         generate: Callable[[], Tuple[np.ndarray, np.ndarray]],
         distribution: str = "uniform",
-        tier: str = "int8",
         shape: Sequence[int] = (),
         noisy: bool = False,
         record_kind: str = "ex",
@@ -460,9 +457,8 @@ class ArtifactStore:
 
         The entry is keyed by :func:`artifact_digest` of ``kind``,
         ``spec``, ``seed`` and the remaining provenance; a CRP set
-        passes no ``tier`` or ``shape``, a fleet plane passes its dtype
-        tier and ``(n, N)`` shape, so an int8-tier run is never served a
-        float64 entry, nor a resized fleet a stale plane.  On a hit with
+        passes no ``shape``, a fleet plane passes its ``(n, N)`` shape, so
+        a resized fleet is never served a stale plane.  On a hit with
         at least ``m`` cached rows the prefix is returned without calling
         ``generate``.  On a miss (or a cached entry that is too short)
         ``generate()`` returns ``(challenges, responses)`` and its output
@@ -486,7 +482,6 @@ class ArtifactStore:
             spec,
             seed,
             distribution=distribution,
-            tier=tier,
             shape=shape,
             noisy=noisy,
         )

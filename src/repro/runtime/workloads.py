@@ -423,9 +423,7 @@ class FleetEvalSpec:
     The trial is the runtime face of the stacked-GEMM fleet layer: it
     constructs a :class:`~repro.pufs.fleet.Fleet` from the trial's seed
     line, answers ``m`` challenges against all ``size`` instances in one
-    GEMM, and reports population statistics.  ``tier`` selects the dtype
-    tier; the cache key of the memoised response plane includes it, so
-    an int8 run can never be served a float64 entry (or vice versa).
+    GEMM, and reports population statistics.
     """
 
     family: str = "arbiter"
@@ -434,7 +432,6 @@ class FleetEvalSpec:
     k: Union[int, Tuple[int, ...]] = 4  # a tuple gives each XOR instance its own k
     correlation: float = 0.0
     noise_sigma: float = 0.05
-    tier: str = "float64"
     m: int = 2000
     repetitions: int = 5
 
@@ -445,7 +442,7 @@ class FleetEvalSpec:
             raise ValueError("m must be positive")
         if self.repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        # Built once, which validates family/n/size/k/tier eagerly, and
+        # Built once, which validates family/n/size/k eagerly, and
         # kept as a plain attribute, not a field: ``dataclasses.asdict``,
         # equality, hashing and repr see the fields alone.
         fleet_spec = FleetSpec(
@@ -455,7 +452,6 @@ class FleetEvalSpec:
             k=self.k if self.family == "xor" else 1,
             correlation=self.correlation,
             noise_sigma=self.noise_sigma,
-            tier=self.tier,
         )
         object.__setattr__(self, "_fleet_spec", fleet_spec)
 
@@ -480,7 +476,7 @@ def fleet_eval_trial(
     gives the same children whenever it happens, so misses and noisy
     hits consume exactly the streams an eager spawn would, and a
     noiseless hit, which needs neither, spawns nothing.  The ideal
-    response plane is memoised by (fleet spec, seed, tier, shape) when
+    response plane is memoised by (fleet spec, seed, shape) when
     ``cache_dir`` is set; reliability needs fresh noisy measurements and
     is always computed live.
 
@@ -547,7 +543,6 @@ def fleet_eval_trial(
         generate,
         cache_dir,
         cache_max_bytes,
-        tier=spec.tier,
         shape=(spec.n, spec.size),
     )
 

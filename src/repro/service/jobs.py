@@ -172,18 +172,27 @@ class Job:
         field, which is dropped: those jobs now run on one pool.  Its
         ``chow`` or ``lmn`` workload spec may carry a ``block_size``,
         which is dropped too: neither trial has one any more, and it never
-        changed a value.
+        changed a value.  Its ``fleet`` workload spec may carry a dtype
+        ``tier``, which is dropped as well: ``float64`` and ``int8`` gave
+        the float64 values every fleet now computes.  ``float32`` gave
+        other values, so an unfinished ``float32`` job is failed rather
+        than finished on float64 values; a finished one is kept as it is.
         """
         fields = {f.name for f in dataclasses.fields(cls)}
         data = {k: v for k, v in payload.items() if k in fields}
         spec = dict(data["spec"])
         spec.pop("shards", None)
-        if spec.get("workload") in ("chow", "lmn") and isinstance(
-            spec.get("spec"), dict
-        ):
-            spec["spec"] = {
-                k: v for k, v in spec["spec"].items() if k != "block_size"
-            }
+        legacy = {"chow": "block_size", "lmn": "block_size", "fleet": "tier"}
+        field = legacy.get(spec.get("workload"))
+        if field is not None and isinstance(spec.get("spec"), dict):
+            spec["spec"] = dict(spec["spec"])
+            value = spec["spec"].pop(field, None)
+            if value == "float32" and data.get("state") not in TERMINAL_STATES:
+                data["state"] = "failed"
+                data["error"] = (
+                    "the float32 fleet tier was removed; this job's remaining "
+                    "trials would run on float64, so it was not resumed"
+                )
         data["spec"] = JobSpec.from_dict(spec)
         return cls(**data)
 

@@ -115,7 +115,7 @@ def naive_fleet_weights(spec, root: np.random.SeedSequence) -> np.ndarray:
 def naive_xor_combine(
     chain_signs: np.ndarray, chain_offsets: np.ndarray
 ) -> np.ndarray:
-    """The pre-flag ``xor_combine``: ``np.multiply.reduceat`` of each
+    """The pre-flag XOR combine: ``np.multiply.reduceat`` of each
     instance's contiguous slice of ±1 chain signs, as int8."""
     offsets = np.asarray(chain_offsets, dtype=np.intp)
     products = np.multiply.reduceat(np.asarray(chain_signs), offsets, axis=1)

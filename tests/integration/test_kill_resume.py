@@ -147,6 +147,23 @@ def test_sigkill_mid_run_then_resume_completes_bit_identical(tmp_path):
     assert f"{TRIALS} of {TRIALS} trials completed clean" in report.stdout
 
 
+def test_cache_stats_count_the_serial_pass(tmp_path):
+    """With the serial pass on, the first run on an empty store misses in
+    that pass and hits in the parallel one; --cache-stats prints and
+    records both, so a cold run never reads ``misses=0``."""
+    result = run_cli(
+        "trials", "--workload", "fleet", "--smoke", "--trials", "3",
+        "--workers", "1", "--cache-dir", str(tmp_path / "store"),
+        "--cache-stats", "--ledger", "--runs-dir", str(tmp_path / "runs"),
+        "--run-id", "cold",
+    )
+    assert result.returncode == 0, result.stdout
+    assert "cache stats: hits=3 misses=3 " in result.stdout
+    meta = json.loads((tmp_path / "runs" / "cold" / "meta.json").read_text())
+    assert meta["cache_stats"]["misses"] == 3
+    assert meta["cache_stats"]["hits"] == 3
+
+
 def test_resume_refuses_mismatched_invocation(tmp_path):
     """--resume with a different workload/spec/trial count than the run's
     meta.json must refuse instead of splicing foreign records in."""

@@ -17,15 +17,11 @@ import numpy as np
 import pytest
 
 from repro.kernels.backend import (
-    DTYPE_TIERS,
     KernelBackend,
     NumpyBackend,
-    feature_dtype,
     get_backend,
     set_backend,
     use_backend,
-    validate_tier,
-    weight_dtype,
 )
 from repro.pufs.fleet import Fleet, FleetSpec
 from repro.pufs.metrics import fleet_reliability, fleet_uniqueness
@@ -80,18 +76,10 @@ def test_fleet_eval_routes_through_seam(family):
     with use_backend(recorder):
         plane = fleet.eval(c)
     assert len(recorder.calls) == 1
-    shape, f_dtype, w_shape, _ = recorder.calls[0]
+    shape, f_dtype, w_shape, w_dtype = recorder.calls[0]
     assert shape[0] == 40 and w_shape[0] == shape[1]
+    assert f_dtype == w_dtype == "float64"
     assert np.array_equal(plane, expected)
-
-
-def test_int8_tier_features_reach_the_backend_as_int8():
-    fleet = Fleet.build(FleetSpec("arbiter", 10, 3, tier="int8"), 1)
-    recorder = RecordingBackend()
-    with use_backend(recorder):
-        fleet.eval(challenges(16, 10))
-    assert recorder.calls[0][1] == "int8"
-    assert recorder.calls[0][3] == "float64"
 
 
 def test_fleet_metrics_route_through_seam():
@@ -187,20 +175,6 @@ def test_set_backend_none_restores_default():
     finally:
         set_backend(None)
     assert isinstance(get_backend(), NumpyBackend)
-
-
-# ----------------------------------------------------------------------
-# Dtype-tier contract
-# ----------------------------------------------------------------------
-def test_tier_validation():
-    for tier in DTYPE_TIERS:
-        assert validate_tier(tier) == tier
-    with pytest.raises(ValueError):
-        validate_tier("float16")
-    assert feature_dtype("int8") == np.int8
-    assert feature_dtype("float32") == np.float32
-    assert weight_dtype("int8") == np.float64  # int8 tier keeps f64 weights
-    assert weight_dtype("float32") == np.float32
 
 
 def test_gemm_validates_shapes():

@@ -19,12 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernels.backend import NumpyBackend, use_backend
 from repro.kernels import fleet as fleet_kernels
-from repro.kernels.fleet import (
-    _negative_flags,
-    noisy_measurements,
-    sign_responses,
-    xor_combine,
-)
+from repro.kernels.fleet import _negative_flags, noisy_measurements, sign_responses
 from repro.pufs import metrics
 from tests._reference import (
     naive_negative_flags,
@@ -89,10 +84,12 @@ def test_noisy_measurements_match_the_positional_combine(
 @SETTINGS
 @given(counts=any_counts, m=st.integers(0, 9), seed=seeds)
 def test_xor_combine_equals_multiply_reduceat(counts, m, seed):
+    """``sign_responses`` XORs each instance's chains as ``reduceat`` of
+    their ±1 signs multiplies them."""
     rng = np.random.default_rng(seed)
     signs = (1 - 2 * rng.integers(0, 2, size=(m, sum(counts)))).astype(np.int8)
     offsets = offsets_of(counts)
-    got = xor_combine(signs, offsets)
+    got = sign_responses(signs, offsets)
     assert got.dtype == np.int8
     assert np.array_equal(got, naive_xor_combine(signs, offsets))
 

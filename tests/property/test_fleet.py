@@ -23,9 +23,9 @@ from repro.pufs.fleet import Fleet, FleetSpec, eval_instance
 SETTINGS = settings(max_examples=25, deadline=None)
 
 
-def build_fleet(family, n, size, seed, k=1, tier="float64"):
+def build_fleet(family, n, size, seed, k=1):
     note_seed(f"{family} fleet", seed)
-    return Fleet.build(FleetSpec(family, n, size, k=k, tier=tier), seed)
+    return Fleet.build(FleetSpec(family, n, size, k=k), seed)
 
 
 def random_challenges(n, seed, m=32):
@@ -144,21 +144,6 @@ def test_seed_fan_out_is_per_instance(n, size, fleet_seed):
     small = build_fleet("arbiter", n, size, fleet_seed)
     grown = build_fleet("arbiter", n, size + 2, fleet_seed)
     assert np.array_equal(grown.weights[:, :size], small.weights)
-
-
-@SETTINGS
-@given(
-    st.sampled_from(["arbiter", "xor", "br", "ltf"]),
-    st.integers(min_value=4, max_value=16),
-    st.integers(min_value=0, max_value=2**31),
-    st.integers(min_value=0, max_value=2**31),
-)
-def test_int8_tier_is_bit_identical_to_float64(family, n, fleet_seed, chal_seed):
-    f64 = build_fleet(family, n, 4, fleet_seed)
-    i8 = build_fleet(family, n, 4, fleet_seed, tier="int8")
-    challenges = random_challenges(n, chal_seed)
-    assert np.array_equal(f64.margins(challenges), i8.margins(challenges))
-    assert np.array_equal(f64.eval(challenges), i8.eval(challenges))
 
 
 def test_zero_noise_noisy_eval_equals_ideal():

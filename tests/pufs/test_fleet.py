@@ -24,7 +24,7 @@ from repro.pufs.metrics import (
     uniqueness,
 )
 from repro.kernels import fleet as kfleet
-from repro.kernels.fleet import noisy_sign_responses
+from repro.kernels.fleet import sign_responses
 from repro.telemetry.meter import QueryMeter, metered
 from repro.telemetry.spans import recording
 
@@ -45,8 +45,8 @@ def test_spec_rejects_bad_parameters():
         FleetSpec("xor", 8, 4, k=(2, 3))  # wrong per-instance length
     with pytest.raises(ValueError):
         FleetSpec("xor", 8, 2, k=(2, 0))  # non-positive chain count
-    with pytest.raises(ValueError):
-        FleetSpec("arbiter", 8, 4, tier="float16")
+    with pytest.raises(TypeError):
+        FleetSpec("arbiter", 8, 4, tier="float64")  # one precision, no tiers
     with pytest.raises(ValueError):
         FleetSpec("arbiter", 8, 4, noise_sigma=-0.1)
 
@@ -57,8 +57,8 @@ def test_spec_chain_counts_and_describe():
     mixed = FleetSpec("xor", 8, 3, k=[1, 2, 3])
     assert mixed.chain_counts == (1, 2, 3)
     assert mixed.k == (1, 2, 3)  # sequences normalise to tuples (hashable)
-    assert "tier=float64" in scalar.describe()
-    assert FleetSpec("arbiter", 8, 3, tier="int8").describe() != FleetSpec(
+    assert "tier" not in scalar.describe()
+    assert FleetSpec("arbiter", 8, 3, noise_sigma=0.1).describe() != FleetSpec(
         "arbiter", 8, 3
     ).describe()
 
@@ -149,7 +149,7 @@ def slab_loop(margins, sigma, slabs, seed, offsets=None):
     for _ in range(slabs):
         noise = np.zeros(margins.shape)
         noise[band] = rng.normal(0.0, sigma, size=int(band.sum()))
-        out.append(noisy_sign_responses(margins, noise, offsets))
+        out.append(sign_responses(margins + noise, offsets))
     return np.stack(out)
 
 
@@ -196,7 +196,7 @@ def test_chains_outside_the_noise_band_never_flip():
     rng = np.random.default_rng(0)
     negatives, tail = kfleet.noisy_measurements(margins, sigma, 400, rng, None, 50)
     outside = np.abs(margins) >= edge
-    ideal = noisy_sign_responses(margins, None)
+    ideal = sign_responses(margins)
     assert np.array_equal(negatives[outside], 400 * (ideal[outside] == -1))
     assert np.all(tail[:, outside] == ideal[outside])
     assert 0 < negatives[0, 2] < 400 and 0 < negatives[1, 2] < 400
@@ -209,7 +209,7 @@ def test_chains_outside_the_noise_band_never_flip():
     chains = np.array([[edge, -50.0, 0.1, 9.0], [-edge, 60.0, -0.2, -0.05]])
     offsets = np.array([0, 2])
     negatives, tail = kfleet.noisy_measurements(chains, sigma, 400, rng, offsets, 3)
-    xor_ideal = noisy_sign_responses(chains, None, offsets)
+    xor_ideal = sign_responses(chains, offsets)
     assert np.array_equal(negatives[:, 0], 400 * (xor_ideal[:, 0] == -1))
     assert np.all(tail[:, :, 0] == xor_ideal[:, 0])
     assert np.all((0 < negatives[:, 1]) & (negatives[:, 1] < 400))
@@ -239,7 +239,7 @@ def test_noiseless_measurements_draw_nothing():
     negatives, tail = kfleet.noisy_measurements(
         margins, 0.0, 4, rng, fleet.chain_offsets, 1
     )
-    ideal = noisy_sign_responses(margins, None, fleet.chain_offsets)
+    ideal = sign_responses(margins, fleet.chain_offsets)
     assert np.array_equal(negatives, 4 * (ideal == -1))
     assert np.array_equal(tail[0], ideal)
     assert rng.random() == np.random.default_rng(3).random()

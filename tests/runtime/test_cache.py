@@ -17,7 +17,7 @@ from repro.runtime.store import ArtifactStore, artifact_digest
 #: Per kind, the provenance this file's lookups key their entries by,
 #: beyond ``(kind, spec, seed)``, and the label a corrupt entry's
 #: warning names the kind by.
-PROVENANCE = {"crps": {}, "fleet": {"tier": "float64", "shape": (10, 6)}}
+PROVENANCE = {"crps": {}, "fleet": {"shape": (10, 6)}}
 LABELS = {"crps": "CRP", "fleet": "fleet"}
 
 
@@ -28,11 +28,11 @@ def cache_key(puf_spec, seed, distribution, noisy=False):
     )
 
 
-def fleet_cache_key(fleet_spec, seed, distribution, tier, shape, noisy=False):
-    """The store key of a fleet-plane entry (tier and shape are)."""
+def fleet_cache_key(fleet_spec, seed, distribution, shape, noisy=False):
+    """The store key of a fleet-plane entry (its shape is key material)."""
     return artifact_digest(
-        "fleet", fleet_spec, seed, distribution=distribution, tier=tier,
-        shape=shape, noisy=noisy,
+        "fleet", fleet_spec, seed, distribution=distribution, shape=shape,
+        noisy=noisy,
     )
 
 
@@ -250,32 +250,16 @@ def test_roundtrip_preserves_dtypes(tmp_path):
 # ----------------------------------------------------------------------
 # Fleet response-plane entries
 # ----------------------------------------------------------------------
-def test_fleet_key_includes_tier_and_shape():
-    """An int8-tier run can never be served a float64 hit, and a resized
-    fleet can never alias a stale plane — tier and shape are key material."""
-    base = fleet_cache_key("spec", 0, "uniform", "float64", (64, 256))
-    assert fleet_cache_key("spec", 0, "uniform", "int8", (64, 256)) != base
-    assert fleet_cache_key("spec", 0, "uniform", "float32", (64, 256)) != base
-    assert fleet_cache_key("spec", 0, "uniform", "float64", (64, 512)) != base
-    assert fleet_cache_key("spec", 0, "uniform", "float64", (32, 256)) != base
-    assert fleet_cache_key("spec", 1, "uniform", "float64", (64, 256)) != base
-    assert fleet_cache_key("spec", 0, "uniform", "float64", (64, 256), noisy=True) != base
+def test_fleet_key_includes_shape():
+    """A resized fleet can never alias a stale plane — shape is key
+    material, as are the seed and the noise flag."""
+    base = fleet_cache_key("spec", 0, "uniform", (64, 256))
+    assert fleet_cache_key("spec", 0, "uniform", (64, 512)) != base
+    assert fleet_cache_key("spec", 0, "uniform", (32, 256)) != base
+    assert fleet_cache_key("spec", 1, "uniform", (64, 256)) != base
+    assert fleet_cache_key("spec", 0, "uniform", (64, 256), noisy=True) != base
     # m stays out of the digest (prefix reuse), shapes accept numpy ints
-    assert fleet_cache_key("spec", 0, "uniform", "float64", np.array([64, 256])) == base
-
-
-def test_fleet_cross_tier_requests_never_share_an_entry(tmp_path):
-    cache = ArtifactStore(tmp_path)
-    f64_plane = make_fleet_plane(seed=1)
-    i8_plane = make_fleet_plane(seed=2)
-    served_f64 = cache.get_or_generate(
-        "fleet", "s", 0, 40, lambda: f64_plane, tier="float64", shape=(10, 6)
-    )
-    served_i8 = cache.get_or_generate(
-        "fleet", "s", 0, 40, lambda: i8_plane, tier="int8", shape=(10, 6)
-    )
-    assert cache.misses == 2 and cache.hits == 0
-    assert not np.array_equal(served_f64[1], served_i8[1])
+    assert fleet_cache_key("spec", 0, "uniform", np.array([64, 256])) == base
 
 
 def test_corrupt_fleet_entry_is_a_miss_and_regenerates(tmp_path):
@@ -284,7 +268,7 @@ def test_corrupt_fleet_entry_is_a_miss_and_regenerates(tmp_path):
     cache = ArtifactStore(tmp_path)
     plane = make_fleet_plane(seed=7)
     lookup(cache, "fleet", 7, 40, lambda: plane)
-    key = fleet_cache_key("s", 7, "uniform", "float64", (10, 6))
+    key = fleet_cache_key("s", 7, "uniform", (10, 6))
     cache.entry_path("fleet", key).write_bytes(b"truncated garbage")
     with pytest.warns(RuntimeWarning, match="unreadable fleet cache entry"):
         got_c, got_r = lookup(cache, "fleet", 7, 40, lambda: plane)
@@ -297,7 +281,7 @@ def test_malformed_fleet_entry_is_discarded(tmp_path):
     """A structurally wrong archive (mismatched row counts) degrades to a
     miss too, not just an unreadable one."""
     cache = ArtifactStore(tmp_path)
-    key = fleet_cache_key("s", 8, "uniform", "float64", (10, 6))
+    key = fleet_cache_key("s", 8, "uniform", (10, 6))
     cache.store_dir.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(
         cache.entry_path("fleet", key),
@@ -361,7 +345,7 @@ def test_full_and_prefix_hits_meter_a_cold_generation(tmp_path, kind):
 
     generate = _generator(kind)
     cache = ArtifactStore(tmp_path)
-    provenance = {} if kind == "crps" else {"tier": "int8", "shape": (12, 5)}
+    provenance = {} if kind == "crps" else {"shape": (12, 5)}
 
     def metered_snapshot(call):
         meter = QueryMeter()

@@ -330,3 +330,27 @@ class TestRunsOfOlderVersions:
         assert "bit-identical results across worker counts: True" in out
         assert main(["report", str(run_dir), "--no-write"]) == 0
         assert "6 of 6 trials completed clean" in capsys.readouterr().out
+
+    def test_fleet_run_with_a_dtype_tier_is_refused(self, tmp_path, capsys):
+        """An older fleet run recorded its dtype ``tier`` in ``meta.json``.
+        Fleets have one precision now, so ``trials --resume`` refuses the
+        run, naming the spec, and appends nothing to its ledger."""
+        from repro.__main__ import main
+
+        args = [
+            "trials", "--workload", "fleet", "--smoke", "--trials", "2",
+            "--workers", "1", "--skip-serial", "--ledger", "--run-id", "old",
+            "--runs-dir", str(tmp_path),
+        ]
+        assert main(args) == 0
+        run_dir = tmp_path / "old"
+        meta = json.loads((run_dir / "meta.json").read_text())
+        meta["spec"]["tier"] = "float64"
+        (run_dir / "meta.json").write_text(json.dumps(meta))
+        ledger = (run_dir / "ledger.jsonl").read_text()
+        capsys.readouterr()
+
+        assert main(args + ["--resume"]) == 2
+        out = capsys.readouterr().out
+        assert "cannot --resume" in out and "'tier': 'float64'" in out
+        assert (run_dir / "ledger.jsonl").read_text() == ledger

@@ -1,10 +1,10 @@
-"""ArtifactStore: digest schema, LRU eviction, tier isolation, warm start.
+"""ArtifactStore: digest schema, LRU eviction, warm start.
 
 Pins the content-addressed store contract: the digest covers exactly the
 generation provenance (kind, spec, seed identity, challenge-set identity,
-dtype tier, shape, noisy) and nothing else; eviction is size-capped LRU
-with the just-published entry protected; an int8-tier request is never
-served a float64 entry; warm-start reruns are bit-identical to cold ones;
+shape, noisy) and nothing else; eviction is size-capped LRU with the
+just-published entry protected; a resized fleet is never served a stale
+plane; warm-start reruns are bit-identical to cold ones;
 two processes publishing the same digest concurrently both succeed
 with exactly one complete entry surviving (winner-take-one); entries
 round-trip exactly through the flat bit-packed +/-1 codec, which rejects
@@ -63,6 +63,14 @@ def make_plane(seed=0, m=40, n=8, size=3):
     return challenges, responses
 
 
+def fleet_args():
+    """A fleet-plane lookup of :func:`make_plane`'s default shape."""
+    return dict(
+        kind="fleet", spec="fleet(arbiter, n=8, size=3)", seed=5, m=40,
+        shape=(8, 3),
+    )
+
+
 # ----------------------------------------------------------------------
 # Digest schema: provenance in, row count out.
 # ----------------------------------------------------------------------
@@ -87,7 +95,7 @@ class TestArtifactDigest:
             {"spec": "other-spec"},
             {"seed": 1},
             {"distribution": "biased(0.25)"},
-            {"tier": "float64"},
+            {"kind": "crps"},
             {"shape": (8, 16)},
             {"noisy": True},
         ],
@@ -95,13 +103,21 @@ class TestArtifactDigest:
     def test_every_provenance_field_is_key_material(self, override):
         base = dict(
             kind="fleet", spec="s", seed=0, distribution="uniform",
-            tier="int8", shape=(4, 8), noisy=False,
+            shape=(4, 8), noisy=False,
         )
         assert artifact_digest(**base) != artifact_digest(**{**base, **override})
 
     def test_seed_identity_distinguishes_launch_forms(self):
         # int 1 and string "1" are different provenance, not the same key.
         assert artifact_digest("crps", "s", 1) != artifact_digest("crps", "s", "1")
+
+    def test_shape_is_key_material(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        args = fleet_args()
+        store.get_or_generate(**args, generate=lambda: make_plane(seed=5))
+        args["shape"] = (8, 4)
+        store.get_or_generate(**args, generate=lambda: make_plane(seed=5))
+        assert store.misses == 2
 
     def test_row_count_is_not_key_material(self, tmp_path):
         """The digest takes no ``m``: a smaller request resolves to the same
@@ -175,73 +191,12 @@ class TestLRUEviction:
         assert store.max_bytes == 12345
 
 
-# ----------------------------------------------------------------------
-# Tier isolation: the dtype tier is key material for fleet planes.
-# ----------------------------------------------------------------------
-class TestTierIsolation:
-    @staticmethod
-    def fleet_args(tier):
-        return dict(
-            kind="fleet",
-            spec="fleet(arbiter, n=8, size=3)",
-            seed=5,
-            m=40,
-            tier=tier,
-            shape=(8, 3),
-        )
-
-    def check_tier_is_key_material(self, tmp_path, kind):
-        """Each tier of a ``kind`` request misses once, is served only its
-        own entry, and hits on a same-tier repeat."""
-        store = ArtifactStore(tmp_path)
-        calls = []
-        planes = {"float64": make_plane(seed=1), "int8": make_plane(seed=2)}
-        if kind == "crps":
-            planes = {tier: (c, r[:, 0]) for tier, (c, r) in planes.items()}
-
-        def args(tier):
-            return {**self.fleet_args(tier), "kind": kind}
-
-        def gen(tier):
-            def generate():
-                calls.append(1)
-                return planes[tier]
-
-            return generate
-
-        served_f64 = store.get_or_generate(**args("float64"), generate=gen("float64"))
-        served_i8 = store.get_or_generate(**args("int8"), generate=gen("int8"))
-        assert len(calls) == 2  # second tier missed; no cross-tier serving
-        assert store.misses == 2 and store.hits == 0
-        assert not np.array_equal(served_f64[1], served_i8[1])
-
-        def must_not_run():
-            raise AssertionError("same-tier request must hit")
-
-        store.get_or_generate(**args("int8"), generate=must_not_run)
-        assert store.hits == 1
-
-    def test_int8_request_never_served_float64_entry(self, tmp_path):
-        self.check_tier_is_key_material(tmp_path, "fleet")
-
-    def test_crp_tier_is_key_material(self, tmp_path):
-        self.check_tier_is_key_material(tmp_path, "crps")
-
-    def test_shape_is_key_material(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        args = self.fleet_args("int8")
-        store.get_or_generate(**args, generate=lambda: make_plane(seed=5))
-        args["shape"] = (8, 4)
-        store.get_or_generate(**args, generate=lambda: make_plane(seed=5))
-        assert store.misses == 2
-
-
 class TestMeterCounters:
     def test_lookups_count_only_under_artifact_store(self, tmp_path):
         from repro.telemetry.meter import QueryMeter, metered
 
         store = ArtifactStore(tmp_path)
-        args = TestTierIsolation.fleet_args("int8")
+        args = fleet_args()
         crp_args = dict(kind="crps", spec="arbiter(n=12)", seed=1, m=50)
         meter = QueryMeter()
         with metered(meter):
@@ -285,7 +240,7 @@ class TestWarmStartDeterminism:
     def test_corrupt_fleet_entry_is_a_miss_and_regenerate(self, tmp_path):
         store = ArtifactStore(tmp_path)
         args = dict(
-            kind="fleet", spec="f", seed=0, m=40, tier="int8", shape=(8, 3),
+            kind="fleet", spec="f", seed=0, m=40, shape=(8, 3),
         )
         store.get_or_generate(**args, generate=lambda: make_plane(seed=3))
         (entry,) = store.entries()
@@ -483,7 +438,7 @@ class TestEntryCodec:
 
     def test_flipped_bit_is_a_warned_miss_and_regenerates(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        args = dict(kind="fleet", spec="f", seed=0, m=40, tier="int8", shape=(8, 3))
+        args = dict(kind="fleet", spec="f", seed=0, m=40, shape=(8, 3))
         plane = make_plane(seed=4)
         store.get_or_generate(**args, generate=lambda: plane)
         (entry,) = store.entries()
@@ -504,7 +459,7 @@ class TestEntryCodec:
         assert calls == [1] and fresh.corrupt == 1
         np.testing.assert_array_equal(challenges, plane[0])
         assert fresh.load(
-            "fleet", artifact_digest("fleet", "f", 0, tier="int8", shape=(8, 3))
+            "fleet", artifact_digest("fleet", "f", 0, shape=(8, 3))
         ) is not None
 
     def test_pre_bit_packing_entry_is_discarded_once(self, tmp_path):
@@ -545,7 +500,7 @@ class TestEntryCodec:
         if kind == "crps":
             responses = responses[:, 0]
         else:
-            request.update(tier="int8", shape=(11, 5))
+            request.update(shape=(11, 5))
         plane = (challenges, responses)
         lookup = store.get_or_generate
         lookup(**request, generate=lambda: plane)

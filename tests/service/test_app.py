@@ -474,6 +474,84 @@ class TestRecordsFromOlderVersions:
         assert exc.value.status == 400
         assert "block_size" in str(exc.value)
 
+    @staticmethod
+    def write_fleet_record(data_dir, job_id, tier):
+        """An older version's queued ``job.json`` of a fleet job whose spec
+        names a dtype ``tier``."""
+        job_dir = data_dir / "jobs" / job_id
+        job_dir.mkdir(parents=True)
+        spec = {
+            "workload": "fleet", "spec": {**FLEET_SPEC, "tier": tier},
+            "trials": 3, "seed": 7, "workers": 1, "priority": None,
+            "budget": 10**6, "api_key": "alice",
+        }
+        record = {
+            "job_id": job_id, "spec": spec, "state": "queued",
+            "created_at": time.time(), "started_at": None, "finished_at": None,
+            "completed_trials": 0, "adopted": False, "error": None,
+            "result": None, "priority": 0,
+        }
+        (job_dir / "job.json").write_text(json.dumps(record))
+
+    @pytest.mark.parametrize("tier", ["float64", "int8"])
+    def test_job_record_with_a_dtype_tier_is_adopted_and_charged_once(
+        self, live_service, tmp_path, tier
+    ):
+        """An older fleet record names the ``float64`` or ``int8`` tier,
+        whose values every fleet computes now: the record loads without
+        it, is adopted, finishes and is charged once."""
+        self.write_fleet_record(tmp_path / "svc", "job-oldtier01", tier)
+        client = live_service(default_quota=10**9).client(api_key="alice")
+        adopted = client.wait("job-oldtier01", timeout=60)
+        assert adopted["state"] == "done" and adopted["adopted"] is True
+        assert "tier" not in adopted["spec"]["spec"]
+        assert client.quota()["used"] == adopted["result"]["total_queries"] > 0
+
+    def test_finished_float32_job_is_served_and_charged(self, live_service, tmp_path):
+        """A float32 job that finished before the tier was removed keeps
+        its record, its values and its charge."""
+        live = live_service(default_quota=10**9)
+        client = live.client(api_key="alice")
+        job = client.submit(
+            workload="fleet", trials=3, seed=7, spec=FLEET_SPEC, budget=10**6
+        )
+        final = client.wait(job["job_id"], timeout=60)
+        live.stop()
+        path = tmp_path / "svc" / "jobs" / job["job_id"] / "job.json"
+        record = json.loads(path.read_text())
+        record["spec"]["spec"]["tier"] = "float32"
+        path.write_text(json.dumps(record))
+        client = live_service(default_quota=10**9).client(api_key="alice")
+        served = client.job(job["job_id"])
+        assert served["state"] == "done" and served["result"] == final["result"]
+        assert "tier" not in served["spec"]["spec"]
+        assert client.quota()["used"] == final["result"]["total_queries"] > 0
+
+    def test_unfinished_float32_job_is_failed_not_finished(
+        self, live_service, tmp_path
+    ):
+        """An unfinished float32 job cannot be finished on float64 values:
+        it is adopted as failed, with an error naming the removed tier,
+        and runs no trial."""
+        self.write_fleet_record(tmp_path / "svc", "job-oldf32", "float32")
+        client = live_service(default_quota=10**9).client(api_key="alice")
+        failed = client.wait("job-oldf32", timeout=60)
+        assert failed["state"] == "failed"
+        assert "float32" in failed["error"]
+        assert failed["completed_trials"] == 0 and failed["result"] is None
+        quota = client.quota()
+        assert quota["used"] == 0 and quota["reserved"] == 0
+        assert not (tmp_path / "svc" / "jobs" / "job-oldf32" / "ledger.jsonl").exists()
+
+    def test_new_submission_with_tier_is_400(self, live_service):
+        client = live_service().client()
+        with pytest.raises(ServiceError) as exc:
+            client.submit(
+                workload="fleet", trials=1, spec={**FLEET_SPEC, "tier": "int8"}
+            )
+        assert exc.value.status == 400
+        assert "tier" in str(exc.value)
+
 
 class TestCancellation:
     def test_cancel_queued_job(self, live_service):

@@ -3,6 +3,7 @@ gate and the payload writer, with ``run_case`` replaced by a fake so that
 nothing is timed."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.tooling.bench import SUITES, load_suite
 from repro.tooling.benchdocs import render_benchmarks_markdown
 
 TIMED_SUITES = ["fleet", "kernels", "store"]
+RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 def _timing_key(suite, case):
@@ -106,6 +108,19 @@ def test_out_writes_a_payload_docs_bench_renders(
     assert [rec["name"] for rec in payload["cases"]] == [c.name for c in cases]
     page = render_benchmarks_markdown(out.parent)
     assert f"Producer: `{producer}`" in page
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_committed_payload_is_a_full_run_that_names_its_host(suite):
+    """Each committed ``BENCH_<suite>.json`` is a full run of the suite's
+    current matrix and records where it ran: numpy, backend and CPUs."""
+    payload = json.loads((RESULTS / f"BENCH_{suite}.json").read_text())
+    assert payload["generated_by"] == f"python -m repro bench {suite}"
+    assert payload["numpy"] and payload["backend"] == "numpy"
+    assert isinstance(payload["nproc"], int) and payload["nproc"] >= 1
+    names = [case.name for case in load_suite(suite).default_cases()]
+    assert [rec["name"] for rec in payload["cases"]] == names
+    assert all(rec["equivalent"] for rec in payload["cases"])
 
 
 def test_unknown_suite_is_a_usage_error(capsys):
